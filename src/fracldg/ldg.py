@@ -15,18 +15,21 @@ u-coefficients; the step-n system is (A_0^n * m * I + K) U^n = RHS, where m
 is the cell mass scalar and only the scalar A_0^n changes with n.
 
 Internally coefficient tensors (i, j, r, s) are flattened in (i, r, j, s)
-order so both directional operators are Kronecker products of a 1D periodic
-block-bidiagonal operator with an identity.
+order, so K = Kx (x) I + I (x) Ky is a Kronecker sum of 1D blocks, each
+symmetric PSD by the discrete duality H = -G^T. Eigendecomposing each block
+once, Kx = Qx diag(lx) Qx^T, solves every step exactly for any A_0^n by fast
+diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
+U = Qx [(Qx^T B Qy) / (A_0^n m + lx_i + ly_j)] Qy^T, with B and U the
+right-hand side and solution reshaped to (i r, j s).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .basis import (
     BasisSpec,
@@ -54,10 +57,6 @@ __all__ = [
     "step",
     "solve",
 ]
-
-#: Above this many unknowns the stepper switches from a direct factorization
-#: to diagonally preconditioned GMRES.
-DIRECT_SOLVER_DOF_LIMIT = 20_000
 
 #: Relative residual demanded from every linear solve.
 SOLVER_RTOL = 1e-12
@@ -134,8 +133,9 @@ class LdgOperators:
 
     K is the spatial operator after auxiliary elimination; Du and Lu map
     u-coefficients to the x- and y-component p-coefficients; M is the scalar
-    cell mass (the mass operator is M times identity). K does not depend on
-    the time step: the step-n matrix is A_0^n * M * I + K.
+    cell mass (the mass operator is M times identity). The step-n matrix is
+    A_0^n * M * I + K; (Qx, lam_x) and (Qy, lam_y) are the eigenpairs of the
+    1D blocks of K that solve it.
     """
 
     K: sp.csr_matrix
@@ -145,7 +145,10 @@ class LdgOperators:
     mesh: SpatialMesh
     basis: BasisSpec
     fw: FluxWeights
-    _factors: dict = dc_field(default_factory=dict, repr=False)
+    Qx: np.ndarray
+    lam_x: np.ndarray
+    Qy: np.ndarray
+    lam_y: np.ndarray
 
     @property
     def ndof(self) -> int:
@@ -164,23 +167,13 @@ class LdgOperators:
         return (a0 * self.M) * sp.eye(self.ndof, format="csr") + self.K
 
     def solve_system(self, a0: float, b: np.ndarray) -> np.ndarray:
-        """Solve (a0 * M * I + K) x = b to relative residual SOLVER_RTOL."""
-        if self.ndof <= DIRECT_SOLVER_DOF_LIMIT:
-            factor = self._factors.get(a0)
-            if factor is None:
-                factor = spla.splu(self.system_matrix(a0).tocsc())
-                self._factors[a0] = factor
-            x = factor.solve(b)
-        else:
-            S = self.system_matrix(a0)
-            precond = spla.LinearOperator(
-                S.shape, matvec=lambda v, d=1.0 / S.diagonal(): d * v
-            )
-            x, info = spla.gmres(S, b, rtol=SOLVER_RTOL, atol=0.0, M=precond, maxiter=2000)
-            if info != 0:
-                raise NumericError(f"GMRES failed (info={info}) at ndof={self.ndof}")
+        """Solve (a0 * M * I + K) x = b by fast diagonalization, then check
+        the relative residual against SOLVER_RTOL."""
+        B = b.reshape(len(self.lam_x), len(self.lam_y))
+        denom = (a0 * self.M) + self.lam_x[:, None] + self.lam_y[None, :]
+        x = (self.Qx @ ((self.Qx.T @ B @ self.Qy) / denom) @ self.Qy.T).ravel()
         bnorm = float(np.linalg.norm(b))
-        res = float(np.linalg.norm(self.system_matrix(a0) @ x - b))
+        res = float(np.linalg.norm((a0 * self.M) * x + self.K @ x - b))
         if bnorm > 0.0 and res > SOLVER_RTOL * bnorm * 100.0:
             raise NumericError(
                 f"linear solve residual {res:.3e} exceeds {SOLVER_RTOL:.0e} * |b| = "
@@ -190,37 +183,39 @@ class LdgOperators:
 
 
 def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> LdgOperators:
-    """Assemble K, the p-maps, and the mass scalar for the given flux weights.
+    """Assemble K, its 1D eigendecompositions, the p-maps, and the mass scalar.
 
     The u-flux operators G and the p-flux operators H are assembled
     independently from their definitions (H is the directional operator with
-    the complementary weight); the discrete duality H = -G^T is a consequence
-    checked by tests, not an assumption of the assembly.
+    the complementary weight); the discrete duality H = -G^T, which makes the
+    1D blocks symmetric, is a consequence checked by tests, not an assumption
+    of the assembly.
     """
-    k = basis.k
-    kk = k + 1
     hx, hy = mesh.hx, mesh.hy
-    m = hx * hy / 4.0
-    Gx1 = _directional_operator(mesh.nx, k, fw.sigma1)
-    Gy1 = _directional_operator(mesh.ny, k, fw.sigma2)
-    Hx1 = _directional_operator(mesh.nx, k, 1.0 - fw.sigma1)
-    Hy1 = _directional_operator(mesh.ny, k, 1.0 - fw.sigma2)
-    eye_x = sp.eye(mesh.nx * kk, format="csr")
-    eye_y = sp.eye(mesh.ny * kk, format="csr")
-    # 2D lifts in (i, r, j, s) ordering; the transverse mass contributes h/2.
-    Gx = sp.kron(Gx1, (hy / 2.0) * eye_y, format="csr")
-    Gy = sp.kron((hx / 2.0) * eye_x, Gy1, format="csr")
-    Hx = sp.kron(Hx1, (hy / 2.0) * eye_y, format="csr")
-    Hy = sp.kron((hx / 2.0) * eye_x, Hy1, format="csr")
-    K = (-(Hx @ Gx) - (Hy @ Gy)) / m
+    Gx1 = _directional_operator(mesh.nx, basis.k, fw.sigma1)
+    Gy1 = _directional_operator(mesh.ny, basis.k, fw.sigma2)
+    Hx1 = _directional_operator(mesh.nx, basis.k, 1.0 - fw.sigma1)
+    Hy1 = _directional_operator(mesh.ny, basis.k, 1.0 - fw.sigma2)
+    # Cell mass m = hx*hy/4 cancels against the transverse mass h/2 of each
+    # lift, leaving the aspect-ratio factors.
+    Kx1 = -(hy / hx) * (Hx1 @ Gx1)
+    Ky1 = -(hx / hy) * (Hy1 @ Gy1)
+    lam_x, Qx = np.linalg.eigh(Kx1.toarray())
+    lam_y, Qy = np.linalg.eigh(Ky1.toarray())
+    # (i, r, j, s) ordering: kronsum(Ky1, Kx1) = Kx1 (x) I + I (x) Ky1.
+    K = sp.kronsum(Ky1, Kx1, format="csr")
     return LdgOperators(
-        K=K.tocsr(),
-        Du=(Gx / m).tocsr(),
-        Lu=(Gy / m).tocsr(),
-        M=m,
+        K=K,
+        Du=sp.kron(Gx1, (2.0 / hx) * sp.eye(Ky1.shape[0]), format="csr"),
+        Lu=sp.kron((2.0 / hy) * sp.eye(Kx1.shape[0]), Gy1, format="csr"),
+        M=hx * hy / 4.0,
         mesh=mesh,
         basis=basis,
         fw=fw,
+        Qx=Qx,
+        lam_x=lam_x,
+        Qy=Qy,
+        lam_y=lam_y,
     )
 
 

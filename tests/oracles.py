@@ -70,6 +70,23 @@ def dense_directional_operator(n: int, k: int, sigma: float) -> np.ndarray:
     return G
 
 
+def lifted_stiffness(nx: int, ny: int, k: int, sigma1: float, sigma2: float,
+                     hx: float, hy: float) -> np.ndarray:
+    """Dense global stiffness K = -(Hx Gx + Hy Gy) / m, m = hx * hy / 4.
+
+    Each 1D operator is lifted to 2D, in (i, r, j, s) ordering, by a
+    Kronecker product with the transverse cell mass h/2 times the identity;
+    H is the directional operator at the complementary weight 1 - sigma.
+    """
+    eye_x = np.eye(nx * (k + 1))
+    eye_y = np.eye(ny * (k + 1))
+    Gx = np.kron(dense_directional_operator(nx, k, sigma1), (hy / 2.0) * eye_y)
+    Hx = np.kron(dense_directional_operator(nx, k, 1.0 - sigma1), (hy / 2.0) * eye_y)
+    Gy = np.kron((hx / 2.0) * eye_x, dense_directional_operator(ny, k, sigma2))
+    Hy = np.kron((hx / 2.0) * eye_x, dense_directional_operator(ny, k, 1.0 - sigma2))
+    return -(Hx @ Gx + Hy @ Gy) / (hx * hy / 4.0)
+
+
 def caputo_derivative(g, alpha: float, t: float, panels_per_side: int = 45) -> float:
     """Caputo derivative (1/Gamma(1-alpha)) * int_0^t g'(s) (t-s)^(-alpha) ds.
 

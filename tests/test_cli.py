@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import yaml
 import pytest
 
@@ -201,6 +206,34 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     cfg_path = _write_config(tmp_path, d)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_q2_graded_run_peak_rss_is_bounded(tmp_path):
+    # example2 with Q2 elements on a graded time mesh: A_0^n changes at every
+    # one of the 100 steps, so storing anything per distinct A_0^n (such as a
+    # factorization) climbs to about 1 GB here. The child reports its own
+    # peak RSS, which RUSAGE_CHILDREN would mix with other tests' children.
+    d = _base_config(name="q2-rss", problem="example2", alpha=0.3, delta=0.3,
+                     degree=2, nx=16, time={"M": 100, "gamma": 6.0, "T": 0.1})
+    cfg_path = _write_config(tmp_path, d)
+    child = (
+        "import resource, sys\n"
+        "from fracldg.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = Path(fracldg.analysis.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "run", "--config", cfg_path,
+         "--out", str(tmp_path / "out"), "--threads", "1"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, maxrss = proc.stdout.split()[-2:]
+    assert rc == "0"
+    peak_mb = int(maxrss) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 200.0
 
 
 def test_check_report_compares_errors_rates_and_conditioning():

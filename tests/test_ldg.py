@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fracldg.basis import (
     BasisSpec,
@@ -14,7 +15,7 @@ from fracldg.basis import (
     l2_project,
     quad_l2_norm,
 )
-from fracldg.errors import InvalidArgumentError
+from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import l1_coefficients, substantial_history
 from fracldg.ldg import (
     FluxWeights,
@@ -28,7 +29,7 @@ from fracldg.ldg import _directional_operator
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import ProblemSpec, example1
 
-from oracles import dense_directional_operator
+from oracles import dense_directional_operator, lifted_stiffness
 
 FLUXES = [(1.0, 0.0), (0.0, 1.0), (0.7, 0.2), (0.3, 0.8)]
 
@@ -71,6 +72,8 @@ def test_global_operator_symmetric_positive_semidefinite():
         for k in (0, 1, 2):
             ops = assemble_operators(mesh, BasisSpec(k), FluxWeights(s1, s2))
             K = ops.K.toarray()
+            K_ref = lifted_stiffness(6, 5, k, s1, s2, mesh.hx, mesh.hy)
+            np.testing.assert_allclose(K, K_ref, rtol=0.0, atol=1e-12 * np.max(np.abs(K_ref)))
             assert np.max(np.abs(K - K.T)) <= 1e-11 * np.max(np.abs(K))
             eigs = np.linalg.eigvalsh(0.5 * (K + K.T))
             assert eigs.min() >= -1e-9 * eigs.max()
@@ -102,15 +105,39 @@ def test_energy_nullity_of_bilinear_form():
             assert abs(val) <= 1e-11
 
 
-def test_system_solve_matches_dense_reference():
-    mesh = build_spatial_mesh(4, 4)
-    ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(1.0, 0.0))
+def _solve_cases():
+    # Non-square meshes catch a swapped Kronecker order; the 50 x 50 Q2 case
+    # (ndof 22 500) checks a mesh well past the shipped presets against splu.
+    for nx, ny in ((4, 4), (5, 3)):
+        for k in (0, 1, 2, 3):
+            for s1, s2 in ((1.0, 0.0), (0.6, 0.3), (0.5, 0.5)):
+                for a0 in (0.5, 7.3, 1e8):
+                    yield pytest.param(nx, ny, k, (s1, s2), a0,
+                                       id=f"{nx}x{ny}-k{k}-{s1}:{s2}-a{a0:g}")
+    yield pytest.param(50, 50, 2, (1.0, 0.0), 7.3, id="50x50-k2-1.0:0.0-a7.3")
+
+
+@pytest.mark.parametrize("nx,ny,k,flux,a0", _solve_cases())
+def test_system_solve_matches_dense_reference(nx, ny, k, flux, a0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the central pair warns by design
+        fw = FluxWeights(*flux)
+    ops = assemble_operators(build_spatial_mesh(nx, ny), BasisSpec(k), fw)
     rng = np.random.default_rng(23)
     b = rng.standard_normal(ops.ndof)
-    a0 = 7.3
     x = ops.solve_system(a0, b)
-    x_ref = np.linalg.solve(ops.system_matrix(a0).toarray(), b)
-    np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=1e-12)
+    x_ref = spla.splu(ops.system_matrix(a0).tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+    np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=1e-12 * np.max(np.abs(x_ref)))
+
+
+def test_solve_residual_guard_rejects_wrong_spectrum():
+    mesh = build_spatial_mesh(5, 3)
+    ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(0.6, 0.3))
+    b = np.random.default_rng(5).standard_normal(ops.ndof)
+    ops.solve_system(7.3, b)
+    ops.lam_x = 2.0 * ops.lam_x
+    with pytest.raises(NumericError, match="residual"):
+        ops.solve_system(7.3, b)
 
 
 def test_flatten_unflatten_roundtrip():
