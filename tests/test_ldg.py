@@ -105,20 +105,32 @@ def test_energy_nullity_of_bilinear_form():
             assert abs(val) <= 1e-11
 
 
+def test_system_solve_matches_dense_reference():
+    mesh = build_spatial_mesh(4, 4)
+    ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(1.0, 0.0))
+    rng = np.random.default_rng(23)
+    b = rng.standard_normal(ops.ndof)
+    a0 = 7.3
+    x = ops.solve_system(a0, b)
+    x_ref = np.linalg.solve(ops.system_matrix(a0).toarray(), b)
+    np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=1e-12)
+
+
 def _solve_cases():
-    # Non-square meshes catch a swapped Kronecker order; the 50 x 50 Q2 case
-    # (ndof 22 500) checks a mesh well past the shipped presets against splu.
+    # Non-square meshes catch a swapped Kronecker order.
     for nx, ny in ((4, 4), (5, 3)):
         for k in (0, 1, 2, 3):
             for s1, s2 in ((1.0, 0.0), (0.6, 0.3), (0.5, 0.5)):
                 for a0 in (0.5, 7.3, 1e8):
-                    yield pytest.param(nx, ny, k, (s1, s2), a0,
+                    yield pytest.param(nx, ny, k, (s1, s2), a0, False,
                                        id=f"{nx}x{ny}-k{k}-{s1}:{s2}-a{a0:g}")
-    yield pytest.param(50, 50, 2, (1.0, 0.0), 7.3, id="50x50-k2-1.0:0.0-a7.3")
+    # ndof 22 500, well past the shipped presets. Its entries reach |x| ~ 46,
+    # so the absolute floor is scaled by max|x| to absorb splu-vs-eigh rounding.
+    yield pytest.param(50, 50, 2, (1.0, 0.0), 7.3, True, id="50x50-k2-1.0:0.0-a7.3")
 
 
-@pytest.mark.parametrize("nx,ny,k,flux,a0", _solve_cases())
-def test_system_solve_matches_dense_reference(nx, ny, k, flux, a0):
+@pytest.mark.parametrize("nx,ny,k,flux,a0,scale_atol", _solve_cases())
+def test_system_solve_matches_splu_reference(nx, ny, k, flux, a0, scale_atol):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the central pair warns by design
         fw = FluxWeights(*flux)
@@ -127,7 +139,8 @@ def test_system_solve_matches_dense_reference(nx, ny, k, flux, a0):
     b = rng.standard_normal(ops.ndof)
     x = ops.solve_system(a0, b)
     x_ref = spla.splu(ops.system_matrix(a0).tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
-    np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=1e-12 * np.max(np.abs(x_ref)))
+    atol = 1e-12 * np.max(np.abs(x_ref)) if scale_atol else 1e-12
+    np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=atol)
 
 
 def test_solve_residual_guard_rejects_wrong_spectrum():
