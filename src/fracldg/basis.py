@@ -155,7 +155,7 @@ class DgField:
         """Values at the tensor quadrature points of every cell, shape (nx, ny, qx, qy)."""
         k = self.basis.k
         V = legendre_values(k, quad.nodes)
-        return np.einsum("ijrs,qr,ps->ijqp", self.coeffs, V, V, optimize=True)
+        return V @ (self.coeffs @ V.T)
 
     def save_debug(self, path: str | Path, binary: bool = False) -> None:
         """Flat dump of the coefficients in (i, j, r, s) row-major order.

@@ -10,7 +10,12 @@ The discrete substantial derivative of order alpha with weight kappa(x) is
 
 with the L1 coefficients A defined on the (possibly graded) time mesh.
 `substantial_history` returns everything except the A_0^n u^n term; the time
-stepper negates it onto the right-hand side.
+stepper negates it onto the right-hand side. It reads the history tempered,
+w_j = e^{kappa t_j} u^j at the quadrature points, so the factors
+e^{-kappa(t_n - t_j)} collapse to one e^{-kappa t_n} and the whole sum is a
+single matrix-vector product over the stacked levels. Each level is tempered
+once, when it is computed; a run costs M exponentials per quadrature point
+instead of M^2/2.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .basis import DgField, QuadRule
 from .errors import InvalidArgumentError, NumericError
 from .meshes import GradedTimeMesh
 
@@ -211,10 +215,8 @@ def mittag_leffler(alpha: float, z: float) -> float:
 def substantial_history(
     A: L1Kernel,
     kappa_at_quad: np.ndarray,
-    history: list[DgField] | tuple[DgField, ...],
+    tempered_at_quad: np.ndarray,
     n: int,
-    quad: QuadRule | None = None,
-    history_at_quad: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Known part of the discrete substantial derivative at step n, evaluated
     at every volume quadrature point.
@@ -227,22 +229,23 @@ def substantial_history(
     i.e. everything in D_M u except the A_0^n u^n term. The caller moves this
     to the right-hand side with a sign flip.
 
-    history holds u^0..u^{n-1}. history_at_quad optionally carries the same
-    fields already evaluated at the quadrature points (the time stepper uses
-    this to avoid re-evaluating the whole history every step); when absent,
-    fields are evaluated here with `quad`.
+    tempered_at_quad[j] holds the tempered history w_j = e^{kappa t_j} u^j at
+    the quadrature points for j = 0..n-1; rows from n on are not read. Since
+    e^{-kappa (t_n - t_j)} u^j = e^{-kappa t_n} w_j, the sum is one
+    contraction of the coefficient row c_n with the stacked rows, followed by
+    a single tempering factor:
+
+        e^{-kappa t_n} * sum_j c_j w_j,   c_0 = -A_{n-1}^n,
+        c_j = A_{n-j}^n - A_{n-j-1}^n  (j = 1..n-1).
     """
-    if len(history) != n:
-        raise InvalidArgumentError(f"history must hold u^0..u^{n - 1} ({n} fields), got {len(history)}")
     if n < 1:
         raise InvalidArgumentError(f"step index must be >= 1, got {n}")
-    if history_at_quad is None:
-        if quad is None:
-            raise InvalidArgumentError("either quad or history_at_quad is required")
-        history_at_quad = [f.eval_volume_quad(quad) for f in history]
-    t = A.tm.t
-    An = A.A[n]
-    out = -An[n - 1] * np.exp(-kappa_at_quad * t[n]) * history_at_quad[0]
-    for i in range(1, n):
-        out += (An[i] - An[i - 1]) * np.exp(-kappa_at_quad * (t[n] - t[n - i])) * history_at_quad[n - i]
-    return out
+    if len(tempered_at_quad) < n:
+        raise InvalidArgumentError(
+            f"tempered history must hold w^0..w^{n - 1} ({n} rows), got {len(tempered_at_quad)}"
+        )
+    lags = A.A[n][::-1]  # (A_{n-1}^n, ..., A_0^n)
+    c = np.empty(n)
+    c[0] = -lags[0]
+    c[1:] = lags[:-1] - lags[1:]
+    return np.exp(-kappa_at_quad * A.tm.t[n]) * np.tensordot(c, tempered_at_quad[:n], axes=1)

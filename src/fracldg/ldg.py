@@ -25,6 +25,7 @@ right-hand side and solution reshaped to (i r, j s).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -61,19 +62,33 @@ __all__ = [
 #: Relative residual demanded from every linear solve.
 SOLVER_RTOL = 1e-12
 
+#: Largest admissible c_kappa * T. The history is stored tempered,
+#: e^{kappa t_j} u^j, and untempered by e^{-kappa t_n}; both factors lie in
+#: [e^-200, e^200] ~ [1e-87, 1e87], which leaves more than 200 decades to
+#: float64 overflow (1.8e308) and underflow (2.2e-308) either side.
+MAX_TEMPERING_EXPONENT = 200.0
+
+#: Relative slack allowed when checking max|kappa| at the quadrature points
+#: against the certified bound c_kappa (rounding in the kappa callable).
+KAPPA_BOUND_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FluxWeights:
     """Weights of the x- and y-direction weighted averages.
 
-    sigma = 1/2 (central flux) is accepted but degrades the spatial order;
-    construction emits a warning so experiment logs show the choice.
+    Each weight must be a finite number in [0, 1]. sigma = 1/2 (central
+    flux) is accepted but degrades the spatial order; construction emits a
+    warning so experiment logs show the choice.
     """
 
     sigma1: float
     sigma2: float
 
     def __post_init__(self) -> None:
+        for name, s in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
+            if not 0.0 <= s <= 1.0:  # also rejects nan
+                raise InvalidArgumentError(f"flux weight {name} must lie in [0, 1], got {s}")
         if self.is_central:
             warnings.warn(
                 "central flux weight 1/2 in use: optimal spatial order is not expected",
@@ -168,12 +183,17 @@ class LdgOperators:
 
     def solve_system(self, a0: float, b: np.ndarray) -> np.ndarray:
         """Solve (a0 * M * I + K) x = b by fast diagonalization, then check
-        the relative residual against SOLVER_RTOL."""
+        the relative residual against SOLVER_RTOL. A non-finite b or x raises
+        NumericError instead of propagating into the trajectory."""
+        bnorm = float(np.linalg.norm(b))
+        if not math.isfinite(bnorm):
+            raise NumericError(f"linear solve: right-hand side is not finite (|b| = {bnorm})")
         B = b.reshape(len(self.lam_x), len(self.lam_y))
         denom = (a0 * self.M) + self.lam_x[:, None] + self.lam_y[None, :]
         x = (self.Qx @ ((self.Qx.T @ B @ self.Qy) / denom) @ self.Qy.T).ravel()
-        bnorm = float(np.linalg.norm(b))
         res = float(np.linalg.norm((a0 * self.M) * x + self.K @ x - b))
+        if not math.isfinite(res):
+            raise NumericError(f"linear solve: solution is not finite (residual {res})")
         if bnorm > 0.0 and res > SOLVER_RTOL * bnorm * 100.0:
             raise NumericError(
                 f"linear solve residual {res:.3e} exceeds {SOLVER_RTOL:.0e} * |b| = "
@@ -320,7 +340,7 @@ def _moment_vector(values: np.ndarray, ops: LdgOperators, quad: QuadRule) -> np.
     """(g, Phi_B) for every basis function, flattened in solver order, from
     grid values g at the volume quadrature points."""
     WV = quad.weights[:, None] * legendre_values(ops.basis.k, quad.nodes)
-    moments = ops.M * np.einsum("ijqp,qr,ps->ijrs", values, WV, WV, optimize=True)
+    moments = ops.M * (WV.T @ (values @ WV))
     return np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()
 
 
@@ -332,20 +352,25 @@ def step(
     prob: ProblemSpec,
     quad: QuadRule | None = None,
     kappa_at_quad: np.ndarray | None = None,
-    history_at_quad: list[np.ndarray] | None = None,
+    tempered_at_quad: np.ndarray | None = None,
 ) -> DgField:
     """Advance one time step: solve (A_0^n M I + K) U^n = -(hist, v) + (f(t_n), v).
 
-    history holds u^0..u^{n-1}. The optional quadrature caches are fast paths
-    used by solve(); omitted, they are rebuilt here.
+    history holds u^0..u^{n-1}. tempered_at_quad holds the same levels
+    tempered and evaluated at the quadrature points, row j being
+    e^{kappa t_j} u^j (see substantial_history); solve() passes its
+    preallocated buffer. The optional caches are fast paths; omitted, they
+    are rebuilt here from history.
     """
     if quad is None:
         quad = gauss_rule(ops.basis.default_quad_points)
     if kappa_at_quad is None:
         kappa_at_quad = eval_on_grid(lambda x, y: prob.kappa(x, y), ops.mesh, quad)
-    hist = substantial_history(
-        A, kappa_at_quad, history, n, quad=quad, history_at_quad=history_at_quad
-    )
+    if tempered_at_quad is None:
+        tempered_at_quad = np.array(
+            [np.exp(kappa_at_quad * t) * u.eval_volume_quad(quad) for t, u in zip(A.tm.t, history)]
+        )
+    hist = substantial_history(A, kappa_at_quad, tempered_at_quad, n)
     # The history part of D_M u moves to the right-hand side: this negation is
     # the single place the sign convention is applied.
     rhs_values = -hist
@@ -359,6 +384,22 @@ def step(
     return ops.unflatten(x)
 
 
+def _check_tempering_range(prob: ProblemSpec, tm: GradedTimeMesh, kappa_at_quad: np.ndarray) -> None:
+    """Reject kappa fields the tempered history cannot represent: kappa must
+    respect its certified bound c_kappa, and c_kappa * T must stay within
+    MAX_TEMPERING_EXPONENT so e^{+-kappa t} stays finite on [0, T]."""
+    kmax = float(np.max(np.abs(kappa_at_quad)))
+    if not kmax <= prob.c_kappa * (1.0 + KAPPA_BOUND_RTOL):  # also rejects nan
+        raise InvalidArgumentError(
+            f"max |kappa| = {kmax!r} at the quadrature points exceeds c_kappa = {prob.c_kappa!r}"
+        )
+    if prob.c_kappa * tm.T > MAX_TEMPERING_EXPONENT:
+        raise InvalidArgumentError(
+            f"c_kappa * T = {prob.c_kappa * tm.T:g} exceeds {MAX_TEMPERING_EXPONENT:g}: "
+            "the tempering factors e^(+-kappa t) would leave the float64 range"
+        )
+
+
 def solve(
     prob: ProblemSpec,
     mesh: SpatialMesh,
@@ -369,17 +410,22 @@ def solve(
     """Run the fully discrete scheme from t = 0 to t = T.
 
     u^0 is the L2 projection of the initial condition; each subsequent field
-    solves the step system. Evaluated quadrature values of the history are
-    cached once per step, which keeps the O(M^2) history accumulation at
-    vector speed.
+    solves the step system. Every level is evaluated at the quadrature points
+    and tempered once, into row j of a preallocated (M+1, nx, ny, q, q)
+    buffer holding e^{kappa t_j} u^j, so each step's memory sum is one
+    matrix-vector product over the rows written so far. Raises
+    InvalidArgumentError when kappa exceeds c_kappa or c_kappa * T exceeds
+    MAX_TEMPERING_EXPONENT.
     """
     ops = assemble_operators(mesh, basis, fw)
     quad = gauss_rule(basis.default_quad_points)
     A = l1_coefficients(tm, prob.alpha)
     kappa_at_quad = eval_on_grid(lambda x, y: prob.kappa(x, y), mesh, quad)
+    _check_tempering_range(prob, tm, kappa_at_quad)
     u0 = l2_project(lambda x, y: prob.u0(x, y), mesh, basis, quad)
     fields = [u0]
-    hist_quad = [u0.eval_volume_quad(quad)]
+    tempered = np.empty((tm.M + 1,) + kappa_at_quad.shape)
+    tempered[0] = u0.eval_volume_quad(quad)  # e^{kappa t_0} = 1
     for n in range(1, tm.M + 1):
         u_n = step(
             ops,
@@ -389,8 +435,8 @@ def solve(
             prob,
             quad=quad,
             kappa_at_quad=kappa_at_quad,
-            history_at_quad=hist_quad,
+            tempered_at_quad=tempered,
         )
         fields.append(u_n)
-        hist_quad.append(u_n.eval_volume_quad(quad))
+        tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(quad)
     return Trajectory(fields=fields, tm=tm, prob=prob, mesh=mesh, basis=basis, fw=fw)

@@ -14,6 +14,8 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import svdvals
 
+from fracldg.errors import InvalidArgumentError
+
 
 def orthonormal_legendre_value(r: int, x: float) -> float:
     """Lhat_r(x) = sqrt(r + 1/2) * P_r(x), one value at a time."""
@@ -160,4 +162,47 @@ def complementary_kernels_by_inversion(A) -> list[np.ndarray]:
                 mat[m - 1, n - j] = A.A[j][j - m]
         P = np.linalg.solve(mat, np.ones(n))
         out.append(P)
+    return out
+
+
+def substantial_history_loop(
+    A,
+    kappa_at_quad: np.ndarray,
+    history,
+    n: int,
+    quad=None,
+    history_at_quad: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Known part of the discrete substantial derivative at step n, evaluated
+    at every volume quadrature point.
+
+    Returns, with shape matching kappa_at_quad (nx, ny, qx, qy),
+
+        -A_{n-1}^n e^{-kappa t_n} u^0 +
+        sum_{i=1}^{n-1} (A_i^n - A_{i-1}^n) e^{-kappa (t_n - t_{n-i})} u^{n-i},
+
+    i.e. everything in D_M u except the A_0^n u^n term. The caller moves this
+    to the right-hand side with a sign flip.
+
+    history holds u^0..u^{n-1}. history_at_quad optionally carries the same
+    fields already evaluated at the quadrature points (the time stepper uses
+    this to avoid re-evaluating the whole history every step); when absent,
+    fields are evaluated here with `quad`.
+
+    The package's original loop, one fresh untempered exponential per past
+    level, kept as the exact reference for fracldg.fractional.substantial_history.
+    """
+    if len(history) != n:
+        raise InvalidArgumentError(f"history must hold u^0..u^{n - 1} ({n} fields), got {len(history)}")
+    if n < 1:
+        raise InvalidArgumentError(f"step index must be >= 1, got {n}")
+    if history_at_quad is None:
+        if quad is None:
+            raise InvalidArgumentError("either quad or history_at_quad is required")
+        history_at_quad = [f.eval_volume_quad(quad) for f in history]
+    t = A.tm.t
+    An = A.A[n]
+    out = -An[n - 1] * np.exp(-kappa_at_quad * t[n]) * history_at_quad[0]
+    for i in range(1, n):
+        out += (An[i] - An[i - 1]) * np.exp(-kappa_at_quad * (t[n] - t[n - i])) * history_at_quad[n - i]
     return out

@@ -285,9 +285,9 @@ def test_memory_operator_exact_on_tempered_linears():
         (lambda t: t, lambda t: t ** (1.0 - alpha) / math.gamma(2.0 - alpha)),
     ):
         hist_quad = [np.exp(-kq * t) * v(t) for t in tm.t]
-        dummy = [None] * 6
+        tempered = np.stack([np.exp(kq * t) * h for t, h in zip(tm.t, hist_quad)])
         for n in range(1, 7):
-            hist = substantial_history(A, kq, dummy[:n], n, history_at_quad=hist_quad)
+            hist = substantial_history(A, kq, tempered, n)
             got = A.A[n][0] * hist_quad[n] + hist
             expected = np.exp(-kq * tm.t[n]) * dv_exact(tm.t[n])
             scale = A.A[n][0] * np.max(np.abs(hist_quad[n]))

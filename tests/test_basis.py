@@ -104,6 +104,18 @@ def test_projection_error_decays_at_order_k_plus_1():
     assert rate == pytest.approx(2.0, abs=0.1)
 
 
+@pytest.mark.parametrize("nx,ny,k,q", [(3, 3, 0, 2), (4, 2, 1, 3), (2, 5, 2, 4), (3, 4, 3, 6)])
+def test_eval_volume_quad_matches_einsum(nx, ny, k, q):
+    mesh = build_spatial_mesh(nx, ny)
+    f = DgField(np.random.default_rng(12).standard_normal((nx, ny, k + 1, k + 1)), BasisSpec(k), mesh)
+    quad = gauss_rule(q)
+    V = legendre_values(k, quad.nodes)
+    ref = np.einsum("ijrs,qr,ps->ijqp", f.coeffs, V, V)
+    got = f.eval_volume_quad(quad)
+    assert got.shape == (nx, ny, q, q)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
+
 def test_l2_norm_matches_quadrature_norm():
     mesh = build_spatial_mesh(5, 3)
     basis = BasisSpec(2)

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import yaml
 import pytest
 
 import fracldg.analysis
+import fracldg.problems
 from fracldg.analysis import ErrorReport
 from fracldg.cli import (
     Expectations,
@@ -206,6 +209,24 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     cfg_path = _write_config(tmp_path, d)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_nonfinite_solve_exits_3(tmp_path, capsys, monkeypatch):
+    # A source that evaluates to NaN must stop the run with exit code 3 and a
+    # diagnostic, not write a NaN error to the CSV.
+    real_example2 = fracldg.problems.example2
+
+    def nan_source(alpha, delta=None, T=0.1):
+        prob = real_example2(alpha, delta=delta, T=T)
+        return dataclasses.replace(prob, f=lambda t, x, y: np.full(np.broadcast(x, y).shape, np.nan))
+
+    monkeypatch.setattr(fracldg.problems, "example2", nan_source)
+    cfg_path = _write_config(tmp_path, _base_config(problem="example2"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "not finite" in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_q2_graded_run_peak_rss_is_bounded(tmp_path):

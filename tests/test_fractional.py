@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfcx
 
-from fracldg.basis import BasisSpec, eval_on_grid, gauss_rule, l2_project
+from fracldg.basis import BasisSpec, DgField, eval_on_grid, gauss_rule, l2_project
 from fracldg.errors import InvalidArgumentError
 from fracldg.fractional import (
     convolution_kernel,
@@ -18,7 +20,7 @@ from fracldg.fractional import (
 )
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 
-from oracles import complementary_kernels_by_inversion
+from oracles import complementary_kernels_by_inversion, substantial_history_loop
 
 # Frozen against a 40-digit arbitrary-precision evaluation of the closed
 # forms; regression anchors, not derived from the implementation.
@@ -154,7 +156,54 @@ def test_substantial_history_validation():
     A = l1_coefficients(tm, 0.5)
     kq = eval_on_grid(lambda x, y: 0.0 * x, mesh, quad)
     u0 = l2_project(lambda x, y: np.ones_like(x * y), mesh, basis, quad)
+    tempered = u0.eval_volume_quad(quad)[None]  # only w^0
     with pytest.raises(InvalidArgumentError):
-        substantial_history(A, kq, [u0], 2, quad=quad)
+        substantial_history(A, kq, tempered, 2)
     with pytest.raises(InvalidArgumentError):
-        substantial_history(A, kq, [u0], 1)  # neither quad nor cached values
+        substantial_history(A, kq, tempered, 0)  # no step before t_1
+
+
+#: Agreement demanded between the tempered-buffer contraction and the
+#: per-level loop, relative to sum_j |c_j| * max|u| (sum_j |c_j| = A_0^n by
+#: the monotone chain). With at most 60 levels and c_kappa * T <= 3, the
+#: rounding of either route is below 2 * 64 * eps * e^3 ~ 6e-13.
+HISTORY_DIFF_RTOL = 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    gamma=st.floats(1.0, 6.0),
+    M=st.integers(1, 60),
+    k=st.integers(0, 2),
+    nx=st.integers(1, 4),
+    ny=st.integers(1, 4),
+    T=st.floats(0.05, 1.0),
+    kappa_coef=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_substantial_history_matches_loop_oracle(alpha, gamma, M, k, nx, ny, T, kappa_coef, seed):
+    # The contraction over the tempered buffer w_j = e^{kappa t_j} u^j, built
+    # exactly as solve() builds it, against the per-level loop on the
+    # untempered fields, at every step n of a random run.
+    mesh = build_spatial_mesh(nx, ny)
+    basis = BasisSpec(k)
+    quad = gauss_rule(basis.default_quad_points)
+    tm = build_graded_time_mesh(M, gamma, T)
+    A = l1_coefficients(tm, alpha)
+    a, b, c = kappa_coef
+    kq = eval_on_grid(
+        lambda x, y: a * np.cos(2 * math.pi * x) + b * np.sin(2 * math.pi * y) + c, mesh, quad
+    )
+    assert np.max(np.abs(kq)) <= abs(a) + abs(b) + abs(c) <= 3.0
+    rng = np.random.default_rng(seed)
+    history = [DgField(rng.standard_normal((nx, ny, k + 1, k + 1)), basis, mesh)
+               for _ in range(M)]
+    tempered = np.stack([np.exp(kq * t) * u.eval_volume_quad(quad)
+                         for t, u in zip(tm.t, history)])
+    umax = max(float(np.max(np.abs(u.eval_volume_quad(quad)))) for u in history)
+    for n in range(1, M + 1):
+        got = substantial_history(A, kq, tempered, n)
+        ref = substantial_history_loop(A, kq, history[:n], n, quad=quad)
+        scale = float(np.sum(np.abs(np.diff(A.A[n][::-1], prepend=0.0)))) * umax
+        assert np.max(np.abs(got - ref)) <= HISTORY_DIFF_RTOL * scale

@@ -13,6 +13,7 @@ from fracldg.basis import (
     eval_on_grid,
     gauss_rule,
     l2_project,
+    legendre_values,
     quad_l2_norm,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
@@ -25,9 +26,15 @@ from fracldg.ldg import (
     step,
     weighted_average,
 )
-from fracldg.ldg import _directional_operator
+from fracldg.cli import _make_problem, load_config, presets_dir
+from fracldg.ldg import (
+    MAX_TEMPERING_EXPONENT,
+    _check_tempering_range,
+    _directional_operator,
+    _moment_vector,
+)
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
-from fracldg.problems import ProblemSpec, example1
+from fracldg.problems import ProblemSpec, example1, example2
 
 from oracles import dense_directional_operator, lifted_stiffness
 
@@ -46,6 +53,15 @@ def test_central_flux_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         FluxWeights(0.8, 0.3)  # no warning for non-central weights
+
+
+@pytest.mark.parametrize(
+    "sigmas",
+    [(1.7, -0.4), (-0.1, 0.2), (0.2, 1.0 + 1e-12), (math.nan, 0.0), (0.0, math.inf)],
+)
+def test_flux_weights_outside_unit_interval_rejected(sigmas):
+    with pytest.raises(InvalidArgumentError, match="must lie in"):
+        FluxWeights(*sigmas)
 
 
 def test_directional_operator_matches_dense_oracle():
@@ -153,6 +169,122 @@ def test_solve_residual_guard_rejects_wrong_spectrum():
         ops.solve_system(7.3, b)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_rejects_nonfinite_rhs(bad):
+    # A NaN norm compares False against the residual bound, so without an
+    # explicit check a NaN right-hand side came back as a NaN solution.
+    ops = assemble_operators(build_spatial_mesh(3, 3), BasisSpec(1), FluxWeights(1.0, 0.0))
+    b = np.random.default_rng(6).standard_normal(ops.ndof)
+    b[4] = bad
+    with pytest.raises(NumericError, match="right-hand side is not finite"):
+        ops.solve_system(7.3, b)
+
+
+def test_solve_rejects_nonfinite_solution():
+    ops = assemble_operators(build_spatial_mesh(3, 3), BasisSpec(1), FluxWeights(1.0, 0.0))
+    b = np.random.default_rng(7).standard_normal(ops.ndof)
+    a0 = 7.3
+    ops.lam_x = np.full_like(ops.lam_x, -a0 * ops.M)  # zero denominators
+    ops.lam_y = np.zeros_like(ops.lam_y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="solution is not finite"):
+            ops.solve_system(a0, b)
+
+
+@pytest.mark.parametrize("nx,ny,k", [(3, 3, 0), (4, 2, 1), (2, 5, 2), (3, 4, 3)])
+def test_moment_vector_matches_einsum(nx, ny, k):
+    mesh = build_spatial_mesh(nx, ny)
+    basis = BasisSpec(k)
+    ops = assemble_operators(mesh, basis, FluxWeights(1.0, 0.0))
+    quad = gauss_rule(basis.default_quad_points)
+    q = len(quad.nodes)
+    values = np.random.default_rng(8).standard_normal((nx, ny, q, q))
+    WV = quad.weights[:, None] * legendre_values(k, quad.nodes)
+    ref = ops.M * np.einsum("ijqp,qr,ps->ijrs", values, WV, WV)
+    ref = np.ascontiguousarray(ref.transpose(0, 2, 1, 3)).ravel()
+    got = _moment_vector(values, ops, quad)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def _constant_kappa_problem(k0: float, c_kappa: float, T: float) -> ProblemSpec:
+    return ProblemSpec(
+        alpha=0.5,
+        kappa=lambda x, y: np.full(np.broadcast(x, y).shape, k0),
+        c_kappa=c_kappa,
+        u0=lambda x, y: np.sin(2 * math.pi * x) * np.cos(2 * math.pi * y),
+        f=None,
+        exact=None,
+        T=T,
+    )
+
+
+def test_solve_rejects_kappa_above_its_bound():
+    mesh = build_spatial_mesh(3, 3)
+    tm = build_graded_time_mesh(3, 1.0, 0.5)
+    for k0 in (1.5, -1.5, math.nan):
+        prob = _constant_kappa_problem(k0, 1.0, 0.5)
+        with pytest.raises(InvalidArgumentError, match="exceeds c_kappa"):
+            solve(prob, mesh, tm, BasisSpec(0), FluxWeights(1.0, 0.0))
+    # Rounding in the kappa callable stays within the relative slack.
+    prob = _constant_kappa_problem(1.0 + 1e-14, 1.0, 0.5)
+    solve(prob, mesh, tm, BasisSpec(0), FluxWeights(1.0, 0.0))
+
+
+def test_solve_rejects_tempering_exponent_overflow():
+    # e^{800} overflows float64; the guard stops the run before any level is
+    # tempered instead of letting inf reach the memory sum.
+    mesh = build_spatial_mesh(3, 3)
+    for c_kappa, T in ((800.0, 1.0), (2.0, 101.0)):
+        assert c_kappa * T > MAX_TEMPERING_EXPONENT
+        prob = _constant_kappa_problem(c_kappa, c_kappa, T)
+        tm = build_graded_time_mesh(3, 1.0, T)
+        with pytest.raises(InvalidArgumentError, match="c_kappa \\* T"):
+            solve(prob, mesh, tm, BasisSpec(0), FluxWeights(1.0, 0.0))
+
+
+def test_shipped_and_random_problems_pass_tempering_guard():
+    # Every preset's problem, and the kappa families the acceptance stability
+    # test draws (constant k0 with c_kappa = |k0|; a cos(2 pi x) + b with
+    # c_kappa = |a| + |b|), including draws that sit on the bound.
+    mesh = build_spatial_mesh(6, 6)
+    for path in sorted(presets_dir().glob("*.yaml")):
+        cfg = load_config(path.stem)
+        quad = gauss_rule(BasisSpec(cfg.degree).default_quad_points)
+        prob = _make_problem(cfg, cfg.alpha)
+        tm = build_graded_time_mesh(cfg.M, cfg.gamma, cfg.T)
+        _check_tempering_range(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
+    tm = build_graded_time_mesh(8, 4.0, 1.0)
+    for k in (0, 1, 2):
+        quad = gauss_rule(BasisSpec(k).default_quad_points)
+        for prob in (example1(0.5, T=1.0), example2(0.5, T=1.0)):
+            _check_tempering_range(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
+        for k0 in (-2.0, -0.7, 0.0, 2.0):
+            prob = _constant_kappa_problem(k0, abs(k0), 1.0)
+            _check_tempering_range(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
+        for a, b in ((1.5, 0.5), (-1.5, -0.5), (0.3, -0.2)):
+            kq = eval_on_grid(lambda x, y: a * np.cos(2 * math.pi * x) + b + 0.0 * y, mesh, quad)
+            _check_tempering_range(_constant_kappa_problem(0.0, abs(a) + abs(b), 1.0), tm, kq)
+
+
+def test_step_without_caches_matches_solve():
+    # step() rebuilds the tempered buffer from the fields when none is given;
+    # it must reproduce the levels solve() computes with its own buffer.
+    prob = example2(0.6)
+    mesh = build_spatial_mesh(4, 3)
+    basis = BasisSpec(1)
+    tm = build_graded_time_mesh(7, 3.0, prob.T)
+    fw = FluxWeights(0.7, 0.2)
+    traj = solve(prob, mesh, tm, basis, fw)
+    ops = assemble_operators(mesh, basis, fw)
+    A = l1_coefficients(tm, prob.alpha)
+    for n in (1, 4, 7):
+        u_n = step(ops, A, n, traj.fields[:n], prob)
+        np.testing.assert_allclose(
+            u_n.coeffs, traj.fields[n].coeffs, rtol=0.0,
+            atol=1e-12 * np.max(np.abs(traj.fields[n].coeffs)),
+        )
+
+
 def test_flatten_unflatten_roundtrip():
     mesh = build_spatial_mesh(3, 5)
     basis = BasisSpec(2)
@@ -181,9 +313,9 @@ def test_discrete_substantial_derivative_exact_on_tempered_linears():
         (lambda t: t, lambda t: t ** (1.0 - alpha) / math.gamma(2.0 - alpha)),
     ):
         hist_quad = [np.exp(-kq * t) * v(t) for t in tm.t]
-        dummy = [None] * 6  # substantial_history only checks the length
+        tempered = np.stack([np.exp(kq * t) * h for t, h in zip(tm.t, hist_quad)])
         for n in (1, 3, 6):
-            hist = substantial_history(A, kq, dummy[:n], n, history_at_quad=hist_quad)
+            hist = substantial_history(A, kq, tempered, n)
             got = A.A[n][0] * hist_quad[n] + hist
             expected = np.exp(-kq * tm.t[n]) * dv_exact(tm.t[n])
             scale = A.A[n][0] * np.max(np.abs(hist_quad[n]))
