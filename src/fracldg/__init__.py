@@ -45,7 +45,6 @@ _LAZY = {
     "Trajectory": "ldg",
     "assemble_operators": "ldg",
     "bilinear_form_B": "ldg",
-    "weighted_average": "ldg",
     "step": "ldg",
     "solve": "ldg",
     # problems
@@ -60,7 +59,6 @@ _LAZY = {
     "error_time_integrated": "analysis",
     "rates": "analysis",
     "condition_number": "analysis",
-    "spd_condition": "analysis",
     # plotting / cli
     "write_loglog_svg": "svgplot",
     "ExperimentConfig": "cli",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -156,18 +155,6 @@ class DgField:
         k = self.basis.k
         V = legendre_values(k, quad.nodes)
         return V @ (self.coeffs @ V.T)
-
-    def save_debug(self, path: str | Path, binary: bool = False) -> None:
-        """Flat dump of the coefficients in (i, j, r, s) row-major order.
-
-        Debugging aid only; CSV (default) writes one coefficient per line,
-        binary writes raw float64.
-        """
-        flat = np.ascontiguousarray(self.coeffs).ravel()
-        if binary:
-            flat.tofile(path)
-        else:
-            np.savetxt(path, flat, fmt="%.17e")
 
 
 def _locate(coord: np.ndarray, lo: float, hi: float, n: int, side: str) -> tuple[np.ndarray, np.ndarray]:

@@ -435,7 +435,7 @@ def _run_condition(cfg: ExperimentConfig):
         group_vals = []
         for s1, s2 in cfg.flux_list:
             ops = assemble_operators(mesh, basis, FluxWeights(s1, s2))
-            c2 = condition_number(ops, A, cfg.M, norm="2")
+            c2 = condition_number(ops, A, cfg.M)
             labels.append(f"Q{row.degree} alpha={row.alpha:g} flux={s1:g}:{s2:g}")
             values.append(c2)
             group_vals.append(c2)

@@ -52,7 +52,6 @@ __all__ = [
     "FluxWeights",
     "LdgOperators",
     "Trajectory",
-    "weighted_average",
     "assemble_operators",
     "bilinear_form_B",
     "step",
@@ -100,11 +99,6 @@ class FluxWeights:
         return self.sigma1 == 0.5 or self.sigma2 == 0.5
 
 
-def weighted_average(v_minus: float, v_plus: float, sigma: float) -> float:
-    """sigma * v(-) + (1 - sigma) * v(+)."""
-    return sigma * v_minus + (1.0 - sigma) * v_plus
-
-
 def _derivative_matrix(k: int) -> np.ndarray:
     """D[a, b] = int_{-1}^{1} Lhat_a(x) * Lhat_b'(x) dx, exact."""
     quad = gauss_rule(max(k + 1, 1))
@@ -146,16 +140,13 @@ def _directional_operator(n: int, k: int, sigma: float) -> sp.csr_matrix:
 class LdgOperators:
     """Assembled global operators on flattened u-coefficients.
 
-    K is the spatial operator after auxiliary elimination; Du and Lu map
-    u-coefficients to the x- and y-component p-coefficients; M is the scalar
+    K is the spatial operator after auxiliary elimination; M is the scalar
     cell mass (the mass operator is M times identity). The step-n matrix is
     A_0^n * M * I + K; (Qx, lam_x) and (Qy, lam_y) are the eigenpairs of the
     1D blocks of K that solve it.
     """
 
     K: sp.csr_matrix
-    Du: sp.csr_matrix
-    Lu: sp.csr_matrix
     M: float
     mesh: SpatialMesh
     basis: BasisSpec
@@ -181,17 +172,29 @@ class LdgOperators:
     def system_matrix(self, a0: float) -> sp.csr_matrix:
         return (a0 * self.M) * sp.eye(self.ndof, format="csr") + self.K
 
+    def _diagonalized_solve(self, a0: float, b: np.ndarray) -> np.ndarray:
+        B = b.reshape(len(self.lam_x), len(self.lam_y))
+        denom = (a0 * self.M) + self.lam_x[:, None] + self.lam_y[None, :]
+        return (self.Qx @ ((self.Qx.T @ B @ self.Qy) / denom) @ self.Qy.T).ravel()
+
     def solve_system(self, a0: float, b: np.ndarray) -> np.ndarray:
-        """Solve (a0 * M * I + K) x = b by fast diagonalization, then check
-        the relative residual against SOLVER_RTOL. A non-finite b or x raises
+        """Solve (a0 * M * I + K) x = b by fast diagonalization. A relative
+        residual above SOLVER_RTOL gets one step of iterative refinement; one
+        still above 100 * SOLVER_RTOL, or a non-finite b or x, raises
         NumericError instead of propagating into the trajectory."""
         bnorm = float(np.linalg.norm(b))
         if not math.isfinite(bnorm):
             raise NumericError(f"linear solve: right-hand side is not finite (|b| = {bnorm})")
-        B = b.reshape(len(self.lam_x), len(self.lam_y))
-        denom = (a0 * self.M) + self.lam_x[:, None] + self.lam_y[None, :]
-        x = (self.Qx @ ((self.Qx.T @ B @ self.Qy) / denom) @ self.Qy.T).ravel()
-        res = float(np.linalg.norm((a0 * self.M) * x + self.K @ x - b))
+        x = self._diagonalized_solve(a0, b)
+        r = b - ((a0 * self.M) * x + self.K @ x)
+        res = float(np.linalg.norm(r))
+        if res > SOLVER_RTOL * bnorm:
+            # Eigenvalue rounding (~eps * max(lam)) is large against the
+            # smallest denominators when a small a0 * M leaves near-null
+            # modes of K ill-conditioned; one refinement step with the same
+            # eigenpairs removes that error.
+            x = x + self._diagonalized_solve(a0, r)
+            res = float(np.linalg.norm((a0 * self.M) * x + self.K @ x - b))
         if not math.isfinite(res):
             raise NumericError(f"linear solve: solution is not finite (residual {res})")
         if bnorm > 0.0 and res > SOLVER_RTOL * bnorm * 100.0:
@@ -203,7 +206,7 @@ class LdgOperators:
 
 
 def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> LdgOperators:
-    """Assemble K, its 1D eigendecompositions, the p-maps, and the mass scalar.
+    """Assemble K, its 1D eigendecompositions, and the mass scalar.
 
     The u-flux operators G and the p-flux operators H are assembled
     independently from their definitions (H is the directional operator with
@@ -226,8 +229,6 @@ def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> 
     K = sp.kronsum(Ky1, Kx1, format="csr")
     return LdgOperators(
         K=K,
-        Du=sp.kron(Gx1, (2.0 / hx) * sp.eye(Ky1.shape[0]), format="csr"),
-        Lu=sp.kron((2.0 / hy) * sp.eye(Kx1.shape[0]), Gy1, format="csr"),
         M=hx * hy / 4.0,
         mesh=mesh,
         basis=basis,
@@ -348,28 +349,18 @@ def step(
     ops: LdgOperators,
     A: L1Kernel,
     n: int,
-    history: list[DgField] | tuple[DgField, ...],
     prob: ProblemSpec,
-    quad: QuadRule | None = None,
-    kappa_at_quad: np.ndarray | None = None,
-    tempered_at_quad: np.ndarray | None = None,
+    quad: QuadRule,
+    kappa_at_quad: np.ndarray,
+    tempered_at_quad: np.ndarray,
 ) -> DgField:
     """Advance one time step: solve (A_0^n M I + K) U^n = -(hist, v) + (f(t_n), v).
 
-    history holds u^0..u^{n-1}. tempered_at_quad holds the same levels
-    tempered and evaluated at the quadrature points, row j being
-    e^{kappa t_j} u^j (see substantial_history); solve() passes its
-    preallocated buffer. The optional caches are fast paths; omitted, they
-    are rebuilt here from history.
+    kappa_at_quad is kappa at the volume quadrature points of quad, and rows
+    0..n-1 of tempered_at_quad hold the levels u^0..u^{n-1} tempered and
+    evaluated there, row j being e^{kappa t_j} u^j (see substantial_history);
+    solve() passes its preallocated buffer.
     """
-    if quad is None:
-        quad = gauss_rule(ops.basis.default_quad_points)
-    if kappa_at_quad is None:
-        kappa_at_quad = eval_on_grid(lambda x, y: prob.kappa(x, y), ops.mesh, quad)
-    if tempered_at_quad is None:
-        tempered_at_quad = np.array(
-            [np.exp(kappa_at_quad * t) * u.eval_volume_quad(quad) for t, u in zip(A.tm.t, history)]
-        )
     hist = substantial_history(A, kappa_at_quad, tempered_at_quad, n)
     # The history part of D_M u moves to the right-hand side: this negation is
     # the single place the sign convention is applied.
@@ -427,16 +418,7 @@ def solve(
     tempered = np.empty((tm.M + 1,) + kappa_at_quad.shape)
     tempered[0] = u0.eval_volume_quad(quad)  # e^{kappa t_0} = 1
     for n in range(1, tm.M + 1):
-        u_n = step(
-            ops,
-            A,
-            n,
-            fields,
-            prob,
-            quad=quad,
-            kappa_at_quad=kappa_at_quad,
-            tempered_at_quad=tempered,
-        )
+        u_n = step(ops, A, n, prob, quad, kappa_at_quad, tempered)
         fields.append(u_n)
         tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(quad)
     return Trajectory(fields=fields, tm=tm, prob=prob, mesh=mesh, basis=basis, fw=fw)

@@ -10,7 +10,6 @@ of fractional evolution problems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,14 +59,6 @@ class SpatialMesh:
 
     def y_centers(self) -> np.ndarray:
         return 0.5 * (self.y_edges[:-1] + self.y_edges[1:])
-
-    def neighbor(self, i: int, j: int, axis: str, step: int = 1) -> tuple[int, int]:
-        """Periodic neighbor of cell (i, j) `step` cells along `axis` ('x' or 'y')."""
-        if axis == "x":
-            return (i + step) % self.nx, j
-        if axis == "y":
-            return i, (j + step) % self.ny
-        raise InvalidArgumentError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +121,3 @@ def build_graded_time_mesh(M: int, gamma: float, T: float) -> GradedTimeMesh:
     if not (tau > 0).all():  # pragma: no cover - guarded by construction
         raise InvalidArgumentError("nonpositive time step produced; check (M, gamma, T)")
     return GradedTimeMesh(M=M, gamma=float(gamma), T=float(T), t=t, tau=tau)
-
-
-def is_uniform(tm: GradedTimeMesh, rtol: float = 1e-12) -> bool:
-    """True when all steps agree to relative tolerance `rtol`."""
-    return bool(np.allclose(tm.tau, tm.tau[0], rtol=rtol, atol=0.0)) or math.isclose(tm.gamma, 1.0)

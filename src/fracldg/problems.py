@@ -43,7 +43,6 @@ class ProblemSpec:
     exact: SpaceTimeFn | None
     T: float
     delta: float | None = None
-    domain: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:

@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import svdvals
 
-from fracldg.errors import InvalidArgumentError
+from fracldg.analysis import _power_lambda_max
+from fracldg.errors import InvalidArgumentError, NumericError
 
 
 def orthonormal_legendre_value(r: int, x: float) -> float:
@@ -147,6 +150,30 @@ def dense_condition_2norm(S) -> float:
     """Exact 2-norm condition number through dense singular values."""
     sv = svdvals(np.asarray(S.todense() if hasattr(S, "todense") else S))
     return float(sv[0] / sv[-1])
+
+
+def spd_condition_splu(S) -> float:
+    """2-norm condition number of a symmetric positive definite matrix by
+    power iteration on S and on its splu-factorized inverse.
+
+    The package's original route, kept as the reference for
+    fracldg.analysis.condition_number, which runs the same seeded power
+    iteration but applies the inverse by fast diagonalization.
+    """
+    S = sp.csc_matrix(S)
+    n = S.shape[0]
+    try:
+        factor = spla.splu(S)
+    except RuntimeError as exc:
+        raise NumericError(f"matrix factorization failed: {exc}") from exc
+    diag_u = factor.U.diagonal()
+    if np.any(diag_u == 0.0) or not np.all(np.isfinite(diag_u)):
+        raise NumericError("matrix is singular to working precision")
+    lam_max = _power_lambda_max(lambda v: S @ v, n)
+    inv_lam_max = _power_lambda_max(factor.solve, n)
+    if lam_max == 0.0 or inv_lam_max == 0.0:
+        raise NumericError("power iteration collapsed to zero")
+    return lam_max * inv_lam_max
 
 
 def complementary_kernels_by_inversion(A) -> list[np.ndarray]:

@@ -15,7 +15,6 @@ from fracldg.analysis import (
     project_P,
     project_Q,
     rates,
-    spd_condition,
 )
 from fracldg.basis import (
     BasisSpec,
@@ -32,7 +31,7 @@ from fracldg.ldg import FluxWeights, Trajectory, assemble_operators
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import example1
 
-from oracles import dense_condition_2norm
+from oracles import dense_condition_2norm, spd_condition_splu
 
 
 def _smooth(x, y):
@@ -222,25 +221,20 @@ def _random_spd(n: int, cond: float, seed: int) -> np.ndarray:
 
 def test_spd_condition_two_norm_matches_dense_oracle():
     S = _random_spd(50, 1.0e4, seed=99)
-    got = spd_condition(sp.csc_matrix(S), norm="2")
+    got = spd_condition_splu(sp.csc_matrix(S))
     ref = dense_condition_2norm(S)
     assert ref == pytest.approx(1.0e4, rel=1e-6)
     assert got == pytest.approx(ref, rel=1e-2)
 
 
-def test_spd_condition_one_norm_is_exact_for_small_matrices():
-    S = _random_spd(40, 500.0, seed=5)
-    got = spd_condition(sp.csc_matrix(S), norm="1")
-    ref = np.linalg.cond(S, 1)
-    assert got == pytest.approx(ref, rel=1e-9)
-
-
 def test_spd_condition_rejects_bad_norm_and_singular_input():
-    S = sp.csc_matrix(np.eye(4))
-    with pytest.raises(InvalidArgumentError):
-        spd_condition(S, norm="fro")
+    # condition_number measures the 2-norm only: a norm argument is refused.
+    ops = assemble_operators(build_spatial_mesh(3, 3), BasisSpec(0), FluxWeights(1.0, 0.0))
+    A = l1_coefficients(build_graded_time_mesh(5, 1.0, 0.1), 0.5)
+    with pytest.raises(TypeError):
+        condition_number(ops, A, 5, norm="1")
     with pytest.raises(NumericError):
-        spd_condition(sp.csc_matrix(np.ones((4, 4))), norm="2")
+        spd_condition_splu(sp.csc_matrix(np.ones((4, 4))))
 
 
 def _classical_scaling(nx: int, ny: int, k: int) -> np.ndarray:
@@ -264,7 +258,7 @@ def test_condition_number_matches_dense_oracle_in_both_bases():
     A = l1_coefficients(tm, 0.7)
     S = ops.system_matrix(A.A[10][0]).toarray()
 
-    got_internal = condition_number(ops, A, 10, normalized_basis=True)
+    got_internal = spd_condition_splu(S)
     assert got_internal == pytest.approx(dense_condition_2norm(S), rel=2e-2)
 
     d = _classical_scaling(4, 4, 1)
@@ -275,15 +269,39 @@ def test_condition_number_matches_dense_oracle_in_both_bases():
 
 def test_condition_number_basis_choice_is_immaterial_for_constants():
     # For piecewise constants the rescaling is a scalar multiple of the
-    # identity, so both reported values coincide.
+    # identity, so the classical-basis value equals the orthonormal one.
     mesh = build_spatial_mesh(6, 6)
     ops = assemble_operators(mesh, BasisSpec(0), FluxWeights(0.0, 1.0))
     tm = build_graded_time_mesh(8, 2.0, 0.1)
     A = l1_coefficients(tm, 0.4)
-    a = condition_number(ops, A, 8, normalized_basis=False)
-    b = condition_number(ops, A, 8, normalized_basis=True)
+    a = condition_number(ops, A, 8)
+    b = spd_condition_splu(ops.system_matrix(A.A[8][0]))
     assert a == pytest.approx(b, rel=1e-10)
     assert a >= 1.0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("flux", [(1.0, 0.0), (0.9, 0.1), (0.7, 0.3)])
+def test_condition_number_matches_splu_oracle(k, flux):
+    # Same seeded power iteration on the same classical-basis matrix; only
+    # the inverse differs (fast diagonalization against an LU factorization).
+    for alpha in (0.3, 0.7):
+        A = l1_coefficients(build_graded_time_mesh(10, 2.0, 0.1), alpha)
+        for nx in (4, 5, 6):
+            ops = assemble_operators(build_spatial_mesh(nx, nx), BasisSpec(k), FluxWeights(*flux))
+            D = sp.diags(_classical_scaling(nx, nx, k))
+            ref = spd_condition_splu(D @ ops.system_matrix(A.A[10][0]) @ D)
+            assert condition_number(ops, A, 10) == pytest.approx(ref, rel=1e-8), (alpha, nx)
+
+
+def test_condition_number_factorizes_nothing(monkeypatch):
+    def no_splu(*args, **kwargs):
+        raise RuntimeError("splu called")
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", no_splu)
+    ops = assemble_operators(build_spatial_mesh(5, 5), BasisSpec(1), FluxWeights(0.9, 0.1))
+    A = l1_coefficients(build_graded_time_mesh(10, 2.0, 0.1), 0.3)
+    assert condition_number(ops, A, 10) > 1.0
 
 
 def test_condition_number_rejects_step_index_outside_table():

@@ -173,17 +173,3 @@ def test_edge_trace_consistent_with_field_eval():
         edge_trace(f, (0, 0), "Q", "-", 0.0)
     with pytest.raises(InvalidArgumentError):
         edge_trace(f, (0, 0), "E", "?", 0.0)
-
-
-def test_save_debug_roundtrip(tmp_path):
-    mesh = build_spatial_mesh(2, 3)
-    basis = BasisSpec(1)
-    rng = np.random.default_rng(9)
-    f = DgField(rng.standard_normal((2, 3, 2, 2)), basis, mesh)
-    csv = tmp_path / "field.txt"
-    f.save_debug(csv)
-    vals = np.loadtxt(csv)
-    np.testing.assert_allclose(vals, f.coeffs.ravel(), atol=0.0)
-    raw = tmp_path / "field.bin"
-    f.save_debug(raw, binary=True)
-    np.testing.assert_allclose(np.fromfile(raw), f.coeffs.ravel(), atol=0.0)

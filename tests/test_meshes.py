@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from fracldg.errors import InvalidArgumentError
-from fracldg.meshes import (
-    build_graded_time_mesh,
-    build_spatial_mesh,
-    is_uniform,
-)
+from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 
 
 def test_spatial_mesh_geometry():
@@ -20,16 +16,6 @@ def test_spatial_mesh_geometry():
     np.testing.assert_allclose(mesh.x_edges, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert mesh.x_edges[-1] == 2.0 and mesh.y_edges[-1] == 1.0
     np.testing.assert_allclose(mesh.x_centers(), [0.25, 0.75, 1.25, 1.75])
-
-
-def test_spatial_mesh_periodic_neighbors():
-    mesh = build_spatial_mesh(3, 4)
-    assert mesh.neighbor(2, 1, "x") == (0, 1)
-    assert mesh.neighbor(0, 0, "x", step=-1) == (2, 0)
-    assert mesh.neighbor(1, 3, "y") == (1, 0)
-    assert mesh.neighbor(1, 0, "y", step=-2) == (1, 2)
-    with pytest.raises(InvalidArgumentError):
-        mesh.neighbor(0, 0, "z")
 
 
 def test_spatial_mesh_validation():
@@ -54,10 +40,10 @@ def test_graded_mesh_formula():
 
 def test_graded_mesh_gamma_one_is_uniform():
     tm = build_graded_time_mesh(8, 1.0, 0.4)
-    assert is_uniform(tm)
+    assert np.allclose(tm.tau, tm.tau[0], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(tm.tau, 0.05, rtol=1e-12)
     graded = build_graded_time_mesh(8, 3.0, 0.4)
-    assert not is_uniform(graded)
+    assert not np.allclose(graded.tau, graded.tau[0], rtol=1e-12, atol=0.0)
     # Grading concentrates points near t = 0: the first step shrinks.
     assert graded.tau[0] < tm.tau[0] < graded.tau[-1]
 
