@@ -347,7 +347,7 @@ def condition_number(ops: LdgOperators, A: L1Kernel, M: int) -> float:
 
     def forward(v: np.ndarray) -> np.ndarray:
         dv = d * v
-        return d * ((a0 * ops.M) * dv + ops.K @ dv)
+        return d * ((a0 * ops.M) * dv + ops.apply_K(dv))
 
     lam_max = _power_lambda_max(forward, ops.ndof)
     inv_lam_max = _power_lambda_max(lambda v: ops.solve_system(a0, v / d) / d, ops.ndof)

@@ -27,6 +27,7 @@ __all__ = [
     "DgField",
     "gauss_rule",
     "legendre_values",
+    "quad_vandermonde",
     "legendre_derivatives",
     "field_eval",
     "l2_project",
@@ -86,6 +87,15 @@ def legendre_values(k: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     scale = np.sqrt(np.arange(k + 1) + 0.5)
     return npleg.legvander(x, k) * scale
+
+
+@lru_cache(maxsize=None)
+def quad_vandermonde(k: int, npoints: int) -> np.ndarray:
+    """legendre_values(k, gauss_rule(npoints).nodes), built once per (k, npoints)
+    and read-only, since every caller shares it."""
+    V = legendre_values(k, gauss_rule(npoints).nodes)
+    V.setflags(write=False)
+    return V
 
 
 def legendre_derivatives(k: int, x: np.ndarray) -> np.ndarray:
@@ -152,8 +162,7 @@ class DgField:
 
     def eval_volume_quad(self, quad: QuadRule) -> np.ndarray:
         """Values at the tensor quadrature points of every cell, shape (nx, ny, qx, qy)."""
-        k = self.basis.k
-        V = legendre_values(k, quad.nodes)
+        V = quad_vandermonde(self.basis.k, quad.npoints)
         return V @ (self.coeffs @ V.T)
 
 
@@ -232,7 +241,7 @@ def l2_project(g, mesh: SpatialMesh, basis: BasisSpec, quad: QuadRule | None = N
     if quad is None:
         quad = gauss_rule(basis.default_quad_points)
     G = eval_on_grid(g, mesh, quad)
-    WV = quad.weights[:, None] * legendre_values(basis.k, quad.nodes)
+    WV = quad.weights[:, None] * quad_vandermonde(basis.k, quad.npoints)
     coeffs = np.einsum("ijqp,qr,ps->ijrs", G, WV, WV, optimize=True)
     return DgField(coeffs, basis, mesh)
 

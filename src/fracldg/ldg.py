@@ -16,11 +16,15 @@ is the cell mass scalar and only the scalar A_0^n changes with n.
 
 Internally coefficient tensors (i, j, r, s) are flattened in (i, r, j, s)
 order, so K = Kx (x) I + I (x) Ky is a Kronecker sum of 1D blocks, each
-symmetric PSD by the discrete duality H = -G^T. Eigendecomposing each block
-once, Kx = Qx diag(lx) Qx^T, solves every step exactly for any A_0^n by fast
-diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
-U = Qx [(Qx^T B Qy) / (A_0^n m + lx_i + ly_j)] Qy^T, with B and U the
-right-hand side and solution reshaped to (i r, j s).
+symmetric PSD by the discrete duality H = -G^T. The blocks are small dense
+arrays, (nx (k+1))^2 and (ny (k+1))^2; the 2D K is never formed on the run
+path. K x is applied as Kx X + X Ky^T with X = x reshaped to (i r, j s).
+Eigendecomposing each block once, Kx = Qx diag(lx) Qx^T, solves every step
+exactly for any A_0^n by fast diagonalization (Lynch, Rice & Thomas, Numer.
+Math. 6, 1964): U = Qx [(Qx^T B Qy) / (A_0^n m + lx_i + ly_j)] Qy^T, with B
+and U the right-hand side and solution reshaped to (i r, j s). The sparse
+global K and system matrix are built on demand only, for oracles and
+diagnostics.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +47,7 @@ from .basis import (
     legendre_derivatives,
     legendre_values,
     l2_project,
+    quad_vandermonde,
 )
 from .errors import InvalidArgumentError, NumericError
 from .fractional import L1Kernel, l1_coefficients, substantial_history
@@ -107,15 +113,8 @@ def _derivative_matrix(k: int) -> np.ndarray:
     return (V * quad.weights[:, None]).T @ Vd
 
 
-def _shift(n: int, offset: int) -> sp.csr_matrix:
-    """Periodic shift S with S[i, (i + offset) mod n] = 1."""
-    rows = np.arange(n)
-    cols = (rows + offset) % n
-    return sp.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n))
-
-
-def _directional_operator(n: int, k: int, sigma: float) -> sp.csr_matrix:
-    """1D operator G on (cell, mode) unknowns realizing, per cell i and mode b,
+def _directional_operator(n: int, k: int, sigma: float) -> np.ndarray:
+    """Dense 1D operator G on (cell, mode) unknowns realizing, per cell i and mode b,
 
         (G u)_{i,b} = uhat_{i+1/2} Lhat_b(1) - uhat_{i-1/2} Lhat_b(-1)
                       - sum_a u_{i,a} D[a, b],
@@ -128,25 +127,32 @@ def _directional_operator(n: int, k: int, sigma: float) -> sp.csr_matrix:
     diag = sigma * np.outer(e_plus, e_plus) - (1.0 - sigma) * np.outer(e_minus, e_minus) - D.T
     upper = (1.0 - sigma) * np.outer(e_plus, e_minus)
     lower = -sigma * np.outer(e_minus, e_plus)
-    eye = sp.eye(n, format="csr")
-    return (
-        sp.kron(eye, diag, format="csr")
-        + sp.kron(_shift(n, +1), upper, format="csr")
-        + sp.kron(_shift(n, -1), lower, format="csr")
-    )
+    kk = k + 1
+    G = np.zeros((n, kk, n, kk))
+    cells = np.arange(n)
+    # One statement per block kind: for n <= 2 the periodic neighbors coincide
+    # with each other or with the cell itself, and every term must add.
+    G[cells, :, cells, :] += diag
+    G[cells, :, (cells + 1) % n, :] += upper
+    G[cells, :, (cells - 1) % n, :] += lower
+    return G.reshape(n * kk, n * kk)
 
 
 @dataclass
 class LdgOperators:
-    """Assembled global operators on flattened u-coefficients.
+    """Assembled operators on flattened u-coefficients.
 
-    K is the spatial operator after auxiliary elimination; M is the scalar
-    cell mass (the mass operator is M times identity). The step-n matrix is
-    A_0^n * M * I + K; (Qx, lam_x) and (Qy, lam_y) are the eigenpairs of the
-    1D blocks of K that solve it.
+    K = Kx (x) I + I (x) Ky is the spatial operator after auxiliary
+    elimination, held as its dense 1D blocks Kx and Ky and applied by
+    apply_K; M is the scalar cell mass (the mass operator is M times
+    identity). The step-n matrix is A_0^n * M * I + K; (Qx, lam_x) and
+    (Qy, lam_y) are the eigenpairs of Kx and Ky that solve it. The sparse
+    K and system_matrix are built on first use, for oracles and diagnostics
+    only; no solve reads them.
     """
 
-    K: sp.csr_matrix
+    Kx: np.ndarray
+    Ky: np.ndarray
     M: float
     mesh: SpatialMesh
     basis: BasisSpec
@@ -158,7 +164,18 @@ class LdgOperators:
 
     @property
     def ndof(self) -> int:
-        return self.K.shape[0]
+        return len(self.lam_x) * len(self.lam_y)
+
+    @cached_property
+    def K(self) -> sp.csr_matrix:
+        """Sparse global K; (i, r, j, s) ordering: kronsum(Ky, Kx) = Kx (x) I + I (x) Ky."""
+        return sp.kronsum(self.Ky, self.Kx, format="csr")
+
+    def apply_K(self, x: np.ndarray) -> np.ndarray:
+        """K x from the 1D blocks, never from their eigenpairs, so a residual
+        computed with it checks the diagonalized solve independently."""
+        X = x.reshape(self.Kx.shape[0], self.Ky.shape[0])
+        return (self.Kx @ X + X @ self.Ky.T).ravel()
 
     def flatten(self, f: DgField) -> np.ndarray:
         """Coefficient tensor (i, j, r, s) -> solver vector in (i, r, j, s) order."""
@@ -186,7 +203,7 @@ class LdgOperators:
         if not math.isfinite(bnorm):
             raise NumericError(f"linear solve: right-hand side is not finite (|b| = {bnorm})")
         x = self._diagonalized_solve(a0, b)
-        r = b - ((a0 * self.M) * x + self.K @ x)
+        r = b - ((a0 * self.M) * x + self.apply_K(x))
         res = float(np.linalg.norm(r))
         if res > SOLVER_RTOL * bnorm:
             # Eigenvalue rounding (~eps * max(lam)) is large against the
@@ -194,7 +211,7 @@ class LdgOperators:
             # modes of K ill-conditioned; one refinement step with the same
             # eigenpairs removes that error.
             x = x + self._diagonalized_solve(a0, r)
-            res = float(np.linalg.norm((a0 * self.M) * x + self.K @ x - b))
+            res = float(np.linalg.norm((a0 * self.M) * x + self.apply_K(x) - b))
         if not math.isfinite(res):
             raise NumericError(f"linear solve: solution is not finite (residual {res})")
         if bnorm > 0.0 and res > SOLVER_RTOL * bnorm * 100.0:
@@ -206,7 +223,7 @@ class LdgOperators:
 
 
 def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> LdgOperators:
-    """Assemble K, its 1D eigendecompositions, and the mass scalar.
+    """Assemble the 1D blocks of K, their eigendecompositions, and the mass scalar.
 
     The u-flux operators G and the p-flux operators H are assembled
     independently from their definitions (H is the directional operator with
@@ -221,14 +238,13 @@ def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> 
     Hy1 = _directional_operator(mesh.ny, basis.k, 1.0 - fw.sigma2)
     # Cell mass m = hx*hy/4 cancels against the transverse mass h/2 of each
     # lift, leaving the aspect-ratio factors.
-    Kx1 = -(hy / hx) * (Hx1 @ Gx1)
-    Ky1 = -(hx / hy) * (Hy1 @ Gy1)
-    lam_x, Qx = np.linalg.eigh(Kx1.toarray())
-    lam_y, Qy = np.linalg.eigh(Ky1.toarray())
-    # (i, r, j, s) ordering: kronsum(Ky1, Kx1) = Kx1 (x) I + I (x) Ky1.
-    K = sp.kronsum(Ky1, Kx1, format="csr")
+    Kx = -(hy / hx) * (Hx1 @ Gx1)
+    Ky = -(hx / hy) * (Hy1 @ Gy1)
+    lam_x, Qx = np.linalg.eigh(Kx)
+    lam_y, Qy = np.linalg.eigh(Ky)
     return LdgOperators(
-        K=K,
+        Kx=Kx,
+        Ky=Ky,
         M=hx * hy / 4.0,
         mesh=mesh,
         basis=basis,
@@ -282,7 +298,7 @@ def bilinear_form_B(
 ) -> float:
     """B(u, v; p, w) = (u, div w) - <u-hat, w . n> + (p, grad v) - <p-hat . n, v>.
 
-    Direct quadrature over cells and interfaces, independent of the sparse
+    Direct quadrature over cells and interfaces, independent of the operator
     assembly; used as a cross-check oracle (its vanishing at v = u, w = p
     under periodic boundaries is the energy identity of the scheme).
     """
@@ -340,7 +356,7 @@ def bilinear_form_B(
 def _moment_vector(values: np.ndarray, ops: LdgOperators, quad: QuadRule) -> np.ndarray:
     """(g, Phi_B) for every basis function, flattened in solver order, from
     grid values g at the volume quadrature points."""
-    WV = quad.weights[:, None] * legendre_values(ops.basis.k, quad.nodes)
+    WV = quad.weights[:, None] * quad_vandermonde(ops.basis.k, quad.npoints)
     moments = ops.M * (WV.T @ (values @ WV))
     return np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()
 

@@ -27,7 +27,7 @@ from fracldg.basis import (
 )
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import l1_coefficients
-from fracldg.ldg import FluxWeights, Trajectory, assemble_operators
+from fracldg.ldg import FluxWeights, Trajectory, assemble_operators, solve
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import example1
 
@@ -302,6 +302,21 @@ def test_condition_number_factorizes_nothing(monkeypatch):
     ops = assemble_operators(build_spatial_mesh(5, 5), BasisSpec(1), FluxWeights(0.9, 0.1))
     A = l1_coefficients(build_graded_time_mesh(10, 2.0, 0.1), 0.3)
     assert condition_number(ops, A, 10) > 1.0
+
+
+def test_run_path_builds_no_sparse_matrix(monkeypatch):
+    def no_sparse(*args, **kwargs):
+        raise RuntimeError("sparse matrix built")
+
+    for name in ("kron", "kronsum", "csr_matrix"):
+        monkeypatch.setattr(f"scipy.sparse.{name}", no_sparse)
+    prob = example1(0.4)
+    mesh = build_spatial_mesh(4, 3)
+    tm = build_graded_time_mesh(5, 2.0, prob.T)
+    traj = solve(prob, mesh, tm, BasisSpec(1), FluxWeights(0.9, 0.1))
+    assert np.all(np.isfinite(traj.fields[-1].coeffs))
+    ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(0.9, 0.1))
+    assert condition_number(ops, l1_coefficients(tm, prob.alpha), 5) > 1.0
 
 
 def test_condition_number_rejects_step_index_outside_table():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 from fracldg.basis import (
     BasisSpec,
@@ -16,9 +17,12 @@ from fracldg.basis import (
     legendre_derivatives,
     legendre_values,
     quad_l2_norm,
+    quad_vandermonde,
 )
 from fracldg.errors import InvalidArgumentError
-from fracldg.meshes import build_spatial_mesh
+from fracldg.ldg import FluxWeights, solve
+from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
+from fracldg.problems import example1
 
 from oracles import orthonormal_legendre_derivative, orthonormal_legendre_value
 
@@ -31,6 +35,37 @@ def test_gauss_rule_exactness():
             exact = 0.0 if p % 2 else 2.0 / (p + 1)
             got = float(np.sum(quad.weights * quad.nodes**p))
             assert got == pytest.approx(exact, abs=1e-13)
+
+
+def test_quad_vandermonde_is_cached_read_only_and_exact():
+    for k in range(5):
+        for npoints in (1, 2, 3, 5, 8):
+            V = quad_vandermonde(k, npoints)
+            ref = legendre_values(k, gauss_rule(npoints).nodes)
+            assert V.dtype == ref.dtype and np.array_equal(V, ref)
+            assert quad_vandermonde(k, npoints) is V
+            assert not V.flags.writeable
+
+
+def test_vandermonde_work_does_not_grow_with_steps(monkeypatch):
+    # Each step evaluates its level at the quadrature points and projects its
+    # right-hand side; both reuse the one cached Vandermonde matrix.
+    calls = []
+    legvander = npleg.legvander
+
+    def counting_legvander(*args, **kwargs):
+        calls.append(1)
+        return legvander(*args, **kwargs)
+
+    monkeypatch.setattr(npleg, "legvander", counting_legvander)
+    prob = example1(0.5)
+    mesh = build_spatial_mesh(3, 3)
+    counts = []
+    for M in (4, 4, 16):
+        calls.clear()
+        solve(prob, mesh, build_graded_time_mesh(M, 2.0, prob.T), BasisSpec(1), FluxWeights(1.0, 0.0))
+        counts.append(len(calls))
+    assert counts[1] == counts[2], counts  # the first run may fill the cache
 
 
 def test_gauss_rule_validation():

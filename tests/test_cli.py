@@ -11,6 +11,7 @@ import yaml
 import pytest
 
 import fracldg.analysis
+import fracldg.cli
 import fracldg.problems
 from fracldg.analysis import ErrorReport
 from fracldg.cli import (
@@ -110,6 +111,24 @@ def test_every_preset_round_trips_through_serialization():
     for path in sorted(presets_dir().glob("*.yaml")):
         cfg = load_config(path.stem)
         assert config_from_dict(cfg.to_dict(), source=path.stem) == cfg
+
+
+def test_yaml_loaders_agree_on_shipped_configs(monkeypatch, capsys):
+    # The libyaml parser is used when PyYAML has it; every shipped config
+    # must load to the same ExperimentConfig through the pure-Python one.
+    assert fracldg.cli._YAML_LOADER is (
+        yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    )
+    paths = sorted(presets_dir().glob("*.yaml"))
+    paths.append(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "long-memory.yaml")
+    assert len(paths) == 13
+    default = [load_config(str(p)) for p in paths]
+    assert main(["list-presets"]) == 0
+    default_listing = capsys.readouterr().out
+    monkeypatch.setattr(fracldg.cli, "_YAML_LOADER", yaml.SafeLoader)
+    assert [load_config(str(p)) for p in paths] == default
+    assert main(["list-presets"]) == 0
+    assert capsys.readouterr().out == default_listing
 
 
 def test_validate_config_verb(capsys):

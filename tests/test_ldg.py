@@ -60,10 +60,12 @@ def test_flux_weights_outside_unit_interval_rejected(sigmas):
 
 
 def test_directional_operator_matches_dense_oracle():
-    for n in (4, 7):
-        for k in (0, 1, 2):
+    # n = 1, 2: the periodic neighbors coincide with each other or with the
+    # cell itself, so every block term must add into the same entries.
+    for n in (1, 2, 4, 7):
+        for k in (0, 1, 2, 3):
             for sigma in (1.0, 0.0, 0.7, 0.3):
-                got = _directional_operator(n, k, sigma).toarray()
+                got = _directional_operator(n, k, sigma)
                 ref = dense_directional_operator(n, k, sigma)
                 np.testing.assert_allclose(got, ref, atol=1e-12)
 
@@ -72,22 +74,31 @@ def test_flux_duality():
     # The p-flux operator (weight 1 - sigma) is minus the transpose of the
     # u-flux operator (weight sigma); this is what makes K symmetric PSD.
     for n, k, sigma in ((5, 0, 1.0), (5, 2, 0.7), (6, 1, 0.3), (4, 2, 0.0)):
-        G = _directional_operator(n, k, sigma).toarray()
-        H = _directional_operator(n, k, 1.0 - sigma).toarray()
+        G = _directional_operator(n, k, sigma)
+        H = _directional_operator(n, k, 1.0 - sigma)
         np.testing.assert_allclose(H, -G.T, atol=1e-12)
 
 
 def test_global_operator_symmetric_positive_semidefinite():
-    mesh = build_spatial_mesh(6, 5)
-    for s1, s2 in FLUXES:
-        for k in (0, 1, 2):
-            ops = assemble_operators(mesh, BasisSpec(k), FluxWeights(s1, s2))
-            K = ops.K.toarray()
-            K_ref = lifted_stiffness(6, 5, k, s1, s2, mesh.hx, mesh.hy)
-            np.testing.assert_allclose(K, K_ref, rtol=0.0, atol=1e-12 * np.max(np.abs(K_ref)))
-            assert np.max(np.abs(K - K.T)) <= 1e-11 * np.max(np.abs(K))
-            eigs = np.linalg.eigvalsh(0.5 * (K + K.T))
-            assert eigs.min() >= -1e-9 * eigs.max()
+    # Non-square meshes catch a swapped Kronecker order; nx or ny in {1, 2}
+    # puts the periodic neighbors of a cell on one block.
+    rng = np.random.default_rng(29)
+    for nx, ny in ((6, 5), (1, 4), (3, 1), (2, 5), (4, 2), (1, 2), (2, 2)):
+        mesh = build_spatial_mesh(nx, ny)
+        for s1, s2 in FLUXES:
+            for k in (0, 1, 2, 3):
+                ops = assemble_operators(mesh, BasisSpec(k), FluxWeights(s1, s2))
+                K = ops.K.toarray()
+                K_ref = lifted_stiffness(nx, ny, k, s1, s2, mesh.hx, mesh.hy)
+                np.testing.assert_allclose(K, K_ref, rtol=0.0, atol=1e-12 * np.max(np.abs(K_ref)))
+                assert np.max(np.abs(K - K.T)) <= 1e-11 * np.max(np.abs(K))
+                eigs = np.linalg.eigvalsh(0.5 * (K + K.T))
+                assert eigs.min() >= -1e-9 * eigs.max()
+                x = rng.standard_normal(ops.ndof)
+                atol = 1e-12 * np.max(np.abs(K_ref)) * np.max(np.abs(x))
+                Kx = ops.apply_K(x)
+                np.testing.assert_allclose(Kx, K_ref @ x, rtol=0.0, atol=atol)
+                np.testing.assert_allclose(Kx, ops.K @ x, rtol=0.0, atol=atol)
 
 
 def test_constants_are_steady_states():
