@@ -39,6 +39,7 @@ _LAZY = {
     "convolution_kernel": "fractional",
     "mittag_leffler": "fractional",
     "substantial_history": "fractional",
+    "history_panel": "fractional",
     # ldg
     "FluxWeights": "ldg",
     "LdgOperators": "ldg",

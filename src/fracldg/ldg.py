@@ -48,15 +48,23 @@ from .basis import (
     legendre_values,
     l2_project,
     quad_vandermonde,
+    volume_quad_points,
 )
 from .errors import InvalidArgumentError, NumericError
-from .fractional import L1Kernel, l1_coefficients, substantial_history
+from .fractional import (
+    HISTORY_PANEL,
+    L1Kernel,
+    history_panel,
+    l1_coefficients,
+    substantial_history,
+)
 from .meshes import GradedTimeMesh, SpatialMesh
 from .problems import ProblemSpec
 
 __all__ = [
     "FluxWeights",
     "LdgOperators",
+    "StepGrid",
     "Trajectory",
     "assemble_operators",
     "bilinear_form_B",
@@ -353,10 +361,38 @@ def bilinear_form_B(
     return total
 
 
-def _moment_vector(values: np.ndarray, ops: LdgOperators, quad: QuadRule) -> np.ndarray:
+@dataclass(frozen=True)
+class StepGrid:
+    """Everything a step reads at the volume quadrature points that does not
+    change with n, built once per run.
+
+    x and y are the physical points shaped (nx, 1, q, 1) and (1, ny, 1, q),
+    so a callable f(t, x, y) broadcasts to the (nx, ny, q, q) grid; WV[q, r]
+    = w_q Lhat_r(x_q) is the weighted Vandermonde of the moments; kappa is
+    the tempering field at the points.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    WV: np.ndarray
+    kappa: np.ndarray
+
+    @classmethod
+    def build(
+        cls, prob: ProblemSpec, mesh: SpatialMesh, basis: BasisSpec, quad: QuadRule
+    ) -> StepGrid:
+        X, Y = volume_quad_points(mesh, quad)
+        return cls(
+            x=X[:, None, :, None],
+            y=Y[None, :, None, :],
+            WV=quad.weights[:, None] * quad_vandermonde(basis.k, quad.npoints),
+            kappa=eval_on_grid(lambda x, y: prob.kappa(x, y), mesh, quad),
+        )
+
+
+def _moment_vector(values: np.ndarray, ops: LdgOperators, WV: np.ndarray) -> np.ndarray:
     """(g, Phi_B) for every basis function, flattened in solver order, from
-    grid values g at the volume quadrature points."""
-    WV = quad.weights[:, None] * quad_vandermonde(ops.basis.k, quad.npoints)
+    grid values g at the volume quadrature points; WV is StepGrid.WV."""
     moments = ops.M * (WV.T @ (values @ WV))
     return np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()
 
@@ -366,27 +402,27 @@ def step(
     A: L1Kernel,
     n: int,
     prob: ProblemSpec,
-    quad: QuadRule,
-    kappa_at_quad: np.ndarray,
+    grid: StepGrid,
     tempered_at_quad: np.ndarray,
+    panel_row: np.ndarray | None = None,
+    panel_start: int = 0,
 ) -> DgField:
     """Advance one time step: solve (A_0^n M I + K) U^n = -(hist, v) + (f(t_n), v).
 
-    kappa_at_quad is kappa at the volume quadrature points of quad, and rows
-    0..n-1 of tempered_at_quad hold the levels u^0..u^{n-1} tempered and
-    evaluated there, row j being e^{kappa t_j} u^j (see substantial_history);
-    solve() passes its preallocated buffer.
+    Rows 0..n-1 of tempered_at_quad hold the levels u^0..u^{n-1} tempered
+    and evaluated at the points of grid, row j being e^{kappa t_j} u^j;
+    solve() passes its preallocated buffer. Without panel_row the memory sum
+    reads all n rows. With it, panel_row is the history_panel row of step n
+    for the panel formed at panel_start, and only rows panel_start..n-1 are
+    read (see substantial_history).
     """
-    hist = substantial_history(A, kappa_at_quad, tempered_at_quad, n)
+    hist = substantial_history(A, grid.kappa, tempered_at_quad, n, panel_row, panel_start)
     # The history part of D_M u moves to the right-hand side: this negation is
     # the single place the sign convention is applied.
     rhs_values = -hist
     if prob.f is not None:
-        t_n = A.tm.t[n]
-        rhs_values = rhs_values + eval_on_grid(
-            lambda x, y: prob.f(t_n, x, y), ops.mesh, quad
-        )
-    b = _moment_vector(rhs_values, ops, quad)
+        rhs_values = rhs_values + prob.f(A.tm.t[n], grid.x, grid.y)
+    b = _moment_vector(rhs_values, ops, grid.WV)
     x = ops.solve_system(A.A[n][0], b)
     return ops.unflatten(x)
 
@@ -417,24 +453,38 @@ def solve(
     """Run the fully discrete scheme from t = 0 to t = T.
 
     u^0 is the L2 projection of the initial condition; each subsequent field
-    solves the step system. Every level is evaluated at the quadrature points
-    and tempered once, into row j of a preallocated (M+1, nx, ny, q, q)
-    buffer holding e^{kappa t_j} u^j, so each step's memory sum is one
-    matrix-vector product over the rows written so far. Raises
-    InvalidArgumentError when kappa exceeds c_kappa or c_kappa * T exceeds
-    MAX_TEMPERING_EXPONENT.
+    solves the step system. The quadrature points, the moment Vandermonde
+    and kappa at the points are built once, as a StepGrid. Every level is
+    evaluated at the quadrature points and tempered once, into row j of a
+    preallocated (M+1, nx, ny, q, q) buffer holding e^{kappa t_j} u^j.
+
+    The memory sum stays exact, O(M^2 N_q) flops per run, but is blocked:
+    at every step n0 that is a positive multiple of HISTORY_PANEL, one GEMM
+    (history_panel) forms the contribution of the rows 0..n0-1 to the steps
+    n0..n0 + HISTORY_PANEL - 1, into a panel buffer allocated once. Each
+    step adds its panel row to a sum over the fewer than HISTORY_PANEL rows
+    written since n0. The buffer is thus read once per panel instead of once
+    per step; runs with M < HISTORY_PANEL never form a panel.
+
+    Raises InvalidArgumentError when kappa exceeds c_kappa or c_kappa * T
+    exceeds MAX_TEMPERING_EXPONENT.
     """
     ops = assemble_operators(mesh, basis, fw)
     quad = gauss_rule(basis.default_quad_points)
     A = l1_coefficients(tm, prob.alpha)
-    kappa_at_quad = eval_on_grid(lambda x, y: prob.kappa(x, y), mesh, quad)
-    _check_tempering_range(prob, tm, kappa_at_quad)
+    grid = StepGrid.build(prob, mesh, basis, quad)
+    _check_tempering_range(prob, tm, grid.kappa)
     u0 = l2_project(lambda x, y: prob.u0(x, y), mesh, basis, quad)
     fields = [u0]
-    tempered = np.empty((tm.M + 1,) + kappa_at_quad.shape)
+    tempered = np.empty((tm.M + 1,) + grid.kappa.shape)
     tempered[0] = u0.eval_volume_quad(quad)  # e^{kappa t_0} = 1
+    # Sized for the first panel, the largest; none forms when M < HISTORY_PANEL.
+    panel = np.empty((min(HISTORY_PANEL, max(tm.M + 1 - HISTORY_PANEL, 0)), grid.kappa.size))
     for n in range(1, tm.M + 1):
-        u_n = step(ops, A, n, prob, quad, kappa_at_quad, tempered)
+        start = n - n % HISTORY_PANEL
+        if n == start:
+            history_panel(A, tempered, start, panel[: tm.M + 1 - start])
+        u_n = step(ops, A, n, prob, grid, tempered, panel[n - start] if start else None, start)
         fields.append(u_n)
-        tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(quad)
+        tempered[n] = np.exp(grid.kappa * tm.t[n]) * u_n.eval_volume_quad(quad)
     return Trajectory(fields=fields, tm=tm, prob=prob, mesh=mesh, basis=basis, fw=fw)

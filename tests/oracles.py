@@ -17,7 +17,10 @@ from numpy.polynomial import legendre as npleg
 from scipy.linalg import svdvals
 
 from fracldg.analysis import _power_lambda_max
+from fracldg.basis import eval_on_grid, gauss_rule, l2_project, quad_vandermonde
 from fracldg.errors import InvalidArgumentError, NumericError
+from fracldg.fractional import l1_coefficients, substantial_history
+from fracldg.ldg import _check_tempering_range, assemble_operators
 
 
 def orthonormal_legendre_value(r: int, x: float) -> float:
@@ -233,3 +236,38 @@ def substantial_history_loop(
     for i in range(1, n):
         out += (An[i] - An[i - 1]) * np.exp(-kappa_at_quad * (t[n] - t[n - i])) * history_at_quad[n - i]
     return out
+
+
+def solve_stepwise(prob, mesh, tm, basis, fw) -> list:
+    """Fields u^0..u^M of the fully discrete scheme, by the package's original
+    time loop: every step sums the whole tempered history with the unpanelled
+    substantial_history, evaluates f through eval_on_grid and rebuilds the
+    weighted Vandermonde of the moments.
+
+    Kept as the exact reference for fracldg.ldg.solve, whose panelled memory
+    sum adds the same terms in another order.
+    """
+    ops = assemble_operators(mesh, basis, fw)
+    quad = gauss_rule(basis.default_quad_points)
+    A = l1_coefficients(tm, prob.alpha)
+    kappa_at_quad = eval_on_grid(lambda x, y: prob.kappa(x, y), mesh, quad)
+    _check_tempering_range(prob, tm, kappa_at_quad)
+    u0 = l2_project(lambda x, y: prob.u0(x, y), mesh, basis, quad)
+    fields = [u0]
+    tempered = np.empty((tm.M + 1,) + kappa_at_quad.shape)
+    tempered[0] = u0.eval_volume_quad(quad)  # e^{kappa t_0} = 1
+    for n in range(1, tm.M + 1):
+        hist = substantial_history(A, kappa_at_quad, tempered, n)
+        rhs_values = -hist
+        if prob.f is not None:
+            t_n = A.tm.t[n]
+            rhs_values = rhs_values + eval_on_grid(
+                lambda x, y: prob.f(t_n, x, y), ops.mesh, quad
+            )
+        WV = quad.weights[:, None] * quad_vandermonde(ops.basis.k, quad.npoints)
+        moments = ops.M * (WV.T @ (rhs_values @ WV))
+        b = np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()
+        u_n = ops.unflatten(ops.solve_system(A.A[n][0], b))
+        fields.append(u_n)
+        tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(quad)
+    return fields

@@ -11,7 +11,9 @@ from scipy.special import erfcx
 from fracldg.basis import BasisSpec, DgField, eval_on_grid, gauss_rule, l2_project
 from fracldg.errors import InvalidArgumentError
 from fracldg.fractional import (
+    HISTORY_PANEL,
     convolution_kernel,
+    history_panel,
     l1_coefficients,
     mittag_leffler,
     mittag_leffler_contour,
@@ -161,6 +163,16 @@ def test_substantial_history_validation():
         substantial_history(A, kq, tempered, 2)
     with pytest.raises(InvalidArgumentError):
         substantial_history(A, kq, tempered, 0)  # no step before t_1
+    full = np.zeros((5,) + kq.shape)
+    with pytest.raises(InvalidArgumentError, match="panel row"):
+        substantial_history(A, kq, full, 3, None, 2)  # levels 0, 1 would be dropped
+    panel = np.zeros((2, kq.size))
+    with pytest.raises(InvalidArgumentError):
+        history_panel(A, full, 0, panel)  # a panel needs at least one stored level
+    with pytest.raises(InvalidArgumentError):
+        history_panel(A, full, 4, panel)  # step 5 is past M = 4
+    with pytest.raises(InvalidArgumentError):
+        history_panel(A, tempered, 2, panel)  # w^1 not stored
 
 
 #: Agreement demanded between the tempered-buffer contraction and the
@@ -207,3 +219,45 @@ def test_substantial_history_matches_loop_oracle(alpha, gamma, M, k, nx, ny, T, 
         ref = substantial_history_loop(A, kq, history[:n], n, quad=quad)
         scale = float(np.sum(np.abs(np.diff(A.A[n][::-1], prepend=0.0)))) * umax
         assert np.max(np.abs(got - ref)) <= HISTORY_DIFF_RTOL * scale
+
+
+#: Agreement demanded between a panel row plus its remainder and the full
+#: sum, relative to sum_j |c_j| * max|w| * max e^{-kappa t_n}. Both add the
+#: same at most 100 terms in different orders: rounding ~100 * eps ~ 1e-14.
+PANEL_SUM_RTOL = 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    alpha=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    gamma=st.floats(1.0, 6.0),
+    M=st.integers(1, 100),
+    first=st.integers(1, 100),
+    k=st.integers(0, 2),
+    nx=st.integers(1, 3),
+    ny=st.integers(1, 3),
+    kappa0=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_panel_row_plus_remainder_matches_full_history(
+    alpha, gamma, M, first, k, nx, ny, kappa0, seed
+):
+    # Panels formed every HISTORY_PANEL steps from an arbitrary first step:
+    # at every step they cover, the panel row plus the sum over the levels
+    # written since the panel start equals the unpanelled full sum.
+    mesh = build_spatial_mesh(nx, ny)
+    quad = gauss_rule(BasisSpec(k).default_quad_points)
+    tm = build_graded_time_mesh(M, gamma, 0.5)
+    A = l1_coefficients(tm, alpha)
+    kq = eval_on_grid(lambda x, y: kappa0 * np.cos(2 * math.pi * x) + 0.0 * y, mesh, quad)
+    tempered = np.random.default_rng(seed).standard_normal((M + 1,) + kq.shape)
+    wmax = float(np.max(np.abs(tempered)))
+    panel = np.empty((HISTORY_PANEL, kq.size))
+    for start in range(min(first, M), M + 1, HISTORY_PANEL):
+        rows = min(HISTORY_PANEL, M + 1 - start)
+        history_panel(A, tempered, start, panel[:rows])
+        for n in range(start, start + rows):
+            got = substantial_history(A, kq, tempered, n, panel[n - start], start)
+            ref = substantial_history(A, kq, tempered, n)
+            scale = A.A[n][0] * wmax * float(np.max(np.exp(-kq * tm.t[n])))
+            assert np.max(np.abs(got - ref)) <= PANEL_SUM_RTOL * scale, (start, n)

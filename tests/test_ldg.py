@@ -19,9 +19,15 @@ from fracldg.basis import (
     quad_l2_norm,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
-from fracldg.fractional import l1_coefficients, substantial_history
+from fracldg.fractional import (
+    HISTORY_PANEL,
+    history_panel,
+    l1_coefficients,
+    substantial_history,
+)
 from fracldg.ldg import (
     FluxWeights,
+    StepGrid,
     assemble_operators,
     bilinear_form_B,
     solve,
@@ -37,7 +43,7 @@ from fracldg.ldg import (
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import ProblemSpec, example1, example2
 
-from oracles import dense_directional_operator, lifted_stiffness
+from oracles import dense_directional_operator, lifted_stiffness, solve_stepwise
 
 FLUXES = [(1.0, 0.0), (0.0, 1.0), (0.7, 0.2), (0.3, 0.8)]
 
@@ -256,7 +262,7 @@ def test_moment_vector_matches_einsum(nx, ny, k):
     WV = quad.weights[:, None] * legendre_values(k, quad.nodes)
     ref = ops.M * np.einsum("ijqp,qr,ps->ijrs", values, WV, WV)
     ref = np.ascontiguousarray(ref.transpose(0, 2, 1, 3)).ravel()
-    got = _moment_vector(values, ops, quad)
+    got = _moment_vector(values, ops, WV)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
 
 
@@ -400,10 +406,100 @@ def test_step_rejects_short_history():
     A = l1_coefficients(tm, prob.alpha)
     ops = assemble_operators(mesh, basis, FluxWeights(0.0, 1.0))
     quad = gauss_rule(basis.default_quad_points)
-    kq = eval_on_grid(prob.kappa, mesh, quad)
+    grid = StepGrid.build(prob, mesh, basis, quad)
     tempered = l2_project(prob.u0, mesh, basis).eval_volume_quad(quad)[None]
     with pytest.raises(InvalidArgumentError):
-        step(ops, A, 2, prob, quad, kq, tempered)
+        step(ops, A, 2, prob, grid, tempered)
+
+
+@pytest.mark.parametrize("n,start", [(HISTORY_PANEL + 1, 1), (5, 10)])
+def test_step_rejects_panel_row_outside_its_panel(n, start):
+    # A panel formed at `start` covers steps start..start + HISTORY_PANEL - 1;
+    # its row is meaningless for any other step.
+    mesh = build_spatial_mesh(3, 3)
+    basis = BasisSpec(0)
+    prob = example1(0.5)
+    tm = build_graded_time_mesh(2 * HISTORY_PANEL, 2.0, prob.T)
+    A = l1_coefficients(tm, prob.alpha)
+    ops = assemble_operators(mesh, basis, FluxWeights(0.0, 1.0))
+    quad = gauss_rule(basis.default_quad_points)
+    grid = StepGrid.build(prob, mesh, basis, quad)
+    tempered = np.zeros((tm.M + 1,) + grid.kappa.shape)
+    with pytest.raises(InvalidArgumentError, match="outside the panel"):
+        step(ops, A, n, prob, grid, tempered, np.zeros(grid.kappa.size), start)
+
+
+#: Agreement demanded between solve and the stepwise oracle, per field,
+#: relative to the field's max norm. Only the summation order of the memory
+#: sum differs; over at most 100 levels it stays far below this.
+PANEL_DIFF_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 65, 100])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("example", [example1, example2])
+@pytest.mark.parametrize("gamma", [1.0, 6.0])
+def test_solve_matches_stepwise_oracle(M, k, example, gamma):
+    # M = 1..100 crosses 0 to 3 panel boundaries; the oracle sums the whole
+    # history at every step.
+    prob = example(0.4)
+    mesh = build_spatial_mesh(3, 2)
+    basis = BasisSpec(k)
+    tm = build_graded_time_mesh(M, gamma, prob.T)
+    fw = FluxWeights(1.0, 0.0)
+    got = solve(prob, mesh, tm, basis, fw).fields
+    ref = solve_stepwise(prob, mesh, tm, basis, fw)
+    assert len(got) == len(ref) == M + 1
+    for n, (u, v) in enumerate(zip(got, ref)):
+        scale = np.max(np.abs(v.coeffs))
+        assert np.max(np.abs(u.coeffs - v.coeffs)) <= PANEL_DIFF_RTOL * scale, n
+
+
+def test_solve_reads_fewer_than_a_panel_of_levels_per_step(monkeypatch):
+    # A count, not a timing: every step sums at most HISTORY_PANEL - 1 stored
+    # levels itself, and the rest comes from one panel GEMM per
+    # HISTORY_PANEL steps. A return to an O(n) read per step fails here.
+    import fracldg.ldg as ldg
+
+    rows_read, panels = [], []
+
+    def counting_history(A, kappa, tempered, n, panel_row=None, start=0):
+        rows_read.append(n - start)
+        return substantial_history(A, kappa, tempered, n, panel_row, start)
+
+    def counting_panel(A, tempered, start, out):
+        panels.append((start, len(out)))
+        return history_panel(A, tempered, start, out)
+
+    monkeypatch.setattr(ldg, "substantial_history", counting_history)
+    monkeypatch.setattr(ldg, "history_panel", counting_panel)
+    M = 100
+    prob = example2(0.5)
+    tm = build_graded_time_mesh(M, 2.0, prob.T)
+    solve(prob, build_spatial_mesh(3, 3), tm, BasisSpec(1), FluxWeights(1.0, 0.0))
+    assert len(rows_read) == M
+    assert max(rows_read) < HISTORY_PANEL
+    assert panels == [(32, 32), (64, 32), (96, 5)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="near-null modes: the residual-triggered refinement misses this forward error",
+)
+def test_system_solve_matches_dense_reference_near_central_flux():
+    # Backward stable (relative residual ~4e-14, cond ~1.1e5) but about 1.3x
+    # the forward tolerance of the random-draw test in near-null modes of K,
+    # because refinement is triggered by the residual alone. The dense
+    # reference itself is within 0.03x of the tolerance of an
+    # extended-precision refinement. Kept as a strict xfail until the
+    # trigger accounts for the conditioning of the step matrix.
+    nx, ny, k, a0 = 6, 5, 3, 0.1
+    ops = assemble_operators(build_spatial_mesh(nx, ny), BasisSpec(k), FluxWeights(0.49, 0.51))
+    b = np.random.default_rng(0).standard_normal(ops.ndof)
+    x_ref = np.linalg.solve(ops.K.toarray() + a0 * ops.M * np.eye(ops.ndof), b)
+    np.testing.assert_allclose(
+        ops.solve_system(a0, b), x_ref, rtol=1e-9, atol=1e-12 * np.max(np.abs(x_ref))
+    )
 
 
 def test_solver_error_halves_with_mesh_refinement():
