@@ -34,9 +34,7 @@ _LAZY = {
     "field_eval": "basis",
     # fractional
     "L1Kernel": "fractional",
-    "ConvKernel": "fractional",
     "l1_coefficients": "fractional",
-    "convolution_kernel": "fractional",
     "mittag_leffler": "fractional",
     "substantial_history": "fractional",
     "history_panel": "fractional",
@@ -45,7 +43,6 @@ _LAZY = {
     "LdgOperators": "ldg",
     "Trajectory": "ldg",
     "assemble_operators": "ldg",
-    "bilinear_form_B": "ldg",
     "step": "ldg",
     "solve": "ldg",
     # problems
@@ -54,8 +51,6 @@ _LAZY = {
     "example2": "problems",
     # analysis
     "ErrorReport": "analysis",
-    "project_P": "analysis",
-    "project_Q": "analysis",
     "error_E": "analysis",
     "error_time_integrated": "analysis",
     "rates": "analysis",

@@ -1,12 +1,12 @@
-"""Projection operators, the error functional, convergence rates, and
-condition-number estimates.
+"""Error functionals, convergence rates, and condition numbers.
 
-The weighted-trace projections defined here match interior moments plus
-weighted interface conditions. Because each interface condition couples the
-two adjacent cells through the same weighted average the scheme's fluxes
-use, the top-mode coefficients satisfy periodic bidiagonal systems, which
-are circulant and solved directly per mesh line. The projections exist for
-any weight except 1/2, where the circulant symbol can vanish.
+error_E is the final-time L2 error scaled by the horizon, the functional of
+every shipped convergence table; error_time_integrated weights the whole
+history through the piecewise-linear-in-time interpolants. rates turns a
+sweep into consecutive-pair orders, and condition_number estimates the
+2-norm conditioning of a step matrix by seeded power iteration, applying
+the inverse through the solver's own fast-diagonalization solve. ErrorReport
+carries one study's numbers to the CLI's CSV and text output.
 """
 
 from __future__ import annotations
@@ -16,27 +16,14 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .basis import (
-    BasisSpec,
-    DgField,
-    QuadRule,
-    edge_values,
-    gauss_rule,
-    legendre_values,
-    l2_project,
-    quad_l2_norm,
-    volume_quad_points,
-)
+from .basis import gauss_rule, quad_l2_norm, volume_quad_points
 from .errors import InvalidArgumentError, NumericError
 from .fractional import L1Kernel
-from .ldg import FluxWeights, LdgOperators, Trajectory
+from .ldg import LdgOperators, Trajectory
 
 __all__ = [
     "ErrorReport",
-    "project_P",
-    "project_Q",
     "error_E",
     "error_time_integrated",
     "rates",
@@ -78,153 +65,6 @@ class ErrorReport:
         for i, (p, e) in enumerate(zip(self.params, self.errors)):
             lines.append(f"{p:>{width}}  {e:16.10e}  {self._rate_str(i):>8}")
         return "\n".join(lines) + "\n"
-
-
-SpaceFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def _edge_moment_quad(k: int) -> QuadRule:
-    return gauss_rule(k + 4)
-
-
-def _interface_solve(sigma: float, n: int, rhs: np.ndarray, e_plus_k: float, e_minus_k: float) -> np.ndarray:
-    """Solve the periodic bidiagonal system sigma*e+ * x_i + (1-sigma)*e- * x_{i+1} = rhs_i.
-
-    rhs has the interface axis first; remaining axes are solved batched.
-    """
-    col = np.zeros(n)
-    col[0] = sigma * e_plus_k
-    col[-1] = (1.0 - sigma) * e_minus_k
-    try:
-        return scipy.linalg.solve_circulant(col, rhs, singular="raise", baxis=0, outaxis=0)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidArgumentError(
-            f"weighted-trace projection is singular at weight {sigma}"
-        ) from exc
-
-
-def _edge_values_x(u: SpaceFn, mesh, quad: QuadRule, k: int) -> np.ndarray:
-    """Moments of u along every x-interface: out[i, j, s] = (2/hy) int_{J_j} u(x_{i+1/2}, y) phi_s(y) dy."""
-    V = legendre_values(k, quad.nodes)
-    x_if = mesh.x_edges[1:]
-    _, Y = volume_quad_points(mesh, quad)
-    vals = u(x_if[:, None, None], Y[None, :, :])
-    return np.einsum("ijq,qs->ijs", vals, quad.weights[:, None] * V)
-
-
-def _edge_values_y(u: SpaceFn, mesh, quad: QuadRule, k: int) -> np.ndarray:
-    """Moments of u along every y-interface: out[i, j, r] = (2/hx) int_{I_i} u(x, y_{j+1/2}) phi_r(x) dx."""
-    V = legendre_values(k, quad.nodes)
-    y_if = mesh.y_edges[1:]
-    X, _ = volume_quad_points(mesh, quad)
-    vals = u(X[:, None, :], y_if[None, :, None])
-    return np.einsum("ijq,qr->ijr", vals, quad.weights[:, None] * V)
-
-
-def project_P(u: SpaceFn, fw: FluxWeights, mesh, basis: BasisSpec) -> DgField:
-    """Weighted-trace projection matching the scheme's u-flux in both axes.
-
-    Defining conditions per cell: interior moments against all modes of
-    degree < k in each axis, weighted-average moments across every
-    x-interface against y-modes of degree < k (and symmetrically in y), and
-    the doubly weighted point value at every cell corner. Interface and
-    corner conditions couple neighbor cells; periodicity makes each coupled
-    family circulant along its mesh line.
-    """
-    if fw.sigma1 == 0.5 or fw.sigma2 == 0.5:
-        raise InvalidArgumentError("weighted-trace projection requires weights != 1/2")
-    k = basis.k
-    quad = _edge_moment_quad(k)
-    e_minus, e_plus = edge_values(k)
-    full = l2_project(u, mesh, basis, quad)
-    c = np.zeros_like(full.coeffs)
-    if k >= 1:
-        c[:, :, : k, : k] = full.coeffs[:, :, : k, : k]
-
-        # x-interface conditions determine the (k, s) coefficients, s < k.
-        U = _edge_values_x(u, mesh, quad, k)[:, :, :k]
-        rhs = (
-            U
-            - fw.sigma1 * np.einsum("ijas,a->ijs", c[:, :, :k, :k], e_plus[:k])
-            - (1.0 - fw.sigma1)
-            * np.einsum("ijas,a->ijs", np.roll(c[:, :, :k, :k], -1, axis=0), e_minus[:k])
-        )
-        sol = _interface_solve(fw.sigma1, mesh.nx, rhs.reshape(mesh.nx, -1), e_plus[k], e_minus[k])
-        c[:, :, k, :k] = sol.reshape(rhs.shape)
-
-        # y-interface conditions determine the (r, k) coefficients, r < k.
-        V = _edge_values_y(u, mesh, quad, k)[:, :, :k]
-        rhs = (
-            V
-            - fw.sigma2 * np.einsum("ijrb,b->ijr", c[:, :, :k, :k], e_plus[:k])
-            - (1.0 - fw.sigma2)
-            * np.einsum("ijrb,b->ijr", np.roll(c[:, :, :k, :k], -1, axis=1), e_minus[:k])
-        )
-        rhs_j_first = rhs.transpose(1, 0, 2).reshape(mesh.ny, -1)
-        sol = _interface_solve(fw.sigma2, mesh.ny, rhs_j_first, e_plus[k], e_minus[k])
-        c[:, :, :k, k] = sol.reshape(mesh.ny, mesh.nx, k).transpose(1, 0, 2)
-
-    # Corner conditions determine the (k, k) coefficients through the tensor
-    # product of the two interface operators.
-    corners = u(mesh.x_edges[1:, None], mesh.y_edges[None, 1:])
-    trace_pp = np.einsum("ijab,a,b->ij", c, e_plus, e_plus)
-    trace_pm = np.einsum("ijab,a,b->ij", c, e_plus, e_minus)
-    trace_mp = np.einsum("ijab,a,b->ij", c, e_minus, e_plus)
-    trace_mm = np.einsum("ijab,a,b->ij", c, e_minus, e_minus)
-    s1, s2 = fw.sigma1, fw.sigma2
-    known = (
-        s1 * s2 * trace_pp
-        + s1 * (1.0 - s2) * np.roll(trace_pm, -1, axis=1)
-        + (1.0 - s1) * s2 * np.roll(trace_mp, -1, axis=0)
-        + (1.0 - s1) * (1.0 - s2) * np.roll(np.roll(trace_mm, -1, axis=0), -1, axis=1)
-    )
-    rhs = corners - known
-    w = _interface_solve(s1, mesh.nx, rhs, e_plus[k], e_minus[k])
-    z = _interface_solve(s2, mesh.ny, w.T, e_plus[k], e_minus[k]).T
-    c[:, :, k, k] = z
-    return DgField(c, basis, mesh)
-
-
-def project_Q(u: SpaceFn, sigma: float, axis: str, mesh, basis: BasisSpec) -> DgField:
-    """Single-axis weighted-trace projection.
-
-    Matches interior moments against modes of degree < k in the chosen axis
-    (all degrees in the other axis) plus weighted-average moments across
-    every interface of that axis against all transverse modes.
-    """
-    if sigma == 0.5:
-        raise InvalidArgumentError("weighted-trace projection requires weight != 1/2")
-    if axis not in ("x", "y"):
-        raise InvalidArgumentError(f"axis must be 'x' or 'y', got {axis!r}")
-    k = basis.k
-    quad = _edge_moment_quad(k)
-    e_minus, e_plus = edge_values(k)
-    full = l2_project(u, mesh, basis, quad)
-    c = np.zeros_like(full.coeffs)
-    if axis == "x":
-        c[:, :, :k, :] = full.coeffs[:, :, :k, :]
-        U = _edge_values_x(u, mesh, quad, k)
-        rhs = (
-            U
-            - sigma * np.einsum("ijas,a->ijs", c[:, :, :k, :], e_plus[:k])
-            - (1.0 - sigma)
-            * np.einsum("ijas,a->ijs", np.roll(c[:, :, :k, :], -1, axis=0), e_minus[:k])
-        )
-        sol = _interface_solve(sigma, mesh.nx, rhs.reshape(mesh.nx, -1), e_plus[k], e_minus[k])
-        c[:, :, k, :] = sol.reshape(rhs.shape)
-    else:
-        c[:, :, :, :k] = full.coeffs[:, :, :, :k]
-        V = _edge_values_y(u, mesh, quad, k)
-        rhs = (
-            V
-            - sigma * np.einsum("ijrb,b->ijr", c[:, :, :, :k], e_plus[:k])
-            - (1.0 - sigma)
-            * np.einsum("ijrb,b->ijr", np.roll(c[:, :, :, :k], -1, axis=1), e_minus[:k])
-        )
-        rhs_j_first = rhs.transpose(1, 0, 2).reshape(mesh.ny, -1)
-        sol = _interface_solve(sigma, mesh.ny, rhs_j_first, e_plus[k], e_minus[k])
-        c[:, :, :, k] = sol.reshape(mesh.ny, mesh.nx, k + 1).transpose(1, 0, 2)
-    return DgField(c, basis, mesh)
 
 
 def _nodal_error(traj: Trajectory, exact, n: int, squad) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "legendre_derivatives",
     "field_eval",
     "l2_project",
-    "edge_trace",
 ]
 
 
@@ -251,53 +250,3 @@ def quad_l2_norm(values: np.ndarray, mesh: SpatialMesh, quad: QuadRule) -> float
     w2 = quad.weights[:, None] * quad.weights[None, :]
     cell_jac = mesh.hx * mesh.hy / 4.0
     return float(np.sqrt(cell_jac * np.einsum("ijqp,qp->", values**2, w2)))
-
-
-_EDGE_AXES = {"E": ("x", +1), "W": ("x", -1), "N": ("y", +1), "S": ("y", -1)}
-
-
-def edge_trace(
-    f: DgField,
-    cell: tuple[int, int],
-    edge: str,
-    side: str,
-    t1d: float | np.ndarray,
-) -> float | np.ndarray:
-    """One-sided trace of f on an edge of `cell` at tangential reference coordinate t1d.
-
-    edge: 'E'/'W' are the x-normal interfaces at x_{i+1/2} / x_{i-1/2};
-    'N'/'S' the y-normal ones. side '-' takes the limit from the cell on the
-    negative side of the interface, '+' from the positive side, with periodic
-    neighbor lookup across the domain boundary.
-    """
-    if edge not in _EDGE_AXES:
-        raise InvalidArgumentError(f"edge must be one of E/W/N/S, got {edge!r}")
-    if side not in ("-", "+"):
-        raise InvalidArgumentError(f"side must be '-' or '+', got {side!r}")
-    axis, orient = _EDGE_AXES[edge]
-    i, j = cell
-    k = f.basis.k
-    e_minus, e_plus = edge_values(k)
-    # Which cell owns the requested one-sided limit, and at which reference
-    # abscissa the normal coordinate sits in that cell.
-    if axis == "x":
-        iface = i if orient < 0 else i + 1  # interface index i-1/2 or i+1/2
-        if side == "-":
-            ci, normal_vec = (iface - 1) % f.mesh.nx, e_plus
-        else:
-            ci, normal_vec = iface % f.mesh.nx, e_minus
-        cj = j % f.mesh.ny
-        Vt = legendre_values(k, np.atleast_1d(t1d))
-        vals = np.einsum("rs,r,qs->q", f.coeffs[ci, cj], normal_vec, Vt)
-    else:
-        iface = j if orient < 0 else j + 1
-        if side == "-":
-            cj, normal_vec = (iface - 1) % f.mesh.ny, e_plus
-        else:
-            cj, normal_vec = iface % f.mesh.ny, e_minus
-        ci = i % f.mesh.nx
-        Vt = legendre_values(k, np.atleast_1d(t1d))
-        vals = np.einsum("rs,qr,s->q", f.coeffs[ci, cj], Vt, normal_vec)
-    if np.isscalar(t1d):
-        return float(vals[0])
-    return vals

@@ -1,6 +1,5 @@
-"""Time-fractional machinery: L1 coefficients on graded meshes, discrete
-convolution kernels, the substantial-derivative history operator, and the
-Mittag-Leffler function.
+"""Time-fractional machinery: L1 coefficients on graded meshes, the
+substantial-derivative history operator, and the Mittag-Leffler function.
 
 The discrete substantial derivative of order alpha with weight kappa(x) is
 
@@ -23,6 +22,11 @@ next HISTORY_PANEL steps in one matrix-matrix product (BLAS-3); each step then
 adds its panel row to a sum over the fewer than HISTORY_PANEL levels written
 since. The stored levels are read once per panel instead of once per step,
 which cuts the memory traffic of the sum by the panel factor.
+
+The Mittag-Leffler function E_alpha gives example1 its closed-form
+solution. Negative arguments, the only ones a shipped run evaluates, take
+a Laplace-inversion contour; arguments in (0, 5] sum the defining series
+in float64, where every term is positive and nothing cancels.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
@@ -40,11 +43,8 @@ from .meshes import GradedTimeMesh
 
 __all__ = [
     "L1Kernel",
-    "ConvKernel",
     "l1_coefficients",
-    "convolution_kernel",
     "mittag_leffler",
-    "mittag_leffler_series",
     "mittag_leffler_contour",
     "substantial_history",
     "history_panel",
@@ -69,17 +69,6 @@ class L1Kernel:
     alpha: float
     tm: GradedTimeMesh = field(repr=False)
     A: tuple[np.ndarray, ...] = field(repr=False)
-
-
-@dataclass(frozen=True)
-class ConvKernel:
-    """Complementary discrete convolution kernels.
-
-    P[n] is the array (P_0^n, ..., P_{n-1}^n); they invert the L1 table in
-    the sense sum_{j=m}^{n} P_{n-j}^n A_{j-m}^j = 1 for all 1 <= m <= n.
-    """
-
-    P: tuple[np.ndarray, ...] = field(repr=False)
 
 
 def l1_coefficients(tm: GradedTimeMesh, alpha: float) -> L1Kernel:
@@ -108,79 +97,6 @@ def l1_coefficients(tm: GradedTimeMesh, alpha: float) -> L1Kernel:
     return L1Kernel(alpha=float(alpha), tm=tm, A=tuple(tables))
 
 
-def convolution_kernel(A: L1Kernel) -> ConvKernel:
-    """Complementary kernels by the recursive definition.
-
-    P_0^n = 1/A_0^n;
-    P_{n-j}^n = (1/A_0^j) * sum_{i=j+1}^{n} (A_{i-j-1}^i - A_{i-j}^i) P_{n-i}^n.
-
-    For fixed n the lag n-i of every kernel on the right is smaller than the
-    lag n-j being computed, so filling lags in increasing order closes the
-    recursion.
-    """
-    M = A.tm.M
-    tabs = A.A
-    out: list[np.ndarray] = [np.empty(0)]
-    for n in range(1, M + 1):
-        P = np.empty(n)
-        P[0] = 1.0 / tabs[n][0]
-        for lag in range(1, n):
-            j = n - lag
-            i = np.arange(j + 1, n + 1)
-            diff = np.array([tabs[ii][ii - j - 1] - tabs[ii][ii - j] for ii in i])
-            P[lag] = np.dot(diff, P[n - i]) / tabs[j][0]
-        out.append(P)
-    return ConvKernel(P=tuple(out))
-
-
-def _series_peak_log(alpha: float, absz: float) -> float:
-    """Natural log of the largest series term magnitude (precision budget)."""
-    peak, val, l = 0.0, 0.0, 1
-    lz = math.log(absz)
-    while l < 200000:
-        val = l * lz - math.lgamma(alpha * l + 1.0)
-        peak = max(peak, val)
-        if l > 10 and val < peak - 50.0:
-            break
-        l += 1
-    return peak
-
-
-def mittag_leffler_series(alpha: float, z: float) -> float:
-    """Defining series sum_l z^l / Gamma(alpha*l + 1), in adaptive precision.
-
-    For z < 0 the series cancels catastrophically (terms peak at exp of
-    hundreds while the sum is O(1)), so the working precision is scaled to
-    the largest term. alpha is promoted to an exact mpf before forming
-    Gamma(alpha*l + 1): per-term float rounding of alpha*l would otherwise
-    be amplified by the cancellation into O(1) absolute garbage.
-    """
-    if z == 0.0:
-        return 1.0
-    peak = _series_peak_log(alpha, abs(z))
-    dps = 30 + int(peak / math.log(10.0))
-    with mp.workdps(dps):
-        zz = mp.mpf(z)
-        aa = mp.mpf(alpha)
-        acc = mp.mpf(1)
-        tol = mp.mpf(10) ** (-(dps - 8))
-        tiny_run = 0
-        l = 1
-        while True:
-            term = mp.power(zz, l) / mp.gamma(aa * l + 1)
-            acc += term
-            tiny_run = tiny_run + 1 if abs(term) < tol else 0
-            if tiny_run >= 3:
-                break
-            l += 1
-            if l > 500000:
-                raise NumericError(
-                    f"Mittag-Leffler series did not converge for alpha={alpha}, z={z} "
-                    f"after {l} terms at {dps} digits"
-                )
-        return float(acc)
-
-
 def mittag_leffler_contour(alpha: float, z: float, npoints: int = 32) -> float:
     """Laplace-inversion route: E_alpha(z) = (1/2*pi*i) int e^s s^(a-1)/(s^a - z) ds
     on the parabola s = mu (1 + i u)^2, valid for z < 0.
@@ -206,14 +122,50 @@ def mittag_leffler_contour(alpha: float, z: float, npoints: int = 32) -> float:
     return val
 
 
+#: Term budget of the positive-argument series; a sum still growing after
+#: this many terms raises NumericError.
+ML_MAX_TERMS = 500_000
+
+
+def _mittag_leffler_positive(alpha: float, z: float) -> float:
+    """Defining series sum_l z^l / Gamma(alpha*l + 1) in float64, for 0 < z <= 5.
+
+    Every term is positive, so nothing cancels; terms are formed as
+    exp(l ln z - lgamma(alpha l + 1)). The log-terms are concave in l, so
+    once terms fall their ratio r only decreases and the tail after a term
+    t is below t r / (1 - r); the sum stops when that bound drops under
+    1e-17 of the total.
+    """
+    lz = math.log(z)
+    total, prev = 1.0, 1.0
+    for l in range(1, ML_MAX_TERMS + 1):
+        try:
+            term = math.exp(l * lz - math.lgamma(alpha * l + 1.0))
+        except OverflowError:
+            term = math.inf
+        total += term
+        if math.isinf(total):
+            raise NumericError(f"Mittag-Leffler E_{alpha}({z}) exceeds the float64 range")
+        r = term / prev
+        if r < 1.0 and term * r <= 1e-17 * total * (1.0 - r):
+            return total
+        prev = term
+    raise NumericError(
+        f"Mittag-Leffler series did not converge for alpha={alpha}, z={z} "
+        f"after {ML_MAX_TERMS} terms"
+    )
+
+
 @lru_cache(maxsize=65536)
 def mittag_leffler(alpha: float, z: float) -> float:
     """E_alpha(z) for 0 < alpha <= 1 and real z <= 5, to ~1e-12 relative.
 
     Routing: alpha = 1 is exp(z); negative arguments go to the contour route
-    (fast and uniformly accurate); [0, 5] uses the series, which has no
-    cancellation there. Larger positive arguments are outside the supported
-    range of this solver and are rejected.
+    (fast and uniformly accurate); (0, 5] sums the defining series in
+    float64, which has no cancellation there. Raises NumericError where
+    E_alpha(z) exceeds the float64 range (small alpha near z = 5). Larger
+    positive arguments are outside the supported range of this solver and
+    are rejected.
     """
     if not 0.0 < alpha <= 1.0:
         raise InvalidArgumentError(f"alpha must be in (0, 1], got {alpha}")
@@ -223,7 +175,9 @@ def mittag_leffler(alpha: float, z: float) -> float:
         return math.exp(z)
     if z < 0.0:
         return mittag_leffler_contour(alpha, z)
-    return mittag_leffler_series(alpha, z)
+    if z == 0.0:
+        return 1.0
+    return _mittag_leffler_positive(alpha, z)
 
 
 def _memory_weights(A: L1Kernel, n: int) -> np.ndarray:

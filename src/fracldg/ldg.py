@@ -22,9 +22,9 @@ path. K x is applied as Kx X + X Ky^T with X = x reshaped to (i r, j s).
 Eigendecomposing each block once, Kx = Qx diag(lx) Qx^T, solves every step
 exactly for any A_0^n by fast diagonalization (Lynch, Rice & Thomas, Numer.
 Math. 6, 1964): U = Qx [(Qx^T B Qy) / (A_0^n m + lx_i + ly_j)] Qy^T, with B
-and U the right-hand side and solution reshaped to (i r, j s). The sparse
-global K and system matrix are built on demand only, for oracles and
-diagnostics.
+and U the right-hand side and solution reshaped to (i r, j s). The module
+needs numpy only; the sparse 2D K is the one exception, a scipy matrix
+built on first access for residual recomputation outside the run path.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import (
     BasisSpec,
@@ -67,7 +66,6 @@ __all__ = [
     "StepGrid",
     "Trajectory",
     "assemble_operators",
-    "bilinear_form_B",
     "step",
     "solve",
 ]
@@ -155,8 +153,8 @@ class LdgOperators:
     apply_K; M is the scalar cell mass (the mass operator is M times
     identity). The step-n matrix is A_0^n * M * I + K; (Qx, lam_x) and
     (Qy, lam_y) are the eigenpairs of Kx and Ky that solve it. The sparse
-    K and system_matrix are built on first use, for oracles and diagnostics
-    only; no solve reads them.
+    K is built on first access, for residual recomputation outside the run
+    path; no solve reads it.
     """
 
     Kx: np.ndarray
@@ -175,8 +173,11 @@ class LdgOperators:
         return len(self.lam_x) * len(self.lam_y)
 
     @cached_property
-    def K(self) -> sp.csr_matrix:
-        """Sparse global K; (i, r, j, s) ordering: kronsum(Ky, Kx) = Kx (x) I + I (x) Ky."""
+    def K(self):
+        """Sparse global K as a scipy.sparse CSR matrix, built on first access;
+        (i, r, j, s) ordering: kronsum(Ky, Kx) = Kx (x) I + I (x) Ky."""
+        import scipy.sparse as sp
+
         return sp.kronsum(self.Ky, self.Kx, format="csr")
 
     def apply_K(self, x: np.ndarray) -> np.ndarray:
@@ -193,9 +194,6 @@ class LdgOperators:
         kk = self.basis.k + 1
         coeffs = vec.reshape(self.mesh.nx, kk, self.mesh.ny, kk).transpose(0, 2, 1, 3)
         return DgField(np.ascontiguousarray(coeffs), self.basis, self.mesh)
-
-    def system_matrix(self, a0: float) -> sp.csr_matrix:
-        return (a0 * self.M) * sp.eye(self.ndof, format="csr") + self.K
 
     def _diagonalized_solve(self, a0: float, b: np.ndarray) -> np.ndarray:
         B = b.reshape(len(self.lam_x), len(self.lam_y))
@@ -279,88 +277,6 @@ class Trajectory:
         return len(self.fields)
 
 
-def _x_interface_traces(f: DgField, t_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Traces at every x-interface i+1/2 (indexed by the left cell i), shape (nx, ny, q)."""
-    e_minus, e_plus = edge_values(f.basis.k)
-    Vt = legendre_values(f.basis.k, t_nodes)
-    minus = np.einsum("ijrs,r,qs->ijq", f.coeffs, e_plus, Vt)
-    plus = np.einsum("ijrs,r,qs->ijq", np.roll(f.coeffs, -1, axis=0), e_minus, Vt)
-    return minus, plus
-
-
-def _y_interface_traces(f: DgField, t_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Traces at every y-interface j+1/2 (indexed by the lower cell j), shape (nx, ny, q)."""
-    e_minus, e_plus = edge_values(f.basis.k)
-    Vt = legendre_values(f.basis.k, t_nodes)
-    minus = np.einsum("ijrs,qr,s->ijq", f.coeffs, Vt, e_plus)
-    plus = np.einsum("ijrs,qr,s->ijq", np.roll(f.coeffs, -1, axis=1), Vt, e_minus)
-    return minus, plus
-
-
-def bilinear_form_B(
-    u: DgField,
-    v: DgField,
-    p: tuple[DgField, DgField],
-    w: tuple[DgField, DgField],
-    fw: FluxWeights,
-) -> float:
-    """B(u, v; p, w) = (u, div w) - <u-hat, w . n> + (p, grad v) - <p-hat . n, v>.
-
-    Direct quadrature over cells and interfaces, independent of the operator
-    assembly; used as a cross-check oracle (its vanishing at v = u, w = p
-    under periodic boundaries is the energy identity of the scheme).
-    """
-    mesh, basis = u.mesh, u.basis
-    quad = gauss_rule(basis.default_quad_points)
-    V = legendre_values(basis.k, quad.nodes)
-    Vd = legendre_derivatives(basis.k, quad.nodes)
-    px, py = p
-    wx, wy = w
-    jac = mesh.hx * mesh.hy / 4.0
-    w2 = quad.weights[:, None] * quad.weights[None, :]
-
-    def vol(a: DgField, b_vals: np.ndarray) -> float:
-        return jac * float(np.einsum("ijqp,ijqp,qp->", a.eval_volume_quad(quad), b_vals, w2))
-
-    dwx = (2.0 / mesh.hx) * np.einsum("ijrs,qr,ps->ijqp", wx.coeffs, Vd, V)
-    dwy = (2.0 / mesh.hy) * np.einsum("ijrs,qr,ps->ijqp", wy.coeffs, V, Vd)
-    dvx = (2.0 / mesh.hx) * np.einsum("ijrs,qr,ps->ijqp", v.coeffs, Vd, V)
-    dvy = (2.0 / mesh.hy) * np.einsum("ijrs,qr,ps->ijqp", v.coeffs, V, Vd)
-
-    total = vol(u, dwx + dwy)
-    total += jac * float(
-        np.einsum(
-            "ijqp,ijqp,qp->",
-            px.eval_volume_quad(quad),
-            dvx,
-            w2,
-        )
-    ) + jac * float(np.einsum("ijqp,ijqp,qp->", py.eval_volume_quad(quad), dvy, w2))
-
-    # Interface sums: summing <., .> over cell boundaries pairs each interior
-    # interface twice with opposite normals, leaving flux * (trace- - trace+).
-    tn = quad.nodes
-    um, up = _x_interface_traces(u, tn)
-    wxm, wxp = _x_interface_traces(wx, tn)
-    vm, vp = _x_interface_traces(v, tn)
-    pxm, pxp = _x_interface_traces(px, tn)
-    uhat = fw.sigma1 * um + (1.0 - fw.sigma1) * up
-    pxhat = (1.0 - fw.sigma1) * pxm + fw.sigma1 * pxp
-    wq = quad.weights
-    total -= (mesh.hy / 2.0) * float(np.einsum("ijq,ijq,q->", uhat, wxm - wxp, wq))
-    total -= (mesh.hy / 2.0) * float(np.einsum("ijq,ijq,q->", pxhat, vm - vp, wq))
-
-    um, up = _y_interface_traces(u, tn)
-    wym, wyp = _y_interface_traces(wy, tn)
-    vm, vp = _y_interface_traces(v, tn)
-    pym, pyp = _y_interface_traces(py, tn)
-    uhat = fw.sigma2 * um + (1.0 - fw.sigma2) * up
-    pyhat = (1.0 - fw.sigma2) * pym + fw.sigma2 * pyp
-    total -= (mesh.hx / 2.0) * float(np.einsum("ijq,ijq,q->", uhat, wym - wyp, wq))
-    total -= (mesh.hx / 2.0) * float(np.einsum("ijq,ijq,q->", pyhat, vm - vp, wq))
-    return total
-
-
 @dataclass(frozen=True)
 class StepGrid:
     """Everything a step reads at the volume quadrature points that does not
@@ -386,7 +302,7 @@ class StepGrid:
             x=X[:, None, :, None],
             y=Y[None, :, None, :],
             WV=quad.weights[:, None] * quad_vandermonde(basis.k, quad.npoints),
-            kappa=eval_on_grid(lambda x, y: prob.kappa(x, y), mesh, quad),
+            kappa=eval_on_grid(prob.kappa, mesh, quad),
         )
 
 
@@ -474,7 +390,7 @@ def solve(
     A = l1_coefficients(tm, prob.alpha)
     grid = StepGrid.build(prob, mesh, basis, quad)
     _check_tempering_range(prob, tm, grid.kappa)
-    u0 = l2_project(lambda x, y: prob.u0(x, y), mesh, basis, quad)
+    u0 = l2_project(prob.u0, mesh, basis, quad)
     fields = [u0]
     tempered = np.empty((tm.M + 1,) + grid.kappa.shape)
     tempered[0] = u0.eval_volume_quad(quad)  # e^{kappa t_0} = 1

@@ -1,26 +1,50 @@
-"""Independent reference implementations used to cross-check the package.
+"""Reference implementations and proof devices used only by the tests.
 
-Everything here is deliberately built by a different route than the library
-code: dense loop-based assembly instead of Kronecker products, adaptive
-panel quadrature instead of closed-form coefficient tables, and dense SVD
-instead of power iteration. Slow and simple on purpose.
+Two kinds of code live here. The cross-check oracles are deliberately built
+by a different route than the library code: dense loop-based assembly
+instead of Kronecker products, adaptive panel quadrature instead of
+closed-form coefficient tables, dense SVD instead of power iteration, and
+an adaptive-precision Mittag-Leffler series instead of the float one. Slow
+and simple on purpose.
+
+The proof devices are objects of the stability and convergence analysis
+that no run needs: the weighted-trace projections P and Q, the bilinear
+form B with its interface traces, one-sided edge traces, the sparse system
+matrix, and the complementary convolution kernels P^n of the L1 table. The
+tests check the properties the analysis claims for them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from typing import Callable
 
+import mpmath as mp
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import svdvals
 
 from fracldg.analysis import _power_lambda_max
-from fracldg.basis import eval_on_grid, gauss_rule, l2_project, quad_vandermonde
+from fracldg.basis import (
+    BasisSpec,
+    DgField,
+    QuadRule,
+    edge_values,
+    eval_on_grid,
+    gauss_rule,
+    l2_project,
+    legendre_derivatives,
+    legendre_values,
+    quad_vandermonde,
+    volume_quad_points,
+)
 from fracldg.errors import InvalidArgumentError, NumericError
-from fracldg.fractional import l1_coefficients, substantial_history
-from fracldg.ldg import _check_tempering_range, assemble_operators
+from fracldg.fractional import L1Kernel, l1_coefficients, substantial_history
+from fracldg.ldg import FluxWeights, LdgOperators, _check_tempering_range, assemble_operators
 
 
 def orthonormal_legendre_value(r: int, x: float) -> float:
@@ -271,3 +295,376 @@ def solve_stepwise(prob, mesh, tm, basis, fw) -> list:
         fields.append(u_n)
         tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(quad)
     return fields
+
+
+def mittag_leffler_series(alpha: float, z: float) -> float:
+    """Defining series sum_l z^l / Gamma(alpha*l + 1), in adaptive precision.
+
+    For z < 0 the series cancels catastrophically (terms peak at exp of
+    hundreds while the sum is O(1)), so the working precision is scaled to
+    the largest term. alpha is promoted to an exact mpf before forming
+    Gamma(alpha*l + 1): per-term float rounding of alpha*l would otherwise
+    be amplified by the cancellation into O(1) absolute garbage.
+    """
+    if z == 0.0:
+        return 1.0
+    peak = _series_peak_log(alpha, abs(z))
+    dps = 30 + int(peak / math.log(10.0))
+    with mp.workdps(dps):
+        zz = mp.mpf(z)
+        aa = mp.mpf(alpha)
+        acc = mp.mpf(1)
+        tol = mp.mpf(10) ** (-(dps - 8))
+        tiny_run = 0
+        l = 1
+        while True:
+            term = mp.power(zz, l) / mp.gamma(aa * l + 1)
+            acc += term
+            tiny_run = tiny_run + 1 if abs(term) < tol else 0
+            if tiny_run >= 3:
+                break
+            l += 1
+            if l > 500000:
+                raise NumericError(
+                    f"Mittag-Leffler series did not converge for alpha={alpha}, z={z} "
+                    f"after {l} terms at {dps} digits"
+                )
+        return float(acc)
+
+
+def _series_peak_log(alpha: float, absz: float) -> float:
+    """Natural log of the largest series term magnitude (precision budget)."""
+    peak, val, l = 0.0, 0.0, 1
+    lz = math.log(absz)
+    while l < 200000:
+        val = l * lz - math.lgamma(alpha * l + 1.0)
+        peak = max(peak, val)
+        if l > 10 and val < peak - 50.0:
+            break
+        l += 1
+    return peak
+
+
+# ---------------------------------------------------------------------------
+# Proof devices: objects of the stability and convergence analysis.
+# ---------------------------------------------------------------------------
+
+
+def system_matrix(ops: LdgOperators, a0: float) -> sp.csr_matrix:
+    """Sparse step matrix a0 * M * I + K, from the on-demand sparse ops.K."""
+    return (a0 * ops.M) * sp.eye(ops.ndof, format="csr") + ops.K
+
+
+@dataclass(frozen=True)
+class ConvKernel:
+    """Complementary discrete convolution kernels.
+
+    P[n] is the array (P_0^n, ..., P_{n-1}^n); they invert the L1 table in
+    the sense sum_{j=m}^{n} P_{n-j}^n A_{j-m}^j = 1 for all 1 <= m <= n.
+    """
+
+    P: tuple[np.ndarray, ...] = field(repr=False)
+
+
+def convolution_kernel(A: L1Kernel) -> ConvKernel:
+    """Complementary kernels by the recursive definition.
+
+    P_0^n = 1/A_0^n;
+    P_{n-j}^n = (1/A_0^j) * sum_{i=j+1}^{n} (A_{i-j-1}^i - A_{i-j}^i) P_{n-i}^n.
+
+    For fixed n the lag n-i of every kernel on the right is smaller than the
+    lag n-j being computed, so filling lags in increasing order closes the
+    recursion.
+    """
+    M = A.tm.M
+    tabs = A.A
+    out: list[np.ndarray] = [np.empty(0)]
+    for n in range(1, M + 1):
+        P = np.empty(n)
+        P[0] = 1.0 / tabs[n][0]
+        for lag in range(1, n):
+            j = n - lag
+            i = np.arange(j + 1, n + 1)
+            diff = np.array([tabs[ii][ii - j - 1] - tabs[ii][ii - j] for ii in i])
+            P[lag] = np.dot(diff, P[n - i]) / tabs[j][0]
+        out.append(P)
+    return ConvKernel(P=tuple(out))
+
+
+_EDGE_AXES = {"E": ("x", +1), "W": ("x", -1), "N": ("y", +1), "S": ("y", -1)}
+
+
+def edge_trace(
+    f: DgField,
+    cell: tuple[int, int],
+    edge: str,
+    side: str,
+    t1d: float | np.ndarray,
+) -> float | np.ndarray:
+    """One-sided trace of f on an edge of `cell` at tangential reference coordinate t1d.
+
+    edge: 'E'/'W' are the x-normal interfaces at x_{i+1/2} / x_{i-1/2};
+    'N'/'S' the y-normal ones. side '-' takes the limit from the cell on the
+    negative side of the interface, '+' from the positive side, with periodic
+    neighbor lookup across the domain boundary.
+    """
+    if edge not in _EDGE_AXES:
+        raise InvalidArgumentError(f"edge must be one of E/W/N/S, got {edge!r}")
+    if side not in ("-", "+"):
+        raise InvalidArgumentError(f"side must be '-' or '+', got {side!r}")
+    axis, orient = _EDGE_AXES[edge]
+    i, j = cell
+    k = f.basis.k
+    e_minus, e_plus = edge_values(k)
+    # Which cell owns the requested one-sided limit, and at which reference
+    # abscissa the normal coordinate sits in that cell.
+    if axis == "x":
+        iface = i if orient < 0 else i + 1  # interface index i-1/2 or i+1/2
+        if side == "-":
+            ci, normal_vec = (iface - 1) % f.mesh.nx, e_plus
+        else:
+            ci, normal_vec = iface % f.mesh.nx, e_minus
+        cj = j % f.mesh.ny
+        Vt = legendre_values(k, np.atleast_1d(t1d))
+        vals = np.einsum("rs,r,qs->q", f.coeffs[ci, cj], normal_vec, Vt)
+    else:
+        iface = j if orient < 0 else j + 1
+        if side == "-":
+            cj, normal_vec = (iface - 1) % f.mesh.ny, e_plus
+        else:
+            cj, normal_vec = iface % f.mesh.ny, e_minus
+        ci = i % f.mesh.nx
+        Vt = legendre_values(k, np.atleast_1d(t1d))
+        vals = np.einsum("rs,qr,s->q", f.coeffs[ci, cj], Vt, normal_vec)
+    if np.isscalar(t1d):
+        return float(vals[0])
+    return vals
+
+
+def _x_interface_traces(f: DgField, t_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Traces at every x-interface i+1/2 (indexed by the left cell i), shape (nx, ny, q)."""
+    e_minus, e_plus = edge_values(f.basis.k)
+    Vt = legendre_values(f.basis.k, t_nodes)
+    minus = np.einsum("ijrs,r,qs->ijq", f.coeffs, e_plus, Vt)
+    plus = np.einsum("ijrs,r,qs->ijq", np.roll(f.coeffs, -1, axis=0), e_minus, Vt)
+    return minus, plus
+
+
+def _y_interface_traces(f: DgField, t_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Traces at every y-interface j+1/2 (indexed by the lower cell j), shape (nx, ny, q)."""
+    e_minus, e_plus = edge_values(f.basis.k)
+    Vt = legendre_values(f.basis.k, t_nodes)
+    minus = np.einsum("ijrs,qr,s->ijq", f.coeffs, Vt, e_plus)
+    plus = np.einsum("ijrs,qr,s->ijq", np.roll(f.coeffs, -1, axis=1), Vt, e_minus)
+    return minus, plus
+
+
+def bilinear_form_B(
+    u: DgField,
+    v: DgField,
+    p: tuple[DgField, DgField],
+    w: tuple[DgField, DgField],
+    fw: FluxWeights,
+) -> float:
+    """B(u, v; p, w) = (u, div w) - <u-hat, w . n> + (p, grad v) - <p-hat . n, v>.
+
+    Direct quadrature over cells and interfaces, independent of the operator
+    assembly; used as a cross-check oracle (its vanishing at v = u, w = p
+    under periodic boundaries is the energy identity of the scheme).
+    """
+    mesh, basis = u.mesh, u.basis
+    quad = gauss_rule(basis.default_quad_points)
+    V = legendre_values(basis.k, quad.nodes)
+    Vd = legendre_derivatives(basis.k, quad.nodes)
+    px, py = p
+    wx, wy = w
+    jac = mesh.hx * mesh.hy / 4.0
+    w2 = quad.weights[:, None] * quad.weights[None, :]
+
+    def vol(a: DgField, b_vals: np.ndarray) -> float:
+        return jac * float(np.einsum("ijqp,ijqp,qp->", a.eval_volume_quad(quad), b_vals, w2))
+
+    dwx = (2.0 / mesh.hx) * np.einsum("ijrs,qr,ps->ijqp", wx.coeffs, Vd, V)
+    dwy = (2.0 / mesh.hy) * np.einsum("ijrs,qr,ps->ijqp", wy.coeffs, V, Vd)
+    dvx = (2.0 / mesh.hx) * np.einsum("ijrs,qr,ps->ijqp", v.coeffs, Vd, V)
+    dvy = (2.0 / mesh.hy) * np.einsum("ijrs,qr,ps->ijqp", v.coeffs, V, Vd)
+
+    total = vol(u, dwx + dwy)
+    total += jac * float(
+        np.einsum(
+            "ijqp,ijqp,qp->",
+            px.eval_volume_quad(quad),
+            dvx,
+            w2,
+        )
+    ) + jac * float(np.einsum("ijqp,ijqp,qp->", py.eval_volume_quad(quad), dvy, w2))
+
+    # Interface sums: summing <., .> over cell boundaries pairs each interior
+    # interface twice with opposite normals, leaving flux * (trace- - trace+).
+    tn = quad.nodes
+    um, up = _x_interface_traces(u, tn)
+    wxm, wxp = _x_interface_traces(wx, tn)
+    vm, vp = _x_interface_traces(v, tn)
+    pxm, pxp = _x_interface_traces(px, tn)
+    uhat = fw.sigma1 * um + (1.0 - fw.sigma1) * up
+    pxhat = (1.0 - fw.sigma1) * pxm + fw.sigma1 * pxp
+    wq = quad.weights
+    total -= (mesh.hy / 2.0) * float(np.einsum("ijq,ijq,q->", uhat, wxm - wxp, wq))
+    total -= (mesh.hy / 2.0) * float(np.einsum("ijq,ijq,q->", pxhat, vm - vp, wq))
+
+    um, up = _y_interface_traces(u, tn)
+    wym, wyp = _y_interface_traces(wy, tn)
+    vm, vp = _y_interface_traces(v, tn)
+    pym, pyp = _y_interface_traces(py, tn)
+    uhat = fw.sigma2 * um + (1.0 - fw.sigma2) * up
+    pyhat = (1.0 - fw.sigma2) * pym + fw.sigma2 * pyp
+    total -= (mesh.hx / 2.0) * float(np.einsum("ijq,ijq,q->", uhat, wym - wyp, wq))
+    total -= (mesh.hx / 2.0) * float(np.einsum("ijq,ijq,q->", pyhat, vm - vp, wq))
+    return total
+
+
+SpaceFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _edge_moment_quad(k: int) -> QuadRule:
+    return gauss_rule(k + 4)
+
+
+def _interface_solve(sigma: float, n: int, rhs: np.ndarray, e_plus_k: float, e_minus_k: float) -> np.ndarray:
+    """Solve the periodic bidiagonal system sigma*e+ * x_i + (1-sigma)*e- * x_{i+1} = rhs_i.
+
+    rhs has the interface axis first; remaining axes are solved batched.
+    """
+    col = np.zeros(n)
+    col[0] = sigma * e_plus_k
+    col[-1] = (1.0 - sigma) * e_minus_k
+    try:
+        return scipy.linalg.solve_circulant(col, rhs, singular="raise", baxis=0, outaxis=0)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidArgumentError(
+            f"weighted-trace projection is singular at weight {sigma}"
+        ) from exc
+
+
+def _edge_values_x(u: SpaceFn, mesh, quad: QuadRule, k: int) -> np.ndarray:
+    """Moments of u along every x-interface: out[i, j, s] = (2/hy) int_{J_j} u(x_{i+1/2}, y) phi_s(y) dy."""
+    V = legendre_values(k, quad.nodes)
+    x_if = mesh.x_edges[1:]
+    _, Y = volume_quad_points(mesh, quad)
+    vals = u(x_if[:, None, None], Y[None, :, :])
+    return np.einsum("ijq,qs->ijs", vals, quad.weights[:, None] * V)
+
+
+def _edge_values_y(u: SpaceFn, mesh, quad: QuadRule, k: int) -> np.ndarray:
+    """Moments of u along every y-interface: out[i, j, r] = (2/hx) int_{I_i} u(x, y_{j+1/2}) phi_r(x) dx."""
+    V = legendre_values(k, quad.nodes)
+    y_if = mesh.y_edges[1:]
+    X, _ = volume_quad_points(mesh, quad)
+    vals = u(X[:, None, :], y_if[None, :, None])
+    return np.einsum("ijq,qr->ijr", vals, quad.weights[:, None] * V)
+
+
+def project_P(u: SpaceFn, fw: FluxWeights, mesh, basis: BasisSpec) -> DgField:
+    """Weighted-trace projection matching the scheme's u-flux in both axes.
+
+    Defining conditions per cell: interior moments against all modes of
+    degree < k in each axis, weighted-average moments across every
+    x-interface against y-modes of degree < k (and symmetrically in y), and
+    the doubly weighted point value at every cell corner. Interface and
+    corner conditions couple neighbor cells; periodicity makes each coupled
+    family circulant along its mesh line.
+    """
+    if fw.sigma1 == 0.5 or fw.sigma2 == 0.5:
+        raise InvalidArgumentError("weighted-trace projection requires weights != 1/2")
+    k = basis.k
+    quad = _edge_moment_quad(k)
+    e_minus, e_plus = edge_values(k)
+    full = l2_project(u, mesh, basis, quad)
+    c = np.zeros_like(full.coeffs)
+    if k >= 1:
+        c[:, :, : k, : k] = full.coeffs[:, :, : k, : k]
+
+        # x-interface conditions determine the (k, s) coefficients, s < k.
+        U = _edge_values_x(u, mesh, quad, k)[:, :, :k]
+        rhs = (
+            U
+            - fw.sigma1 * np.einsum("ijas,a->ijs", c[:, :, :k, :k], e_plus[:k])
+            - (1.0 - fw.sigma1)
+            * np.einsum("ijas,a->ijs", np.roll(c[:, :, :k, :k], -1, axis=0), e_minus[:k])
+        )
+        sol = _interface_solve(fw.sigma1, mesh.nx, rhs.reshape(mesh.nx, -1), e_plus[k], e_minus[k])
+        c[:, :, k, :k] = sol.reshape(rhs.shape)
+
+        # y-interface conditions determine the (r, k) coefficients, r < k.
+        V = _edge_values_y(u, mesh, quad, k)[:, :, :k]
+        rhs = (
+            V
+            - fw.sigma2 * np.einsum("ijrb,b->ijr", c[:, :, :k, :k], e_plus[:k])
+            - (1.0 - fw.sigma2)
+            * np.einsum("ijrb,b->ijr", np.roll(c[:, :, :k, :k], -1, axis=1), e_minus[:k])
+        )
+        rhs_j_first = rhs.transpose(1, 0, 2).reshape(mesh.ny, -1)
+        sol = _interface_solve(fw.sigma2, mesh.ny, rhs_j_first, e_plus[k], e_minus[k])
+        c[:, :, :k, k] = sol.reshape(mesh.ny, mesh.nx, k).transpose(1, 0, 2)
+
+    # Corner conditions determine the (k, k) coefficients through the tensor
+    # product of the two interface operators.
+    corners = u(mesh.x_edges[1:, None], mesh.y_edges[None, 1:])
+    trace_pp = np.einsum("ijab,a,b->ij", c, e_plus, e_plus)
+    trace_pm = np.einsum("ijab,a,b->ij", c, e_plus, e_minus)
+    trace_mp = np.einsum("ijab,a,b->ij", c, e_minus, e_plus)
+    trace_mm = np.einsum("ijab,a,b->ij", c, e_minus, e_minus)
+    s1, s2 = fw.sigma1, fw.sigma2
+    known = (
+        s1 * s2 * trace_pp
+        + s1 * (1.0 - s2) * np.roll(trace_pm, -1, axis=1)
+        + (1.0 - s1) * s2 * np.roll(trace_mp, -1, axis=0)
+        + (1.0 - s1) * (1.0 - s2) * np.roll(np.roll(trace_mm, -1, axis=0), -1, axis=1)
+    )
+    rhs = corners - known
+    w = _interface_solve(s1, mesh.nx, rhs, e_plus[k], e_minus[k])
+    z = _interface_solve(s2, mesh.ny, w.T, e_plus[k], e_minus[k]).T
+    c[:, :, k, k] = z
+    return DgField(c, basis, mesh)
+
+
+def project_Q(u: SpaceFn, sigma: float, axis: str, mesh, basis: BasisSpec) -> DgField:
+    """Single-axis weighted-trace projection.
+
+    Matches interior moments against modes of degree < k in the chosen axis
+    (all degrees in the other axis) plus weighted-average moments across
+    every interface of that axis against all transverse modes.
+    """
+    if sigma == 0.5:
+        raise InvalidArgumentError("weighted-trace projection requires weight != 1/2")
+    if axis not in ("x", "y"):
+        raise InvalidArgumentError(f"axis must be 'x' or 'y', got {axis!r}")
+    k = basis.k
+    quad = _edge_moment_quad(k)
+    e_minus, e_plus = edge_values(k)
+    full = l2_project(u, mesh, basis, quad)
+    c = np.zeros_like(full.coeffs)
+    if axis == "x":
+        c[:, :, :k, :] = full.coeffs[:, :, :k, :]
+        U = _edge_values_x(u, mesh, quad, k)
+        rhs = (
+            U
+            - sigma * np.einsum("ijas,a->ijs", c[:, :, :k, :], e_plus[:k])
+            - (1.0 - sigma)
+            * np.einsum("ijas,a->ijs", np.roll(c[:, :, :k, :], -1, axis=0), e_minus[:k])
+        )
+        sol = _interface_solve(sigma, mesh.nx, rhs.reshape(mesh.nx, -1), e_plus[k], e_minus[k])
+        c[:, :, k, :] = sol.reshape(rhs.shape)
+    else:
+        c[:, :, :, :k] = full.coeffs[:, :, :, :k]
+        V = _edge_values_y(u, mesh, quad, k)
+        rhs = (
+            V
+            - sigma * np.einsum("ijrb,b->ijr", c[:, :, :, :k], e_plus[:k])
+            - (1.0 - sigma)
+            * np.einsum("ijrb,b->ijr", np.roll(c[:, :, :, :k], -1, axis=1), e_minus[:k])
+        )
+        rhs_j_first = rhs.transpose(1, 0, 2).reshape(mesh.ny, -1)
+        sol = _interface_solve(sigma, mesh.ny, rhs_j_first, e_plus[k], e_minus[k])
+        c[:, :, :, k] = sol.reshape(mesh.ny, mesh.nx, k + 1).transpose(1, 0, 2)
+    return DgField(c, basis, mesh)

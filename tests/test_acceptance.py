@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
-from fracldg.analysis import project_P, project_Q, rates
+from fracldg.analysis import rates
 from fracldg.basis import (
     BasisSpec,
     DgField,
@@ -32,25 +32,26 @@ from fracldg.basis import (
 )
 from fracldg.cli import _RUNNERS, load_config, main
 from fracldg.fractional import (
-    convolution_kernel,
     l1_coefficients,
     mittag_leffler,
     mittag_leffler_contour,
-    mittag_leffler_series,
     substantial_history,
 )
-from fracldg.ldg import (
-    FluxWeights,
-    _x_interface_traces,
-    _y_interface_traces,
-    assemble_operators,
-    bilinear_form_B,
-    solve,
-)
+from fracldg.ldg import FluxWeights, assemble_operators, solve
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import ProblemSpec
 
-from oracles import complementary_kernels_by_inversion, dense_directional_operator
+from oracles import (
+    _x_interface_traces,
+    _y_interface_traces,
+    bilinear_form_B,
+    complementary_kernels_by_inversion,
+    convolution_kernel,
+    dense_directional_operator,
+    mittag_leffler_series,
+    project_P,
+    project_Q,
+)
 
 FLUXES = [(1.0, 0.0), (0.0, 1.0), (0.7, 0.2), (0.3, 0.8)]
 MESHES = (8, 16, 32)

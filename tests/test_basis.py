@@ -9,7 +9,6 @@ from numpy.polynomial import legendre as npleg
 from fracldg.basis import (
     BasisSpec,
     DgField,
-    edge_trace,
     edge_values,
     field_eval,
     gauss_rule,
@@ -24,7 +23,7 @@ from fracldg.ldg import FluxWeights, solve
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import example1
 
-from oracles import orthonormal_legendre_derivative, orthonormal_legendre_value
+from oracles import edge_trace, orthonormal_legendre_derivative, orthonormal_legendre_value
 
 
 def test_gauss_rule_exactness():

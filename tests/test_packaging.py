@@ -1,0 +1,132 @@
+"""The shipped package is numpy + PyYAML only, and its exports resolve.
+
+The runtime-import guard runs the CLI in a fresh interpreter and checks that
+neither scipy nor mpmath was loaded; the AST audit checks the same statically
+for every module, with the sparse K of LdgOperators as the single on-demand
+exception.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fracldg
+from fracldg.basis import BasisSpec
+from fracldg.ldg import FluxWeights, assemble_operators
+from fracldg.meshes import build_spatial_mesh
+
+PACKAGE_DIR = Path(fracldg.__file__).resolve().parent
+REPO = PACKAGE_DIR.parents[1]
+SUBMODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+
+#: Proof devices and oracles that live in tests/oracles.py only.
+MOVED = (
+    "ConvKernel",
+    "convolution_kernel",
+    "bilinear_form_B",
+    "project_P",
+    "project_Q",
+    "edge_trace",
+    "mittag_leffler_series",
+)
+
+_CHILD = (
+    "import sys\n"
+    "from fracldg.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "heavy = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath'))\n"
+    "print(rc, len(heavy), ' '.join(heavy[:5]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["table6-row1", str(REPO / "perfbench" / "configs" / "long-memory.yaml")],
+    ids=["table6-row1", "long-memory"],
+)
+def test_cli_run_loads_neither_scipy_nor_mpmath(tmp_path, config):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, "run", "--config", config,
+         "--out", str(tmp_path), "--check", "--deterministic"],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, count, *names = proc.stdout.splitlines()[-1].split()
+    assert rc == "0"
+    assert count == "0", names
+
+
+def _third_party_imports(path: Path) -> list[tuple[str, str]]:
+    """(enclosing class/function path, module) of every absolute import in
+    path whose top-level package is outside the standard library."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                modules = [child.module]
+            else:
+                visit(child, scope)
+                continue
+            for module in modules:
+                if module.split(".")[0] not in sys.stdlib_module_names:
+                    found.append((".".join(scope), module))
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_modules_import_only_numpy_and_yaml():
+    exceptions = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for scope, module in _third_party_imports(path):
+            if module.split(".")[0] not in ("numpy", "yaml"):
+                exceptions.append((path.name, scope, module))
+    assert exceptions == [("ldg.py", "LdgOperators.K", "scipy.sparse")]
+
+
+def test_sparse_K_builds_on_demand():
+    ops = assemble_operators(build_spatial_mesh(3, 2), BasisSpec(1), FluxWeights(1.0, 0.0))
+    assert "K" not in vars(ops)
+    K = ops.K
+    assert K.format == "csr" and K.shape == (ops.ndof, ops.ndof)
+    assert ops.K is K
+    x = np.random.default_rng(3).standard_normal(ops.ndof)
+    np.testing.assert_allclose(K @ x, ops.apply_K(x), rtol=0.0, atol=1e-12 * np.max(np.abs(K @ x)))
+
+
+def test_package_exports_resolve():
+    for name in fracldg.__all__:
+        assert getattr(fracldg, name) is not None, name
+    for name, module in fracldg._LAZY.items():
+        assert module in SUBMODULES, name
+        assert getattr(fracldg, name) is getattr(importlib.import_module(f"fracldg.{module}"), name)
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_exports_resolve(module):
+    mod = importlib.import_module(f"fracldg.{module}")
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), f"fracldg.{module}.{name}"
+    assert not set(MOVED) & set(getattr(mod, "__all__", ())), module
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_moved_names_are_not_exported(name):
+    with pytest.raises(AttributeError):
+        getattr(fracldg, name)
+    assert name not in dir(fracldg)
