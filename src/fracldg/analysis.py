@@ -178,9 +178,7 @@ def condition_number(ops: LdgOperators, A: L1Kernel, M: int) -> float:
     through ops.solve_system, (D S D)^-1 v = D^-1 S^-1 D^-1 v, so no matrix
     is factorized.
     """
-    if not 1 <= M < len(A.A):
-        raise InvalidArgumentError(f"step index {M} outside 1..{len(A.A) - 1}")
-    a0 = A.A[M][0]
+    a0 = A.a0(M)  # raises InvalidArgumentError unless 1 <= M <= A.tm.M
     inv_norm = 1.0 / np.sqrt(np.arange(ops.basis.k + 1) + 0.5)
     # Solver order (i, r, j, s): mode (r, s) is scaled by inv_norm[r] * inv_norm[s].
     d = np.kron(np.kron(np.ones(ops.mesh.nx), inv_norm), np.kron(np.ones(ops.mesh.ny), inv_norm))

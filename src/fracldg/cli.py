@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
@@ -431,14 +431,19 @@ def _run_condition(cfg: ExperimentConfig):
 
     mesh = build_spatial_mesh(cfg.nx, cfg.nx)
     labels, values, groups = [], [], []
+    # Rows differ in (degree, alpha, gamma); the operators depend only on
+    # the degree and the flux pair, so each pair is assembled once.
+    operators = {}
     for row in cfg.cond_rows:
         basis = BasisSpec(row.degree)
         tm = build_graded_time_mesh(cfg.M, row.gamma, cfg.T)
         A = l1_coefficients(tm, row.alpha)
         group_vals = []
         for s1, s2 in cfg.flux_list:
-            ops = assemble_operators(mesh, basis, FluxWeights(s1, s2))
-            c2 = condition_number(ops, A, cfg.M)
+            key = (row.degree, s1, s2)
+            if key not in operators:
+                operators[key] = assemble_operators(mesh, basis, FluxWeights(s1, s2))
+            c2 = condition_number(operators[key], A, cfg.M)
             labels.append(f"Q{row.degree} alpha={row.alpha:g} flux={s1:g}:{s2:g}")
             values.append(c2)
             group_vals.append(c2)

@@ -23,6 +23,12 @@ adds its panel row to a sum over the fewer than HISTORY_PANEL levels written
 since. The stored levels are read once per panel instead of once per step,
 which cuts the memory traffic of the sum by the panel factor.
 
+No table of L1 coefficients is kept: L1Kernel holds alpha and the time mesh,
+and each panel and each step evaluates the coefficients it reads from their
+closed form, a HISTORY_PANEL x M block per panel and at most HISTORY_PANEL
+values per step. The flops stay O(M^2) per run; the coefficient memory drops
+from M (M + 1) / 2 stored values to that transient block.
+
 The Mittag-Leffler function E_alpha gives example1 its closed-form
 solution. Negative arguments, the only ones a shipped run evaluates, take
 a Laplace-inversion contour; arguments in (0, 5] sum the defining series
@@ -59,42 +65,88 @@ HISTORY_PANEL = 32
 
 @dataclass(frozen=True)
 class L1Kernel:
-    """Triangular table of L1 coefficients.
+    """L1 coefficients of fractional order alpha on a time mesh, evaluated on
+    demand from their closed form; no table is stored.
 
-    A[n] is the array (A_0^n, ..., A_{n-1}^n) for n = 1..M; A[0] is empty.
-    The chain A_0^n >= A_1^n >= ... >= A_{n-1}^n > 0 holds on any admissible
-    mesh and is what the stability results lean on.
+    Step n weighs the interval (t_j, t_{j+1}) of level j < n with
+    a_j^n = A_{n-1-j}^n, and row(n) is (A_0^n, ..., A_{n-1}^n). The chain
+    A_0^n >= A_1^n >= ... >= A_{n-1}^n > 0 holds on any admissible mesh and
+    is what the stability results lean on.
     """
 
     alpha: float
     tm: GradedTimeMesh = field(repr=False)
-    A: tuple[np.ndarray, ...] = field(repr=False)
+
+    def row(self, n: int) -> np.ndarray:
+        """(A_0^n, ..., A_{n-1}^n); empty for n = 0."""
+        if not 0 <= n <= self.tm.M:
+            raise InvalidArgumentError(f"step index {n} outside 0..{self.tm.M}")
+        return _interval_weights(self, n, 0, n)[::-1]
+
+    def a0(self, n: int) -> float:
+        """A_0^n = tau_n^(1-a) / (Gamma(2-a) tau_n), the weight of the newest
+        interval and the mass factor of the step-n system.
+
+        Nothing cancels here, so the expm1/log1p form is skipped. Where tau
+        is the difference of t, as build_graded_time_mesh makes it, that form
+        reduces to this one exactly (log1p(-1) = -inf, expm1(-inf) = -1), and
+        both give the same bits.
+        """
+        if not 1 <= n <= self.tm.M:
+            raise InvalidArgumentError(f"step index {n} outside 1..{self.tm.M}")
+        step_tau = self.tm.tau[n - 1 : n]
+        a = step_tau ** (1.0 - self.alpha) / (math.gamma(2.0 - self.alpha) * step_tau)
+        return float(a[0])
+
+
+def _interval_weights(A: L1Kernel, n, lo: int, stop: int) -> np.ndarray:
+    """a_j^n = A_{n-1-j}^n for the levels j = lo, ..., stop - 1 (stop <= n),
+    the weight of the interval (t_j, t_{j+1}) at step n. n is a step index,
+    or a column of them, shape (rows, 1), for a (rows, stop - lo) block.
+
+    A_{n-1-j}^n = ((t_n - t_j)^{1-a} - (t_n - t_{j+1})^{1-a}) / (Gamma(2-a) tau_j)
+    is evaluated as x^(1-a) * (-expm1((1-a) * log1p(-tau_j/x))) with
+    x = t_n - t_j: on strongly graded meshes the two powers agree to many
+    digits and the naive subtraction loses enough precision to break the
+    monotone ordering of the tail weights.
+    """
+    t, tau, alpha = A.tm.t, A.tm.tau, A.alpha
+    x = t[n] - t[lo:stop]
+    step_tau = tau[lo:stop]
+    with np.errstate(divide="ignore"):
+        ratio = np.expm1((1.0 - alpha) * np.log1p(-step_tau / x))
+    return -ratio * x ** (1.0 - alpha) / (math.gamma(2.0 - alpha) * step_tau)
+
+
+def _memory_weights(A: L1Kernel, n, start: int, stop: int) -> np.ndarray:
+    """Memory weights c_j^n of the levels j = start, ..., stop - 1, shaped as
+    _interval_weights: c_0^n = -a_0^n and c_j^n = a_{j-1}^n - a_j^n, the
+    weight of the tempered level w_j in substantial_history. Only the
+    interval weights from max(start - 1, 0) on are evaluated.
+    """
+    if start > 0:
+        a = _interval_weights(A, n, start - 1, stop)
+        return a[..., :-1] - a[..., 1:]
+    a = _interval_weights(A, n, 0, stop)
+    c = np.empty_like(a)
+    c[..., 0] = -a[..., 0]
+    c[..., 1:] = a[..., :-1] - a[..., 1:]
+    return c
 
 
 def l1_coefficients(tm: GradedTimeMesh, alpha: float) -> L1Kernel:
-    """Build the full L1 coefficient table for fractional order alpha in (0,1).
+    """L1 kernel of fractional order alpha in (0, 1) on the mesh tm.
 
     A_{i-1}^n = ((t_n - t_{n-i})^{1-a} - (t_n - t_{n-i+1})^{1-a})
                 / (Gamma(2-a) * tau_{n-i+1}),   i = 1..n.
 
-    The power difference is evaluated as x^(1-a) * (-expm1((1-a) *
-    log1p(-tau/x))) with x = t_n - t_{n-i}: on strongly graded meshes the
-    two powers agree to many digits and the naive subtraction loses enough
-    precision to break the monotone ordering of the tail weights.
+    Nothing is tabulated: history_panel and substantial_history evaluate the
+    coefficients they read, so a run holds at most a HISTORY_PANEL x M block
+    of them at a time instead of all M (M + 1) / 2.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
-    t, tau = tm.t, tm.tau
-    g = math.gamma(2.0 - alpha)
-    tables: list[np.ndarray] = [np.empty(0)]
-    for n in range(1, tm.M + 1):
-        i = np.arange(1, n + 1)
-        x = t[n] - t[n - i]
-        step_tau = tau[n - i]
-        with np.errstate(divide="ignore"):
-            ratio = np.expm1((1.0 - alpha) * np.log1p(-step_tau / x))
-        tables.append(-ratio * x ** (1.0 - alpha) / (g * step_tau))
-    return L1Kernel(alpha=float(alpha), tm=tm, A=tuple(tables))
+    return L1Kernel(alpha=float(alpha), tm=tm)
 
 
 def mittag_leffler_contour(alpha: float, z: float, npoints: int = 32) -> float:
@@ -180,16 +232,6 @@ def mittag_leffler(alpha: float, z: float) -> float:
     return _mittag_leffler_positive(alpha, z)
 
 
-def _memory_weights(A: L1Kernel, n: int) -> np.ndarray:
-    """Coefficient row c of step n: c_0 = -A_{n-1}^n and
-    c_j = A_{n-j}^n - A_{n-j-1}^n (j = 1..n-1), the weight of level j."""
-    lags = A.A[n][::-1]  # (A_{n-1}^n, ..., A_0^n)
-    c = np.empty(n)
-    c[0] = -lags[0]
-    c[1:] = lags[:-1] - lags[1:]
-    return c
-
-
 def history_panel(
     A: L1Kernel, tempered_at_quad: np.ndarray, start: int, out: np.ndarray
 ) -> np.ndarray:
@@ -212,9 +254,7 @@ def history_panel(
             f"tempered history must hold w^0..w^{start - 1} ({start} rows), "
             f"got {len(tempered_at_quad)}"
         )
-    C = np.empty((rows, start))
-    for b in range(rows):
-        C[b] = _memory_weights(A, start + b)[:start]
+    C = _memory_weights(A, np.arange(start, start + rows)[:, None], 0, start)
     return np.matmul(C, tempered_at_quad[:start].reshape(start, -1), out=out)
 
 
@@ -251,8 +291,8 @@ def substantial_history(
     HISTORY_PANEL), the levels before `start` are already summed into it and
     only rows start..n-1 are read.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"step index must be >= 1, got {n}")
+    if not 1 <= n <= A.tm.M:
+        raise InvalidArgumentError(f"step index {n} outside 1..{A.tm.M}")
     if len(tempered_at_quad) < n:
         raise InvalidArgumentError(
             f"tempered history must hold w^0..w^{n - 1} ({n} rows), got {len(tempered_at_quad)}"
@@ -263,8 +303,8 @@ def substantial_history(
         raise InvalidArgumentError(
             f"step {n} lies outside the panel of steps {start}..{start + HISTORY_PANEL - 1}"
         )
-    c = _memory_weights(A, n)
-    total = np.tensordot(c[start:], tempered_at_quad[start:n], axes=1)
+    c = _memory_weights(A, n, start, n)
+    total = np.tensordot(c, tempered_at_quad[start:n], axes=1)
     if panel_row is not None:
         total += panel_row.reshape(total.shape)
     return np.exp(-kappa_at_quad * A.tm.t[n]) * total

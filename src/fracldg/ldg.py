@@ -339,7 +339,7 @@ def step(
     if prob.f is not None:
         rhs_values = rhs_values + prob.f(A.tm.t[n], grid.x, grid.y)
     b = _moment_vector(rhs_values, ops, grid.WV)
-    x = ops.solve_system(A.A[n][0], b)
+    x = ops.solve_system(A.a0(n), b)
     return ops.unflatten(x)
 
 

@@ -3,15 +3,17 @@
 Two kinds of code live here. The cross-check oracles are deliberately built
 by a different route than the library code: dense loop-based assembly
 instead of Kronecker products, adaptive panel quadrature instead of
-closed-form coefficient tables, dense SVD instead of power iteration, and
+closed-form L1 coefficients, dense SVD instead of power iteration, and
 an adaptive-precision Mittag-Leffler series instead of the float one. Slow
-and simple on purpose.
+and simple on purpose. The one exception is l1_table, the stored L1 table
+the package once built: the same formula row by row, against which the
+coefficients the package evaluates on demand must agree bit for bit.
 
 The proof devices are objects of the stability and convergence analysis
 that no run needs: the weighted-trace projections P and Q, the bilinear
 form B with its interface traces, one-sided edge traces, the sparse system
-matrix, and the complementary convolution kernels P^n of the L1 table. The
-tests check the properties the analysis claims for them.
+matrix, and the complementary convolution kernels P^n of the L1
+coefficients. The tests check the properties the analysis claims for them.
 """
 
 from __future__ import annotations
@@ -203,6 +205,32 @@ def spd_condition_splu(S) -> float:
     return lam_max * inv_lam_max
 
 
+def l1_table(tm, alpha: float) -> tuple[np.ndarray, ...]:
+    """Full triangular L1 coefficient table for fractional order alpha in (0,1):
+    entry n is the array (A_0^n, ..., A_{n-1}^n) for n = 1..M; entry 0 is empty.
+
+    A_{i-1}^n = ((t_n - t_{n-i})^{1-a} - (t_n - t_{n-i+1})^{1-a})
+                / (Gamma(2-a) * tau_{n-i+1}),   i = 1..n.
+
+    The package's original table builder, one row per step, kept as the
+    exact reference for the coefficients fracldg.fractional evaluates on
+    demand.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
+    t, tau = tm.t, tm.tau
+    g = math.gamma(2.0 - alpha)
+    tables: list[np.ndarray] = [np.empty(0)]
+    for n in range(1, tm.M + 1):
+        i = np.arange(1, n + 1)
+        x = t[n] - t[n - i]
+        step_tau = tau[n - i]
+        with np.errstate(divide="ignore"):
+            ratio = np.expm1((1.0 - alpha) * np.log1p(-step_tau / x))
+        tables.append(-ratio * x ** (1.0 - alpha) / (g * step_tau))
+    return tuple(tables)
+
+
 def complementary_kernels_by_inversion(A) -> list[np.ndarray]:
     """Complementary kernels P^n computed by solving the defining linear
     system sum_{j=m}^{n} P_{n-j}^n A_{j-m}^j = 1 (m = 1..n) directly,
@@ -213,7 +241,7 @@ def complementary_kernels_by_inversion(A) -> list[np.ndarray]:
         mat = np.zeros((n, n))
         for m in range(1, n + 1):
             for j in range(m, n + 1):
-                mat[m - 1, n - j] = A.A[j][j - m]
+                mat[m - 1, n - j] = A.row(j)[j - m]
         P = np.linalg.solve(mat, np.ones(n))
         out.append(P)
     return out
@@ -255,7 +283,7 @@ def substantial_history_loop(
             raise InvalidArgumentError("either quad or history_at_quad is required")
         history_at_quad = [f.eval_volume_quad(quad) for f in history]
     t = A.tm.t
-    An = A.A[n]
+    An = A.row(n)
     out = -An[n - 1] * np.exp(-kappa_at_quad * t[n]) * history_at_quad[0]
     for i in range(1, n):
         out += (An[i] - An[i - 1]) * np.exp(-kappa_at_quad * (t[n] - t[n - i])) * history_at_quad[n - i]
@@ -291,7 +319,7 @@ def solve_stepwise(prob, mesh, tm, basis, fw) -> list:
         WV = quad.weights[:, None] * quad_vandermonde(ops.basis.k, quad.npoints)
         moments = ops.M * (WV.T @ (rhs_values @ WV))
         b = np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()
-        u_n = ops.unflatten(ops.solve_system(A.A[n][0], b))
+        u_n = ops.unflatten(ops.solve_system(A.row(n)[0], b))
         fields.append(u_n)
         tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(quad)
     return fields
@@ -377,7 +405,7 @@ def convolution_kernel(A: L1Kernel) -> ConvKernel:
     recursion.
     """
     M = A.tm.M
-    tabs = A.A
+    tabs = [A.row(n) for n in range(M + 1)]
     out: list[np.ndarray] = [np.empty(0)]
     for n in range(1, M + 1):
         P = np.empty(n)

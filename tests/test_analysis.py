@@ -260,7 +260,7 @@ def test_condition_number_matches_dense_oracle_in_both_bases():
     ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(1.0, 0.0))
     tm = build_graded_time_mesh(10, 2.0, 0.1)
     A = l1_coefficients(tm, 0.7)
-    S = system_matrix(ops, A.A[10][0]).toarray()
+    S = system_matrix(ops, A.row(10)[0]).toarray()
 
     got_internal = spd_condition_splu(S)
     assert got_internal == pytest.approx(dense_condition_2norm(S), rel=2e-2)
@@ -279,7 +279,7 @@ def test_condition_number_basis_choice_is_immaterial_for_constants():
     tm = build_graded_time_mesh(8, 2.0, 0.1)
     A = l1_coefficients(tm, 0.4)
     a = condition_number(ops, A, 8)
-    b = spd_condition_splu(system_matrix(ops, A.A[8][0]))
+    b = spd_condition_splu(system_matrix(ops, A.row(8)[0]))
     assert a == pytest.approx(b, rel=1e-10)
     assert a >= 1.0
 
@@ -294,7 +294,7 @@ def test_condition_number_matches_splu_oracle(k, flux):
         for nx in (4, 5, 6):
             ops = assemble_operators(build_spatial_mesh(nx, nx), BasisSpec(k), FluxWeights(*flux))
             D = sp.diags(_classical_scaling(nx, nx, k))
-            ref = spd_condition_splu(D @ system_matrix(ops, A.A[10][0]) @ D)
+            ref = spd_condition_splu(D @ system_matrix(ops, A.row(10)[0]) @ D)
             assert condition_number(ops, A, 10) == pytest.approx(ref, rel=1e-8), (alpha, nx)
 
 

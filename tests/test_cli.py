@@ -248,6 +248,25 @@ def test_nonfinite_solve_exits_3(tmp_path, capsys, monkeypatch):
     assert not list(out.glob("*.csv"))
 
 
+def test_condition_study_assembles_each_operator_once(tmp_path, monkeypatch):
+    # table8-cond has 6 (degree, alpha, gamma) rows over 3 degrees and 4 flux
+    # pairs: 12 distinct operators, assembled 24 times when each row built
+    # its own.
+    import fracldg.ldg
+
+    assemble = fracldg.ldg.assemble_operators
+    calls = []
+
+    def counting(mesh, basis, fw):
+        calls.append((basis.k, fw.sigma1, fw.sigma2))
+        return assemble(mesh, basis, fw)
+
+    monkeypatch.setattr(fracldg.ldg, "assemble_operators", counting)
+    assert main(["run", "--config", "table8-cond", "--out", str(tmp_path), "--check"]) == 0
+    assert len(calls) == 12
+    assert len(set(calls)) == 12
+
+
 def test_q2_graded_run_peak_rss_is_bounded(tmp_path):
     # example2 with Q2 elements on a graded time mesh: A_0^n changes at every
     # one of the 100 steps, so storing anything per distinct A_0^n (such as a

@@ -23,6 +23,7 @@ from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from oracles import (
     complementary_kernels_by_inversion,
     convolution_kernel,
+    l1_table,
     mittag_leffler_series,
     substantial_history_loop,
 )
@@ -42,13 +43,13 @@ def test_l1_first_coefficient_closed_form():
     A = l1_coefficients(tm, alpha)
     for n in range(1, 7):
         expected = tm.tau[n - 1] ** (-alpha) / math.gamma(2.0 - alpha)
-        assert A.A[n][0] == pytest.approx(expected, rel=1e-13)
+        assert A.row(n)[0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_l1_frozen_value_uniform_mesh():
     tm = build_graded_time_mesh(4, 1.0, 1.0)  # tau = 1/4
     A = l1_coefficients(tm, 0.5)
-    assert A.A[2][1] == pytest.approx(A12_UNIFORM_HALF, rel=1e-13)
+    assert A.row(2)[1] == pytest.approx(A12_UNIFORM_HALF, rel=1e-13)
 
 
 def test_l1_reproduces_power_derivative_on_linear_data():
@@ -58,7 +59,7 @@ def test_l1_reproduces_power_derivative_on_linear_data():
         tm = build_graded_time_mesh(9, gamma, 0.7)
         A = l1_coefficients(tm, alpha)
         for n in (1, 4, 9):
-            An = A.A[n]
+            An = A.row(n)
             i = np.arange(1, n + 1)
             increments = tm.t[n - i + 1] - tm.t[n - i]
             got = float(np.sum(An[i - 1] * increments))
@@ -75,7 +76,7 @@ def test_l1_monotone_positive_chain():
         tm = build_graded_time_mesh(M, gamma, float(rng.uniform(0.05, 2.0)))
         A = l1_coefficients(tm, alpha)
         for n in range(1, M + 1):
-            chain = A.A[n]
+            chain = A.row(n)
             assert chain[-1] > 0.0
             assert (np.diff(chain) <= 1e-14 * chain[0]).all()
 
@@ -86,6 +87,61 @@ def test_l1_validation():
         l1_coefficients(tm, 0.0)
     with pytest.raises(InvalidArgumentError):
         l1_coefficients(tm, 1.0)
+
+
+def _table_memory_weights(table, n: int) -> np.ndarray:
+    """Memory-weight row of step n read off the stored table: c_0 = -A_{n-1}^n,
+    c_j = A_{n-j}^n - A_{n-j-1}^n."""
+    lags = table[n][::-1]
+    c = np.empty(n)
+    c[0] = -lags[0]
+    c[1:] = lags[:-1] - lags[1:]
+    return c
+
+
+def _check_weights_match_table_bitwise(M: int, gamma: float, alpha: float, T: float) -> None:
+    # The weights are evaluated on demand, block by block, by the same closed
+    # form and operation order as the stored table, so every value a run
+    # reads must equal the table entry exactly. The sums read them back
+    # exactly: with kappa = 0 and the unit vectors w_j = e_j as levels, the
+    # entry j of a memory sum is its weight of level j.
+    tm = build_graded_time_mesh(M, gamma, T)
+    A = l1_coefficients(tm, alpha)
+    table = l1_table(tm, alpha)
+    probe = np.eye(M + 1)
+    zero = np.zeros(M + 1)
+    for n in range(M + 1):
+        assert np.array_equal(A.row(n), table[n]), n
+    for n in range(1, M + 1):
+        assert A.a0(n) == table[n][0], n
+        c = _table_memory_weights(table, n)
+        full = substantial_history(A, zero, probe, n)
+        assert np.array_equal(full[:n], c) and not full[n:].any(), n
+        for start in range(max(n - HISTORY_PANEL + 1, 1), n + 1):
+            rest = substantial_history(A, zero, probe, n, zero, start)
+            assert np.array_equal(rest[start:n], c[start:]), (n, start)
+    for start in range(1, M + 1):
+        rows = min(HISTORY_PANEL, M + 1 - start)
+        block = history_panel(A, np.eye(start), start, np.empty((rows, start)))
+        ref = [_table_memory_weights(table, n)[:start] for n in range(start, start + rows)]
+        assert np.array_equal(block, np.array(ref)), start
+
+
+@pytest.mark.parametrize("M", [1, 31, 32, 33])
+@pytest.mark.parametrize("gamma,alpha,T", [(6.0, 0.3, 0.1), (1.0, 0.5, 1.0), (2.5, 0.9, 2.0)])
+def test_weights_match_table_bitwise_around_a_panel(M, gamma, alpha, T):
+    _check_weights_match_table_bitwise(M, gamma, alpha, T)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    M=st.integers(1, 200),
+    gamma=st.floats(1.0, 6.0),
+    alpha=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    T=st.floats(0.05, 2.0),
+)
+def test_weights_match_table_bitwise(M, gamma, alpha, T):
+    _check_weights_match_table_bitwise(M, gamma, alpha, T)
 
 
 def test_convolution_kernel_matches_linear_system_inversion():
@@ -103,7 +159,7 @@ def test_convolution_kernel_identity():
     P = convolution_kernel(A)
     for n in range(1, 41):
         for m in range(1, n + 1):
-            total = sum(P.P[n][n - j] * A.A[j][j - m] for j in range(m, n + 1))
+            total = sum(P.P[n][n - j] * A.row(j)[j - m] for j in range(m, n + 1))
             assert abs(total - 1.0) <= 1e-11
 
 
@@ -186,6 +242,8 @@ def test_substantial_history_validation():
     with pytest.raises(InvalidArgumentError):
         substantial_history(A, kq, tempered, 0)  # no step before t_1
     full = np.zeros((5,) + kq.shape)
+    with pytest.raises(InvalidArgumentError):
+        substantial_history(A, kq, np.zeros((6,) + kq.shape), 5)  # step 5 is past M = 4
     with pytest.raises(InvalidArgumentError, match="panel row"):
         substantial_history(A, kq, full, 3, None, 2)  # levels 0, 1 would be dropped
     panel = np.zeros((2, kq.size))
@@ -239,7 +297,7 @@ def test_substantial_history_matches_loop_oracle(alpha, gamma, M, k, nx, ny, T, 
     for n in range(1, M + 1):
         got = substantial_history(A, kq, tempered, n)
         ref = substantial_history_loop(A, kq, history[:n], n, quad=quad)
-        scale = float(np.sum(np.abs(np.diff(A.A[n][::-1], prepend=0.0)))) * umax
+        scale = float(np.sum(np.abs(np.diff(A.row(n)[::-1], prepend=0.0)))) * umax
         assert np.max(np.abs(got - ref)) <= HISTORY_DIFF_RTOL * scale
 
 
@@ -281,5 +339,5 @@ def test_panel_row_plus_remainder_matches_full_history(
         for n in range(start, start + rows):
             got = substantial_history(A, kq, tempered, n, panel[n - start], start)
             ref = substantial_history(A, kq, tempered, n)
-            scale = A.A[n][0] * wmax * float(np.max(np.exp(-kq * tm.t[n])))
+            scale = A.row(n)[0] * wmax * float(np.max(np.exp(-kq * tm.t[n])))
             assert np.max(np.abs(got - ref)) <= PANEL_SUM_RTOL * scale, (start, n)

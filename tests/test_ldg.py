@@ -362,9 +362,9 @@ def test_discrete_substantial_derivative_exact_on_tempered_linears():
         tempered = np.stack([np.exp(kq * t) * h for t, h in zip(tm.t, hist_quad)])
         for n in (1, 3, 6):
             hist = substantial_history(A, kq, tempered, n)
-            got = A.A[n][0] * hist_quad[n] + hist
+            got = A.row(n)[0] * hist_quad[n] + hist
             expected = np.exp(-kq * tm.t[n]) * dv_exact(tm.t[n])
-            scale = A.A[n][0] * np.max(np.abs(hist_quad[n]))
+            scale = A.row(n)[0] * np.max(np.abs(hist_quad[n]))
             assert np.max(np.abs(got - expected)) <= 1e-8 * scale
 
 
@@ -485,6 +485,29 @@ def test_solve_reads_fewer_than_a_panel_of_levels_per_step(monkeypatch):
     assert len(rows_read) == M
     assert max(rows_read) < HISTORY_PANEL
     assert panels == [(32, 32), (64, 32), (96, 5)]
+
+
+#: Peak traced allocation allowed for solve() on a 1 x 1 Q0 mesh at M = 2000.
+#: A stored L1 coefficient table alone would take M (M + 1) / 2 * 8 B = 16 MB;
+#: without one the run peaks near 3 MB (fields, tempered buffer, one panel).
+SOLVE_PEAK_BYTES_M2000 = 8 * 2**20
+
+
+def test_solve_memory_holds_no_l1_table():
+    # A count of bytes, not a timing: the memory weights are evaluated per
+    # panel, so the peak grows like M, not like M^2.
+    import tracemalloc
+
+    prob = example2(0.5)
+    tm = build_graded_time_mesh(2000, 2.0, prob.T)
+    mesh = build_spatial_mesh(1, 1)
+    tracemalloc.start()
+    try:
+        solve(prob, mesh, tm, BasisSpec(0), FluxWeights(1.0, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SOLVE_PEAK_BYTES_M2000, peak
 
 
 @pytest.mark.xfail(

@@ -3,7 +3,7 @@
 The runtime-import guard runs the CLI in a fresh interpreter and checks that
 neither scipy nor mpmath was loaded; the AST audit checks the same statically
 for every module, with the sparse K of LdgOperators as the single on-demand
-exception.
+exception, and checks that every name a module imports is used or exported.
 """
 
 from __future__ import annotations
@@ -97,6 +97,32 @@ def test_modules_import_only_numpy_and_yaml():
             if module.split(".")[0] not in ("numpy", "yaml"):
                 exceptions.append((path.name, scope, module))
     assert exceptions == [("ldg.py", "LdgOperators.K", "scipy.sparse")]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import in path binds that the module never reads and does not
+    list in its __all__; `from __future__` imports are exempt."""
+    tree = ast.parse(path.read_text())
+    bound, exported = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {
+                e.value for e in ast.walk(node.value)
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(bound) - read - exported)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    assert _unused_imports(path) == []
 
 
 def test_sparse_K_builds_on_demand():
