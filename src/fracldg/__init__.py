@@ -31,7 +31,6 @@ _LAZY = {
     "DgField": "basis",
     "gauss_rule": "basis",
     "l2_project": "basis",
-    "field_eval": "basis",
     # fractional
     "L1Kernel": "fractional",
     "l1_coefficients": "fractional",
@@ -40,6 +39,7 @@ _LAZY = {
     "history_panel": "fractional",
     # ldg
     "FluxWeights": "ldg",
+    "History": "ldg",
     "LdgOperators": "ldg",
     "Trajectory": "ldg",
     "assemble_operators": "ldg",
@@ -51,6 +51,8 @@ _LAZY = {
     "example2": "problems",
     # analysis
     "ErrorReport": "analysis",
+    "FinalTimeError": "analysis",
+    "TimeIntegratedError": "analysis",
     "error_E": "analysis",
     "error_time_integrated": "analysis",
     "rates": "analysis",

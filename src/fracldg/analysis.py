@@ -2,10 +2,13 @@
 
 error_E is the final-time L2 error scaled by the horizon, the functional of
 every shipped convergence table; error_time_integrated weights the whole
-history through the piecewise-linear-in-time interpolants. rates turns a
-sweep into consecutive-pair orders, and condition_number estimates the
-2-norm conditioning of a step matrix by seeded power iteration, applying
-the inverse through the solver's own fast-diagonalization solve. ErrorReport
+history through the piecewise-linear-in-time interpolants. Each also exists
+as a solve observer (FinalTimeError, TimeIntegratedError) that computes it
+while the run goes and keeps no trajectory; the Trajectory forms replay the
+stored fields through the same observers. rates turns a sweep into
+consecutive-pair orders, and condition_number estimates the 2-norm
+conditioning of a step matrix by seeded power iteration, applying the
+inverse through the solver's own fast-diagonalization solve. ErrorReport
 carries one study's numbers to the CLI's CSV and text output.
 """
 
@@ -17,13 +20,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import gauss_rule, quad_l2_norm, volume_quad_points
+from .basis import BasisSpec, DgField, gauss_rule, quad_l2_norm, volume_quad_points
 from .errors import InvalidArgumentError, NumericError
 from .fractional import L1Kernel
 from .ldg import LdgOperators, Trajectory
+from .meshes import GradedTimeMesh, SpatialMesh
+
+#: An exact solution u(t, x, y), broadcasting over point arrays.
+Exact = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
 __all__ = [
     "ErrorReport",
+    "FinalTimeError",
+    "TimeIntegratedError",
     "error_E",
     "error_time_integrated",
     "rates",
@@ -67,16 +76,83 @@ class ErrorReport:
         return "\n".join(lines) + "\n"
 
 
-def _nodal_error(traj: Trajectory, exact, n: int, squad) -> np.ndarray:
-    X, Y = volume_quad_points(traj.mesh, squad)
-    vals = exact(traj.tm.t[n], X[:, None, :, None], Y[None, :, None, :])
-    return vals - traj.fields[n].eval_volume_quad(squad)
+class _LevelError:
+    """What the streaming error functionals share: the spatial quadrature
+    and the points where the exact solution is evaluated, built once."""
+
+    def __init__(self, tm: GradedTimeMesh, mesh: SpatialMesh, basis: BasisSpec, exact: Exact):
+        self.tm, self.mesh, self.exact = tm, mesh, exact
+        self.squad = gauss_rule(basis.default_quad_points)
+        X, Y = volume_quad_points(mesh, self.squad)
+        self._x, self._y = X[:, None, :, None], Y[None, :, None, :]
+
+    def _nodal_error(self, n: int, u: DgField) -> np.ndarray:
+        vals = self.exact(self.tm.t[n], self._x, self._y)
+        return vals - u.eval_volume_quad(self.squad)
 
 
-def error_E(
-    traj: Trajectory,
-    exact: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-) -> float:
+class FinalTimeError(_LevelError):
+    """error_E as a solve observer: reads only the final level u^M and
+    keeps no field. value is nan until u^M has been seen.
+
+        acc = FinalTimeError(tm, mesh, basis, prob.exact)
+        solve(prob, mesh, tm, basis, fw, acc)
+        acc.value  # == error_E(solve(prob, mesh, tm, basis, fw), prob.exact)
+    """
+
+    def __init__(self, tm: GradedTimeMesh, mesh: SpatialMesh, basis: BasisSpec, exact: Exact):
+        super().__init__(tm, mesh, basis, exact)
+        self.value = math.nan
+
+    def __call__(self, n: int, u: DgField) -> None:
+        if n == self.tm.M:
+            self.value = self.tm.T * quad_l2_norm(self._nodal_error(n, u), self.mesh, self.squad)
+
+
+class TimeIntegratedError(_LevelError):
+    """error_time_integrated as a solve observer: folds each consecutive
+    pair of levels into the running value and keeps only the error at the
+    points of the latest level. Levels must arrive in order, u^0 first.
+    """
+
+    def __init__(
+        self,
+        tm: GradedTimeMesh,
+        mesh: SpatialMesh,
+        basis: BasisSpec,
+        exact: Exact,
+        quad_t: int = 3,
+    ):
+        if quad_t < 2:
+            raise InvalidArgumentError(f"need at least 2 time quadrature points, got {quad_t}")
+        super().__init__(tm, mesh, basis, exact)
+        self.tquad = gauss_rule(quad_t)
+        self.value = 0.0
+        self._seen = 0
+        self._e_prev: np.ndarray | None = None
+
+    def __call__(self, n: int, u: DgField) -> None:
+        if n != self._seen:
+            raise InvalidArgumentError(f"level {n} observed after {self._seen} levels")
+        e_next = self._nodal_error(n, u)
+        if n > 0:
+            tau = self.tm.tau[n - 1]
+            for theta, w in zip(self.tquad.nodes, self.tquad.weights):
+                z = (theta + 1.0) / 2.0
+                self.value += w * (tau / 2.0) * quad_l2_norm(
+                    (1.0 - z) * self._e_prev + z * e_next, self.mesh, self.squad
+                )
+        self._e_prev = e_next
+        self._seen += 1
+
+
+def _replay(traj: Trajectory, observer: _LevelError) -> float:
+    for n, u in enumerate(traj.fields):
+        observer(n, u)
+    return observer.value
+
+
+def error_E(traj: Trajectory, exact: Exact) -> float:
     """Convergence functional of the benchmark tables: the final-time L2
     error scaled by the time horizon, E(h, M) = T * ||u(T) - u_h^M||.
 
@@ -84,18 +160,13 @@ def error_E(
     measurement itself is taken where the full memory history has
     accumulated. All shipped table presets use this functional; the
     interpolant-based integral is available separately as
-    error_time_integrated.
+    error_time_integrated. FinalTimeError computes it during a solve that
+    keeps no trajectory; this replays traj.fields through it.
     """
-    squad = gauss_rule(traj.basis.default_quad_points)
-    e_final = _nodal_error(traj, exact, traj.tm.M, squad)
-    return traj.tm.T * quad_l2_norm(e_final, traj.mesh, squad)
+    return _replay(traj, FinalTimeError(traj.tm, traj.mesh, traj.basis, exact))
 
 
-def error_time_integrated(
-    traj: Trajectory,
-    exact: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-    quad_t: int = 3,
-) -> float:
+def error_time_integrated(traj: Trajectory, exact: Exact, quad_t: int = 3) -> float:
     """Time-integrated L2 distance between the piecewise-linear-in-time
     interpolants of the exact solution and of the discrete trajectory.
 
@@ -104,26 +175,11 @@ def error_time_integrated(
     time is the norm of the matching convex combination of the endpoint
     error fields, sampled on the spatial quadrature grid. This diagnostic
     weights the whole history, so early-time errors that have already
-    decayed by t = T still contribute.
+    decayed by t = T still contribute. TimeIntegratedError computes it
+    during a solve that keeps no trajectory; this replays traj.fields
+    through it.
     """
-    if quad_t < 2:
-        raise InvalidArgumentError(f"need at least 2 time quadrature points, got {quad_t}")
-    mesh, basis, tm = traj.mesh, traj.basis, traj.tm
-    squad = gauss_rule(basis.default_quad_points)
-    tquad = gauss_rule(quad_t)
-
-    total = 0.0
-    e_prev = _nodal_error(traj, exact, 0, squad)
-    for n in range(1, tm.M + 1):
-        e_next = _nodal_error(traj, exact, n, squad)
-        tau = tm.tau[n - 1]
-        for theta, w in zip(tquad.nodes, tquad.weights):
-            z = (theta + 1.0) / 2.0
-            total += w * (tau / 2.0) * quad_l2_norm(
-                (1.0 - z) * e_prev + z * e_next, mesh, squad
-            )
-        e_prev = e_next
-    return total
+    return _replay(traj, TimeIntegratedError(traj.tm, traj.mesh, traj.basis, exact, quad_t))
 
 
 def rates(errors: Sequence[float], params: Sequence[float]) -> list[float]:

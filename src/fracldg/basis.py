@@ -29,7 +29,6 @@ __all__ = [
     "legendre_values",
     "quad_vandermonde",
     "legendre_derivatives",
-    "field_eval",
     "l2_project",
 ]
 
@@ -140,20 +139,6 @@ class DgField:
         kk = basis.k + 1
         return cls(np.zeros((mesh.nx, mesh.ny, kk, kk)), basis, mesh)
 
-    def copy(self) -> "DgField":
-        return DgField(self.coeffs.copy(), self.basis, self.mesh)
-
-    def __add__(self, other: "DgField") -> "DgField":
-        return DgField(self.coeffs + other.coeffs, self.basis, self.mesh)
-
-    def __sub__(self, other: "DgField") -> "DgField":
-        return DgField(self.coeffs - other.coeffs, self.basis, self.mesh)
-
-    def __mul__(self, scalar: float) -> "DgField":
-        return DgField(self.coeffs * scalar, self.basis, self.mesh)
-
-    __rmul__ = __mul__
-
     def l2_norm(self) -> float:
         """Global L2 norm; exact because the basis is orthonormal per cell."""
         m = self.mesh.hx * self.mesh.hy / 4.0
@@ -163,53 +148,6 @@ class DgField:
         """Values at the tensor quadrature points of every cell, shape (nx, ny, qx, qy)."""
         V = quad_vandermonde(self.basis.k, quad.npoints)
         return V @ (self.coeffs @ V.T)
-
-
-def _locate(coord: np.ndarray, lo: float, hi: float, n: int, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """Cell indices and reference coordinates for points along one axis.
-
-    `side` picks the cell when a point sits exactly on an interface: '-' takes
-    the cell to the left (trace from below), '+' the cell to the right.
-    """
-    if side not in ("-", "+"):
-        raise InvalidArgumentError(f"side must be '-' or '+', got {side!r}")
-    u = (np.asarray(coord, dtype=float) - lo) / (hi - lo) * n
-    u = np.mod(u, n)
-    idx = np.floor(u).astype(int)
-    idx = np.minimum(idx, n - 1)
-    on_edge = u == idx
-    if side == "-":
-        idx = np.where(on_edge, (idx - 1) % n, idx)
-        ref = np.where(on_edge, 1.0, 2.0 * (u - idx) - 1.0)
-    else:
-        ref = 2.0 * (u - idx) - 1.0
-    return idx, ref
-
-
-def field_eval(
-    f: DgField,
-    x: float | np.ndarray,
-    y: float | np.ndarray,
-    side_x: str = "-",
-    side_y: str = "-",
-) -> float | np.ndarray:
-    """Point values of the piecewise polynomial, with periodic wrap.
-
-    Points exactly on a cell interface are ambiguous; `side_x`/`side_y`
-    select the one-sided limit per axis ('-' from below, '+' from above).
-    Scalar inputs return a scalar.
-    """
-    mesh, k = f.mesh, f.basis.k
-    x_lo, x_hi, y_lo, y_hi = mesh.domain
-    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    i, xi = _locate(xb.ravel(), x_lo, x_hi, mesh.nx, side_x)
-    j, eta = _locate(yb.ravel(), y_lo, y_hi, mesh.ny, side_y)
-    Vx = legendre_values(k, xi)
-    Vy = legendre_values(k, eta)
-    vals = np.einsum("nrs,nr,ns->n", f.coeffs[i, j], Vx, Vy)
-    if np.isscalar(x) and np.isscalar(y):
-        return float(vals[0])
-    return vals.reshape(xb.shape)
 
 
 def volume_quad_points(mesh: SpatialMesh, quad: QuadRule) -> tuple[np.ndarray, np.ndarray]:

@@ -356,12 +356,14 @@ def _set_thread_env(threads: int | None, deterministic: bool) -> None:
         os.environ[var] = str(threads)
 
 
-def _measure(cfg: ExperimentConfig, traj, exact) -> float:
-    from .analysis import error_E, error_time_integrated
+def _observer(cfg: ExperimentConfig, prob, tm, mesh, basis):
+    """The solve observer that measures cfg.metric against prob.exact while
+    the run goes, so no trajectory is kept; its value is the error."""
+    from .analysis import FinalTimeError, TimeIntegratedError
 
     if cfg.metric == "time-integrated":
-        return error_time_integrated(traj, exact, cfg.quad_t)
-    return error_E(traj, exact)
+        return TimeIntegratedError(tm, mesh, basis, prob.exact, cfg.quad_t)
+    return FinalTimeError(tm, mesh, basis, prob.exact)
 
 
 def _make_problem(cfg: ExperimentConfig, alpha: float):
@@ -385,8 +387,9 @@ def _run_spatial(cfg: ExperimentConfig):
     errors, labels, hs = [], [], []
     for nx in cfg.nx_list:
         mesh = build_spatial_mesh(nx, nx)
-        traj = solve(prob, mesh, tm, basis, fw)
-        errors.append(_measure(cfg, traj, prob.exact))
+        measure = _observer(cfg, prob, tm, mesh, basis)
+        solve(prob, mesh, tm, basis, fw, measure)
+        errors.append(measure.value)
         labels.append(f"1/{nx}")
         hs.append(1.0 / nx)
     rr = rates(errors, hs) if len(errors) >= 2 else []
@@ -411,8 +414,9 @@ def _run_temporal(cfg: ExperimentConfig):
         nx = max(1, round(M ** ((2.0 - cfg.alpha) / (cfg.degree + 1))))
         mesh = build_spatial_mesh(nx, nx)
         tm = build_graded_time_mesh(M, cfg.gamma, cfg.T)
-        traj = solve(prob, mesh, tm, basis, fw)
-        errors.append(_measure(cfg, traj, prob.exact))
+        measure = _observer(cfg, prob, tm, mesh, basis)
+        solve(prob, mesh, tm, basis, fw, measure)
+        errors.append(measure.value)
         labels.append(str(M))
         inv_m.append(1.0 / M)
         nxs.append(nx)
@@ -462,8 +466,10 @@ def _run_single(cfg: ExperimentConfig):
     prob = _make_problem(cfg, cfg.alpha)
     mesh = build_spatial_mesh(cfg.nx, cfg.nx)
     tm = build_graded_time_mesh(cfg.M, cfg.gamma, cfg.T)
-    traj = solve(prob, mesh, tm, BasisSpec(cfg.degree), FluxWeights(*cfg.flux))
-    err = _measure(cfg, traj, prob.exact) if prob.exact else float("nan")
+    basis = BasisSpec(cfg.degree)
+    measure = _observer(cfg, prob, tm, mesh, basis) if prob.exact else (lambda n, u: None)
+    solve(prob, mesh, tm, basis, FluxWeights(*cfg.flux), measure)
+    err = measure.value if prob.exact else float("nan")
     meta = {"flux": cfg.flux, "alpha": cfg.alpha, "gamma": cfg.gamma,
             "degree": cfg.degree, "M": cfg.M, "T": cfg.T}
     return ErrorReport("single-run", "h", [f"1/{cfg.nx}"], [err], [], meta)

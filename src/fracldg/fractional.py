@@ -21,7 +21,8 @@ points), but it is not read level by level. Every HISTORY_PANEL steps,
 next HISTORY_PANEL steps in one matrix-matrix product (BLAS-3); each step then
 adds its panel row to a sum over the fewer than HISTORY_PANEL levels written
 since. The stored levels are read once per panel instead of once per step,
-which cuts the memory traffic of the sum by the panel factor.
+which cuts the memory traffic of the sum by the panel factor. The buffer
+of stored levels, the panel and this schedule live in fracldg.ldg.History.
 
 No table of L1 coefficients is kept: L1Kernel holds alpha and the time mesh,
 and each panel and each step evaluates the coefficients it reads from their

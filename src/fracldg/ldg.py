@@ -25,12 +25,19 @@ Math. 6, 1964): U = Qx [(Qx^T B Qy) / (A_0^n m + lx_i + ly_j)] Qy^T, with B
 and U the right-hand side and solution reshaped to (i r, j s). The module
 needs numpy only; the sparse 2D K is the one exception, a scipy matrix
 built on first access for residual recomputation outside the run path.
+
+The earlier levels enter a step only through the memory sum, which one
+History object holds and evaluates. solve keeps the fields themselves only
+when its caller asks for the whole Trajectory, and refuses, before it
+allocates, a run whose footprint exceeds the physical memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,6 +69,7 @@ from .problems import ProblemSpec
 
 __all__ = [
     "FluxWeights",
+    "History",
     "LdgOperators",
     "StepGrid",
     "Trajectory",
@@ -264,7 +272,12 @@ def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> 
 
 @dataclass
 class Trajectory:
-    """Full solution history u^0..u^M with its mesh/problem context."""
+    """Every level u^0..u^M of a run, with its mesh/problem context.
+
+    solve returns one when it is given no observer. It holds (M+1) N_dof
+    floats, N_dof the number of coefficients of one field; a caller that
+    needs less passes solve an observer instead and keeps what it reads.
+    """
 
     fields: list[DgField]
     tm: GradedTimeMesh
@@ -306,6 +319,65 @@ class StepGrid:
         )
 
 
+def _panel_rows(M: int) -> int:
+    """Rows of the panel buffer: the first panel, the largest; none forms
+    when M < HISTORY_PANEL."""
+    return min(HISTORY_PANEL, max(M + 1 - HISTORY_PANEL, 0))
+
+
+class History:
+    """The memory of a run at the volume quadrature points, behind two calls.
+
+    push(n, u) evaluates u^n at the points, tempers it to w_n = e^{kappa t_n}
+    u^n and stores it as row n of an (M+1, nx, ny, q, q) buffer. Levels are
+    pushed in order, u^0 first.
+
+    sum(n) returns the memory sum of step n at the points: everything in
+    D_M u^n but the A_0^n u^n term (see substantial_history). It needs the
+    levels u^0..u^{n-1}. The sum stays exact, O(M^2 N_q) flops per run, but
+    is blocked. A step n >= HISTORY_PANEL takes the share of the levels
+    before start = n - n % HISTORY_PANEL from one GEMM (history_panel), which
+    forms it for the steps start..start + HISTORY_PANEL - 1 into a panel
+    buffer allocated once. The step adds the fewer than HISTORY_PANEL levels
+    from start on itself. The stored levels are thus read once per panel
+    instead of once per step. A panel forms when a step of it first asks, so
+    in step order it forms at n = start.
+
+    Memory: (M+1) N_q floats for the levels plus at most HISTORY_PANEL N_q
+    for the panel, N_q the number of quadrature points of one level.
+    """
+
+    def __init__(self, A: L1Kernel, kappa_at_quad: np.ndarray, quad: QuadRule):
+        self.A = A
+        self.kappa = kappa_at_quad
+        self.quad = quad
+        self._count = 0  # levels stored
+        self._levels = np.empty((A.tm.M + 1,) + kappa_at_quad.shape)
+        self._panel = np.empty((_panel_rows(A.tm.M), kappa_at_quad.size))
+        self._panel_start = 0  # 0: no panel formed
+
+    def push(self, n: int, u: DgField) -> None:
+        """Temper u^n and store it; n must be the number of levels stored."""
+        if n != self._count or n > self.A.tm.M:
+            raise InvalidArgumentError(
+                f"level {n} pushed after {self._count} levels; push u^0..u^{self.A.tm.M} in order"
+            )
+        values = u.eval_volume_quad(self.quad)
+        # e^{kappa t_0} = 1
+        self._levels[n] = values if n == 0 else np.exp(self.kappa * self.A.tm.t[n]) * values
+        self._count += 1
+
+    def sum(self, n: int) -> np.ndarray:
+        """Memory sum of step n at the points, shaped like kappa."""
+        levels = self._levels[: self._count]
+        start = n - n % HISTORY_PANEL
+        if start and start != self._panel_start:
+            history_panel(self.A, levels, start, self._panel[: self.A.tm.M + 1 - start])
+            self._panel_start = start
+        row = self._panel[n - start] if start else None
+        return substantial_history(self.A, self.kappa, levels, n, row, start)
+
+
 def _moment_vector(values: np.ndarray, ops: LdgOperators, WV: np.ndarray) -> np.ndarray:
     """(g, Phi_B) for every basis function, flattened in solver order, from
     grid values g at the volume quadrature points; WV is StepGrid.WV."""
@@ -319,20 +391,14 @@ def step(
     n: int,
     prob: ProblemSpec,
     grid: StepGrid,
-    tempered_at_quad: np.ndarray,
-    panel_row: np.ndarray | None = None,
-    panel_start: int = 0,
+    history: History,
 ) -> DgField:
     """Advance one time step: solve (A_0^n M I + K) U^n = -(hist, v) + (f(t_n), v).
 
-    Rows 0..n-1 of tempered_at_quad hold the levels u^0..u^{n-1} tempered
-    and evaluated at the points of grid, row j being e^{kappa t_j} u^j;
-    solve() passes its preallocated buffer. Without panel_row the memory sum
-    reads all n rows. With it, panel_row is the history_panel row of step n
-    for the panel formed at panel_start, and only rows panel_start..n-1 are
-    read (see substantial_history).
+    history holds u^0..u^{n-1}, tempered at the points of grid, and hist is
+    its sum(n). The step does not store u^n; the caller pushes it.
     """
-    hist = substantial_history(A, grid.kappa, tempered_at_quad, n, panel_row, panel_start)
+    hist = history.sum(n)
     # The history part of D_M u moves to the right-hand side: this negation is
     # the single place the sign convention is applied.
     rhs_values = -hist
@@ -359,48 +425,84 @@ def _check_tempering_range(prob: ProblemSpec, tm: GradedTimeMesh, kappa_at_quad:
         )
 
 
+def physical_memory_bytes() -> int | None:
+    """Physical memory of the machine, SC_PHYS_PAGES * SC_PAGE_SIZE, or None
+    where the platform does not report it.
+
+    Free pages are not used: they leave out the reclaimable page cache, so a
+    limit taken from them would refuse runs that fit.
+    """
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def footprint_bytes(mesh: SpatialMesh, tm: GradedTimeMesh, basis: BasisSpec, keep_fields: bool) -> int:
+    """Bytes solve holds for a whole run, from the sizes alone: the tempered
+    levels and the panel of History, the dense 1D blocks Kx, Ky and their
+    eigenvectors, and the M + 1 fields of the Trajectory when they are kept."""
+    kk = basis.k + 1
+    q = basis.default_quad_points
+    n_q = mesh.nx * mesh.ny * q * q
+    floats = (tm.M + 1 + _panel_rows(tm.M)) * n_q
+    floats += 2 * ((mesh.nx * kk) ** 2 + (mesh.ny * kk) ** 2)
+    if keep_fields:
+        floats += (tm.M + 1) * mesh.nx * mesh.ny * kk * kk
+    return 8 * floats
+
+
 def solve(
     prob: ProblemSpec,
     mesh: SpatialMesh,
     tm: GradedTimeMesh,
     basis: BasisSpec,
     fw: FluxWeights,
-) -> Trajectory:
+    observe: Callable[[int, DgField], object] | None = None,
+) -> Trajectory | None:
     """Run the fully discrete scheme from t = 0 to t = T.
 
     u^0 is the L2 projection of the initial condition; each subsequent field
     solves the step system. The quadrature points, the moment Vandermonde
     and kappa at the points are built once, as a StepGrid. Every level is
-    evaluated at the quadrature points and tempered once, into row j of a
-    preallocated (M+1, nx, ny, q, q) buffer holding e^{kappa t_j} u^j.
+    pushed once into a History, which holds it tempered at the quadrature
+    points and forms the memory sum of each step from it.
 
-    The memory sum stays exact, O(M^2 N_q) flops per run, but is blocked:
-    at every step n0 that is a positive multiple of HISTORY_PANEL, one GEMM
-    (history_panel) forms the contribution of the rows 0..n0-1 to the steps
-    n0..n0 + HISTORY_PANEL - 1, into a panel buffer allocated once. Each
-    step adds its panel row to a sum over the fewer than HISTORY_PANEL rows
-    written since n0. The buffer is thus read once per panel instead of once
-    per step; runs with M < HISTORY_PANEL never form a panel.
+    Without observe, every field is kept and the Trajectory of all M + 1
+    levels is returned. With observe, solve calls observe(n, u^n) for
+    n = 0..M in order, keeps no field and returns None; the observer keeps
+    what it needs (see analysis.FinalTimeError). Memory is then
+    O(M N_q) for the History plus O(N_dof) for the fields in flight.
 
-    Raises InvalidArgumentError when kappa exceeds c_kappa or c_kappa * T
-    exceeds MAX_TEMPERING_EXPONENT.
+    Before it allocates anything, solve works out from (M, nx, ny, k) the
+    bytes it will hold (footprint_bytes) and raises NumericError naming them
+    when they exceed the physical memory (physical_memory_bytes). It raises
+    InvalidArgumentError when kappa exceeds c_kappa or c_kappa * T exceeds
+    MAX_TEMPERING_EXPONENT.
     """
+    need = footprint_bytes(mesh, tm, basis, keep_fields=observe is None)
+    limit = physical_memory_bytes()
+    if limit is not None and need > limit:
+        held = "history and operators" if observe is not None else "history, operators and fields"
+        raise NumericError(
+            f"the run needs {need} bytes ({need / 2**30:.3g} GiB) for its {held}, "
+            f"more than the {limit} bytes of physical memory"
+        )
     ops = assemble_operators(mesh, basis, fw)
     quad = gauss_rule(basis.default_quad_points)
     A = l1_coefficients(tm, prob.alpha)
     grid = StepGrid.build(prob, mesh, basis, quad)
     _check_tempering_range(prob, tm, grid.kappa)
-    u0 = l2_project(prob.u0, mesh, basis, quad)
-    fields = [u0]
-    tempered = np.empty((tm.M + 1,) + grid.kappa.shape)
-    tempered[0] = u0.eval_volume_quad(quad)  # e^{kappa t_0} = 1
-    # Sized for the first panel, the largest; none forms when M < HISTORY_PANEL.
-    panel = np.empty((min(HISTORY_PANEL, max(tm.M + 1 - HISTORY_PANEL, 0)), grid.kappa.size))
+    history = History(A, grid.kappa, quad)
+    fields: list[DgField] = []
+    record = observe if observe is not None else (lambda n, u: fields.append(u))
+    u_n = l2_project(prob.u0, mesh, basis, quad)
+    record(0, u_n)
+    history.push(0, u_n)
     for n in range(1, tm.M + 1):
-        start = n - n % HISTORY_PANEL
-        if n == start:
-            history_panel(A, tempered, start, panel[: tm.M + 1 - start])
-        u_n = step(ops, A, n, prob, grid, tempered, panel[n - start] if start else None, start)
-        fields.append(u_n)
-        tempered[n] = np.exp(grid.kappa * tm.t[n]) * u_n.eval_volume_quad(quad)
+        u_n = step(ops, A, n, prob, grid, history)
+        record(n, u_n)
+        history.push(n, u_n)
+    if observe is not None:
+        return None
     return Trajectory(fields=fields, tm=tm, prob=prob, mesh=mesh, basis=basis, fw=fw)

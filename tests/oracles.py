@@ -11,9 +11,10 @@ coefficients the package evaluates on demand must agree bit for bit.
 
 The proof devices are objects of the stability and convergence analysis
 that no run needs: the weighted-trace projections P and Q, the bilinear
-form B with its interface traces, one-sided edge traces, the sparse system
-matrix, and the complementary convolution kernels P^n of the L1
-coefficients. The tests check the properties the analysis claims for them.
+form B with its interface traces, one-sided edge traces and point values
+of a field (field_eval), the sparse system matrix, and the complementary
+convolution kernels P^n of the L1 coefficients. The tests check the
+properties the analysis claims for them.
 """
 
 from __future__ import annotations
@@ -420,6 +421,53 @@ def convolution_kernel(A: L1Kernel) -> ConvKernel:
 
 
 _EDGE_AXES = {"E": ("x", +1), "W": ("x", -1), "N": ("y", +1), "S": ("y", -1)}
+
+
+def _locate(coord: np.ndarray, lo: float, hi: float, n: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cell indices and reference coordinates for points along one axis.
+
+    `side` picks the cell when a point sits exactly on an interface: '-' takes
+    the cell to the left (trace from below), '+' the cell to the right.
+    """
+    if side not in ("-", "+"):
+        raise InvalidArgumentError(f"side must be '-' or '+', got {side!r}")
+    u = (np.asarray(coord, dtype=float) - lo) / (hi - lo) * n
+    u = np.mod(u, n)
+    idx = np.floor(u).astype(int)
+    idx = np.minimum(idx, n - 1)
+    on_edge = u == idx
+    if side == "-":
+        idx = np.where(on_edge, (idx - 1) % n, idx)
+        ref = np.where(on_edge, 1.0, 2.0 * (u - idx) - 1.0)
+    else:
+        ref = 2.0 * (u - idx) - 1.0
+    return idx, ref
+
+
+def field_eval(
+    f: DgField,
+    x: float | np.ndarray,
+    y: float | np.ndarray,
+    side_x: str = "-",
+    side_y: str = "-",
+) -> float | np.ndarray:
+    """Point values of the piecewise polynomial, with periodic wrap.
+
+    Points exactly on a cell interface are ambiguous; `side_x`/`side_y`
+    select the one-sided limit per axis ('-' from below, '+' from above).
+    Scalar inputs return a scalar.
+    """
+    mesh, k = f.mesh, f.basis.k
+    x_lo, x_hi, y_lo, y_hi = mesh.domain
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    i, xi = _locate(xb.ravel(), x_lo, x_hi, mesh.nx, side_x)
+    j, eta = _locate(yb.ravel(), y_lo, y_hi, mesh.ny, side_y)
+    Vx = legendre_values(k, xi)
+    Vy = legendre_values(k, eta)
+    vals = np.einsum("nrs,nr,ns->n", f.coeffs[i, j], Vx, Vy)
+    if np.isscalar(x) and np.isscalar(y):
+        return float(vals[0])
+    return vals.reshape(xb.shape)
 
 
 def edge_trace(

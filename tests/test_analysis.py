@@ -9,6 +9,8 @@ import scipy.sparse as sp
 
 from fracldg.analysis import (
     ErrorReport,
+    FinalTimeError,
+    TimeIntegratedError,
     condition_number,
     error_E,
     error_time_integrated,
@@ -16,21 +18,23 @@ from fracldg.analysis import (
 )
 from fracldg.basis import (
     BasisSpec,
+    DgField,
     eval_on_grid,
-    field_eval,
     gauss_rule,
     l2_project,
     legendre_values,
     quad_l2_norm,
+    volume_quad_points,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import l1_coefficients
 from fracldg.ldg import FluxWeights, Trajectory, assemble_operators, solve
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
-from fracldg.problems import example1
+from fracldg.problems import example1, example2
 
 from oracles import (
     dense_condition_2norm,
+    field_eval,
     project_P,
     project_Q,
     spd_condition_splu,
@@ -174,7 +178,7 @@ def _constant_trajectory(decay: float) -> tuple[Trajectory, float]:
     u0 = l2_project(prob.u0, mesh, basis)
     tm = build_graded_time_mesh(1, 1.0, prob.T)
     traj = Trajectory(
-        fields=[u0, u0 * decay], tm=tm, prob=prob, mesh=mesh,
+        fields=[u0, DgField(u0.coeffs * decay, basis, mesh)], tm=tm, prob=prob, mesh=mesh,
         basis=basis, fw=FluxWeights(1.0, 0.0),
     )
     return traj, u0.l2_norm()
@@ -199,6 +203,71 @@ def test_time_integrated_error_on_linear_decay():
     assert error_time_integrated(traj, zero) == pytest.approx(0.2 * norm0, rel=1e-12)
     with pytest.raises(InvalidArgumentError):
         error_time_integrated(traj, zero, quad_t=1)
+
+
+def _pairwise_time_integrated(traj, exact, quad_t):
+    """The time-integrated error by its defining loop over consecutive pairs
+    of stored fields, with the errors at the points recomputed per level."""
+    squad, tquad = gauss_rule(traj.basis.default_quad_points), gauss_rule(quad_t)
+    X, Y = volume_quad_points(traj.mesh, squad)
+
+    def nodal(n):
+        vals = exact(traj.tm.t[n], X[:, None, :, None], Y[None, :, None, :])
+        return vals - traj.fields[n].eval_volume_quad(squad)
+
+    total = 0.0
+    for n in range(1, traj.tm.M + 1):
+        e_prev, e_next, tau = nodal(n - 1), nodal(n), traj.tm.tau[n - 1]
+        for theta, w in zip(tquad.nodes, tquad.weights):
+            z = (theta + 1.0) / 2.0
+            total += w * (tau / 2.0) * quad_l2_norm((1.0 - z) * e_prev + z * e_next, traj.mesh, squad)
+    return total
+
+
+@pytest.mark.parametrize("M", [1, 33, 100])
+@pytest.mark.parametrize("example", [example1, example2])
+def test_streamed_error_functionals_equal_trajectory_forms_bitwise(M, example):
+    # M = 1, 33, 100 crosses 0, 1 and 3 panel boundaries. The observers see
+    # the levels as solve produces them and keep no field; the Trajectory
+    # forms replay the stored fields; the defining formulas recompute both
+    # functionals from the stored fields. All three agree to the bit.
+    prob = example(0.4)
+    mesh = build_spatial_mesh(3, 2)
+    basis = BasisSpec(1)
+    tm = build_graded_time_mesh(M, 6.0, prob.T)
+    fw = FluxWeights(1.0, 0.0)
+    final = FinalTimeError(tm, mesh, basis, prob.exact)
+    integrated = TimeIntegratedError(tm, mesh, basis, prob.exact, quad_t=4)
+
+    def both(n, u):
+        final(n, u)
+        integrated(n, u)
+
+    assert solve(prob, mesh, tm, basis, fw, both) is None
+    traj = solve(prob, mesh, tm, basis, fw)
+    squad = gauss_rule(basis.default_quad_points)
+    X, Y = volume_quad_points(mesh, squad)
+    e_final = prob.exact(prob.T, X[:, None, :, None], Y[None, :, None, :])
+    e_final = e_final - traj.fields[M].eval_volume_quad(squad)
+    assert final.value == error_E(traj, prob.exact) == prob.T * quad_l2_norm(e_final, mesh, squad)
+    assert integrated.value == error_time_integrated(traj, prob.exact, quad_t=4)
+    assert integrated.value == _pairwise_time_integrated(traj, prob.exact, 4)
+
+
+def test_streamed_error_functionals_validate_input():
+    prob = example1(0.5)
+    mesh = build_spatial_mesh(2, 2)
+    tm = build_graded_time_mesh(3, 1.0, prob.T)
+    with pytest.raises(InvalidArgumentError, match="time quadrature"):
+        TimeIntegratedError(tm, mesh, BasisSpec(0), prob.exact, quad_t=1)
+    acc = TimeIntegratedError(tm, mesh, BasisSpec(0), prob.exact)
+    u0 = l2_project(prob.u0, mesh, BasisSpec(0))
+    acc(0, u0)
+    with pytest.raises(InvalidArgumentError, match="level 2 observed after 1"):
+        acc(2, u0)
+    final = FinalTimeError(tm, mesh, BasisSpec(0), prob.exact)
+    final(0, u0)
+    assert math.isnan(final.value)  # u^M not seen yet
 
 
 def test_rates_recover_exact_powers_and_validate_input():

@@ -10,7 +10,6 @@ from fracldg.basis import (
     BasisSpec,
     DgField,
     edge_values,
-    field_eval,
     gauss_rule,
     l2_project,
     legendre_derivatives,
@@ -23,7 +22,12 @@ from fracldg.ldg import FluxWeights, solve
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import example1
 
-from oracles import edge_trace, orthonormal_legendre_derivative, orthonormal_legendre_value
+from oracles import (
+    edge_trace,
+    field_eval,
+    orthonormal_legendre_derivative,
+    orthonormal_legendre_value,
+)
 
 
 def test_gauss_rule_exactness():
@@ -161,16 +165,14 @@ def test_l2_norm_matches_quadrature_norm():
     )
 
 
-def test_field_shape_validation_and_arithmetic():
+def test_field_shape_validation_and_zeros():
     mesh = build_spatial_mesh(2, 2)
     basis = BasisSpec(1)
     with pytest.raises(InvalidArgumentError):
         DgField(np.zeros((2, 2, 3, 3)), basis, mesh)
     f = DgField.zeros(mesh, basis)
-    g = DgField(np.ones((2, 2, 2, 2)), basis, mesh)
-    assert (f + g).coeffs.sum() == pytest.approx(16.0)
-    assert (g - g).l2_norm() == 0.0
-    assert (2.0 * g).coeffs[0, 0, 0, 0] == pytest.approx(2.0)
+    assert f.coeffs.shape == (2, 2, 2, 2)
+    assert f.l2_norm() == 0.0
 
 
 def test_field_eval_periodic_wrap():

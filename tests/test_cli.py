@@ -248,6 +248,76 @@ def test_nonfinite_solve_exits_3(tmp_path, capsys, monkeypatch):
     assert not list(out.glob("*.csv"))
 
 
+def test_run_larger_than_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # The probe reports 4 MiB; the streamed run (16 x 16 Q1, M = 200) would
+    # hold ~7.5 MB. The run stops before it assembles or allocates anything.
+    import fracldg.ldg
+    from fracldg.basis import BasisSpec
+    from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("operators assembled before the footprint check")
+
+    monkeypatch.setattr(fracldg.ldg, "physical_memory_bytes", lambda: 4 * 2**20)
+    monkeypatch.setattr(fracldg.ldg, "assemble_operators", no_assembly)
+    d = _base_config(name="too-big", problem="example2", degree=1, nx=16,
+                     time={"M": 200, "gamma": 2.0, "T": 0.1})
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_config(tmp_path, d), "--out", str(out)]) == 3
+    need = fracldg.ldg.footprint_bytes(
+        build_spatial_mesh(16, 16), build_graded_time_mesh(200, 2.0, 0.1), BasisSpec(1),
+        keep_fields=False,
+    )
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and f"needs {need} bytes" in err
+    assert not list(out.glob("*.csv"))
+
+
+def _solving_studies() -> list[str]:
+    """Every shipped preset that calls solve, and the benchmark's long-memory run."""
+    presets = [p.stem for p in sorted(presets_dir().glob("*.yaml"))]
+    repo = Path(fracldg.cli.__file__).resolve().parents[2]
+    return [name for name in presets if load_config(name).kind != "condition-number"] + [
+        str(repo / "perfbench" / "configs" / "long-memory.yaml")
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:central flux weight")
+@pytest.mark.parametrize("config", _solving_studies(), ids=lambda c: Path(c).stem)
+def test_cli_errors_equal_functional_of_full_trajectory(config, tmp_path, monkeypatch):
+    # Differential check of the streamed CLI path: every error a study
+    # reports equals, as a float, the functional of the full Trajectory that
+    # the default solve returns for the same arguments.
+    import fracldg.ldg
+
+    solve = fracldg.ldg.solve
+    emit = fracldg.cli._emit
+    calls, reports = [], []
+
+    def recording_solve(prob, mesh, tm, basis, fw, observe=None):
+        calls.append((prob, mesh, tm, basis, fw, observe))
+        return solve(prob, mesh, tm, basis, fw, observe)
+
+    def recording_emit(report, cfg, out_dir, plot):
+        reports.append(report)
+        return emit(report, cfg, out_dir, plot)
+
+    monkeypatch.setattr(fracldg.ldg, "solve", recording_solve)
+    monkeypatch.setattr(fracldg.cli, "_emit", recording_emit)
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--check"]) == 0
+    cfg = load_config(config)
+    [report] = reports
+    assert len(calls) == len(report.errors) > 0
+    for (prob, mesh, tm, basis, fw, observe), err in zip(calls, report.errors):
+        assert observe is not None  # the CLI keeps no trajectory
+        traj = solve(prob, mesh, tm, basis, fw)
+        if cfg.metric == "time-integrated":
+            ref = fracldg.analysis.error_time_integrated(traj, prob.exact, cfg.quad_t)
+        else:
+            ref = fracldg.analysis.error_E(traj, prob.exact)
+        assert err == ref
+
+
 def test_condition_study_assembles_each_operator_once(tmp_path, monkeypatch):
     # table8-cond has 6 (degree, alpha, gamma) rows over 3 degrees and 4 flux
     # pairs: 12 distinct operators, assembled 24 times when each row built

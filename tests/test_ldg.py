@@ -27,6 +27,7 @@ from fracldg.fractional import (
 )
 from fracldg.ldg import (
     FluxWeights,
+    History,
     StepGrid,
     assemble_operators,
     solve,
@@ -38,6 +39,8 @@ from fracldg.ldg import (
     _check_tempering_range,
     _directional_operator,
     _moment_vector,
+    footprint_bytes,
+    physical_memory_bytes,
 )
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import ProblemSpec, example1, example2
@@ -133,7 +136,7 @@ def test_energy_nullity_of_bilinear_form():
         Lu = np.kron((2.0 / mesh.hy) * np.eye(4 * 3), dense_directional_operator(3, 2, s2))
         for _ in range(5):
             u = DgField(rng.standard_normal((4, 3, 3, 3)), basis, mesh)
-            u = u * (1.0 / u.l2_norm())
+            u = DgField(u.coeffs * (1.0 / u.l2_norm()), basis, mesh)
             px = ops.unflatten(Du @ ops.flatten(u))
             py = ops.unflatten(Lu @ ops.flatten(u))
             val = bilinear_form_B(u, u, (px, py), (px, py), fw)
@@ -412,26 +415,87 @@ def test_step_rejects_short_history():
     ops = assemble_operators(mesh, basis, FluxWeights(0.0, 1.0))
     quad = gauss_rule(basis.default_quad_points)
     grid = StepGrid.build(prob, mesh, basis, quad)
-    tempered = l2_project(prob.u0, mesh, basis).eval_volume_quad(quad)[None]
+    history = History(A, grid.kappa, quad)
+    history.push(0, l2_project(prob.u0, mesh, basis))
     with pytest.raises(InvalidArgumentError):
-        step(ops, A, 2, prob, grid, tempered)
+        step(ops, A, 2, prob, grid, history)
 
 
 @pytest.mark.parametrize("n,start", [(HISTORY_PANEL + 1, 1), (5, 10)])
 def test_step_rejects_panel_row_outside_its_panel(n, start):
     # A panel formed at `start` covers steps start..start + HISTORY_PANEL - 1;
-    # its row is meaningless for any other step.
+    # its row is meaningless for any other step. step no longer takes a panel
+    # row: History forms the panel of the step it serves. The one-shot
+    # substantial_history, which History calls, keeps the check.
     mesh = build_spatial_mesh(3, 3)
     basis = BasisSpec(0)
     prob = example1(0.5)
     tm = build_graded_time_mesh(2 * HISTORY_PANEL, 2.0, prob.T)
     A = l1_coefficients(tm, prob.alpha)
-    ops = assemble_operators(mesh, basis, FluxWeights(0.0, 1.0))
     quad = gauss_rule(basis.default_quad_points)
     grid = StepGrid.build(prob, mesh, basis, quad)
     tempered = np.zeros((tm.M + 1,) + grid.kappa.shape)
     with pytest.raises(InvalidArgumentError, match="outside the panel"):
-        step(ops, A, n, prob, grid, tempered, np.zeros(grid.kappa.size), start)
+        substantial_history(A, grid.kappa, tempered, n, np.zeros(grid.kappa.size), start)
+
+
+def _random_history(M: int, seed: int):
+    """A History of M + 1 random Q1 levels on a 3 x 2 mesh, with its kernel
+    and kappa, and the levels' tempered values stacked as the one-shot
+    substantial_history reads them."""
+    prob = example2(0.4)
+    mesh = build_spatial_mesh(3, 2)
+    basis = BasisSpec(1)
+    quad = gauss_rule(basis.default_quad_points)
+    A = l1_coefficients(build_graded_time_mesh(M, 3.0, prob.T), prob.alpha)
+    kappa = eval_on_grid(prob.kappa, mesh, quad)
+    history = History(A, kappa, quad)
+    rng = np.random.default_rng(seed)
+    tempered = np.empty((M + 1,) + kappa.shape)
+    for n in range(M + 1):
+        u = DgField(rng.standard_normal((3, 2, 2, 2)), basis, mesh)
+        history.push(n, u)
+        tempered[n] = np.exp(kappa * A.tm.t[n]) * u.eval_volume_quad(quad)
+    return history, A, kappa, tempered
+
+
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 65, 100])
+def test_history_sum_in_step_order_is_the_panel_form_bitwise(M):
+    # History.sum in step order against the panel plumbing solve had before
+    # History: one history_panel at every multiple of HISTORY_PANEL, and
+    # substantial_history with that panel's row. Same operations, same bits.
+    history, A, kappa, tempered = _random_history(M, 41)
+    panel = np.empty((HISTORY_PANEL, kappa.size))
+    for n in range(1, M + 1):
+        start = n - n % HISTORY_PANEL
+        if n == start:
+            history_panel(A, tempered, start, panel[: M + 1 - start])
+        ref = substantial_history(A, kappa, tempered, n, panel[n - start] if start else None, start)
+        assert np.array_equal(history.sum(n), ref), n
+
+
+def test_history_sum_out_of_order_matches_one_shot_sum():
+    # A step of another panel re-forms that panel, so sum(n) is right in any
+    # order, not only in step order.
+    M = 100
+    history, A, kappa, tempered = _random_history(M, 43)
+    for n in (70, 40, 96, 5, 64, 63, 100, 32, 33, 1):
+        ref = substantial_history(A, kappa, tempered, n)
+        got = history.sum(n)
+        assert np.max(np.abs(got - ref)) <= PANEL_DIFF_RTOL * np.max(np.abs(ref)), n
+
+
+def test_history_push_takes_levels_in_order():
+    history, A, kappa, _ = _random_history(3, 47)
+    u = l2_project(example2(0.4).u0, build_spatial_mesh(3, 2), BasisSpec(1))
+    with pytest.raises(InvalidArgumentError, match="in order"):
+        history.push(4, u)  # the buffer holds u^0..u^3
+    fresh = History(A, kappa, gauss_rule(4))
+    with pytest.raises(InvalidArgumentError, match="in order"):
+        fresh.push(1, u)
+    fresh.push(0, u)
+    with pytest.raises(InvalidArgumentError, match=r"must hold w\^0..w\^1"):
+        fresh.sum(2)
 
 
 #: Agreement demanded between solve and the stepwise oracle, per field,
@@ -508,6 +572,109 @@ def test_solve_memory_holds_no_l1_table():
     finally:
         tracemalloc.stop()
     assert peak < SOLVE_PEAK_BYTES_M2000, peak
+
+
+#: Memory reported by the patched probe in the footprint tests: far below
+#: what the refused run would hold, far above what the check itself takes.
+FOOTPRINT_PROBE_BYTES = 4 * 2**20
+
+
+def test_footprint_counts_history_panel_blocks_and_fields():
+    # 16 x 16 Q1, M = 200: q = 4 points per axis, so N_q = 4096 and
+    # N_dof = 1024; the panel has HISTORY_PANEL rows; the 1D blocks are 32 x 32.
+    mesh = build_spatial_mesh(16, 16)
+    tm = build_graded_time_mesh(200, 2.0, 0.1)
+    streamed = 8 * (201 * 4096 + HISTORY_PANEL * 4096 + 2 * (32**2 + 32**2))
+    assert footprint_bytes(mesh, tm, BasisSpec(1), keep_fields=False) == streamed
+    assert footprint_bytes(mesh, tm, BasisSpec(1), keep_fields=True) == streamed + 8 * 201 * 1024
+    # M < HISTORY_PANEL forms no panel.
+    short = build_graded_time_mesh(HISTORY_PANEL - 1, 2.0, 0.1)
+    assert footprint_bytes(mesh, short, BasisSpec(1), keep_fields=False) == 8 * (
+        HISTORY_PANEL * 4096 + 2 * (32**2 + 32**2)
+    )
+
+
+def test_physical_memory_probe_reports_bytes():
+    limit = physical_memory_bytes()
+    assert limit is None or (isinstance(limit, int) and limit > 0)
+
+
+def test_solve_refuses_a_run_larger_than_physical_memory(monkeypatch):
+    # A count of bytes, not a real allocation: the probe reports 4 MiB and the
+    # run would hold ~8.5 MB. solve must raise before it assembles anything,
+    # so the traced peak stays far below the 6.6 MB of the tempered levels.
+    import tracemalloc
+
+    import fracldg.ldg as ldg
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("operators assembled before the footprint check")
+
+    monkeypatch.setattr(ldg, "physical_memory_bytes", lambda: FOOTPRINT_PROBE_BYTES)
+    monkeypatch.setattr(ldg, "assemble_operators", no_assembly)
+    prob = example2(0.5)
+    mesh = build_spatial_mesh(16, 16)
+    tm = build_graded_time_mesh(200, 2.0, prob.T)
+    basis = BasisSpec(1)
+    for observe in (None, lambda n, u: None):
+        need = footprint_bytes(mesh, tm, basis, keep_fields=observe is None)
+        assert need > FOOTPRINT_PROBE_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericError, match=f"needs {need} bytes .* {FOOTPRINT_PROBE_BYTES} bytes"):
+                solve(prob, mesh, tm, basis, FluxWeights(1.0, 0.0), observe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
+def test_streamed_run_fits_where_stored_fields_do_not(monkeypatch):
+    # The probe admits exactly the streamed footprint: solve with an observer
+    # runs, the default solve, which also keeps M + 1 fields, is refused.
+    import fracldg.ldg as ldg
+
+    prob = example2(0.5)
+    mesh = build_spatial_mesh(4, 4)
+    tm = build_graded_time_mesh(40, 2.0, prob.T)
+    basis = BasisSpec(1)
+    fw = FluxWeights(1.0, 0.0)
+    limit = footprint_bytes(mesh, tm, basis, keep_fields=False)
+    monkeypatch.setattr(ldg, "physical_memory_bytes", lambda: limit)
+    seen = []
+    assert solve(prob, mesh, tm, basis, fw, lambda n, u: seen.append(n)) is None
+    assert seen == list(range(41))
+    with pytest.raises(NumericError, match="history, operators and fields"):
+        solve(prob, mesh, tm, basis, fw)
+
+
+#: Share of the M + 1 stored fields, (M + 1) N_dof 8 B, by which the traced
+#: peak of a streamed solve must lie below the default solve's.
+STREAM_SAVING_FRACTION = 0.85
+
+
+def test_streamed_solve_keeps_no_field():
+    # A count of bytes, not a timing. 8 x 8 Q1 at M = 2000: the fields take
+    # 2001 * 256 * 8 B = 4.1 MB next to the 16.4 MB of tempered levels. An
+    # observer that keeps nothing leaves the History as the only O(M) store.
+    import tracemalloc
+
+    prob = example2(0.5)
+    M = 2000
+    tm = build_graded_time_mesh(M, 2.0, prob.T)
+    mesh = build_spatial_mesh(8, 8)
+    basis = BasisSpec(1)
+    fw = FluxWeights(1.0, 0.0)
+    peaks = {}
+    for mode, observe in (("stored", None), ("streamed", lambda n, u: None)):
+        tracemalloc.start()
+        try:
+            solve(prob, mesh, tm, basis, fw, observe)
+            peaks[mode] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    fields_bytes = (M + 1) * mesh.nx * mesh.ny * basis.dofs_per_cell * 8
+    assert peaks["stored"] - peaks["streamed"] >= STREAM_SAVING_FRACTION * fields_bytes, peaks
 
 
 @pytest.mark.xfail(

@@ -35,6 +35,7 @@ MOVED = (
     "project_P",
     "project_Q",
     "edge_trace",
+    "field_eval",
     "mittag_leffler_series",
 )
 
