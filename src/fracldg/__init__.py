@@ -41,7 +41,6 @@ _LAZY = {
     "FluxWeights": "ldg",
     "History": "ldg",
     "LdgOperators": "ldg",
-    "Trajectory": "ldg",
     "assemble_operators": "ldg",
     "step": "ldg",
     "solve": "ldg",
@@ -53,8 +52,6 @@ _LAZY = {
     "ErrorReport": "analysis",
     "FinalTimeError": "analysis",
     "TimeIntegratedError": "analysis",
-    "error_E": "analysis",
-    "error_time_integrated": "analysis",
     "rates": "analysis",
     "condition_number": "analysis",
     # plotting / cli

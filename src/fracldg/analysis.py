@@ -1,11 +1,10 @@
 """Error functionals, convergence rates, and condition numbers.
 
-error_E is the final-time L2 error scaled by the horizon, the functional of
-every shipped convergence table; error_time_integrated weights the whole
-history through the piecewise-linear-in-time interpolants. Each also exists
-as a solve observer (FinalTimeError, TimeIntegratedError) that computes it
-while the run goes and keeps no trajectory; the Trajectory forms replay the
-stored fields through the same observers. rates turns a sweep into
+The error functionals are solve observers that compute their value while
+the run goes and keep no field: FinalTimeError is the final-time L2 error
+scaled by the horizon, the functional of every shipped convergence table;
+TimeIntegratedError weights the whole history through the
+piecewise-linear-in-time interpolants. rates turns a sweep into
 consecutive-pair orders, and condition_number estimates the 2-norm
 conditioning of a step matrix by seeded power iteration, applying the
 inverse through the solver's own fast-diagonalization solve. ErrorReport
@@ -23,7 +22,7 @@ import numpy as np
 from .basis import BasisSpec, DgField, gauss_rule, quad_l2_norm, volume_quad_points
 from .errors import InvalidArgumentError, NumericError
 from .fractional import L1Kernel
-from .ldg import LdgOperators, Trajectory
+from .ldg import LdgOperators
 from .meshes import GradedTimeMesh, SpatialMesh
 
 #: An exact solution u(t, x, y), broadcasting over point arrays.
@@ -33,8 +32,6 @@ __all__ = [
     "ErrorReport",
     "FinalTimeError",
     "TimeIntegratedError",
-    "error_E",
-    "error_time_integrated",
     "rates",
     "condition_number",
 ]
@@ -92,12 +89,18 @@ class _LevelError:
 
 
 class FinalTimeError(_LevelError):
-    """error_E as a solve observer: reads only the final level u^M and
-    keeps no field. value is nan until u^M has been seen.
+    """Convergence functional of the benchmark tables, as a solve observer:
+    the final-time L2 error scaled by the time horizon,
+    E(h, M) = T * ||u(T) - u_h^M||.
+
+    The scaling gives E the dimensions of a time-integrated error while the
+    measurement itself is taken where the full memory history has
+    accumulated. It reads only the final level u^M and keeps no field;
+    value is nan until u^M has been seen.
 
         acc = FinalTimeError(tm, mesh, basis, prob.exact)
         solve(prob, mesh, tm, basis, fw, acc)
-        acc.value  # == error_E(solve(prob, mesh, tm, basis, fw), prob.exact)
+        acc.value
     """
 
     def __init__(self, tm: GradedTimeMesh, mesh: SpatialMesh, basis: BasisSpec, exact: Exact):
@@ -110,9 +113,18 @@ class FinalTimeError(_LevelError):
 
 
 class TimeIntegratedError(_LevelError):
-    """error_time_integrated as a solve observer: folds each consecutive
-    pair of levels into the running value and keeps only the error at the
-    points of the latest level. Levels must arrive in order, u^0 first.
+    """Time-integrated L2 distance between the piecewise-linear-in-time
+    interpolants of the exact solution and of the discrete levels, as a
+    solve observer.
+
+    sum_n int_{t_{n-1}}^{t_n} ||I_1 u(t) - I_1 u_h(t)|| dt. Since both
+    interpolants are linear on each interval, the integrand at an interior
+    time is the norm of the matching convex combination of the endpoint
+    error fields, sampled on the spatial quadrature grid. This diagnostic
+    weights the whole history, so early-time errors that have already
+    decayed by t = T still contribute. Each consecutive pair of levels is
+    folded into the running value, and only the error at the points of the
+    latest level is kept. Levels must arrive in order, u^0 first.
     """
 
     def __init__(
@@ -144,42 +156,6 @@ class TimeIntegratedError(_LevelError):
                 )
         self._e_prev = e_next
         self._seen += 1
-
-
-def _replay(traj: Trajectory, observer: _LevelError) -> float:
-    for n, u in enumerate(traj.fields):
-        observer(n, u)
-    return observer.value
-
-
-def error_E(traj: Trajectory, exact: Exact) -> float:
-    """Convergence functional of the benchmark tables: the final-time L2
-    error scaled by the time horizon, E(h, M) = T * ||u(T) - u_h^M||.
-
-    The scaling gives E the dimensions of a time-integrated error while the
-    measurement itself is taken where the full memory history has
-    accumulated. All shipped table presets use this functional; the
-    interpolant-based integral is available separately as
-    error_time_integrated. FinalTimeError computes it during a solve that
-    keeps no trajectory; this replays traj.fields through it.
-    """
-    return _replay(traj, FinalTimeError(traj.tm, traj.mesh, traj.basis, exact))
-
-
-def error_time_integrated(traj: Trajectory, exact: Exact, quad_t: int = 3) -> float:
-    """Time-integrated L2 distance between the piecewise-linear-in-time
-    interpolants of the exact solution and of the discrete trajectory.
-
-    sum_n int_{t_{n-1}}^{t_n} ||I_1 u(t) - I_1 u_h(t)|| dt. Since both
-    interpolants are linear on each interval, the integrand at an interior
-    time is the norm of the matching convex combination of the endpoint
-    error fields, sampled on the spatial quadrature grid. This diagnostic
-    weights the whole history, so early-time errors that have already
-    decayed by t = T still contribute. TimeIntegratedError computes it
-    during a solve that keeps no trajectory; this replays traj.fields
-    through it.
-    """
-    return _replay(traj, TimeIntegratedError(traj.tm, traj.mesh, traj.basis, exact, quad_t))
 
 
 def rates(errors: Sequence[float], params: Sequence[float]) -> list[float]:

@@ -158,6 +158,18 @@ def _as_int(value, ctx: str) -> int:
     return int(f)
 
 
+def _as_list(value, ctx: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{ctx}: expected a list, got {value!r}")
+    return value
+
+
+def _as_mapping(value, ctx: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{ctx}: expected a mapping, got {value!r}")
+    return value
+
+
 def _as_flux(value, ctx: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{ctx}: flux must be a pair [sigma1, sigma2], got {value!r}")
@@ -168,20 +180,21 @@ def _as_flux(value, ctx: str) -> tuple[float, float]:
     return (s1, s2)
 
 
-def _parse_expect(d: dict, ctx: str) -> Expectations:
+def _parse_expect(d, ctx: str) -> Expectations:
+    d = _as_mapping(d, ctx)
     known = {"errors", "error_rtol", "rates", "rate_atol", "cond_monotone", "cond_anchor"}
     extra = set(d) - known
     if extra:
         raise ConfigError(f"{ctx}: unknown expect keys {sorted(extra)}")
     errors = d.get("errors")
     if errors is not None:
-        errors = tuple(_as_float(e, f"{ctx}.errors") for e in errors)
+        errors = tuple(_as_float(e, f"{ctx}.errors") for e in _as_list(errors, f"{ctx}.errors"))
     rr = d.get("rates")
     if rr is not None:
-        rr = tuple(_as_float(r, f"{ctx}.rates") for r in rr)
+        rr = tuple(_as_float(r, f"{ctx}.rates") for r in _as_list(rr, f"{ctx}.rates"))
     anchor = d.get("cond_anchor")
     if anchor is not None:
-        a = anchor
+        a = _as_mapping(anchor, f"{ctx}.cond_anchor")
         anchor = (
             _as_int(_need(a, "degree", ctx), ctx),
             _as_float(_need(a, "alpha", ctx), ctx),
@@ -218,9 +231,7 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
     if not 0 <= degree <= 8:
         raise ConfigError(f"{source}: degree must lie in 0..8, got {degree}")
     flux = _as_flux(raw.get("flux", [1.0, 0.0]), source)
-    time = _need(raw, "time", source)
-    if not isinstance(time, dict):
-        raise ConfigError(f"{source}: time must be a mapping")
+    time = _as_mapping(_need(raw, "time", source), f"{source}.time")
     M = _as_int(_need(time, "M", f"{source}.time"), f"{source}.time.M")
     if M < 1:
         raise ConfigError(f"{source}: time.M must be >= 1, got {M}")
@@ -253,18 +264,21 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
             raise ConfigError(f"{source}: nx must be >= 1, got {nx}")
     nx_list = raw.get("nx_list")
     if nx_list is not None:
-        nx_list = tuple(_as_int(v, f"{source}.nx_list") for v in nx_list)
+        ctx = f"{source}.nx_list"
+        nx_list = tuple(_as_int(v, ctx) for v in _as_list(nx_list, ctx))
         if not nx_list or any(v < 1 for v in nx_list):
             raise ConfigError(f"{source}: nx_list must be nonempty positive integers")
     M_list = raw.get("M_list")
     if M_list is not None:
-        M_list = tuple(_as_int(v, f"{source}.M_list") for v in M_list)
+        ctx = f"{source}.M_list"
+        M_list = tuple(_as_int(v, ctx) for v in _as_list(M_list, ctx))
         if not M_list or any(v < 1 for v in M_list):
             raise ConfigError(f"{source}: M_list must be nonempty positive integers")
     cond_rows = raw.get("cond_rows")
     if cond_rows is not None:
         rows = []
-        for row in cond_rows:
+        for row in _as_list(cond_rows, f"{source}.cond_rows"):
+            row = _as_mapping(row, f"{source}.cond_rows")
             rows.append(
                 CondRow(
                     degree=_as_int(_need(row, "degree", f"{source}.cond_rows"), source),
@@ -278,10 +292,15 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
                     f"{source}: cond_rows alpha must lie in the admissible range (0, 1), "
                     f"got {row.alpha}"
                 )
+            if not 0 <= row.degree <= 8:
+                raise ConfigError(f"{source}: cond_rows degree must lie in 0..8, got {row.degree}")
+            if row.gamma < 1.0:
+                raise ConfigError(f"{source}: cond_rows gamma must be >= 1, got {row.gamma}")
         cond_rows = tuple(rows)
     flux_list = raw.get("flux_list")
     if flux_list is not None:
-        flux_list = tuple(_as_flux(v, f"{source}.flux_list") for v in flux_list)
+        ctx = f"{source}.flux_list"
+        flux_list = tuple(_as_flux(v, ctx) for v in _as_list(flux_list, ctx))
 
     if kind == "spatial-convergence" and not nx_list:
         raise ConfigError(f"{source}: spatial-convergence requires nx_list")
@@ -356,74 +375,46 @@ def _set_thread_env(threads: int | None, deterministic: bool) -> None:
         os.environ[var] = str(threads)
 
 
-def _observer(cfg: ExperimentConfig, prob, tm, mesh, basis):
-    """The solve observer that measures cfg.metric against prob.exact while
-    the run goes, so no trajectory is kept; its value is the error."""
-    from .analysis import FinalTimeError, TimeIntegratedError
-
-    if cfg.metric == "time-integrated":
-        return TimeIntegratedError(tm, mesh, basis, prob.exact, cfg.quad_t)
-    return FinalTimeError(tm, mesh, basis, prob.exact)
-
-
-def _make_problem(cfg: ExperimentConfig, alpha: float):
+def _run_solves(cfg: ExperimentConfig):
+    """Every study that solves: one solve per case (label, rate abscissa,
+    nx, M), each measured by the observer of cfg.metric against the exact
+    solution while the run goes, so no level is kept."""
+    from .analysis import ErrorReport, FinalTimeError, TimeIntegratedError, rates
+    from .basis import BasisSpec
+    from .ldg import FluxWeights, solve
+    from .meshes import build_graded_time_mesh, build_spatial_mesh
     from .problems import example1, example2
 
-    if cfg.problem == "example1":
-        return example1(alpha, T=cfg.T)
-    return example2(alpha, delta=cfg.delta, T=cfg.T)
-
-
-def _run_spatial(cfg: ExperimentConfig):
-    from .analysis import ErrorReport, rates
-    from .basis import BasisSpec
-    from .ldg import FluxWeights, solve
-    from .meshes import build_graded_time_mesh, build_spatial_mesh
-
-    prob = _make_problem(cfg, cfg.alpha)
-    tm = build_graded_time_mesh(cfg.M, cfg.gamma, cfg.T)
-    basis = BasisSpec(cfg.degree)
-    fw = FluxWeights(*cfg.flux)
-    errors, labels, hs = [], [], []
-    for nx in cfg.nx_list:
-        mesh = build_spatial_mesh(nx, nx)
-        measure = _observer(cfg, prob, tm, mesh, basis)
-        solve(prob, mesh, tm, basis, fw, measure)
-        errors.append(measure.value)
-        labels.append(f"1/{nx}")
-        hs.append(1.0 / nx)
-    rr = rates(errors, hs) if len(errors) >= 2 else []
-    meta = {"h": hs, "flux": cfg.flux, "alpha": cfg.alpha, "gamma": cfg.gamma,
-            "delta": cfg.delta, "degree": cfg.degree, "M": cfg.M, "T": cfg.T}
-    return ErrorReport("spatial-convergence", "h", labels, errors, rr, meta)
-
-
-def _run_temporal(cfg: ExperimentConfig):
-    from .analysis import ErrorReport, rates
-    from .basis import BasisSpec
-    from .ldg import FluxWeights, solve
-    from .meshes import build_graded_time_mesh, build_spatial_mesh
-
-    prob = _make_problem(cfg, cfg.alpha)
-    basis = BasisSpec(cfg.degree)
-    fw = FluxWeights(*cfg.flux)
-    errors, labels, inv_m, nxs = [], [], [], []
-    for M in cfg.M_list:
+    if cfg.kind == "spatial-convergence":
+        cases = [(f"1/{nx}", 1.0 / nx, nx, cfg.M) for nx in cfg.nx_list]
+    elif cfg.kind == "temporal-convergence":
         # Coupled spatial resolution h = M^((alpha-2)/(k+1)) keeps the
         # spatial error subordinate while the time error is measured.
-        nx = max(1, round(M ** ((2.0 - cfg.alpha) / (cfg.degree + 1))))
+        cases = [(str(M), 1.0 / M, max(1, round(M ** ((2.0 - cfg.alpha) / (cfg.degree + 1)))), M)
+                 for M in cfg.M_list]
+    else:
+        cases = [(f"1/{cfg.nx}", 1.0 / cfg.nx, cfg.nx, cfg.M)]
+    if cfg.problem == "example1":
+        prob = example1(cfg.alpha, T=cfg.T)
+    else:
+        prob = example2(cfg.alpha, delta=cfg.delta, T=cfg.T)
+    basis = BasisSpec(cfg.degree)
+    fw = FluxWeights(*cfg.flux)
+    errors = []
+    for _, _, nx, M in cases:
         mesh = build_spatial_mesh(nx, nx)
         tm = build_graded_time_mesh(M, cfg.gamma, cfg.T)
-        measure = _observer(cfg, prob, tm, mesh, basis)
+        if cfg.metric == "time-integrated":
+            measure = TimeIntegratedError(tm, mesh, basis, prob.exact, cfg.quad_t)
+        else:
+            measure = FinalTimeError(tm, mesh, basis, prob.exact)
         solve(prob, mesh, tm, basis, fw, measure)
         errors.append(measure.value)
-        labels.append(str(M))
-        inv_m.append(1.0 / M)
-        nxs.append(nx)
-    rr = rates(errors, inv_m) if len(errors) >= 2 else []
-    meta = {"nx": nxs, "flux": cfg.flux, "alpha": cfg.alpha, "gamma": cfg.gamma,
-            "delta": cfg.delta, "degree": cfg.degree, "T": cfg.T}
-    return ErrorReport("temporal-convergence", "M", labels, errors, rr, meta)
+    labels, xs = [c[0] for c in cases], [c[1] for c in cases]
+    rr = rates(errors, xs) if len(errors) >= 2 else []
+    param_name = "M" if cfg.kind == "temporal-convergence" else "h"
+    meta = {"h": xs} if cfg.kind == "spatial-convergence" else {}
+    return ErrorReport(cfg.kind, param_name, labels, errors, rr, meta)
 
 
 def _run_condition(cfg: ExperimentConfig):
@@ -452,34 +443,14 @@ def _run_condition(cfg: ExperimentConfig):
             values.append(c2)
             group_vals.append(c2)
         groups.append((f"Q{row.degree} alpha={row.alpha:g}", group_vals))
-    meta = {"nx": cfg.nx, "M": cfg.M, "T": cfg.T, "flux_list": cfg.flux_list,
-            "groups": groups, "norm": "2"}
-    return ErrorReport("condition-number", "case", labels, values, [], meta)
-
-
-def _run_single(cfg: ExperimentConfig):
-    from .analysis import ErrorReport
-    from .basis import BasisSpec
-    from .ldg import FluxWeights, solve
-    from .meshes import build_graded_time_mesh, build_spatial_mesh
-
-    prob = _make_problem(cfg, cfg.alpha)
-    mesh = build_spatial_mesh(cfg.nx, cfg.nx)
-    tm = build_graded_time_mesh(cfg.M, cfg.gamma, cfg.T)
-    basis = BasisSpec(cfg.degree)
-    measure = _observer(cfg, prob, tm, mesh, basis) if prob.exact else (lambda n, u: None)
-    solve(prob, mesh, tm, basis, FluxWeights(*cfg.flux), measure)
-    err = measure.value if prob.exact else float("nan")
-    meta = {"flux": cfg.flux, "alpha": cfg.alpha, "gamma": cfg.gamma,
-            "degree": cfg.degree, "M": cfg.M, "T": cfg.T}
-    return ErrorReport("single-run", "h", [f"1/{cfg.nx}"], [err], [], meta)
+    return ErrorReport("condition-number", "case", labels, values, [], {"groups": groups})
 
 
 _RUNNERS = {
-    "spatial-convergence": _run_spatial,
-    "temporal-convergence": _run_temporal,
+    "spatial-convergence": _run_solves,
+    "temporal-convergence": _run_solves,
     "condition-number": _run_condition,
-    "single-run": _run_single,
+    "single-run": _run_solves,
 }
 
 

@@ -27,9 +27,9 @@ needs numpy only; the sparse 2D K is the one exception, a scipy matrix
 built on first access for residual recomputation outside the run path.
 
 The earlier levels enter a step only through the memory sum, which one
-History object holds and evaluates. solve keeps the fields themselves only
-when its caller asks for the whole Trajectory, and refuses, before it
-allocates, a run whose footprint exceeds the physical memory.
+History object holds and evaluates. solve hands each level to an observer
+and keeps none itself, and refuses, before it allocates, a run whose
+footprint exceeds the physical memory.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ __all__ = [
     "History",
     "LdgOperators",
     "StepGrid",
-    "Trajectory",
     "assemble_operators",
     "step",
     "solve",
@@ -270,26 +269,6 @@ def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> 
     )
 
 
-@dataclass
-class Trajectory:
-    """Every level u^0..u^M of a run, with its mesh/problem context.
-
-    solve returns one when it is given no observer. It holds (M+1) N_dof
-    floats, N_dof the number of coefficients of one field; a caller that
-    needs less passes solve an observer instead and keeps what it reads.
-    """
-
-    fields: list[DgField]
-    tm: GradedTimeMesh
-    prob: ProblemSpec
-    mesh: SpatialMesh
-    basis: BasisSpec
-    fw: FluxWeights
-
-    def __len__(self) -> int:
-        return len(self.fields)
-
-
 @dataclass(frozen=True)
 class StepGrid:
     """Everything a step reads at the volume quadrature points that does not
@@ -438,17 +417,15 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def footprint_bytes(mesh: SpatialMesh, tm: GradedTimeMesh, basis: BasisSpec, keep_fields: bool) -> int:
+def footprint_bytes(mesh: SpatialMesh, tm: GradedTimeMesh, basis: BasisSpec) -> int:
     """Bytes solve holds for a whole run, from the sizes alone: the tempered
-    levels and the panel of History, the dense 1D blocks Kx, Ky and their
-    eigenvectors, and the M + 1 fields of the Trajectory when they are kept."""
+    levels and the panel of History, and the dense 1D blocks Kx, Ky and
+    their eigenvectors. The fields in flight, O(N_dof) each, are left out."""
     kk = basis.k + 1
     q = basis.default_quad_points
     n_q = mesh.nx * mesh.ny * q * q
     floats = (tm.M + 1 + _panel_rows(tm.M)) * n_q
     floats += 2 * ((mesh.nx * kk) ** 2 + (mesh.ny * kk) ** 2)
-    if keep_fields:
-        floats += (tm.M + 1) * mesh.nx * mesh.ny * kk * kk
     return 8 * floats
 
 
@@ -458,9 +435,10 @@ def solve(
     tm: GradedTimeMesh,
     basis: BasisSpec,
     fw: FluxWeights,
-    observe: Callable[[int, DgField], object] | None = None,
-) -> Trajectory | None:
-    """Run the fully discrete scheme from t = 0 to t = T.
+    observe: Callable[[int, DgField], object],
+) -> None:
+    """Run the fully discrete scheme from t = 0 to t = T, calling
+    observe(n, u^n) for n = 0..M in order.
 
     u^0 is the L2 projection of the initial condition; each subsequent field
     solves the step system. The quadrature points, the moment Vandermonde
@@ -468,11 +446,10 @@ def solve(
     pushed once into a History, which holds it tempered at the quadrature
     points and forms the memory sum of each step from it.
 
-    Without observe, every field is kept and the Trajectory of all M + 1
-    levels is returned. With observe, solve calls observe(n, u^n) for
-    n = 0..M in order, keeps no field and returns None; the observer keeps
-    what it needs (see analysis.FinalTimeError). Memory is then
-    O(M N_q) for the History plus O(N_dof) for the fields in flight.
+    solve keeps no field: the observer keeps what it needs, such as one
+    error functional (analysis.FinalTimeError) or every level. Memory is
+    O(M N_q) for the History plus O(N_dof) for the fields in flight and
+    whatever the observer keeps.
 
     Before it allocates anything, solve works out from (M, nx, ny, k) the
     bytes it will hold (footprint_bytes) and raises NumericError naming them
@@ -480,12 +457,11 @@ def solve(
     InvalidArgumentError when kappa exceeds c_kappa or c_kappa * T exceeds
     MAX_TEMPERING_EXPONENT.
     """
-    need = footprint_bytes(mesh, tm, basis, keep_fields=observe is None)
+    need = footprint_bytes(mesh, tm, basis)
     limit = physical_memory_bytes()
     if limit is not None and need > limit:
-        held = "history and operators" if observe is not None else "history, operators and fields"
         raise NumericError(
-            f"the run needs {need} bytes ({need / 2**30:.3g} GiB) for its {held}, "
+            f"the run needs {need} bytes ({need / 2**30:.3g} GiB) for its history and operators, "
             f"more than the {limit} bytes of physical memory"
         )
     ops = assemble_operators(mesh, basis, fw)
@@ -494,15 +470,10 @@ def solve(
     grid = StepGrid.build(prob, mesh, basis, quad)
     _check_tempering_range(prob, tm, grid.kappa)
     history = History(A, grid.kappa, quad)
-    fields: list[DgField] = []
-    record = observe if observe is not None else (lambda n, u: fields.append(u))
     u_n = l2_project(prob.u0, mesh, basis, quad)
-    record(0, u_n)
+    observe(0, u_n)
     history.push(0, u_n)
     for n in range(1, tm.M + 1):
         u_n = step(ops, A, n, prob, grid, history)
-        record(n, u_n)
+        observe(n, u_n)
         history.push(n, u_n)
-    if observe is not None:
-        return None
-    return Trajectory(fields=fields, tm=tm, prob=prob, mesh=mesh, basis=basis, fw=fw)

@@ -8,6 +8,9 @@ an adaptive-precision Mittag-Leffler series instead of the float one. Slow
 and simple on purpose. The one exception is l1_table, the stored L1 table
 the package once built: the same formula row by row, against which the
 coefficients the package evaluates on demand must agree bit for bit.
+The error functionals are recomputed by their defining formulas from the
+levels that a collecting observer keeps (solve_fields), against which the
+streaming observers of fracldg.analysis must also agree bit for bit.
 
 The proof devices are objects of the stability and convergence analysis
 that no run needs: the weighted-trace projections P and Q, the bilinear
@@ -42,12 +45,19 @@ from fracldg.basis import (
     l2_project,
     legendre_derivatives,
     legendre_values,
+    quad_l2_norm,
     quad_vandermonde,
     volume_quad_points,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import L1Kernel, l1_coefficients, substantial_history
-from fracldg.ldg import FluxWeights, LdgOperators, _check_tempering_range, assemble_operators
+from fracldg.ldg import (
+    FluxWeights,
+    LdgOperators,
+    _check_tempering_range,
+    assemble_operators,
+    solve,
+)
 
 
 def orthonormal_legendre_value(r: int, x: float) -> float:
@@ -324,6 +334,41 @@ def solve_stepwise(prob, mesh, tm, basis, fw) -> list:
         fields.append(u_n)
         tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(quad)
     return fields
+
+
+def solve_fields(prob, mesh, tm, basis, fw) -> list:
+    """Fields u^0..u^M of fracldg.ldg.solve, kept by a collecting observer."""
+    fields = []
+    solve(prob, mesh, tm, basis, fw, lambda n, u: fields.append(u))
+    return fields
+
+
+def _nodal_error(fields, n, tm, mesh, squad, exact) -> np.ndarray:
+    X, Y = volume_quad_points(mesh, squad)
+    vals = exact(tm.t[n], X[:, None, :, None], Y[None, :, None, :])
+    return vals - fields[n].eval_volume_quad(squad)
+
+
+def final_time_error(fields, tm, mesh, basis, exact) -> float:
+    """The convergence functional by its definition, T ||u(T) - u^M||, from
+    the stored levels."""
+    squad = gauss_rule(basis.default_quad_points)
+    return tm.T * quad_l2_norm(_nodal_error(fields, tm.M, tm, mesh, squad, exact), mesh, squad)
+
+
+def pairwise_time_integrated(fields, tm, mesh, basis, exact, quad_t: int) -> float:
+    """The time-integrated error by its defining loop over consecutive pairs
+    of stored levels, with the errors at the points recomputed per level."""
+    squad, tquad = gauss_rule(basis.default_quad_points), gauss_rule(quad_t)
+    total = 0.0
+    for n in range(1, tm.M + 1):
+        e_prev = _nodal_error(fields, n - 1, tm, mesh, squad, exact)
+        e_next = _nodal_error(fields, n, tm, mesh, squad, exact)
+        tau = tm.tau[n - 1]
+        for theta, w in zip(tquad.nodes, tquad.weights):
+            z = (theta + 1.0) / 2.0
+            total += w * (tau / 2.0) * quad_l2_norm((1.0 - z) * e_prev + z * e_next, mesh, squad)
+    return total
 
 
 def mittag_leffler_series(alpha: float, z: float) -> float:

@@ -12,8 +12,6 @@ from fracldg.analysis import (
     FinalTimeError,
     TimeIntegratedError,
     condition_number,
-    error_E,
-    error_time_integrated,
     rates,
 )
 from fracldg.basis import (
@@ -24,19 +22,21 @@ from fracldg.basis import (
     l2_project,
     legendre_values,
     quad_l2_norm,
-    volume_quad_points,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import l1_coefficients
-from fracldg.ldg import FluxWeights, Trajectory, assemble_operators, solve
+from fracldg.ldg import FluxWeights, assemble_operators, solve
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import example1, example2
 
 from oracles import (
     dense_condition_2norm,
     field_eval,
+    final_time_error,
+    pairwise_time_integrated,
     project_P,
     project_Q,
+    solve_fields,
     spd_condition_splu,
     system_matrix,
 )
@@ -171,66 +171,55 @@ def test_projection_error_shrinks_at_design_order(make):
     assert abs(got - 2.0) <= 0.1
 
 
-def _constant_trajectory(decay: float) -> tuple[Trajectory, float]:
+def _constant_levels(decay: float):
+    """Two levels u^0 = P u0 and u^1 = decay * u^0 on [0, 0.4], their
+    meshes and basis, and ||u^0||."""
     prob = example1(0.5, T=0.4)
     mesh = build_spatial_mesh(5, 5)
     basis = BasisSpec(1)
     u0 = l2_project(prob.u0, mesh, basis)
     tm = build_graded_time_mesh(1, 1.0, prob.T)
-    traj = Trajectory(
-        fields=[u0, DgField(u0.coeffs * decay, basis, mesh)], tm=tm, prob=prob, mesh=mesh,
-        basis=basis, fw=FluxWeights(1.0, 0.0),
-    )
-    return traj, u0.l2_norm()
+    fields = [u0, DgField(u0.coeffs * decay, basis, mesh)]
+    return fields, tm, mesh, basis, u0.l2_norm()
+
+
+def _observed(observer, fields) -> float:
+    for n, u in enumerate(fields):
+        observer(n, u)
+    return observer.value
 
 
 def test_error_functional_is_scaled_final_time_norm():
     # Against the zero function the functional must equal T times the
     # coefficient norm of the last field, which the orthonormal basis gives
     # in closed form.
-    traj, norm0 = _constant_trajectory(decay=1.0)
+    fields, tm, mesh, basis, norm0 = _constant_levels(decay=1.0)
     zero = lambda t, x, y: np.zeros(np.broadcast(x, y).shape)
-    assert error_E(traj, zero) == pytest.approx(0.4 * norm0, rel=1e-12)
+    got = _observed(FinalTimeError(tm, mesh, basis, zero), fields)
+    assert got == pytest.approx(0.4 * norm0, rel=1e-12)
 
 
 def test_time_integrated_error_on_linear_decay():
     # With e(t) shrinking linearly from ||u0|| to 0 the integral is
     # T ||u0|| / 2; with constant history it is T ||u0||.
     zero = lambda t, x, y: np.zeros(np.broadcast(x, y).shape)
-    traj, norm0 = _constant_trajectory(decay=1.0)
-    assert error_time_integrated(traj, zero) == pytest.approx(0.4 * norm0, rel=1e-12)
-    traj, norm0 = _constant_trajectory(decay=0.0)
-    assert error_time_integrated(traj, zero) == pytest.approx(0.2 * norm0, rel=1e-12)
+    fields, tm, mesh, basis, norm0 = _constant_levels(decay=1.0)
+    got = _observed(TimeIntegratedError(tm, mesh, basis, zero), fields)
+    assert got == pytest.approx(0.4 * norm0, rel=1e-12)
+    fields, tm, mesh, basis, norm0 = _constant_levels(decay=0.0)
+    got = _observed(TimeIntegratedError(tm, mesh, basis, zero), fields)
+    assert got == pytest.approx(0.2 * norm0, rel=1e-12)
     with pytest.raises(InvalidArgumentError):
-        error_time_integrated(traj, zero, quad_t=1)
-
-
-def _pairwise_time_integrated(traj, exact, quad_t):
-    """The time-integrated error by its defining loop over consecutive pairs
-    of stored fields, with the errors at the points recomputed per level."""
-    squad, tquad = gauss_rule(traj.basis.default_quad_points), gauss_rule(quad_t)
-    X, Y = volume_quad_points(traj.mesh, squad)
-
-    def nodal(n):
-        vals = exact(traj.tm.t[n], X[:, None, :, None], Y[None, :, None, :])
-        return vals - traj.fields[n].eval_volume_quad(squad)
-
-    total = 0.0
-    for n in range(1, traj.tm.M + 1):
-        e_prev, e_next, tau = nodal(n - 1), nodal(n), traj.tm.tau[n - 1]
-        for theta, w in zip(tquad.nodes, tquad.weights):
-            z = (theta + 1.0) / 2.0
-            total += w * (tau / 2.0) * quad_l2_norm((1.0 - z) * e_prev + z * e_next, traj.mesh, squad)
-    return total
+        TimeIntegratedError(tm, mesh, basis, zero, quad_t=1)
 
 
 @pytest.mark.parametrize("M", [1, 33, 100])
 @pytest.mark.parametrize("example", [example1, example2])
 def test_streamed_error_functionals_equal_trajectory_forms_bitwise(M, example):
     # M = 1, 33, 100 crosses 0, 1 and 3 panel boundaries. The observers see
-    # the levels as solve produces them and keep no field; the Trajectory
-    # forms replay the stored fields; the defining formulas recompute both
-    # functionals from the stored fields. All three agree to the bit.
+    # the levels as solve produces them and keep no field; the defining
+    # formulas recompute both functionals from every level, which a third
+    # observer collects. They agree to the bit.
     prob = example(0.4)
     mesh = build_spatial_mesh(3, 2)
     basis = BasisSpec(1)
@@ -238,20 +227,16 @@ def test_streamed_error_functionals_equal_trajectory_forms_bitwise(M, example):
     fw = FluxWeights(1.0, 0.0)
     final = FinalTimeError(tm, mesh, basis, prob.exact)
     integrated = TimeIntegratedError(tm, mesh, basis, prob.exact, quad_t=4)
+    fields = []
 
-    def both(n, u):
+    def all_three(n, u):
         final(n, u)
         integrated(n, u)
+        fields.append(u)
 
-    assert solve(prob, mesh, tm, basis, fw, both) is None
-    traj = solve(prob, mesh, tm, basis, fw)
-    squad = gauss_rule(basis.default_quad_points)
-    X, Y = volume_quad_points(mesh, squad)
-    e_final = prob.exact(prob.T, X[:, None, :, None], Y[None, :, None, :])
-    e_final = e_final - traj.fields[M].eval_volume_quad(squad)
-    assert final.value == error_E(traj, prob.exact) == prob.T * quad_l2_norm(e_final, mesh, squad)
-    assert integrated.value == error_time_integrated(traj, prob.exact, quad_t=4)
-    assert integrated.value == _pairwise_time_integrated(traj, prob.exact, 4)
+    solve(prob, mesh, tm, basis, fw, all_three)
+    assert final.value == final_time_error(fields, tm, mesh, basis, prob.exact)
+    assert integrated.value == pairwise_time_integrated(fields, tm, mesh, basis, prob.exact, 4)
 
 
 def test_streamed_error_functionals_validate_input():
@@ -386,8 +371,8 @@ def test_run_path_builds_no_sparse_matrix(monkeypatch):
     prob = example1(0.4)
     mesh = build_spatial_mesh(4, 3)
     tm = build_graded_time_mesh(5, 2.0, prob.T)
-    traj = solve(prob, mesh, tm, BasisSpec(1), FluxWeights(0.9, 0.1))
-    assert np.all(np.isfinite(traj.fields[-1].coeffs))
+    fields = solve_fields(prob, mesh, tm, BasisSpec(1), FluxWeights(0.9, 0.1))
+    assert np.all(np.isfinite(fields[-1].coeffs))
     ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(0.9, 0.1))
     assert condition_number(ops, l1_coefficients(tm, prob.alpha), 5) > 1.0
 

@@ -24,6 +24,8 @@ from fracldg.cli import (
 )
 from fracldg.errors import ConfigError, NumericError
 
+from oracles import final_time_error, pairwise_time_integrated, solve_fields
+
 
 def _base_config(**overrides) -> dict:
     d = {
@@ -80,6 +82,18 @@ def test_unknown_preset_error_lists_available_names():
     ({"metric": "l-infinity"}, "metric must be"),
     ({"nx": 4.5}, "expected an integer"),
     ({"degree": 9}, "degree must lie in 0..8"),
+    ({"time": 3}, "time: expected a mapping"),
+    ({"nx_list": 5}, "nx_list: expected a list"),
+    ({"M_list": 5}, "M_list: expected a list"),
+    ({"flux_list": 5}, "flux_list: expected a list"),
+    ({"cond_rows": 5}, "cond_rows: expected a list"),
+    ({"cond_rows": [3]}, "cond_rows: expected a mapping"),
+    ({"cond_rows": [{"degree": 12, "alpha": 0.5, "gamma": 1.0}]}, "degree must lie in 0..8"),
+    ({"cond_rows": [{"degree": 1, "alpha": 0.5, "gamma": 0.5}]}, "gamma must be >= 1"),
+    ({"expect": 5}, "expect: expected a mapping"),
+    ({"expect": {"errors": 0.1}}, "errors: expected a list"),
+    ({"expect": {"rates": 2.0}}, "rates: expected a list"),
+    ({"expect": {"cond_anchor": 5}}, "cond_anchor: expected a mapping"),
 ])
 def test_config_validation_messages(overrides, needle):
     with pytest.raises(ConfigError) as ei:
@@ -265,8 +279,7 @@ def test_run_larger_than_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", "--config", _write_config(tmp_path, d), "--out", str(out)]) == 3
     need = fracldg.ldg.footprint_bytes(
-        build_spatial_mesh(16, 16), build_graded_time_mesh(200, 2.0, 0.1), BasisSpec(1),
-        keep_fields=False,
+        build_spatial_mesh(16, 16), build_graded_time_mesh(200, 2.0, 0.1), BasisSpec(1)
     )
     err = capsys.readouterr().err
     assert "numeric failure" in err and f"needs {need} bytes" in err
@@ -286,16 +299,17 @@ def _solving_studies() -> list[str]:
 @pytest.mark.parametrize("config", _solving_studies(), ids=lambda c: Path(c).stem)
 def test_cli_errors_equal_functional_of_full_trajectory(config, tmp_path, monkeypatch):
     # Differential check of the streamed CLI path: every error a study
-    # reports equals, as a float, the functional of the full Trajectory that
-    # the default solve returns for the same arguments.
+    # reports equals, as a float, the defining formula of its functional on
+    # all levels of a run with the same arguments, kept by a collecting
+    # observer. The formulas are the test oracles, not the CLI's observers.
     import fracldg.ldg
 
     solve = fracldg.ldg.solve
     emit = fracldg.cli._emit
     calls, reports = [], []
 
-    def recording_solve(prob, mesh, tm, basis, fw, observe=None):
-        calls.append((prob, mesh, tm, basis, fw, observe))
+    def recording_solve(prob, mesh, tm, basis, fw, observe):
+        calls.append((prob, mesh, tm, basis, fw))
         return solve(prob, mesh, tm, basis, fw, observe)
 
     def recording_emit(report, cfg, out_dir, plot):
@@ -308,13 +322,12 @@ def test_cli_errors_equal_functional_of_full_trajectory(config, tmp_path, monkey
     cfg = load_config(config)
     [report] = reports
     assert len(calls) == len(report.errors) > 0
-    for (prob, mesh, tm, basis, fw, observe), err in zip(calls, report.errors):
-        assert observe is not None  # the CLI keeps no trajectory
-        traj = solve(prob, mesh, tm, basis, fw)
+    for (prob, mesh, tm, basis, fw), err in zip(calls, report.errors):
+        fields = solve_fields(prob, mesh, tm, basis, fw)
         if cfg.metric == "time-integrated":
-            ref = fracldg.analysis.error_time_integrated(traj, prob.exact, cfg.quad_t)
+            ref = pairwise_time_integrated(fields, tm, mesh, basis, prob.exact, cfg.quad_t)
         else:
-            ref = fracldg.analysis.error_E(traj, prob.exact)
+            ref = final_time_error(fields, tm, mesh, basis, prob.exact)
         assert err == ref
 
 

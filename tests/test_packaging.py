@@ -39,6 +39,9 @@ MOVED = (
     "mittag_leffler_series",
 )
 
+#: Names of the stored-trajectory mode of solve, removed with it.
+REMOVED = ("Trajectory", "error_E", "error_time_integrated")
+
 _CHILD = (
     "import sys\n"
     "from fracldg.cli import main\n"
@@ -157,3 +160,11 @@ def test_moved_names_are_not_exported(name):
     with pytest.raises(AttributeError):
         getattr(fracldg, name)
     assert name not in dir(fracldg)
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    with pytest.raises(AttributeError):
+        getattr(fracldg, name)
+    for module in SUBMODULES:
+        assert not hasattr(importlib.import_module(f"fracldg.{module}"), name), module
