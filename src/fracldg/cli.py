@@ -8,6 +8,11 @@ Verbs:
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 expectation mismatch when --check is passed.
 
+Every mapping of a config (the top level, `time`, each `cond_rows` entry,
+`expect` and `expect.cond_anchor`) is read through one key-consuming
+reader, so an unknown or misspelt key at any level is a configuration
+error; only `reference` is free-form notes and is not looked into.
+
 Heavy numerical imports happen inside the run functions, after the thread
 environment variables are set, so --threads/--deterministic take effect on
 the linear-algebra backends.
@@ -16,9 +21,10 @@ the linear-algebra backends.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -89,262 +95,183 @@ class ExperimentConfig:
     metric: str = "final-time"
     expect: Expectations | None = None
 
-    def to_dict(self) -> dict:
-        """Plain-dict form mirroring the YAML schema (round-trips losslessly)."""
-        d: dict = {
-            "name": self.name,
-            "kind": self.kind,
-            "problem": self.problem,
-            "alpha": self.alpha,
-            "degree": self.degree,
-            "flux": list(self.flux),
-            "time": {"M": self.M, "gamma": self.gamma, "T": self.T},
-            "quad_t": self.quad_t,
-            "metric": self.metric,
-        }
-        if self.title:
-            d["title"] = self.title
-        if self.delta is not None:
-            d["delta"] = self.delta
-        if self.nx is not None:
-            d["nx"] = self.nx
-        if self.nx_list is not None:
-            d["nx_list"] = list(self.nx_list)
-        if self.M_list is not None:
-            d["M_list"] = list(self.M_list)
-        if self.cond_rows is not None:
-            d["cond_rows"] = [asdict(row) for row in self.cond_rows]
-        if self.flux_list is not None:
-            d["flux_list"] = [list(pair) for pair in self.flux_list]
-        if self.expect is not None:
-            e = self.expect
-            ed: dict = {"error_rtol": e.error_rtol, "rate_atol": e.rate_atol}
-            if e.errors is not None:
-                ed["errors"] = list(e.errors)
-            if e.rates is not None:
-                ed["rates"] = list(e.rates)
-            if e.cond_monotone:
-                ed["cond_monotone"] = True
-            if e.cond_anchor is not None:
-                degree, alpha, s1, s2, value, factor = e.cond_anchor
-                ed["cond_anchor"] = {
-                    "degree": degree,
-                    "alpha": alpha,
-                    "flux": [s1, s2],
-                    "value": value,
-                    "factor": factor,
-                }
-            d["expect"] = ed
-        return d
+
+_REQUIRED = object()
 
 
-def _need(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise ConfigError(f"{ctx}: missing required key {key!r}")
-    return d[key]
+class _Mapping:
+    """One mapping of a config, read key by key.
+
+    Every read marks its key, and `done` rejects the keys nothing read, so a
+    misspelt or misplaced key fails the config instead of being ignored.
+    """
+
+    def __init__(self, value, ctx: str):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{ctx}: expected a mapping, got {value!r}")
+        self.ctx = ctx
+        self._d = value
+        self._unread = set(value)
+
+    def get(self, key: str, default=_REQUIRED):
+        self._unread.discard(key)
+        if key in self._d:
+            return self._d[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.ctx}: missing required key {key!r}")
+        return default
+
+    def num(self, key: str, default=_REQUIRED, ok=None, want: str = "", integer: bool = False):
+        """A number under `key`; None only when the key is optional (default
+        None) and absent or null. `ok` is the range test, `want` its wording."""
+        value = self.get(key, default)
+        if value is None and default is None:
+            return None
+        return _number(value, f"{self.ctx}.{key}", ok, want, integer)
+
+    def choice(self, key: str, choices: tuple[str, ...], default=_REQUIRED) -> str:
+        value = str(self.get(key, default))
+        if value not in choices:
+            raise ConfigError(f"{self.ctx}.{key} must be one of {choices}, got {value!r}")
+        return value
+
+    def items(self, key: str, item) -> tuple | None:
+        """The optional list under `key`, each entry read by item(value, ctx)."""
+        value = self.get(key, None)
+        if value is None:
+            return None
+        ctx = f"{self.ctx}.{key}"
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{ctx}: expected a list, got {value!r}")
+        return tuple(item(v, ctx) for v in value)
+
+    def done(self) -> None:
+        if self._unread:
+            raise ConfigError(f"{self.ctx}: unknown keys {sorted(self._unread)}")
 
 
-def _as_float(value, ctx: str) -> float:
+def _number(value, ctx: str, ok=None, want: str = "", integer: bool = False):
     try:
-        return float(value)
+        f = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{ctx}: expected a number, got {value!r}") from None
+    if not math.isfinite(f):
+        raise ConfigError(f"{ctx}: expected a finite number, got {value!r}")
+    if integer:
+        if f != int(f):
+            raise ConfigError(f"{ctx}: expected an integer, got {value!r}")
+        f = int(f)
+    if ok is not None and not ok(f):
+        raise ConfigError(f"{ctx} {want}, got {f}")
+    return f
 
 
-def _as_int(value, ctx: str) -> int:
-    f = _as_float(value, ctx)
-    if f != int(f):
-        raise ConfigError(f"{ctx}: expected an integer, got {value!r}")
-    return int(f)
-
-
-def _as_list(value, ctx: str) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{ctx}: expected a list, got {value!r}")
-    return value
-
-
-def _as_mapping(value, ctx: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{ctx}: expected a mapping, got {value!r}")
-    return value
+def _mesh_size(value, ctx: str) -> int:
+    return _number(value, ctx, lambda n: n >= 1, "entries must be >= 1", integer=True)
 
 
 def _as_flux(value, ctx: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{ctx}: flux must be a pair [sigma1, sigma2], got {value!r}")
-    s1, s2 = (_as_float(v, ctx) for v in value)
-    for s in (s1, s2):
-        if not 0.0 <= s <= 1.0:
-            raise ConfigError(f"{ctx}: flux weights must lie in [0, 1], got {s}")
+        raise ConfigError(f"{ctx} must be a pair [sigma1, sigma2], got {value!r}")
+    s1, s2 = (_number(v, ctx, lambda s: 0.0 <= s <= 1.0, "weights must lie in [0, 1]")
+              for v in value)
     return (s1, s2)
 
 
-def _parse_expect(d, ctx: str) -> Expectations:
-    d = _as_mapping(d, ctx)
-    known = {"errors", "error_rtol", "rates", "rate_atol", "cond_monotone", "cond_anchor"}
-    extra = set(d) - known
-    if extra:
-        raise ConfigError(f"{ctx}: unknown expect keys {sorted(extra)}")
-    errors = d.get("errors")
-    if errors is not None:
-        errors = tuple(_as_float(e, f"{ctx}.errors") for e in _as_list(errors, f"{ctx}.errors"))
-    rr = d.get("rates")
-    if rr is not None:
-        rr = tuple(_as_float(r, f"{ctx}.rates") for r in _as_list(rr, f"{ctx}.rates"))
-    anchor = d.get("cond_anchor")
+def _alpha(r: _Mapping) -> float:
+    return r.num("alpha", ok=lambda a: 0.0 < a < 1.0,
+                 want="must lie in the admissible range (0, 1)")
+
+
+def _degree(r: _Mapping, default=_REQUIRED) -> int:
+    return r.num("degree", default, lambda k: 0 <= k <= 8, "must lie in 0..8", integer=True)
+
+
+def _gamma(r: _Mapping, default=_REQUIRED) -> float:
+    return r.num("gamma", default, lambda g: g >= 1.0, "must be >= 1")
+
+
+def _cond_row(value, ctx: str) -> CondRow:
+    r = _Mapping(value, ctx)
+    row = CondRow(degree=_degree(r), alpha=_alpha(r), gamma=_gamma(r))
+    r.done()
+    return row
+
+
+def _parse_expect(value, ctx: str) -> Expectations:
+    r = _Mapping(value, ctx)
+    monotone = r.get("cond_monotone", False)
+    if not isinstance(monotone, bool):
+        raise ConfigError(f"{ctx}.cond_monotone: expected true or false, got {monotone!r}")
+    anchor = r.get("cond_anchor", None)
     if anchor is not None:
-        a = _as_mapping(anchor, f"{ctx}.cond_anchor")
-        anchor = (
-            _as_int(_need(a, "degree", ctx), ctx),
-            _as_float(_need(a, "alpha", ctx), ctx),
-            *_as_flux(_need(a, "flux", ctx), ctx),
-            _as_float(_need(a, "value", ctx), ctx),
-            _as_float(a.get("factor", 2.0), ctx),
-        )
-    return Expectations(
-        errors=errors,
-        error_rtol=_as_float(d.get("error_rtol", 0.05), ctx),
-        rates=rr,
-        rate_atol=_as_float(d.get("rate_atol", 0.1), ctx),
-        cond_monotone=bool(d.get("cond_monotone", False)),
+        a = _Mapping(anchor, f"{ctx}.cond_anchor")
+        anchor = (_degree(a), _alpha(a), *_as_flux(a.get("flux"), f"{a.ctx}.flux"),
+                  a.num("value"), a.num("factor", 2.0))
+        a.done()
+    expect = Expectations(
+        errors=r.items("errors", _number),
+        error_rtol=r.num("error_rtol", 0.05),
+        rates=r.items("rates", _number),
+        rate_atol=r.num("rate_atol", 0.1),
+        cond_monotone=monotone,
         cond_anchor=anchor,
     )
+    r.done()
+    return expect
 
 
 def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{source}: top level must be a mapping")
-    name = str(_need(raw, "name", source))
-    kind = str(_need(raw, "kind", source))
-    if kind not in KINDS:
-        raise ConfigError(f"{source}: kind must be one of {KINDS}, got {kind!r}")
-    problem = str(raw.get("problem", "example1"))
-    if problem not in PROBLEMS:
-        raise ConfigError(f"{source}: problem must be one of {PROBLEMS}, got {problem!r}")
-    alpha = _as_float(_need(raw, "alpha", source), f"{source}.alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(
-            f"{source}: alpha must lie in the admissible range (0, 1), got {alpha}"
-        )
-    degree = _as_int(raw.get("degree", 0), f"{source}.degree")
-    if not 0 <= degree <= 8:
-        raise ConfigError(f"{source}: degree must lie in 0..8, got {degree}")
-    flux = _as_flux(raw.get("flux", [1.0, 0.0]), source)
-    time = _as_mapping(_need(raw, "time", source), f"{source}.time")
-    M = _as_int(_need(time, "M", f"{source}.time"), f"{source}.time.M")
-    if M < 1:
-        raise ConfigError(f"{source}: time.M must be >= 1, got {M}")
-    gamma = _as_float(time.get("gamma", 1.0), f"{source}.time.gamma")
-    if gamma < 1.0:
-        raise ConfigError(f"{source}: time.gamma must be >= 1, got {gamma}")
-    T = _as_float(time.get("T", 0.1), f"{source}.time.T")
-    if T <= 0.0:
-        raise ConfigError(f"{source}: time.T must be positive, got {T}")
-    delta = raw.get("delta")
-    if delta is not None:
-        delta = _as_float(delta, f"{source}.delta")
-        if not (0.0 < delta < 2.0) or delta == 1.0:
-            raise ConfigError(
-                f"{source}: delta must lie in the admissible range (0,1) or (1,2), got {delta}"
-            )
-    quad_t = _as_int(raw.get("quad_t", 3), f"{source}.quad_t")
-    if quad_t < 2:
-        raise ConfigError(f"{source}: quad_t must be >= 2, got {quad_t}")
-    metric = str(raw.get("metric", "final-time"))
-    if metric not in ("final-time", "time-integrated"):
-        raise ConfigError(
-            f"{source}: metric must be 'final-time' or 'time-integrated', got {metric!r}"
-        )
-
-    nx = raw.get("nx")
-    if nx is not None:
-        nx = _as_int(nx, f"{source}.nx")
-        if nx < 1:
-            raise ConfigError(f"{source}: nx must be >= 1, got {nx}")
-    nx_list = raw.get("nx_list")
-    if nx_list is not None:
-        ctx = f"{source}.nx_list"
-        nx_list = tuple(_as_int(v, ctx) for v in _as_list(nx_list, ctx))
-        if not nx_list or any(v < 1 for v in nx_list):
-            raise ConfigError(f"{source}: nx_list must be nonempty positive integers")
-    M_list = raw.get("M_list")
-    if M_list is not None:
-        ctx = f"{source}.M_list"
-        M_list = tuple(_as_int(v, ctx) for v in _as_list(M_list, ctx))
-        if not M_list or any(v < 1 for v in M_list):
-            raise ConfigError(f"{source}: M_list must be nonempty positive integers")
-    cond_rows = raw.get("cond_rows")
-    if cond_rows is not None:
-        rows = []
-        for row in _as_list(cond_rows, f"{source}.cond_rows"):
-            row = _as_mapping(row, f"{source}.cond_rows")
-            rows.append(
-                CondRow(
-                    degree=_as_int(_need(row, "degree", f"{source}.cond_rows"), source),
-                    alpha=_as_float(_need(row, "alpha", f"{source}.cond_rows"), source),
-                    gamma=_as_float(_need(row, "gamma", f"{source}.cond_rows"), source),
-                )
-            )
-        for row in rows:
-            if not 0.0 < row.alpha < 1.0:
-                raise ConfigError(
-                    f"{source}: cond_rows alpha must lie in the admissible range (0, 1), "
-                    f"got {row.alpha}"
-                )
-            if not 0 <= row.degree <= 8:
-                raise ConfigError(f"{source}: cond_rows degree must lie in 0..8, got {row.degree}")
-            if row.gamma < 1.0:
-                raise ConfigError(f"{source}: cond_rows gamma must be >= 1, got {row.gamma}")
-        cond_rows = tuple(rows)
-    flux_list = raw.get("flux_list")
-    if flux_list is not None:
-        ctx = f"{source}.flux_list"
-        flux_list = tuple(_as_flux(v, ctx) for v in _as_list(flux_list, ctx))
-
+    r = _Mapping(raw, source)
+    name = str(r.get("name"))
+    # The name is the stem of every output file, written under --out.
+    if name in ("", "..") or Path(name).name != name:
+        raise ConfigError(f"{source}.name must be a single file name, got {name!r}")
+    kind = r.choice("kind", KINDS)
+    time = _Mapping(r.get("time"), f"{source}.time")
+    M = time.num("M", ok=lambda m: m >= 1, want="must be >= 1", integer=True)
+    gamma = _gamma(time, 1.0)
+    T = time.num("T", 0.1, lambda t: t > 0.0, "must be positive")
+    time.done()
+    nx_list = r.items("nx_list", _mesh_size)
+    M_list = r.items("M_list", _mesh_size)
+    for key, sizes in (("nx_list", nx_list), ("M_list", M_list)):
+        if sizes == ():
+            raise ConfigError(f"{source}.{key} must be nonempty")
+    expect = r.get("expect", None)
+    cfg = ExperimentConfig(
+        name=name,
+        title=str(r.get("title", "")),
+        kind=kind,
+        problem=r.choice("problem", PROBLEMS, "example1"),
+        alpha=_alpha(r),
+        degree=_degree(r, 0),
+        flux=_as_flux(r.get("flux", [1.0, 0.0]), f"{source}.flux"),
+        M=M,
+        gamma=gamma,
+        T=T,
+        delta=r.num("delta", None, lambda d: 0.0 < d < 2.0 and d != 1.0,
+                    "must lie in the admissible range (0,1) or (1,2)"),
+        nx=r.num("nx", None, lambda n: n >= 1, "must be >= 1", integer=True),
+        nx_list=nx_list,
+        M_list=M_list,
+        cond_rows=r.items("cond_rows", _cond_row),
+        flux_list=r.items("flux_list", _as_flux),
+        quad_t=r.num("quad_t", 3, lambda q: q >= 2, "must be >= 2", integer=True),
+        metric=r.choice("metric", ("final-time", "time-integrated"), "final-time"),
+        expect=expect if expect is None else _parse_expect(expect, f"{source}.expect"),
+    )
+    r.get("reference", None)  # free-form notes: accepted, never read
+    r.done()
     if kind == "spatial-convergence" and not nx_list:
         raise ConfigError(f"{source}: spatial-convergence requires nx_list")
     if kind == "temporal-convergence" and not M_list:
         raise ConfigError(f"{source}: temporal-convergence requires M_list")
-    if kind == "condition-number" and (not cond_rows or not flux_list or nx is None):
+    if kind == "condition-number" and (not cfg.cond_rows or not cfg.flux_list or cfg.nx is None):
         raise ConfigError(f"{source}: condition-number requires nx, cond_rows, flux_list")
-    if kind == "single-run" and nx is None:
+    if kind == "single-run" and cfg.nx is None:
         raise ConfigError(f"{source}: single-run requires nx")
-
-    expect = raw.get("expect")
-    if expect is not None:
-        expect = _parse_expect(expect, f"{source}.expect")
-
-    known_keys = {
-        "name", "title", "kind", "problem", "alpha", "degree", "flux", "time",
-        "delta", "nx", "nx_list", "M_list", "cond_rows", "flux_list", "quad_t",
-        "expect", "reference", "metric",
-    }
-    extra = set(raw) - known_keys
-    if extra:
-        raise ConfigError(f"{source}: unknown keys {sorted(extra)}")
-
-    return ExperimentConfig(
-        name=name,
-        title=str(raw.get("title", "")),
-        kind=kind,
-        problem=problem,
-        alpha=alpha,
-        degree=degree,
-        flux=flux,
-        M=M,
-        gamma=gamma,
-        T=T,
-        delta=delta,
-        nx=nx,
-        nx_list=nx_list,
-        M_list=M_list,
-        cond_rows=cond_rows,
-        flux_list=flux_list,
-        quad_t=quad_t,
-        metric=metric,
-        expect=expect,
-    )
+    return cfg
 
 
 def load_config(ref: str) -> ExperimentConfig:
@@ -550,8 +477,7 @@ def _cmd_run(args) -> int:
 def _cmd_list_presets(_args) -> int:
     paths = sorted(presets_dir().glob("*.yaml"))
     for path in paths:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
-        cfg = config_from_dict(raw, path.name)
+        cfg = load_config(str(path))
         print(f"{cfg.name:<22} {cfg.kind:<22} {cfg.title}")
     print(f"{len(paths)} presets")
     return 0
@@ -559,9 +485,6 @@ def _cmd_list_presets(_args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    roundtrip = config_from_dict(cfg.to_dict(), source=f"{cfg.name} (round trip)")
-    if roundtrip != cfg:
-        raise ConfigError(f"{cfg.name}: config does not round-trip through serialization")
     print(f"ok: {cfg.name} ({cfg.kind})")
     return 0
 

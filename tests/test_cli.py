@@ -94,6 +94,28 @@ def test_unknown_preset_error_lists_available_names():
     ({"expect": {"errors": 0.1}}, "errors: expected a list"),
     ({"expect": {"rates": 2.0}}, "rates: expected a list"),
     ({"expect": {"cond_anchor": 5}}, "cond_anchor: expected a mapping"),
+    ({"time": {"M": 3, "gama": 6.0}}, "config.time: unknown keys ['gama']"),
+    ({"cond_rows": [{"degree": 1, "alpha": 0.5, "gamma": 1.0, "flux": [0.5, 0.5]}]},
+     "config.cond_rows: unknown keys ['flux']"),
+    ({"expect": {"errors": [0.1], "error_tol": 0.1}}, "config.expect: unknown keys ['error_tol']"),
+    ({"expect": {"cond_anchor": {"degree": 0, "alpha": 0.7, "flux": [1.0, 0.0],
+                                 "value": 14.0, "colour": "red"}}},
+     "config.expect.cond_anchor: unknown keys ['colour']"),
+    ({"cond_rows": [{"degree": 1, "alpha": "x", "gamma": 1.0}]},
+     "config.cond_rows.alpha: expected a number"),
+    ({"expect": {"cond_anchor": {"degree": 0, "alpha": 1.5, "flux": [1.0, 0.0], "value": 14.0}}},
+     "config.expect.cond_anchor.alpha must lie in the admissible range (0, 1)"),
+    ({"nx": float("inf")}, "config.nx: expected a finite number"),
+    ({"time": {"M": 3, "T": float("nan")}}, "config.time.T: expected a finite number"),
+    ({"time": {"M": 3, "gamma": float("nan")}}, "config.time.gamma: expected a finite number"),
+    ({"expect": {"error_rtol": float("nan")}}, "config.expect.error_rtol: expected a finite number"),
+    ({"expect": {"cond_monotone": "false"}}, "cond_monotone: expected true or false"),
+    ({"expect": {"cond_monotone": 1}}, "cond_monotone: expected true or false"),
+    ({"name": "sub/t"}, "config.name must be a single file name"),
+    ({"name": "../t"}, "config.name must be a single file name"),
+    ({"name": ".."}, "config.name must be a single file name"),
+    ({"name": "."}, "config.name must be a single file name"),
+    ({"name": ""}, "config.name must be a single file name"),
 ])
 def test_config_validation_messages(overrides, needle):
     with pytest.raises(ConfigError) as ei:
@@ -121,10 +143,9 @@ def test_single_run_requires_mesh_size():
         config_from_dict(d)
 
 
-def test_every_preset_round_trips_through_serialization():
-    for path in sorted(presets_dir().glob("*.yaml")):
-        cfg = load_config(path.stem)
-        assert config_from_dict(cfg.to_dict(), source=path.stem) == cfg
+def test_reference_is_free_form_notes():
+    cfg = config_from_dict(_base_config(reference={"anything": 1}))
+    assert cfg == config_from_dict(_base_config())
 
 
 def test_yaml_loaders_agree_on_shipped_configs(monkeypatch, capsys):
@@ -225,6 +246,31 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
     assert "not valid YAML" in capsys.readouterr().err
     assert main(["validate-config", "--config", "missing-thing"]) == 2
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("time: {M: 3, gama: 6.0}", "cfg.yaml.time: unknown keys ['gama']"),
+    ("nx: .inf", "cfg.yaml.nx: expected a finite number"),
+    ("time: {M: 3, T: .nan}", "cfg.yaml.time.T: expected a finite number"),
+    ("expect: {cond_monotone: \"false\"}", "cfg.yaml.expect.cond_monotone: expected true or false"),
+    ("name: sub/t", "cfg.yaml.name must be a single file name"),
+])
+def test_validate_config_rejects_bad_yaml_values(tmp_path, capsys, text, needle):
+    base = "name: tiny\nkind: single-run\nalpha: 0.5\nnx: 4\ntime: {M: 3, gamma: 2.0, T: 0.1}"
+    key = text.split(":")[0]
+    lines = [line for line in base.splitlines() if line.split(":")[0] != key]
+    p = tmp_path / "cfg.yaml"
+    p.write_text("\n".join(lines + [text]) + "\n", encoding="utf-8")
+    assert main(["validate-config", "--config", str(p)]) == 2
+    assert f"config error: {needle}" in capsys.readouterr().err
+
+
+def test_run_with_path_in_name_writes_nothing(tmp_path, capsys):
+    for name in ("sub/t", "../t"):
+        cfg_path = _write_config(tmp_path, _base_config(name=name))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["cfg.yaml"]
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
