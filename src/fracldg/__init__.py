@@ -35,11 +35,9 @@ _LAZY = {
     "L1Kernel": "fractional",
     "l1_coefficients": "fractional",
     "mittag_leffler": "fractional",
-    "substantial_history": "fractional",
-    "history_panel": "fractional",
+    "History": "fractional",
     # ldg
     "FluxWeights": "ldg",
-    "History": "ldg",
     "LdgOperators": "ldg",
     "assemble_operators": "ldg",
     "step": "ldg",

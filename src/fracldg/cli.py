@@ -151,6 +151,9 @@ class _Mapping:
 
 
 def _number(value, ctx: str, ok=None, want: str = "", integer: bool = False):
+    # float(True) is 1.0: a YAML boolean is not a number.
+    if isinstance(value, bool):
+        raise ConfigError(f"{ctx}: expected a number, got {value!r}")
     try:
         f = float(value)
     except (TypeError, ValueError):
@@ -207,17 +210,21 @@ def _parse_expect(value, ctx: str) -> Expectations:
     if anchor is not None:
         a = _Mapping(anchor, f"{ctx}.cond_anchor")
         anchor = (_degree(a), _alpha(a), *_as_flux(a.get("flux"), f"{a.ctx}.flux"),
-                  a.num("value"), a.num("factor", 2.0))
+                  a.num("value", ok=lambda v: v > 0.0, want="must be positive"),
+                  a.num("factor", 2.0, lambda f: f >= 1.0, "must be >= 1"))
         a.done()
     expect = Expectations(
         errors=r.items("errors", _number),
-        error_rtol=r.num("error_rtol", 0.05),
+        error_rtol=r.num("error_rtol", 0.05, lambda t: t >= 0.0, "must be >= 0"),
         rates=r.items("rates", _number),
-        rate_atol=r.num("rate_atol", 0.1),
+        rate_atol=r.num("rate_atol", 0.1, lambda t: t >= 0.0, "must be >= 0"),
         cond_monotone=monotone,
         cond_anchor=anchor,
     )
     r.done()
+    for key in ("errors", "rates"):
+        if getattr(expect, key) == ():
+            raise ConfigError(f"{ctx}.{key} must be nonempty")
     return expect
 
 

@@ -1,5 +1,5 @@
 """Time-fractional machinery: L1 coefficients on graded meshes, the
-substantial-derivative history operator, and the Mittag-Leffler function.
+substantial-derivative memory sum (History), and the Mittag-Leffler function.
 
 The discrete substantial derivative of order alpha with weight kappa(x) is
 
@@ -8,8 +8,8 @@ The discrete substantial derivative of order alpha with weight kappa(x) is
                       e^{-kappa(x)(t_n - t_{n-i})} u^{n-i}(x),
 
 with the L1 coefficients A defined on the (possibly graded) time mesh.
-`substantial_history` returns everything except the A_0^n u^n term; the time
-stepper negates it onto the right-hand side. It reads the history tempered,
+History.sum returns everything except the A_0^n u^n term; the time stepper
+negates it onto the right-hand side. History stores the levels tempered,
 w_j = e^{kappa t_j} u^j at the quadrature points, so the factors
 e^{-kappa(t_n - t_j)} collapse to one e^{-kappa t_n} and the sum is a plain
 weighted sum of the stored levels. Each level is tempered once, when it is
@@ -17,12 +17,13 @@ computed; a run costs M exponentials per quadrature point instead of M^2/2.
 
 The sum stays exact and costs O(M^2 N_q) flops per run (N_q quadrature
 points), but it is not read level by level. Every HISTORY_PANEL steps,
-`history_panel` forms the contribution of all levels stored so far to the
-next HISTORY_PANEL steps in one matrix-matrix product (BLAS-3); each step then
+History forms the contribution of all levels stored so far to the next
+HISTORY_PANEL steps in one matrix-matrix product (BLAS-3); each step then
 adds its panel row to a sum over the fewer than HISTORY_PANEL levels written
 since. The stored levels are read once per panel instead of once per step,
-which cuts the memory traffic of the sum by the panel factor. The buffer
-of stored levels, the panel and this schedule live in fracldg.ldg.History.
+which cuts the memory traffic of the sum by the panel factor. History owns
+the buffer of stored levels, the panel, this schedule and the check that
+the tempering factors stay within the float64 range.
 
 No table of L1 coefficients is kept: L1Kernel holds alpha and the time mesh,
 and each panel and each step evaluates the coefficients it reads from their
@@ -53,8 +54,7 @@ __all__ = [
     "l1_coefficients",
     "mittag_leffler",
     "mittag_leffler_contour",
-    "substantial_history",
-    "history_panel",
+    "History",
 ]
 
 #: Steps per memory-sum panel. One panel GEMM covers this many steps, and a
@@ -62,6 +62,16 @@ __all__ = [
 #: one BLAS thread, solve() of example2, Q1, nx 8, M 800, gamma 6 takes a
 #: median 0.23 s at panels of 32 to 128, 0.245 s at 16 and 0.26 s at 256.
 HISTORY_PANEL = 32
+
+#: Largest admissible c_kappa * T. The history is stored tempered,
+#: e^{kappa t_j} u^j, and untempered by e^{-kappa t_n}; both factors lie in
+#: [e^-200, e^200] ~ [1e-87, 1e87], which leaves more than 200 decades to
+#: float64 overflow (1.8e308) and underflow (2.2e-308) either side.
+MAX_TEMPERING_EXPONENT = 200.0
+
+#: Relative slack allowed when checking max|kappa| at the quadrature points
+#: against the certified bound c_kappa (rounding in the kappa callable).
+KAPPA_BOUND_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,7 @@ def _interval_weights(A: L1Kernel, n, lo: int, stop: int) -> np.ndarray:
 def _memory_weights(A: L1Kernel, n, start: int, stop: int) -> np.ndarray:
     """Memory weights c_j^n of the levels j = start, ..., stop - 1, shaped as
     _interval_weights: c_0^n = -a_0^n and c_j^n = a_{j-1}^n - a_j^n, the
-    weight of the tempered level w_j in substantial_history. Only the
+    weight of the tempered level w_j in History.sum. Only the
     interval weights from max(start - 1, 0) on are evaluated.
     """
     if start > 0:
@@ -141,9 +151,9 @@ def l1_coefficients(tm: GradedTimeMesh, alpha: float) -> L1Kernel:
     A_{i-1}^n = ((t_n - t_{n-i})^{1-a} - (t_n - t_{n-i+1})^{1-a})
                 / (Gamma(2-a) * tau_{n-i+1}),   i = 1..n.
 
-    Nothing is tabulated: history_panel and substantial_history evaluate the
-    coefficients they read, so a run holds at most a HISTORY_PANEL x M block
-    of them at a time instead of all M (M + 1) / 2.
+    Nothing is tabulated: History.sum evaluates the coefficients it reads,
+    so a run holds at most a HISTORY_PANEL x M block of them at a time
+    instead of all M (M + 1) / 2.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
@@ -233,79 +243,101 @@ def mittag_leffler(alpha: float, z: float) -> float:
     return _mittag_leffler_positive(alpha, z)
 
 
-def history_panel(
-    A: L1Kernel, tempered_at_quad: np.ndarray, start: int, out: np.ndarray
-) -> np.ndarray:
-    """Contribution of the levels stored before `start` to the memory sums of
-    the steps start, start + 1, ..., start + len(out) - 1, as one GEMM.
+class History:
+    """The memory of a run at the volume quadrature points, behind two calls,
+    and the only evaluator of the memory sum.
 
-    out has shape (rows, N_q), N_q the number of quadrature points of one
-    level; row b receives sum_{j < start} c^{(start+b)}_j w_j, flattened,
-    where c^{(n)} is the coefficient row of substantial_history and w_j =
-    tempered_at_quad[j]. It is the untempered panel row that
-    substantial_history(..., start + b, out[b], start) completes.
-    """
-    rows = len(out)
-    if start < 1 or start + rows - 1 > A.tm.M:
-        raise InvalidArgumentError(
-            f"a panel of {rows} steps from step {start} must lie within steps 1..{A.tm.M}"
-        )
-    if len(tempered_at_quad) < start:
-        raise InvalidArgumentError(
-            f"tempered history must hold w^0..w^{start - 1} ({start} rows), "
-            f"got {len(tempered_at_quad)}"
-        )
-    C = _memory_weights(A, np.arange(start, start + rows)[:, None], 0, start)
-    return np.matmul(C, tempered_at_quad[:start].reshape(start, -1), out=out)
+    push(n, values) takes u^n evaluated at the points, tempers it to
+    w_n = e^{kappa t_n} u^n and stores it as row n of an (M+1, nx, ny, q, q)
+    buffer. Levels are pushed in order, u^0 first.
 
-
-def substantial_history(
-    A: L1Kernel,
-    kappa_at_quad: np.ndarray,
-    tempered_at_quad: np.ndarray,
-    n: int,
-    panel_row: np.ndarray | None = None,
-    start: int = 0,
-) -> np.ndarray:
-    """Known part of the discrete substantial derivative at step n, evaluated
-    at every volume quadrature point.
-
-    Returns, with shape matching kappa_at_quad (nx, ny, qx, qy),
+    sum(n) returns, shaped like kappa_at_quad, the known part of the discrete
+    substantial derivative at step n,
 
         -A_{n-1}^n e^{-kappa t_n} u^0 +
         sum_{i=1}^{n-1} (A_i^n - A_{i-1}^n) e^{-kappa (t_n - t_{n-i})} u^{n-i},
 
-    i.e. everything in D_M u except the A_0^n u^n term. The caller moves this
-    to the right-hand side with a sign flip.
+    i.e. everything in D_M u^n but the A_0^n u^n term; the time stepper
+    moves it to the right-hand side with a sign flip. It needs the levels
+    u^0..u^{n-1}. Since e^{-kappa (t_n - t_j)} u^j = e^{-kappa t_n} w_j, the
+    sum is e^{-kappa t_n} sum_j c_j^n w_j with the memory weights
+    c_0^n = -A_{n-1}^n and c_j^n = A_{n-j}^n - A_{n-j-1}^n (j = 1..n-1).
 
-    tempered_at_quad[j] holds the tempered history w_j = e^{kappa t_j} u^j at
-    the quadrature points for j = 0..n-1; rows from n on are not read. Since
-    e^{-kappa (t_n - t_j)} u^j = e^{-kappa t_n} w_j, the sum is one
-    contraction of the coefficient row c_n with the stacked rows, followed by
-    a single tempering factor:
+    The sum stays exact, O(M^2 N_q) flops per run, but is blocked. A step
+    n >= HISTORY_PANEL takes the share of the levels before
+    start = n - n % HISTORY_PANEL from one GEMM, which forms it for the steps
+    start..start + HISTORY_PANEL - 1 into a panel buffer allocated once. The
+    step adds the fewer than HISTORY_PANEL levels from start on itself. The
+    stored levels are thus read once per panel instead of once per step. A
+    panel forms when a step of it first asks, so in step order it forms at
+    n = start.
 
-        e^{-kappa t_n} * sum_j c_j w_j,   c_0 = -A_{n-1}^n,
-        c_j = A_{n-j}^n - A_{n-j-1}^n  (j = 1..n-1).
-
-    Without panel_row this reads all n rows. With panel_row, the row of a
-    history_panel formed at `start` for step n (start <= n < start +
-    HISTORY_PANEL), the levels before `start` are already summed into it and
-    only rows start..n-1 are read.
+    Memory: nbytes(M, N_q), N_q the number of quadrature points of one level.
     """
-    if not 1 <= n <= A.tm.M:
-        raise InvalidArgumentError(f"step index {n} outside 1..{A.tm.M}")
-    if len(tempered_at_quad) < n:
-        raise InvalidArgumentError(
-            f"tempered history must hold w^0..w^{n - 1} ({n} rows), got {len(tempered_at_quad)}"
-        )
-    if panel_row is None and start != 0:
-        raise InvalidArgumentError(f"levels before {start} need a panel row")
-    if panel_row is not None and not 0 <= n - start < HISTORY_PANEL:
-        raise InvalidArgumentError(
-            f"step {n} lies outside the panel of steps {start}..{start + HISTORY_PANEL - 1}"
-        )
-    c = _memory_weights(A, n, start, n)
-    total = np.tensordot(c, tempered_at_quad[start:n], axes=1)
-    if panel_row is not None:
-        total += panel_row.reshape(total.shape)
-    return np.exp(-kappa_at_quad * A.tm.t[n]) * total
+
+    def __init__(self, A: L1Kernel, kappa_at_quad: np.ndarray, c_kappa: float):
+        """Reject kappa fields the tempered history cannot represent, before
+        anything is allocated: kappa must respect its certified bound c_kappa,
+        and c_kappa * T must stay within MAX_TEMPERING_EXPONENT so e^{+-kappa t}
+        stays finite on [0, T]."""
+        kmax = float(np.max(np.abs(kappa_at_quad)))
+        if not kmax <= c_kappa * (1.0 + KAPPA_BOUND_RTOL):  # also rejects nan
+            raise InvalidArgumentError(
+                f"max |kappa| = {kmax!r} at the quadrature points exceeds c_kappa = {c_kappa!r}"
+            )
+        if c_kappa * A.tm.T > MAX_TEMPERING_EXPONENT:
+            raise InvalidArgumentError(
+                f"c_kappa * T = {c_kappa * A.tm.T:g} exceeds {MAX_TEMPERING_EXPONENT:g}: "
+                "the tempering factors e^(+-kappa t) would leave the float64 range"
+            )
+        M = A.tm.M
+        self.A = A
+        self.kappa = kappa_at_quad
+        self._count = 0  # levels stored
+        self._levels = np.empty((M + 1,) + kappa_at_quad.shape)
+        # The panel buffer holds the first panel, the largest; none forms
+        # when M < HISTORY_PANEL.
+        rows = min(HISTORY_PANEL, max(M + 1 - HISTORY_PANEL, 0))
+        self._panel = np.empty((rows, kappa_at_quad.size))
+        self._panel_start = 0  # 0: no panel formed
+
+    @staticmethod
+    def nbytes(M: int, n_q: int) -> int:
+        """Bytes a History of M steps holds at n_q points per level: the
+        M + 1 tempered levels and the panel buffer."""
+        return 8 * (M + 1 + min(HISTORY_PANEL, max(M + 1 - HISTORY_PANEL, 0))) * n_q
+
+    def push(self, n: int, values: np.ndarray) -> None:
+        """Temper u^n, given at the quadrature points, and store it; n must be
+        the number of levels stored."""
+        if n != self._count or n > self.A.tm.M:
+            raise InvalidArgumentError(
+                f"level {n} pushed after {self._count} levels; push u^0..u^{self.A.tm.M} in order"
+            )
+        if np.shape(values) != self.kappa.shape:  # would broadcast into the row
+            raise InvalidArgumentError(
+                f"level {n} has shape {np.shape(values)}, kappa at the points {self.kappa.shape}"
+            )
+        # e^{kappa t_0} = 1
+        self._levels[n] = values if n == 0 else np.exp(self.kappa * self.A.tm.t[n]) * values
+        self._count += 1
+
+    def sum(self, n: int) -> np.ndarray:
+        """Memory sum of step n at the points, shaped like kappa."""
+        A = self.A
+        if not 1 <= n <= min(self._count, A.tm.M):
+            raise InvalidArgumentError(
+                f"memory sum of step {n}: steps run 1..{A.tm.M} and need w^0..w^{n - 1}, "
+                f"{self._count} levels stored"
+            )
+        start = n - n % HISTORY_PANEL
+        if start and start != self._panel_start:
+            panel = self._panel[: A.tm.M + 1 - start]
+            C = _memory_weights(A, np.arange(start, start + len(panel))[:, None], 0, start)
+            np.matmul(C, self._levels[:start].reshape(start, -1), out=panel)
+            self._panel_start = start
+        c = _memory_weights(A, n, start, n)
+        total = np.tensordot(c, self._levels[start:n], axes=1)
+        if start:
+            total += self._panel[n - start].reshape(total.shape)
+        return np.exp(-self.kappa * A.tm.t[n]) * total

@@ -27,9 +27,10 @@ needs numpy only; the sparse 2D K is the one exception, a scipy matrix
 built on first access for residual recomputation outside the run path.
 
 The earlier levels enter a step only through the memory sum, which one
-History object holds and evaluates. solve hands each level to an observer
-and keeps none itself, and refuses, before it allocates, a run whose
-footprint exceeds the physical memory.
+fracldg.fractional.History holds and evaluates: solve pushes each level,
+evaluated at the volume quadrature points, and step reads the sum. solve
+hands each level to an observer and keeps none itself, and refuses, before
+it allocates, a run whose footprint exceeds the physical memory.
 """
 
 from __future__ import annotations
@@ -57,19 +58,12 @@ from .basis import (
     volume_quad_points,
 )
 from .errors import InvalidArgumentError, NumericError
-from .fractional import (
-    HISTORY_PANEL,
-    L1Kernel,
-    history_panel,
-    l1_coefficients,
-    substantial_history,
-)
+from .fractional import History, L1Kernel, l1_coefficients
 from .meshes import GradedTimeMesh, SpatialMesh
 from .problems import ProblemSpec
 
 __all__ = [
     "FluxWeights",
-    "History",
     "LdgOperators",
     "StepGrid",
     "assemble_operators",
@@ -79,16 +73,6 @@ __all__ = [
 
 #: Relative residual demanded from every linear solve.
 SOLVER_RTOL = 1e-12
-
-#: Largest admissible c_kappa * T. The history is stored tempered,
-#: e^{kappa t_j} u^j, and untempered by e^{-kappa t_n}; both factors lie in
-#: [e^-200, e^200] ~ [1e-87, 1e87], which leaves more than 200 decades to
-#: float64 overflow (1.8e308) and underflow (2.2e-308) either side.
-MAX_TEMPERING_EXPONENT = 200.0
-
-#: Relative slack allowed when checking max|kappa| at the quadrature points
-#: against the certified bound c_kappa (rounding in the kappa callable).
-KAPPA_BOUND_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -169,7 +153,6 @@ class LdgOperators:
     M: float
     mesh: SpatialMesh
     basis: BasisSpec
-    fw: FluxWeights
     Qx: np.ndarray
     lam_x: np.ndarray
     Qy: np.ndarray
@@ -192,10 +175,6 @@ class LdgOperators:
         computed with it checks the diagonalized solve independently."""
         X = x.reshape(self.Kx.shape[0], self.Ky.shape[0])
         return (self.Kx @ X + X @ self.Ky.T).ravel()
-
-    def flatten(self, f: DgField) -> np.ndarray:
-        """Coefficient tensor (i, j, r, s) -> solver vector in (i, r, j, s) order."""
-        return np.ascontiguousarray(f.coeffs.transpose(0, 2, 1, 3)).ravel()
 
     def unflatten(self, vec: np.ndarray) -> DgField:
         kk = self.basis.k + 1
@@ -261,7 +240,6 @@ def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> 
         M=hx * hy / 4.0,
         mesh=mesh,
         basis=basis,
-        fw=fw,
         Qx=Qx,
         lam_x=lam_x,
         Qy=Qy,
@@ -298,65 +276,6 @@ class StepGrid:
         )
 
 
-def _panel_rows(M: int) -> int:
-    """Rows of the panel buffer: the first panel, the largest; none forms
-    when M < HISTORY_PANEL."""
-    return min(HISTORY_PANEL, max(M + 1 - HISTORY_PANEL, 0))
-
-
-class History:
-    """The memory of a run at the volume quadrature points, behind two calls.
-
-    push(n, u) evaluates u^n at the points, tempers it to w_n = e^{kappa t_n}
-    u^n and stores it as row n of an (M+1, nx, ny, q, q) buffer. Levels are
-    pushed in order, u^0 first.
-
-    sum(n) returns the memory sum of step n at the points: everything in
-    D_M u^n but the A_0^n u^n term (see substantial_history). It needs the
-    levels u^0..u^{n-1}. The sum stays exact, O(M^2 N_q) flops per run, but
-    is blocked. A step n >= HISTORY_PANEL takes the share of the levels
-    before start = n - n % HISTORY_PANEL from one GEMM (history_panel), which
-    forms it for the steps start..start + HISTORY_PANEL - 1 into a panel
-    buffer allocated once. The step adds the fewer than HISTORY_PANEL levels
-    from start on itself. The stored levels are thus read once per panel
-    instead of once per step. A panel forms when a step of it first asks, so
-    in step order it forms at n = start.
-
-    Memory: (M+1) N_q floats for the levels plus at most HISTORY_PANEL N_q
-    for the panel, N_q the number of quadrature points of one level.
-    """
-
-    def __init__(self, A: L1Kernel, kappa_at_quad: np.ndarray, quad: QuadRule):
-        self.A = A
-        self.kappa = kappa_at_quad
-        self.quad = quad
-        self._count = 0  # levels stored
-        self._levels = np.empty((A.tm.M + 1,) + kappa_at_quad.shape)
-        self._panel = np.empty((_panel_rows(A.tm.M), kappa_at_quad.size))
-        self._panel_start = 0  # 0: no panel formed
-
-    def push(self, n: int, u: DgField) -> None:
-        """Temper u^n and store it; n must be the number of levels stored."""
-        if n != self._count or n > self.A.tm.M:
-            raise InvalidArgumentError(
-                f"level {n} pushed after {self._count} levels; push u^0..u^{self.A.tm.M} in order"
-            )
-        values = u.eval_volume_quad(self.quad)
-        # e^{kappa t_0} = 1
-        self._levels[n] = values if n == 0 else np.exp(self.kappa * self.A.tm.t[n]) * values
-        self._count += 1
-
-    def sum(self, n: int) -> np.ndarray:
-        """Memory sum of step n at the points, shaped like kappa."""
-        levels = self._levels[: self._count]
-        start = n - n % HISTORY_PANEL
-        if start and start != self._panel_start:
-            history_panel(self.A, levels, start, self._panel[: self.A.tm.M + 1 - start])
-            self._panel_start = start
-        row = self._panel[n - start] if start else None
-        return substantial_history(self.A, self.kappa, levels, n, row, start)
-
-
 def _moment_vector(values: np.ndarray, ops: LdgOperators, WV: np.ndarray) -> np.ndarray:
     """(g, Phi_B) for every basis function, flattened in solver order, from
     grid values g at the volume quadrature points; WV is StepGrid.WV."""
@@ -388,22 +307,6 @@ def step(
     return ops.unflatten(x)
 
 
-def _check_tempering_range(prob: ProblemSpec, tm: GradedTimeMesh, kappa_at_quad: np.ndarray) -> None:
-    """Reject kappa fields the tempered history cannot represent: kappa must
-    respect its certified bound c_kappa, and c_kappa * T must stay within
-    MAX_TEMPERING_EXPONENT so e^{+-kappa t} stays finite on [0, T]."""
-    kmax = float(np.max(np.abs(kappa_at_quad)))
-    if not kmax <= prob.c_kappa * (1.0 + KAPPA_BOUND_RTOL):  # also rejects nan
-        raise InvalidArgumentError(
-            f"max |kappa| = {kmax!r} at the quadrature points exceeds c_kappa = {prob.c_kappa!r}"
-        )
-    if prob.c_kappa * tm.T > MAX_TEMPERING_EXPONENT:
-        raise InvalidArgumentError(
-            f"c_kappa * T = {prob.c_kappa * tm.T:g} exceeds {MAX_TEMPERING_EXPONENT:g}: "
-            "the tempering factors e^(+-kappa t) would leave the float64 range"
-        )
-
-
 def physical_memory_bytes() -> int | None:
     """Physical memory of the machine, SC_PHYS_PAGES * SC_PAGE_SIZE, or None
     where the platform does not report it.
@@ -418,15 +321,14 @@ def physical_memory_bytes() -> int | None:
 
 
 def footprint_bytes(mesh: SpatialMesh, tm: GradedTimeMesh, basis: BasisSpec) -> int:
-    """Bytes solve holds for a whole run, from the sizes alone: the tempered
-    levels and the panel of History, and the dense 1D blocks Kx, Ky and
+    """Bytes solve holds for a whole run, from the sizes alone: the History
+    (History.nbytes), and the dense 1D blocks Kx, Ky and
     their eigenvectors. The fields in flight, O(N_dof) each, are left out."""
     kk = basis.k + 1
     q = basis.default_quad_points
     n_q = mesh.nx * mesh.ny * q * q
-    floats = (tm.M + 1 + _panel_rows(tm.M)) * n_q
-    floats += 2 * ((mesh.nx * kk) ** 2 + (mesh.ny * kk) ** 2)
-    return 8 * floats
+    blocks = 2 * ((mesh.nx * kk) ** 2 + (mesh.ny * kk) ** 2)
+    return History.nbytes(tm.M, n_q) + 8 * blocks
 
 
 def solve(
@@ -443,8 +345,8 @@ def solve(
     u^0 is the L2 projection of the initial condition; each subsequent field
     solves the step system. The quadrature points, the moment Vandermonde
     and kappa at the points are built once, as a StepGrid. Every level is
-    pushed once into a History, which holds it tempered at the quadrature
-    points and forms the memory sum of each step from it.
+    evaluated at the quadrature points and pushed once into a History, which
+    holds it tempered and forms the memory sum of each step from it.
 
     solve keeps no field: the observer keeps what it needs, such as one
     error functional (analysis.FinalTimeError) or every level. Memory is
@@ -454,8 +356,8 @@ def solve(
     Before it allocates anything, solve works out from (M, nx, ny, k) the
     bytes it will hold (footprint_bytes) and raises NumericError naming them
     when they exceed the physical memory (physical_memory_bytes). It raises
-    InvalidArgumentError when kappa exceeds c_kappa or c_kappa * T exceeds
-    MAX_TEMPERING_EXPONENT.
+    InvalidArgumentError, from History, when kappa exceeds c_kappa or the
+    tempering factors e^(+-kappa t) would leave the float64 range.
     """
     need = footprint_bytes(mesh, tm, basis)
     limit = physical_memory_bytes()
@@ -468,12 +370,11 @@ def solve(
     quad = gauss_rule(basis.default_quad_points)
     A = l1_coefficients(tm, prob.alpha)
     grid = StepGrid.build(prob, mesh, basis, quad)
-    _check_tempering_range(prob, tm, grid.kappa)
-    history = History(A, grid.kappa, quad)
+    history = History(A, grid.kappa, prob.c_kappa)
     u_n = l2_project(prob.u0, mesh, basis, quad)
     observe(0, u_n)
-    history.push(0, u_n)
+    history.push(0, u_n.eval_volume_quad(quad))
     for n in range(1, tm.M + 1):
         u_n = step(ops, A, n, prob, grid, history)
         observe(n, u_n)
-        history.push(n, u_n)
+        history.push(n, u_n.eval_volume_quad(quad))

@@ -50,14 +50,8 @@ from fracldg.basis import (
     volume_quad_points,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
-from fracldg.fractional import L1Kernel, l1_coefficients, substantial_history
-from fracldg.ldg import (
-    FluxWeights,
-    LdgOperators,
-    _check_tempering_range,
-    assemble_operators,
-    solve,
-)
+from fracldg.fractional import L1Kernel, _memory_weights, l1_coefficients
+from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, solve
 
 
 def orthonormal_legendre_value(r: int, x: float) -> float:
@@ -283,7 +277,7 @@ def substantial_history_loop(
     fields are evaluated here with `quad`.
 
     The package's original loop, one fresh untempered exponential per past
-    level, kept as the exact reference for fracldg.fractional.substantial_history.
+    level, kept as the exact reference for fracldg.fractional.History.sum.
     """
     if len(history) != n:
         raise InvalidArgumentError(f"history must hold u^0..u^{n - 1} ({n} fields), got {len(history)}")
@@ -301,11 +295,22 @@ def substantial_history_loop(
     return out
 
 
+def memory_sum(A, kappa_at_quad: np.ndarray, tempered_at_quad: np.ndarray, n: int) -> np.ndarray:
+    """Memory sum of step n read from all n tempered levels at once,
+    e^{-kappa t_n} sum_j c_j^n w_j with w_j = tempered_at_quad[j], j < n.
+
+    The unpanelled form of fracldg.fractional.History.sum, which adds the
+    same terms, panel by panel, in another order; the exact reference for it.
+    """
+    c = _memory_weights(A, n, 0, n)
+    return np.exp(-kappa_at_quad * A.tm.t[n]) * np.tensordot(c, tempered_at_quad[:n], axes=1)
+
+
 def solve_stepwise(prob, mesh, tm, basis, fw) -> list:
     """Fields u^0..u^M of the fully discrete scheme, by the package's original
     time loop: every step sums the whole tempered history with the unpanelled
-    substantial_history, evaluates f through eval_on_grid and rebuilds the
-    weighted Vandermonde of the moments.
+    memory_sum, evaluates f through eval_on_grid and rebuilds the weighted
+    Vandermonde of the moments.
 
     Kept as the exact reference for fracldg.ldg.solve, whose panelled memory
     sum adds the same terms in another order.
@@ -314,13 +319,12 @@ def solve_stepwise(prob, mesh, tm, basis, fw) -> list:
     quad = gauss_rule(basis.default_quad_points)
     A = l1_coefficients(tm, prob.alpha)
     kappa_at_quad = eval_on_grid(lambda x, y: prob.kappa(x, y), mesh, quad)
-    _check_tempering_range(prob, tm, kappa_at_quad)
     u0 = l2_project(lambda x, y: prob.u0(x, y), mesh, basis, quad)
     fields = [u0]
     tempered = np.empty((tm.M + 1,) + kappa_at_quad.shape)
     tempered[0] = u0.eval_volume_quad(quad)  # e^{kappa t_0} = 1
     for n in range(1, tm.M + 1):
-        hist = substantial_history(A, kappa_at_quad, tempered, n)
+        hist = memory_sum(A, kappa_at_quad, tempered, n)
         rhs_values = -hist
         if prob.f is not None:
             t_n = A.tm.t[n]
@@ -334,6 +338,12 @@ def solve_stepwise(prob, mesh, tm, basis, fw) -> list:
         fields.append(u_n)
         tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(quad)
     return fields
+
+
+def flatten(f: DgField) -> np.ndarray:
+    """Coefficient tensor (i, j, r, s) -> solver vector in (i, r, j, s) order,
+    the inverse of LdgOperators.unflatten."""
+    return np.ascontiguousarray(f.coeffs.transpose(0, 2, 1, 3)).ravel()
 
 
 def solve_fields(prob, mesh, tm, basis, fw) -> list:

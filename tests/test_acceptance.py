@@ -32,10 +32,10 @@ from fracldg.basis import (
 )
 from fracldg.cli import _RUNNERS, load_config, main
 from fracldg.fractional import (
+    History,
     l1_coefficients,
     mittag_leffler,
     mittag_leffler_contour,
-    substantial_history,
 )
 from fracldg.ldg import FluxWeights, assemble_operators
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
@@ -48,6 +48,7 @@ from oracles import (
     complementary_kernels_by_inversion,
     convolution_kernel,
     dense_directional_operator,
+    flatten,
     mittag_leffler_series,
     project_P,
     project_Q,
@@ -175,8 +176,8 @@ def test_energy_identity_nullity_suite():
         for _ in range(50):
             u = DgField(rng.standard_normal((4, 3, 3, 3)), basis, mesh)
             u = DgField(u.coeffs * (1.0 / u.l2_norm()), basis, mesh)
-            px = ops.unflatten(Du @ ops.flatten(u))
-            py = ops.unflatten(Lu @ ops.flatten(u))
+            px = ops.unflatten(Du @ flatten(u))
+            py = ops.unflatten(Lu @ flatten(u))
             worst = max(worst, abs(bilinear_form_B(u, u, (px, py), (px, py), fw)))
     assert worst <= 1e-11
     print(f"PASS energy identity: |B| <= {worst:.2e} over 200 fields")
@@ -289,9 +290,11 @@ def test_memory_operator_exact_on_tempered_linears():
         (lambda t: t, lambda t: t ** (1.0 - alpha) / math.gamma(2.0 - alpha)),
     ):
         hist_quad = [np.exp(-kq * t) * v(t) for t in tm.t]
-        tempered = np.stack([np.exp(kq * t) * h for t, h in zip(tm.t, hist_quad)])
+        history = History(A, kq, 1.0)
+        for n, h in enumerate(hist_quad):
+            history.push(n, h)
         for n in range(1, 7):
-            hist = substantial_history(A, kq, tempered, n)
+            hist = history.sum(n)
             got = A.row(n)[0] * hist_quad[n] + hist
             expected = np.exp(-kq * tm.t[n]) * dv_exact(tm.t[n])
             scale = A.row(n)[0] * np.max(np.abs(hist_quad[n]))

@@ -116,6 +116,18 @@ def test_unknown_preset_error_lists_available_names():
     ({"name": ".."}, "config.name must be a single file name"),
     ({"name": "."}, "config.name must be a single file name"),
     ({"name": ""}, "config.name must be a single file name"),
+    ({"nx": True}, "config.nx: expected a number, got True"),
+    ({"degree": True}, "config.degree: expected a number, got True"),
+    ({"time": {"M": True}}, "config.time.M: expected a number, got True"),
+    ({"expect": {"error_rtol": -1.0}}, "config.expect.error_rtol must be >= 0"),
+    ({"expect": {"rate_atol": -0.1}}, "config.expect.rate_atol must be >= 0"),
+    ({"expect": {"errors": []}}, "config.expect.errors must be nonempty"),
+    ({"expect": {"rates": []}}, "config.expect.rates must be nonempty"),
+    ({"expect": {"cond_anchor": {"degree": 0, "alpha": 0.7, "flux": [1.0, 0.0], "value": 0.0}}},
+     "config.expect.cond_anchor.value must be positive"),
+    ({"expect": {"cond_anchor": {"degree": 0, "alpha": 0.7, "flux": [1.0, 0.0],
+                                 "value": 14.0, "factor": 0.5}}},
+     "config.expect.cond_anchor.factor must be >= 1"),
 ])
 def test_config_validation_messages(overrides, needle):
     with pytest.raises(ConfigError) as ei:

@@ -11,12 +11,10 @@ from scipy.special import erfcx
 from fracldg.basis import BasisSpec, DgField, eval_on_grid, gauss_rule, l2_project
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import (
-    HISTORY_PANEL,
-    history_panel,
+    History,
     l1_coefficients,
     mittag_leffler,
     mittag_leffler_contour,
-    substantial_history,
 )
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 
@@ -24,6 +22,7 @@ from oracles import (
     complementary_kernels_by_inversion,
     convolution_kernel,
     l1_table,
+    memory_sum,
     mittag_leffler_series,
     substantial_history_loop,
 )
@@ -102,29 +101,23 @@ def _table_memory_weights(table, n: int) -> np.ndarray:
 def _check_weights_match_table_bitwise(M: int, gamma: float, alpha: float, T: float) -> None:
     # The weights are evaluated on demand, block by block, by the same closed
     # form and operation order as the stored table, so every value a run
-    # reads must equal the table entry exactly. The sums read them back
+    # reads must equal the table entry exactly. History.sum reads them back
     # exactly: with kappa = 0 and the unit vectors w_j = e_j as levels, the
-    # entry j of a memory sum is its weight of level j.
+    # entry j of a memory sum is its weight of level j, whether the panel
+    # GEMM (j < n - n % HISTORY_PANEL) or the step itself (the rest) formed it.
     tm = build_graded_time_mesh(M, gamma, T)
     A = l1_coefficients(tm, alpha)
     table = l1_table(tm, alpha)
     probe = np.eye(M + 1)
-    zero = np.zeros(M + 1)
     for n in range(M + 1):
         assert np.array_equal(A.row(n), table[n]), n
+    history = History(A, np.zeros(M + 1), 0.0)
+    history.push(0, probe[0])
     for n in range(1, M + 1):
         assert A.a0(n) == table[n][0], n
-        c = _table_memory_weights(table, n)
-        full = substantial_history(A, zero, probe, n)
-        assert np.array_equal(full[:n], c) and not full[n:].any(), n
-        for start in range(max(n - HISTORY_PANEL + 1, 1), n + 1):
-            rest = substantial_history(A, zero, probe, n, zero, start)
-            assert np.array_equal(rest[start:n], c[start:]), (n, start)
-    for start in range(1, M + 1):
-        rows = min(HISTORY_PANEL, M + 1 - start)
-        block = history_panel(A, np.eye(start), start, np.empty((rows, start)))
-        ref = [_table_memory_weights(table, n)[:start] for n in range(start, start + rows)]
-        assert np.array_equal(block, np.array(ref)), start
+        full = history.sum(n)
+        assert np.array_equal(full[:n], _table_memory_weights(table, n)) and not full[n:].any(), n
+        history.push(n, probe[n])
 
 
 @pytest.mark.parametrize("M", [1, 31, 32, 33])
@@ -236,23 +229,16 @@ def test_substantial_history_validation():
     A = l1_coefficients(tm, 0.5)
     kq = eval_on_grid(lambda x, y: 0.0 * x, mesh, quad)
     u0 = l2_project(lambda x, y: np.ones_like(x * y), mesh, basis, quad)
-    tempered = u0.eval_volume_quad(quad)[None]  # only w^0
-    with pytest.raises(InvalidArgumentError):
-        substantial_history(A, kq, tempered, 2)
-    with pytest.raises(InvalidArgumentError):
-        substantial_history(A, kq, tempered, 0)  # no step before t_1
-    full = np.zeros((5,) + kq.shape)
-    with pytest.raises(InvalidArgumentError):
-        substantial_history(A, kq, np.zeros((6,) + kq.shape), 5)  # step 5 is past M = 4
-    with pytest.raises(InvalidArgumentError, match="panel row"):
-        substantial_history(A, kq, full, 3, None, 2)  # levels 0, 1 would be dropped
-    panel = np.zeros((2, kq.size))
-    with pytest.raises(InvalidArgumentError):
-        history_panel(A, full, 0, panel)  # a panel needs at least one stored level
-    with pytest.raises(InvalidArgumentError):
-        history_panel(A, full, 4, panel)  # step 5 is past M = 4
-    with pytest.raises(InvalidArgumentError):
-        history_panel(A, tempered, 2, panel)  # w^1 not stored
+    history = History(A, kq, 0.0)
+    history.push(0, u0.eval_volume_quad(quad))  # only w^0
+    with pytest.raises(InvalidArgumentError, match="need w"):
+        history.sum(2)  # w^1 not stored
+    with pytest.raises(InvalidArgumentError, match="steps run 1..4"):
+        history.sum(0)  # no step before t_1
+    for n in range(1, 5):
+        history.push(n, u0.eval_volume_quad(quad))
+    with pytest.raises(InvalidArgumentError, match="steps run 1..4"):
+        history.sum(5)  # step 5 is past M = 4, though w^0..w^4 are stored
 
 
 #: Agreement demanded between the tempered-buffer contraction and the
@@ -275,8 +261,8 @@ HISTORY_DIFF_RTOL = 1e-12
     seed=st.integers(0, 2**32 - 1),
 )
 def test_substantial_history_matches_loop_oracle(alpha, gamma, M, k, nx, ny, T, kappa_coef, seed):
-    # The contraction over the tempered buffer w_j = e^{kappa t_j} u^j, built
-    # exactly as solve() builds it, against the per-level loop on the
+    # History.sum over its tempered buffer w_j = e^{kappa t_j} u^j, pushed
+    # exactly as solve() pushes it, against the per-level loop on the
     # untempered fields, at every step n of a random run.
     mesh = build_spatial_mesh(nx, ny)
     basis = BasisSpec(k)
@@ -289,14 +275,15 @@ def test_substantial_history_matches_loop_oracle(alpha, gamma, M, k, nx, ny, T, 
     )
     assert np.max(np.abs(kq)) <= abs(a) + abs(b) + abs(c) <= 3.0
     rng = np.random.default_rng(seed)
-    history = [DgField(rng.standard_normal((nx, ny, k + 1, k + 1)), basis, mesh)
-               for _ in range(M)]
-    tempered = np.stack([np.exp(kq * t) * u.eval_volume_quad(quad)
-                         for t, u in zip(tm.t, history)])
-    umax = max(float(np.max(np.abs(u.eval_volume_quad(quad)))) for u in history)
+    fields = [DgField(rng.standard_normal((nx, ny, k + 1, k + 1)), basis, mesh)
+              for _ in range(M)]
+    history = History(A, kq, abs(a) + abs(b) + abs(c))
+    for n, u in enumerate(fields):
+        history.push(n, u.eval_volume_quad(quad))
+    umax = max(float(np.max(np.abs(u.eval_volume_quad(quad)))) for u in fields)
     for n in range(1, M + 1):
-        got = substantial_history(A, kq, tempered, n)
-        ref = substantial_history_loop(A, kq, history[:n], n, quad=quad)
+        got = history.sum(n)
+        ref = substantial_history_loop(A, kq, fields[:n], n, quad=quad)
         scale = float(np.sum(np.abs(np.diff(A.row(n)[::-1], prepend=0.0)))) * umax
         assert np.max(np.abs(got - ref)) <= HISTORY_DIFF_RTOL * scale
 
@@ -312,32 +299,35 @@ PANEL_SUM_RTOL = 1e-13
     alpha=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
     gamma=st.floats(1.0, 6.0),
     M=st.integers(1, 100),
-    first=st.integers(1, 100),
     k=st.integers(0, 2),
     nx=st.integers(1, 3),
     ny=st.integers(1, 3),
     kappa0=st.floats(-1.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
 def test_panel_row_plus_remainder_matches_full_history(
-    alpha, gamma, M, first, k, nx, ny, kappa0, seed
+    alpha, gamma, M, k, nx, ny, kappa0, seed, data
 ):
-    # Panels formed every HISTORY_PANEL steps from an arbitrary first step:
-    # at every step they cover, the panel row plus the sum over the levels
-    # written since the panel start equals the unpanelled full sum.
+    # History.sum over a drawn order of steps: a step of another panel than
+    # the last one asked for forms its panel first, so the panel row plus the
+    # sum over the levels written since the panel start equals the unpanelled
+    # full sum whatever the order.
     mesh = build_spatial_mesh(nx, ny)
     quad = gauss_rule(BasisSpec(k).default_quad_points)
     tm = build_graded_time_mesh(M, gamma, 0.5)
     A = l1_coefficients(tm, alpha)
     kq = eval_on_grid(lambda x, y: kappa0 * np.cos(2 * math.pi * x) + 0.0 * y, mesh, quad)
-    tempered = np.random.default_rng(seed).standard_normal((M + 1,) + kq.shape)
+    history = History(A, kq, abs(kappa0))
+    rng = np.random.default_rng(seed)
+    tempered = np.empty((M + 1,) + kq.shape)
+    for n in range(M + 1):
+        values = rng.standard_normal(kq.shape)
+        history.push(n, values)
+        tempered[n] = np.exp(kq * tm.t[n]) * values
     wmax = float(np.max(np.abs(tempered)))
-    panel = np.empty((HISTORY_PANEL, kq.size))
-    for start in range(min(first, M), M + 1, HISTORY_PANEL):
-        rows = min(HISTORY_PANEL, M + 1 - start)
-        history_panel(A, tempered, start, panel[:rows])
-        for n in range(start, start + rows):
-            got = substantial_history(A, kq, tempered, n, panel[n - start], start)
-            ref = substantial_history(A, kq, tempered, n)
-            scale = A.row(n)[0] * wmax * float(np.max(np.exp(-kq * tm.t[n])))
-            assert np.max(np.abs(got - ref)) <= PANEL_SUM_RTOL * scale, (start, n)
+    for n in data.draw(st.permutations(range(1, M + 1)), label="order"):
+        got = history.sum(n)
+        ref = memory_sum(A, kq, tempered, n)
+        scale = A.row(n)[0] * wmax * float(np.max(np.exp(-kq * tm.t[n])))
+        assert np.max(np.abs(got - ref)) <= PANEL_SUM_RTOL * scale, n

@@ -21,13 +21,13 @@ from fracldg.basis import (
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import (
     HISTORY_PANEL,
-    history_panel,
+    MAX_TEMPERING_EXPONENT,
+    History,
+    _memory_weights,
     l1_coefficients,
-    substantial_history,
 )
 from fracldg.ldg import (
     FluxWeights,
-    History,
     StepGrid,
     assemble_operators,
     solve,
@@ -35,8 +35,6 @@ from fracldg.ldg import (
 )
 from fracldg.cli import load_config, presets_dir
 from fracldg.ldg import (
-    MAX_TEMPERING_EXPONENT,
-    _check_tempering_range,
     _directional_operator,
     _moment_vector,
     footprint_bytes,
@@ -48,7 +46,9 @@ from fracldg.problems import ProblemSpec, example1, example2
 from oracles import (
     bilinear_form_B,
     dense_directional_operator,
+    flatten,
     lifted_stiffness,
+    memory_sum,
     solve_fields,
     solve_stepwise,
     system_matrix,
@@ -121,7 +121,7 @@ def test_constants_are_steady_states():
     for s1, s2 in FLUXES:
         ops = assemble_operators(mesh, BasisSpec(2), FluxWeights(s1, s2))
         const = l2_project(lambda x, y: 3.0 + 0.0 * x * y, mesh, BasisSpec(2))
-        assert np.max(np.abs(ops.K @ ops.flatten(const))) <= 1e-11
+        assert np.max(np.abs(ops.K @ flatten(const))) <= 1e-11
 
 
 def test_energy_nullity_of_bilinear_form():
@@ -138,8 +138,8 @@ def test_energy_nullity_of_bilinear_form():
         for _ in range(5):
             u = DgField(rng.standard_normal((4, 3, 3, 3)), basis, mesh)
             u = DgField(u.coeffs * (1.0 / u.l2_norm()), basis, mesh)
-            px = ops.unflatten(Du @ ops.flatten(u))
-            py = ops.unflatten(Lu @ ops.flatten(u))
+            px = ops.unflatten(Du @ flatten(u))
+            py = ops.unflatten(Lu @ flatten(u))
             val = bilinear_form_B(u, u, (px, py), (px, py), fw)
             assert abs(val) <= 1e-11
 
@@ -315,6 +315,9 @@ def test_shipped_and_random_problems_pass_tempering_guard():
     # Every preset's problem, and the kappa families the acceptance stability
     # test draws (constant k0 with c_kappa = |k0|; a cos(2 pi x) + b with
     # c_kappa = |a| + |b|), including draws that sit on the bound.
+    def guard(prob, tm, kappa_at_quad):
+        History(l1_coefficients(tm, prob.alpha), kappa_at_quad, prob.c_kappa)
+
     mesh = build_spatial_mesh(6, 6)
     for path in sorted(presets_dir().glob("*.yaml")):
         cfg = load_config(path.stem)
@@ -324,18 +327,18 @@ def test_shipped_and_random_problems_pass_tempering_guard():
         else:
             prob = example2(cfg.alpha, delta=cfg.delta, T=cfg.T)
         tm = build_graded_time_mesh(cfg.M, cfg.gamma, cfg.T)
-        _check_tempering_range(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
+        guard(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
     tm = build_graded_time_mesh(8, 4.0, 1.0)
     for k in (0, 1, 2):
         quad = gauss_rule(BasisSpec(k).default_quad_points)
         for prob in (example1(0.5, T=1.0), example2(0.5, T=1.0)):
-            _check_tempering_range(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
+            guard(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
         for k0 in (-2.0, -0.7, 0.0, 2.0):
             prob = _constant_kappa_problem(k0, abs(k0), 1.0)
-            _check_tempering_range(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
+            guard(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
         for a, b in ((1.5, 0.5), (-1.5, -0.5), (0.3, -0.2)):
             kq = eval_on_grid(lambda x, y: a * np.cos(2 * math.pi * x) + b + 0.0 * y, mesh, quad)
-            _check_tempering_range(_constant_kappa_problem(0.0, abs(a) + abs(b), 1.0), tm, kq)
+            guard(_constant_kappa_problem(0.0, abs(a) + abs(b), 1.0), tm, kq)
 
 
 def test_flatten_unflatten_roundtrip():
@@ -344,7 +347,7 @@ def test_flatten_unflatten_roundtrip():
     ops = assemble_operators(mesh, basis, FluxWeights(1.0, 0.0))
     rng = np.random.default_rng(2)
     f = DgField(rng.standard_normal((3, 5, 3, 3)), basis, mesh)
-    g = ops.unflatten(ops.flatten(f))
+    g = ops.unflatten(flatten(f))
     np.testing.assert_allclose(g.coeffs, f.coeffs, atol=0.0)
 
 
@@ -366,9 +369,11 @@ def test_discrete_substantial_derivative_exact_on_tempered_linears():
         (lambda t: t, lambda t: t ** (1.0 - alpha) / math.gamma(2.0 - alpha)),
     ):
         hist_quad = [np.exp(-kq * t) * v(t) for t in tm.t]
-        tempered = np.stack([np.exp(kq * t) * h for t, h in zip(tm.t, hist_quad)])
+        history = History(A, kq, 1.0)
+        for n, h in enumerate(hist_quad):
+            history.push(n, h)
         for n in (1, 3, 6):
-            hist = substantial_history(A, kq, tempered, n)
+            hist = history.sum(n)
             got = A.row(n)[0] * hist_quad[n] + hist
             expected = np.exp(-kq * tm.t[n]) * dv_exact(tm.t[n])
             scale = A.row(n)[0] * np.max(np.abs(hist_quad[n]))
@@ -419,62 +424,49 @@ def test_step_rejects_short_history():
     ops = assemble_operators(mesh, basis, FluxWeights(0.0, 1.0))
     quad = gauss_rule(basis.default_quad_points)
     grid = StepGrid.build(prob, mesh, basis, quad)
-    history = History(A, grid.kappa, quad)
-    history.push(0, l2_project(prob.u0, mesh, basis))
+    history = History(A, grid.kappa, prob.c_kappa)
+    history.push(0, l2_project(prob.u0, mesh, basis).eval_volume_quad(quad))
     with pytest.raises(InvalidArgumentError):
         step(ops, A, 2, prob, grid, history)
 
 
-@pytest.mark.parametrize("n,start", [(HISTORY_PANEL + 1, 1), (5, 10)])
-def test_step_rejects_panel_row_outside_its_panel(n, start):
-    # A panel formed at `start` covers steps start..start + HISTORY_PANEL - 1;
-    # its row is meaningless for any other step. step no longer takes a panel
-    # row: History forms the panel of the step it serves. The one-shot
-    # substantial_history, which History calls, keeps the check.
-    mesh = build_spatial_mesh(3, 3)
-    basis = BasisSpec(0)
-    prob = example1(0.5)
-    tm = build_graded_time_mesh(2 * HISTORY_PANEL, 2.0, prob.T)
-    A = l1_coefficients(tm, prob.alpha)
-    quad = gauss_rule(basis.default_quad_points)
-    grid = StepGrid.build(prob, mesh, basis, quad)
-    tempered = np.zeros((tm.M + 1,) + grid.kappa.shape)
-    with pytest.raises(InvalidArgumentError, match="outside the panel"):
-        substantial_history(A, grid.kappa, tempered, n, np.zeros(grid.kappa.size), start)
-
-
 def _random_history(M: int, seed: int):
     """A History of M + 1 random Q1 levels on a 3 x 2 mesh, with its kernel
-    and kappa, and the levels' tempered values stacked as the one-shot
-    substantial_history reads them."""
+    and kappa, and the levels' tempered values stacked as the unpanelled
+    oracles.memory_sum reads them."""
     prob = example2(0.4)
     mesh = build_spatial_mesh(3, 2)
     basis = BasisSpec(1)
     quad = gauss_rule(basis.default_quad_points)
     A = l1_coefficients(build_graded_time_mesh(M, 3.0, prob.T), prob.alpha)
     kappa = eval_on_grid(prob.kappa, mesh, quad)
-    history = History(A, kappa, quad)
+    history = History(A, kappa, prob.c_kappa)
     rng = np.random.default_rng(seed)
     tempered = np.empty((M + 1,) + kappa.shape)
     for n in range(M + 1):
-        u = DgField(rng.standard_normal((3, 2, 2, 2)), basis, mesh)
-        history.push(n, u)
-        tempered[n] = np.exp(kappa * A.tm.t[n]) * u.eval_volume_quad(quad)
+        values = DgField(rng.standard_normal((3, 2, 2, 2)), basis, mesh).eval_volume_quad(quad)
+        history.push(n, values)
+        tempered[n] = np.exp(kappa * A.tm.t[n]) * values
     return history, A, kappa, tempered
 
 
 @pytest.mark.parametrize("M", [1, 31, 32, 33, 65, 100])
 def test_history_sum_in_step_order_is_the_panel_form_bitwise(M):
-    # History.sum in step order against the panel plumbing solve had before
-    # History: one history_panel at every multiple of HISTORY_PANEL, and
-    # substantial_history with that panel's row. Same operations, same bits.
+    # History.sum in step order against the panel form written out: at every
+    # multiple of HISTORY_PANEL one GEMM of the memory weights with the
+    # levels stored before it; per step the contraction of the levels since,
+    # plus the panel row, times the tempering factor. Same numpy calls in the
+    # same order, same bits: the shipped presets' outputs rest on this order.
     history, A, kappa, tempered = _random_history(M, 41)
-    panel = np.empty((HISTORY_PANEL, kappa.size))
     for n in range(1, M + 1):
         start = n - n % HISTORY_PANEL
         if n == start:
-            history_panel(A, tempered, start, panel[: M + 1 - start])
-        ref = substantial_history(A, kappa, tempered, n, panel[n - start] if start else None, start)
+            steps = np.arange(start, min(start + HISTORY_PANEL, M + 1))[:, None]
+            panel = _memory_weights(A, steps, 0, start) @ tempered[:start].reshape(start, -1)
+        total = np.tensordot(_memory_weights(A, n, start, n), tempered[start:n], axes=1)
+        if start:
+            total += panel[n - start].reshape(total.shape)
+        ref = np.exp(-kappa * A.tm.t[n]) * total
         assert np.array_equal(history.sum(n), ref), n
 
 
@@ -484,21 +476,24 @@ def test_history_sum_out_of_order_matches_one_shot_sum():
     M = 100
     history, A, kappa, tempered = _random_history(M, 43)
     for n in (70, 40, 96, 5, 64, 63, 100, 32, 33, 1):
-        ref = substantial_history(A, kappa, tempered, n)
+        ref = memory_sum(A, kappa, tempered, n)
         got = history.sum(n)
         assert np.max(np.abs(got - ref)) <= PANEL_DIFF_RTOL * np.max(np.abs(ref)), n
 
 
 def test_history_push_takes_levels_in_order():
-    history, A, kappa, _ = _random_history(3, 47)
-    u = l2_project(example2(0.4).u0, build_spatial_mesh(3, 2), BasisSpec(1))
+    history, A, kappa, tempered = _random_history(3, 47)
+    values = tempered[0]
     with pytest.raises(InvalidArgumentError, match="in order"):
-        history.push(4, u)  # the buffer holds u^0..u^3
-    fresh = History(A, kappa, gauss_rule(4))
+        history.push(4, values)  # the buffer holds u^0..u^3
+    fresh = History(A, kappa, example2(0.4).c_kappa)
     with pytest.raises(InvalidArgumentError, match="in order"):
-        fresh.push(1, u)
-    fresh.push(0, u)
-    with pytest.raises(InvalidArgumentError, match=r"must hold w\^0..w\^1"):
+        fresh.push(1, values)
+    for wrong in (values[0], 1.0):  # both would broadcast into the buffer row
+        with pytest.raises(InvalidArgumentError, match="has shape"):
+            fresh.push(0, wrong)
+    fresh.push(0, values)
+    with pytest.raises(InvalidArgumentError, match=r"need w\^0..w\^1, 1 levels stored"):
         fresh.sum(2)
 
 
@@ -532,20 +527,20 @@ def test_solve_reads_fewer_than_a_panel_of_levels_per_step(monkeypatch):
     # A count, not a timing: every step sums at most HISTORY_PANEL - 1 stored
     # levels itself, and the rest comes from one panel GEMM per
     # HISTORY_PANEL steps. A return to an O(n) read per step fails here.
-    import fracldg.ldg as ldg
+    # The count reads the shapes of the memory-weight blocks History.sum
+    # asks for: a panel asks for a column of steps, a step for one row.
+    import fracldg.fractional as fractional
 
     rows_read, panels = [], []
 
-    def counting_history(A, kappa, tempered, n, panel_row=None, start=0):
-        rows_read.append(n - start)
-        return substantial_history(A, kappa, tempered, n, panel_row, start)
+    def counting_weights(A, n, start, stop):
+        if np.ndim(n):
+            panels.append((stop, len(n)))
+        else:
+            rows_read.append(stop - start)
+        return _memory_weights(A, n, start, stop)
 
-    def counting_panel(A, tempered, start, out):
-        panels.append((start, len(out)))
-        return history_panel(A, tempered, start, out)
-
-    monkeypatch.setattr(ldg, "substantial_history", counting_history)
-    monkeypatch.setattr(ldg, "history_panel", counting_panel)
+    monkeypatch.setattr(fractional, "_memory_weights", counting_weights)
     M = 100
     prob = example2(0.5)
     tm = build_graded_time_mesh(M, 2.0, prob.T)

@@ -39,8 +39,15 @@ MOVED = (
     "mittag_leffler_series",
 )
 
-#: Names of the stored-trajectory mode of solve, removed with it.
-REMOVED = ("Trajectory", "error_E", "error_time_integrated")
+#: Names of the stored-trajectory mode of solve, removed with it, and of the
+#: memory-sum functions that fracldg.fractional.History replaced.
+REMOVED = (
+    "Trajectory",
+    "error_E",
+    "error_time_integrated",
+    "substantial_history",
+    "history_panel",
+)
 
 _CHILD = (
     "import sys\n"
