@@ -30,7 +30,7 @@ _LAZY = {
     "QuadRule": "basis",
     "DgField": "basis",
     "gauss_rule": "basis",
-    "l2_project": "basis",
+    "VolumeGrid": "basis",
     # fractional
     "L1Kernel": "fractional",
     "l1_coefficients": "fractional",

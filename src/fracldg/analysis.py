@@ -1,7 +1,8 @@
 """Error functionals, convergence rates, and condition numbers.
 
 The error functionals are solve observers that compute their value while
-the run goes and keep no field: FinalTimeError is the final-time L2 error
+the run goes and keep no field, and take their norms with the same
+basis.VolumeGrid rule that solve uses: FinalTimeError is the final-time L2 error
 scaled by the horizon, the functional of every shipped convergence table;
 TimeIntegratedError weights the whole history through the
 piecewise-linear-in-time interpolants. rates turns a sweep into
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import BasisSpec, DgField, gauss_rule, quad_l2_norm, volume_quad_points
+from .basis import BasisSpec, DgField, VolumeGrid, gauss_rule
 from .errors import InvalidArgumentError, NumericError
 from .fractional import L1Kernel
 from .ldg import LdgOperators
@@ -74,18 +75,17 @@ class ErrorReport:
 
 
 class _LevelError:
-    """What the streaming error functionals share: the spatial quadrature
-    and the points where the exact solution is evaluated, built once."""
+    """What the streaming error functionals share: the VolumeGrid whose
+    points the exact solution is evaluated at and whose rule takes the
+    norm, built once."""
 
     def __init__(self, tm: GradedTimeMesh, mesh: SpatialMesh, basis: BasisSpec, exact: Exact):
-        self.tm, self.mesh, self.exact = tm, mesh, exact
-        self.squad = gauss_rule(basis.default_quad_points)
-        X, Y = volume_quad_points(mesh, self.squad)
-        self._x, self._y = X[:, None, :, None], Y[None, :, None, :]
+        self.tm, self.exact = tm, exact
+        self.grid = VolumeGrid.build(mesh, basis)
 
     def _nodal_error(self, n: int, u: DgField) -> np.ndarray:
-        vals = self.exact(self.tm.t[n], self._x, self._y)
-        return vals - u.eval_volume_quad(self.squad)
+        vals = self.exact(self.tm.t[n], self.grid.x, self.grid.y)
+        return vals - u.eval_volume_quad(self.grid.quad)
 
 
 class FinalTimeError(_LevelError):
@@ -109,7 +109,7 @@ class FinalTimeError(_LevelError):
 
     def __call__(self, n: int, u: DgField) -> None:
         if n == self.tm.M:
-            self.value = self.tm.T * quad_l2_norm(self._nodal_error(n, u), self.mesh, self.squad)
+            self.value = self.tm.T * self.grid.norm(self._nodal_error(n, u))
 
 
 class TimeIntegratedError(_LevelError):
@@ -151,8 +151,8 @@ class TimeIntegratedError(_LevelError):
             tau = self.tm.tau[n - 1]
             for theta, w in zip(self.tquad.nodes, self.tquad.weights):
                 z = (theta + 1.0) / 2.0
-                self.value += w * (tau / 2.0) * quad_l2_norm(
-                    (1.0 - z) * self._e_prev + z * e_next, self.mesh, self.squad
+                self.value += w * (tau / 2.0) * self.grid.norm(
+                    (1.0 - z) * self._e_prev + z * e_next
                 )
         self._e_prev = e_next
         self._seen += 1

@@ -6,6 +6,12 @@ matrix is (hx*hy/4) * Identity on a physical cell. That scalar mass is what
 makes the auxiliary-variable elimination in the LDG operator a cheap scaling
 and keeps L2 norms a plain coefficient 2-norm.
 
+Every volume term goes through one tensor Gauss rule per cell, held by a
+VolumeGrid: the L2 projection of the initial condition, the source moments
+of each step, the memory sum at the points and the error norms. The rule
+has basis.default_quad_points points per axis unless a caller passes
+another.
+
 Cells are indexed 0-based: cell (i, j) spans [x_edges[i], x_edges[i+1]] x
 [y_edges[j], y_edges[j+1]].
 """
@@ -29,7 +35,7 @@ __all__ = [
     "legendre_values",
     "quad_vandermonde",
     "legendre_derivatives",
-    "l2_project",
+    "VolumeGrid",
 ]
 
 
@@ -37,7 +43,7 @@ __all__ = [
 class BasisSpec:
     """Tensor-product polynomial space Q^k on each cell.
 
-    k is the degree per axis; dofs_per_cell = (k+1)^2.
+    k is the degree per axis, so a cell holds (k+1)^2 coefficients.
     """
 
     k: int
@@ -45,10 +51,6 @@ class BasisSpec:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise InvalidArgumentError(f"polynomial degree must be >= 0, got {self.k}")
-
-    @property
-    def dofs_per_cell(self) -> int:
-        return (self.k + 1) ** 2
 
     @property
     def default_quad_points(self) -> int:
@@ -134,11 +136,6 @@ class DgField:
                 f"coefficient tensor shape {self.coeffs.shape} does not match {expected}"
             )
 
-    @classmethod
-    def zeros(cls, mesh: SpatialMesh, basis: BasisSpec) -> "DgField":
-        kk = basis.k + 1
-        return cls(np.zeros((mesh.nx, mesh.ny, kk, kk)), basis, mesh)
-
     def l2_norm(self) -> float:
         """Global L2 norm; exact because the basis is orthonormal per cell."""
         m = self.mesh.hx * self.mesh.hy / 4.0
@@ -150,41 +147,60 @@ class DgField:
         return V @ (self.coeffs @ V.T)
 
 
-def volume_quad_points(mesh: SpatialMesh, quad: QuadRule) -> tuple[np.ndarray, np.ndarray]:
-    """Physical quadrature points per axis: X of shape (nx, q), Y of shape (ny, q)."""
-    X = mesh.x_centers()[:, None] + 0.5 * mesh.hx * quad.nodes[None, :]
-    Y = mesh.y_centers()[:, None] + 0.5 * mesh.hy * quad.nodes[None, :]
-    return X, Y
+@dataclass(frozen=True)
+class VolumeGrid:
+    """The tensor Gauss rule of every volume term on a mesh, built once.
 
-
-def eval_on_grid(g, mesh: SpatialMesh, quad: QuadRule) -> np.ndarray:
-    """Evaluate g(x, y) at all volume quadrature points, shape (nx, ny, qx, qy).
-
-    g must accept numpy arrays and broadcast.
+    x and y are the physical quadrature points shaped (nx, 1, q, 1) and
+    (1, ny, 1, q), so a callable g(x, y) or f(t, x, y) broadcasts to the
+    (nx, ny, q, q) grid; WV[q, r] = w_q Lhat_r(x_q) is the weighted
+    Vandermonde of the moments. The L2 projection, the source moments, the
+    memory sum at the points and the error norms all read this one rule.
     """
-    X, Y = volume_quad_points(mesh, quad)
-    return np.asarray(g(X[:, None, :, None], Y[None, :, None, :])) * np.ones(
-        (mesh.nx, mesh.ny, quad.npoints, quad.npoints)
-    )
 
+    mesh: SpatialMesh = field(repr=False)
+    basis: BasisSpec
+    quad: QuadRule = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
+    WV: np.ndarray = field(repr=False)
 
-def l2_project(g, mesh: SpatialMesh, basis: BasisSpec, quad: QuadRule | None = None) -> DgField:
-    """L2 projection of g(x, y) onto the Q^k space, per cell.
+    @classmethod
+    def build(cls, mesh: SpatialMesh, basis: BasisSpec, quad: QuadRule | None = None) -> VolumeGrid:
+        """The grid of quad, by default the rule of basis.default_quad_points."""
+        if quad is None:
+            quad = gauss_rule(basis.default_quad_points)
+        return cls(
+            mesh=mesh,
+            basis=basis,
+            quad=quad,
+            x=(mesh.x_centers()[:, None] + 0.5 * mesh.hx * quad.nodes[None, :])[:, None, :, None],
+            y=(mesh.y_centers()[:, None] + 0.5 * mesh.hy * quad.nodes[None, :])[None, :, None, :],
+            WV=quad.weights[:, None] * quad_vandermonde(basis.k, quad.npoints),
+        )
 
-    With the orthonormal basis the coefficients are exactly the quadrature
-    moments sum_q w_q g(x_q) Lhat_r Lhat_s (the cell Jacobian cancels against
-    the mass scalar).
-    """
-    if quad is None:
-        quad = gauss_rule(basis.default_quad_points)
-    G = eval_on_grid(g, mesh, quad)
-    WV = quad.weights[:, None] * quad_vandermonde(basis.k, quad.npoints)
-    coeffs = np.einsum("ijqp,qr,ps->ijrs", G, WV, WV, optimize=True)
-    return DgField(coeffs, basis, mesh)
+    def at(self, g) -> np.ndarray:
+        """g(x, y) at every point, shape (nx, ny, q, q), however little g
+        depends on; g must accept numpy arrays and broadcast."""
+        q = self.quad.npoints
+        return np.asarray(g(self.x, self.y)) * np.ones((self.mesh.nx, self.mesh.ny, q, q))
 
+    def moments(self, values: np.ndarray) -> np.ndarray:
+        """sum_q w_q g(x_q) Lhat_r Lhat_s per cell, shape (nx, ny, k+1, k+1),
+        from the values g at the points."""
+        return self.WV.T @ (values @ self.WV)
 
-def quad_l2_norm(values: np.ndarray, mesh: SpatialMesh, quad: QuadRule) -> float:
-    """L2 norm of a function given by its values at all volume quadrature points."""
-    w2 = quad.weights[:, None] * quad.weights[None, :]
-    cell_jac = mesh.hx * mesh.hy / 4.0
-    return float(np.sqrt(cell_jac * np.einsum("ijqp,qp->", values**2, w2)))
+    def project(self, g) -> DgField:
+        """L2 projection of g(x, y) onto the Q^k space, per cell.
+
+        With the orthonormal basis the coefficients are exactly the
+        quadrature moments (the cell Jacobian cancels against the mass
+        scalar).
+        """
+        return DgField(self.moments(self.at(g)), self.basis, self.mesh)
+
+    def norm(self, values: np.ndarray) -> float:
+        """L2 norm of a function given by its values at every point."""
+        w2 = self.quad.weights[:, None] * self.quad.weights[None, :]
+        cell_jac = self.mesh.hx * self.mesh.hy / 4.0
+        return float(np.sqrt(cell_jac * np.einsum("ijqp,qp->", values**2, w2)))

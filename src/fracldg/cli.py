@@ -329,9 +329,9 @@ def _run_solves(cfg: ExperimentConfig):
     else:
         cases = [(f"1/{cfg.nx}", 1.0 / cfg.nx, cfg.nx, cfg.M)]
     if cfg.problem == "example1":
-        prob = example1(cfg.alpha, T=cfg.T)
+        prob = example1(cfg.alpha)
     else:
-        prob = example2(cfg.alpha, delta=cfg.delta, T=cfg.T)
+        prob = example2(cfg.alpha, delta=cfg.delta)
     basis = BasisSpec(cfg.degree)
     fw = FluxWeights(*cfg.flux)
     errors = []
@@ -453,7 +453,7 @@ def _emit(report, cfg: ExperimentConfig, out_dir: Path, plot: bool) -> list[Path
         svg_path = out_dir / f"{cfg.name}.svg"
         write_loglog_svg(
             str(svg_path),
-            [(cfg.name, xs, report.errors)],
+            (cfg.name, xs, report.errors),
             title=cfg.title or cfg.name,
             xlabel=xlabel,
             ylabel="error E",

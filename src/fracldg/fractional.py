@@ -96,18 +96,12 @@ class L1Kernel:
 
     def a0(self, n: int) -> float:
         """A_0^n = tau_n^(1-a) / (Gamma(2-a) tau_n), the weight of the newest
-        interval and the mass factor of the step-n system.
-
-        Nothing cancels here, so the expm1/log1p form is skipped. Where tau
-        is the difference of t, as build_graded_time_mesh makes it, that form
-        reduces to this one exactly (log1p(-1) = -inf, expm1(-inf) = -1), and
-        both give the same bits.
-        """
+        interval and the mass factor of the step-n system: the last entry
+        of _interval_weights at step n (log1p(-1) = -inf, expm1(-inf) = -1
+        reduce its expm1/log1p form to this one exactly)."""
         if not 1 <= n <= self.tm.M:
             raise InvalidArgumentError(f"step index {n} outside 1..{self.tm.M}")
-        step_tau = self.tm.tau[n - 1 : n]
-        a = step_tau ** (1.0 - self.alpha) / (math.gamma(2.0 - self.alpha) * step_tau)
-        return float(a[0])
+        return float(_interval_weights(self, n, n - 1, n)[0])
 
 
 def _interval_weights(A: L1Kernel, n, lo: int, stop: int) -> np.ndarray:

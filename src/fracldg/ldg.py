@@ -28,9 +28,11 @@ built on first access for residual recomputation outside the run path.
 
 The earlier levels enter a step only through the memory sum, which one
 fracldg.fractional.History holds and evaluates: solve pushes each level,
-evaluated at the volume quadrature points, and step reads the sum. solve
-hands each level to an observer and keeps none itself, and refuses, before
-it allocates, a run whose footprint exceeds the physical memory.
+evaluated at the volume quadrature points, and step reads the sum. The
+points, the projection of u0 and the moments of each right-hand side all
+come from the run's one basis.VolumeGrid. solve hands each level to an
+observer and keeps none itself, and refuses, before it allocates, a run
+whose footprint exceeds the physical memory.
 """
 
 from __future__ import annotations
@@ -47,15 +49,11 @@ import numpy as np
 from .basis import (
     BasisSpec,
     DgField,
-    QuadRule,
+    VolumeGrid,
     edge_values,
-    eval_on_grid,
     gauss_rule,
     legendre_derivatives,
     legendre_values,
-    l2_project,
-    quad_vandermonde,
-    volume_quad_points,
 )
 from .errors import InvalidArgumentError, NumericError
 from .fractional import History, L1Kernel, l1_coefficients
@@ -65,7 +63,6 @@ from .problems import ProblemSpec
 __all__ = [
     "FluxWeights",
     "LdgOperators",
-    "StepGrid",
     "assemble_operators",
     "step",
     "solve",
@@ -247,54 +244,19 @@ def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> 
     )
 
 
-@dataclass(frozen=True)
-class StepGrid:
-    """Everything a step reads at the volume quadrature points that does not
-    change with n, built once per run.
-
-    x and y are the physical points shaped (nx, 1, q, 1) and (1, ny, 1, q),
-    so a callable f(t, x, y) broadcasts to the (nx, ny, q, q) grid; WV[q, r]
-    = w_q Lhat_r(x_q) is the weighted Vandermonde of the moments; kappa is
-    the tempering field at the points.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    WV: np.ndarray
-    kappa: np.ndarray
-
-    @classmethod
-    def build(
-        cls, prob: ProblemSpec, mesh: SpatialMesh, basis: BasisSpec, quad: QuadRule
-    ) -> StepGrid:
-        X, Y = volume_quad_points(mesh, quad)
-        return cls(
-            x=X[:, None, :, None],
-            y=Y[None, :, None, :],
-            WV=quad.weights[:, None] * quad_vandermonde(basis.k, quad.npoints),
-            kappa=eval_on_grid(prob.kappa, mesh, quad),
-        )
-
-
-def _moment_vector(values: np.ndarray, ops: LdgOperators, WV: np.ndarray) -> np.ndarray:
-    """(g, Phi_B) for every basis function, flattened in solver order, from
-    grid values g at the volume quadrature points; WV is StepGrid.WV."""
-    moments = ops.M * (WV.T @ (values @ WV))
-    return np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()
-
-
 def step(
     ops: LdgOperators,
     A: L1Kernel,
     n: int,
     prob: ProblemSpec,
-    grid: StepGrid,
+    grid: VolumeGrid,
     history: History,
 ) -> DgField:
     """Advance one time step: solve (A_0^n M I + K) U^n = -(hist, v) + (f(t_n), v).
 
     history holds u^0..u^{n-1}, tempered at the points of grid, and hist is
-    its sum(n). The step does not store u^n; the caller pushes it.
+    its sum(n); the moments (g, v) of every basis function come from
+    grid.moments. The step does not store u^n; the caller pushes it.
     """
     hist = history.sum(n)
     # The history part of D_M u moves to the right-hand side: this negation is
@@ -302,7 +264,8 @@ def step(
     rhs_values = -hist
     if prob.f is not None:
         rhs_values = rhs_values + prob.f(A.tm.t[n], grid.x, grid.y)
-    b = _moment_vector(rhs_values, ops, grid.WV)
+    moments = ops.M * grid.moments(rhs_values)
+    b = np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()  # solver order (i, r, j, s)
     x = ops.solve_system(A.a0(n), b)
     return ops.unflatten(x)
 
@@ -343,10 +306,11 @@ def solve(
     observe(n, u^n) for n = 0..M in order.
 
     u^0 is the L2 projection of the initial condition; each subsequent field
-    solves the step system. The quadrature points, the moment Vandermonde
-    and kappa at the points are built once, as a StepGrid. Every level is
-    evaluated at the quadrature points and pushed once into a History, which
-    holds it tempered and forms the memory sum of each step from it.
+    solves the step system. One VolumeGrid, built once, holds the quadrature
+    points and the moment Vandermonde of every step; kappa is evaluated at
+    its points once. Every level is evaluated at the quadrature points and
+    pushed once into a History, which holds it tempered and forms the memory
+    sum of each step from it.
 
     solve keeps no field: the observer keeps what it needs, such as one
     error functional (analysis.FinalTimeError) or every level. Memory is
@@ -367,14 +331,13 @@ def solve(
             f"more than the {limit} bytes of physical memory"
         )
     ops = assemble_operators(mesh, basis, fw)
-    quad = gauss_rule(basis.default_quad_points)
     A = l1_coefficients(tm, prob.alpha)
-    grid = StepGrid.build(prob, mesh, basis, quad)
-    history = History(A, grid.kappa, prob.c_kappa)
-    u_n = l2_project(prob.u0, mesh, basis, quad)
+    grid = VolumeGrid.build(mesh, basis)
+    history = History(A, grid.at(prob.kappa), prob.c_kappa)
+    u_n = grid.project(prob.u0)
     observe(0, u_n)
-    history.push(0, u_n.eval_volume_quad(quad))
+    history.push(0, u_n.eval_volume_quad(grid.quad))
     for n in range(1, tm.M + 1):
         u_n = step(ops, A, n, prob, grid, history)
         observe(n, u_n)
-        history.push(n, u_n.eval_volume_quad(quad))
+        history.push(n, u_n.eval_volume_quad(grid.quad))

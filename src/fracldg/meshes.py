@@ -49,11 +49,6 @@ class SpatialMesh:
         """Cell width in y (mesh is uniform)."""
         return (self.domain[3] - self.domain[2]) / self.ny
 
-    @property
-    def h(self) -> float:
-        """Largest cell extent over the mesh."""
-        return max(self.hx, self.hy)
-
     def x_centers(self) -> np.ndarray:
         return 0.5 * (self.x_edges[:-1] + self.x_edges[1:])
 

@@ -29,10 +29,9 @@ class ProblemSpec:
     """All physics of one test case.
 
     kappa is bounded by c_kappa in absolute value, which keeps the tempering
-    factor e^{-kappa t} between fixed positive constants on [0, T]; both
-    bounds are what the stability of the scheme rests on. f and exact may be
-    None (homogeneous source, or no closed form known). delta records the
-    temporal regularity exponent of the exact solution when meaningful.
+    factor e^{-kappa t} between fixed positive constants on the [0, T] of a
+    run; both bounds are what the stability of the scheme rests on. f and
+    exact may be None (homogeneous source, or no closed form known).
     """
 
     alpha: float
@@ -41,17 +40,13 @@ class ProblemSpec:
     u0: SpaceFn
     f: SpaceTimeFn | None
     exact: SpaceTimeFn | None
-    T: float
-    delta: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise InvalidArgumentError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.T <= 0.0:
-            raise InvalidArgumentError(f"final time must be positive, got {self.T}")
 
 
-def example1(alpha: float, T: float = 0.1) -> ProblemSpec:
+def example1(alpha: float) -> ProblemSpec:
     """Homogeneous case with constant tempering kappa = -2.
 
     The separated closed form e^{2t} E_alpha(-8 pi^2 t^alpha) cos(2 pi x)
@@ -71,12 +66,10 @@ def example1(alpha: float, T: float = 0.1) -> ProblemSpec:
         amp = math.exp(2.0 * t) * mittag_leffler(alpha, lam * t**alpha)
         return amp * np.cos(two_pi * x) * np.sin(two_pi * y)
 
-    return ProblemSpec(
-        alpha=alpha, kappa=kappa, c_kappa=2.0, u0=u0, f=None, exact=exact, T=T
-    )
+    return ProblemSpec(alpha=alpha, kappa=kappa, c_kappa=2.0, u0=u0, f=None, exact=exact)
 
 
-def example2(alpha: float, delta: float | None = None, T: float = 0.1) -> ProblemSpec:
+def example2(alpha: float, delta: float | None = None) -> ProblemSpec:
     """Inhomogeneous case with variable tempering kappa(x) = cos(2 pi x).
 
     The source is manufactured so that e^{-t cos(2 pi x)} t^delta
@@ -114,13 +107,4 @@ def example2(alpha: float, delta: float | None = None, T: float = 0.1) -> Proble
         h = 4.0 * math.pi**2 * t ** (delta + 1.0) * damp * np.sin(two_pi * x) ** 2 * s
         return memory + (2.0 - t * c) * (g + h)
 
-    return ProblemSpec(
-        alpha=alpha,
-        kappa=kappa,
-        c_kappa=1.0,
-        u0=u0,
-        f=f,
-        exact=exact,
-        T=T,
-        delta=delta,
-    )
+    return ProblemSpec(alpha=alpha, kappa=kappa, c_kappa=1.0, u0=u0, f=f, exact=exact)

@@ -20,7 +20,8 @@ _MARGIN_L = 70
 _MARGIN_R = 20
 _MARGIN_T = 40
 _MARGIN_B = 50
-_PALETTE = ("#1f4e8c", "#b03a2e", "#1e8449", "#7d3c98", "#b7950b")
+_COLOR = "#1f4e8c"
+_GUIDE_ORDERS = (1, 2, 3)
 
 
 def _decades(lo: float, hi: float) -> list[int]:
@@ -29,29 +30,24 @@ def _decades(lo: float, hi: float) -> list[int]:
 
 def write_loglog_svg(
     path: str,
-    series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
+    series: tuple[str, Sequence[float], Sequence[float]],
     title: str,
     xlabel: str,
     ylabel: str,
-    guide_orders: Sequence[int] = (1, 2, 3),
 ) -> None:
-    """Write a log-log plot of (label, xs, ys) series with slope guides.
+    """Write a log-log plot of one (label, xs, ys) series with slope guides.
 
-    Guide lines of the requested orders are anchored at the first point of
-    the first series so measured slopes can be read against them.
+    Guide lines of orders 1, 2 and 3 are anchored at the first point of the
+    series so measured slopes can be read against them.
     """
-    if not series:
-        raise InvalidArgumentError("need at least one series to plot")
-    for label, xs, ys in series:
-        if len(xs) != len(ys) or not xs:
-            raise InvalidArgumentError(f"series {label!r} must be nonempty with equal lengths")
-        if any(v <= 0.0 for v in xs) or any(v <= 0.0 for v in ys):
-            raise InvalidArgumentError(f"series {label!r} must be positive for log scaling")
+    label, xs, ys = series
+    if len(xs) != len(ys) or not xs:
+        raise InvalidArgumentError(f"series {label!r} must be nonempty with equal lengths")
+    if any(v <= 0.0 for v in xs) or any(v <= 0.0 for v in ys):
+        raise InvalidArgumentError(f"series {label!r} must be positive for log scaling")
 
-    all_x = [v for _, xs, _ in series for v in xs]
-    all_y = [v for _, _, ys in series for v in ys]
-    x0, x1 = min(all_x), max(all_x)
-    y0, y1 = min(all_y), max(all_y)
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
     # Pad one tenth of a decade so markers do not sit on the frame.
     lx0, lx1 = math.log10(x0) - 0.1, math.log10(x1) + 0.1
     ly0, ly1 = math.log10(y0) - 0.3, math.log10(y1) + 0.3
@@ -110,10 +106,9 @@ def write_loglog_svg(
                 f'dominant-baseline="middle">1e{d}</text>'
             )
 
-    # Slope guides through the first point of the first series.
-    _, gxs, gys = series[0]
-    gx0, gy0 = gxs[0], gys[0]
-    for order in guide_orders:
+    # Slope guides through the first point of the series.
+    gx0, gy0 = xs[0], ys[0]
+    for order in _GUIDE_ORDERS:
         xa, xb = 10.0**lx0, 10.0**lx1
         ya = gy0 * (xa / gx0) ** order
         yb = gy0 * (xb / gx0) ** order
@@ -126,18 +121,13 @@ def write_loglog_svg(
             f'fill="#666666">slope {order}</text>'
         )
 
-    for idx, (label, xs, ys) in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        for x, y in zip(xs, ys):
-            parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
-        parts.append(
-            f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 16 + 14 * idx}" '
-            f'fill="{color}">{label}</text>'
-        )
+    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    parts.append(
+        f'<polyline points="{points}" fill="none" stroke="{_COLOR}" stroke-width="1.5"/>'
+    )
+    for x, y in zip(xs, ys):
+        parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{_COLOR}"/>')
+    parts.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 16}" fill="{_COLOR}">{label}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -39,15 +39,12 @@ from fracldg.basis import (
     BasisSpec,
     DgField,
     QuadRule,
+    VolumeGrid,
     edge_values,
-    eval_on_grid,
     gauss_rule,
-    l2_project,
     legendre_derivatives,
     legendre_values,
-    quad_l2_norm,
     quad_vandermonde,
-    volume_quad_points,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import L1Kernel, _memory_weights, l1_coefficients
@@ -309,17 +306,18 @@ def memory_sum(A, kappa_at_quad: np.ndarray, tempered_at_quad: np.ndarray, n: in
 def solve_stepwise(prob, mesh, tm, basis, fw) -> list:
     """Fields u^0..u^M of the fully discrete scheme, by the package's original
     time loop: every step sums the whole tempered history with the unpanelled
-    memory_sum, evaluates f through eval_on_grid and rebuilds the weighted
+    memory_sum, evaluates f through VolumeGrid.at and rebuilds the weighted
     Vandermonde of the moments.
 
     Kept as the exact reference for fracldg.ldg.solve, whose panelled memory
     sum adds the same terms in another order.
     """
     ops = assemble_operators(mesh, basis, fw)
-    quad = gauss_rule(basis.default_quad_points)
+    grid = VolumeGrid.build(mesh, basis)
+    quad = grid.quad
     A = l1_coefficients(tm, prob.alpha)
-    kappa_at_quad = eval_on_grid(lambda x, y: prob.kappa(x, y), mesh, quad)
-    u0 = l2_project(lambda x, y: prob.u0(x, y), mesh, basis, quad)
+    kappa_at_quad = grid.at(lambda x, y: prob.kappa(x, y))
+    u0 = grid.project(lambda x, y: prob.u0(x, y))
     fields = [u0]
     tempered = np.empty((tm.M + 1,) + kappa_at_quad.shape)
     tempered[0] = u0.eval_volume_quad(quad)  # e^{kappa t_0} = 1
@@ -328,9 +326,7 @@ def solve_stepwise(prob, mesh, tm, basis, fw) -> list:
         rhs_values = -hist
         if prob.f is not None:
             t_n = A.tm.t[n]
-            rhs_values = rhs_values + eval_on_grid(
-                lambda x, y: prob.f(t_n, x, y), ops.mesh, quad
-            )
+            rhs_values = rhs_values + grid.at(lambda x, y: prob.f(t_n, x, y))
         WV = quad.weights[:, None] * quad_vandermonde(ops.basis.k, quad.npoints)
         moments = ops.M * (WV.T @ (rhs_values @ WV))
         b = np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()
@@ -353,31 +349,30 @@ def solve_fields(prob, mesh, tm, basis, fw) -> list:
     return fields
 
 
-def _nodal_error(fields, n, tm, mesh, squad, exact) -> np.ndarray:
-    X, Y = volume_quad_points(mesh, squad)
-    vals = exact(tm.t[n], X[:, None, :, None], Y[None, :, None, :])
-    return vals - fields[n].eval_volume_quad(squad)
+def _nodal_error(fields, n, tm, grid, exact) -> np.ndarray:
+    vals = exact(tm.t[n], grid.x, grid.y)
+    return vals - fields[n].eval_volume_quad(grid.quad)
 
 
 def final_time_error(fields, tm, mesh, basis, exact) -> float:
     """The convergence functional by its definition, T ||u(T) - u^M||, from
     the stored levels."""
-    squad = gauss_rule(basis.default_quad_points)
-    return tm.T * quad_l2_norm(_nodal_error(fields, tm.M, tm, mesh, squad, exact), mesh, squad)
+    grid = VolumeGrid.build(mesh, basis)
+    return tm.T * grid.norm(_nodal_error(fields, tm.M, tm, grid, exact))
 
 
 def pairwise_time_integrated(fields, tm, mesh, basis, exact, quad_t: int) -> float:
     """The time-integrated error by its defining loop over consecutive pairs
     of stored levels, with the errors at the points recomputed per level."""
-    squad, tquad = gauss_rule(basis.default_quad_points), gauss_rule(quad_t)
+    grid, tquad = VolumeGrid.build(mesh, basis), gauss_rule(quad_t)
     total = 0.0
     for n in range(1, tm.M + 1):
-        e_prev = _nodal_error(fields, n - 1, tm, mesh, squad, exact)
-        e_next = _nodal_error(fields, n, tm, mesh, squad, exact)
+        e_prev = _nodal_error(fields, n - 1, tm, grid, exact)
+        e_next = _nodal_error(fields, n, tm, grid, exact)
         tau = tm.tau[n - 1]
         for theta, w in zip(tquad.nodes, tquad.weights):
             z = (theta + 1.0) / 2.0
-            total += w * (tau / 2.0) * quad_l2_norm((1.0 - z) * e_prev + z * e_next, mesh, squad)
+            total += w * (tau / 2.0) * grid.norm((1.0 - z) * e_prev + z * e_next)
     return total
 
 
@@ -681,7 +676,7 @@ def _edge_values_x(u: SpaceFn, mesh, quad: QuadRule, k: int) -> np.ndarray:
     """Moments of u along every x-interface: out[i, j, s] = (2/hy) int_{J_j} u(x_{i+1/2}, y) phi_s(y) dy."""
     V = legendre_values(k, quad.nodes)
     x_if = mesh.x_edges[1:]
-    _, Y = volume_quad_points(mesh, quad)
+    Y = mesh.y_centers()[:, None] + 0.5 * mesh.hy * quad.nodes[None, :]
     vals = u(x_if[:, None, None], Y[None, :, :])
     return np.einsum("ijq,qs->ijs", vals, quad.weights[:, None] * V)
 
@@ -690,7 +685,7 @@ def _edge_values_y(u: SpaceFn, mesh, quad: QuadRule, k: int) -> np.ndarray:
     """Moments of u along every y-interface: out[i, j, r] = (2/hx) int_{I_i} u(x, y_{j+1/2}) phi_r(x) dx."""
     V = legendre_values(k, quad.nodes)
     y_if = mesh.y_edges[1:]
-    X, _ = volume_quad_points(mesh, quad)
+    X = mesh.x_centers()[:, None] + 0.5 * mesh.hx * quad.nodes[None, :]
     vals = u(X[:, None, :], y_if[None, :, None])
     return np.einsum("ijq,qr->ijr", vals, quad.weights[:, None] * V)
 
@@ -710,7 +705,7 @@ def project_P(u: SpaceFn, fw: FluxWeights, mesh, basis: BasisSpec) -> DgField:
     k = basis.k
     quad = _edge_moment_quad(k)
     e_minus, e_plus = edge_values(k)
-    full = l2_project(u, mesh, basis, quad)
+    full = VolumeGrid.build(mesh, basis, quad).project(u)
     c = np.zeros_like(full.coeffs)
     if k >= 1:
         c[:, :, : k, : k] = full.coeffs[:, :, : k, : k]
@@ -773,7 +768,7 @@ def project_Q(u: SpaceFn, sigma: float, axis: str, mesh, basis: BasisSpec) -> Dg
     k = basis.k
     quad = _edge_moment_quad(k)
     e_minus, e_plus = edge_values(k)
-    full = l2_project(u, mesh, basis, quad)
+    full = VolumeGrid.build(mesh, basis, quad).project(u)
     c = np.zeros_like(full.coeffs)
     if axis == "x":
         c[:, :, :k, :] = full.coeffs[:, :, :k, :]

@@ -23,12 +23,11 @@ from fracldg.analysis import rates
 from fracldg.basis import (
     BasisSpec,
     DgField,
+    VolumeGrid,
     edge_values,
-    eval_on_grid,
     gauss_rule,
     legendre_derivatives,
     legendre_values,
-    quad_l2_norm,
 )
 from fracldg.cli import _RUNNERS, load_config, main
 from fracldg.fractional import (
@@ -259,7 +258,7 @@ def test_stability_bound_random_homogeneous_runs():
                     + c2 * np.sin(2 * math.pi * x) + c3 * np.cos(4 * math.pi * y))
 
         prob = ProblemSpec(alpha=alpha, kappa=kappa, c_kappa=ck, u0=u0, f=None,
-                           exact=None, T=T)
+                           exact=None)
         tm = build_graded_time_mesh(M, gamma, T)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -279,11 +278,10 @@ def test_memory_operator_exact_on_tempered_linears():
     # quadrature grid.
     mesh = build_spatial_mesh(4, 4)
     basis = BasisSpec(1)
-    quad = gauss_rule(basis.default_quad_points)
     alpha = 0.6
     tm = build_graded_time_mesh(6, 2.0, 0.8)
     A = l1_coefficients(tm, alpha)
-    kq = eval_on_grid(lambda x, y: np.cos(2 * math.pi * x) + 0.0 * y, mesh, quad)
+    kq = VolumeGrid.build(mesh, basis).at(lambda x, y: np.cos(2 * math.pi * x) + 0.0 * y)
     worst = 0.0
     for v, dv_exact in (
         (lambda t: np.ones_like(t), lambda t: 0.0),
@@ -331,9 +329,10 @@ def _mode(x, y):
 def _approximation_norm(mesh, basis, field) -> float:
     # ||eta|| + h^{1/2} ||eta||_Gamma for eta = u - (projection of u), with
     # the interface norm collecting both one-sided traces on every edge.
-    quad = gauss_rule(basis.k + 4)
-    eta = eval_on_grid(_mode, mesh, quad) - field.eval_volume_quad(quad)
-    vol = quad_l2_norm(eta, mesh, quad)
+    grid = VolumeGrid.build(mesh, basis, gauss_rule(basis.k + 4))
+    quad = grid.quad
+    eta = grid.at(_mode) - field.eval_volume_quad(quad)
+    vol = grid.norm(eta)
     tn, wq = quad.nodes, quad.weights
     total = 0.0
     y_pts = mesh.y_centers()[:, None] + 0.5 * mesh.hy * tn[None, :]
@@ -355,14 +354,15 @@ def _flux_functional_dual_norm(mesh, basis, fw: FluxWeights) -> float:
     # F(v) = (eta, div v) - <eta-hat, v . n>: assemble the Riesz coefficient
     # tensors of F in the orthonormal basis and take their scaled 2-norm.
     k = basis.k
-    quad = gauss_rule(k + 4)
+    grid = VolumeGrid.build(mesh, basis, gauss_rule(k + 4))
+    quad = grid.quad
     V = legendre_values(k, quad.nodes)
     Vd = legendre_derivatives(k, quad.nodes)
     e_minus, e_plus = edge_values(k)
     jac = mesh.hx * mesh.hy / 4.0
     w2 = quad.weights[:, None] * quad.weights[None, :]
     Pu = project_P(_mode, fw, mesh, basis)
-    eta = eval_on_grid(_mode, mesh, quad) - Pu.eval_volume_quad(quad)
+    eta = grid.at(_mode) - Pu.eval_volume_quad(quad)
     ew = eta * w2
     g1 = jac * (2.0 / mesh.hx) * np.einsum("ijqp,qr,ps->ijrs", ew, Vd, V)
     g2 = jac * (2.0 / mesh.hy) * np.einsum("ijqp,qr,ps->ijrs", ew, V, Vd)

@@ -17,11 +17,9 @@ from fracldg.analysis import (
 from fracldg.basis import (
     BasisSpec,
     DgField,
-    eval_on_grid,
+    VolumeGrid,
     gauss_rule,
-    l2_project,
     legendre_values,
-    quad_l2_norm,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import l1_coefficients
@@ -77,7 +75,7 @@ def test_full_projection_satisfies_defining_conditions(k, s1, s2):
     P = project_P(_smooth, fw, mesh, basis)
     scale = np.max(np.abs(P.coeffs))
     # Interior moments agree with the plain projection on modes below k.
-    full = l2_project(_smooth, mesh, basis, gauss_rule(k + 4))
+    full = VolumeGrid.build(mesh, basis, gauss_rule(k + 4)).project(_smooth)
     np.testing.assert_allclose(
         P.coeffs[:, :, :k, :k], full.coeffs[:, :, :k, :k], atol=1e-13 * scale
     )
@@ -126,7 +124,7 @@ def test_single_axis_projection_matches_all_transverse_modes(sigma):
     basis = BasisSpec(k)
     Q = project_Q(_smooth, sigma, "x", mesh, basis)
     scale = np.max(np.abs(Q.coeffs))
-    full = l2_project(_smooth, mesh, basis, gauss_rule(k + 4))
+    full = VolumeGrid.build(mesh, basis, gauss_rule(k + 4)).project(_smooth)
     np.testing.assert_allclose(
         Q.coeffs[:, :, :k, :], full.coeffs[:, :, :k, :], atol=1e-13 * scale
     )
@@ -164,9 +162,9 @@ def test_projection_error_shrinks_at_design_order(make):
     errs = []
     for n in (8, 16, 32):
         mesh = build_spatial_mesh(n, n)
-        quad = gauss_rule(basis.k + 4)
-        diff = make(mesh, basis).eval_volume_quad(quad) - eval_on_grid(_mode, mesh, quad)
-        errs.append(quad_l2_norm(diff, mesh, quad))
+        grid = VolumeGrid.build(mesh, basis, gauss_rule(basis.k + 4))
+        diff = make(mesh, basis).eval_volume_quad(grid.quad) - grid.at(_mode)
+        errs.append(grid.norm(diff))
     got = rates(errs, [1.0 / 8, 1.0 / 16, 1.0 / 32])[-1]
     assert abs(got - 2.0) <= 0.1
 
@@ -174,11 +172,11 @@ def test_projection_error_shrinks_at_design_order(make):
 def _constant_levels(decay: float):
     """Two levels u^0 = P u0 and u^1 = decay * u^0 on [0, 0.4], their
     meshes and basis, and ||u^0||."""
-    prob = example1(0.5, T=0.4)
+    prob = example1(0.5)
     mesh = build_spatial_mesh(5, 5)
     basis = BasisSpec(1)
-    u0 = l2_project(prob.u0, mesh, basis)
-    tm = build_graded_time_mesh(1, 1.0, prob.T)
+    u0 = VolumeGrid.build(mesh, basis).project(prob.u0)
+    tm = build_graded_time_mesh(1, 1.0, 0.4)
     fields = [u0, DgField(u0.coeffs * decay, basis, mesh)]
     return fields, tm, mesh, basis, u0.l2_norm()
 
@@ -223,7 +221,7 @@ def test_streamed_error_functionals_equal_trajectory_forms_bitwise(M, example):
     prob = example(0.4)
     mesh = build_spatial_mesh(3, 2)
     basis = BasisSpec(1)
-    tm = build_graded_time_mesh(M, 6.0, prob.T)
+    tm = build_graded_time_mesh(M, 6.0, 0.1)
     fw = FluxWeights(1.0, 0.0)
     final = FinalTimeError(tm, mesh, basis, prob.exact)
     integrated = TimeIntegratedError(tm, mesh, basis, prob.exact, quad_t=4)
@@ -242,11 +240,11 @@ def test_streamed_error_functionals_equal_trajectory_forms_bitwise(M, example):
 def test_streamed_error_functionals_validate_input():
     prob = example1(0.5)
     mesh = build_spatial_mesh(2, 2)
-    tm = build_graded_time_mesh(3, 1.0, prob.T)
+    tm = build_graded_time_mesh(3, 1.0, 0.1)
     with pytest.raises(InvalidArgumentError, match="time quadrature"):
         TimeIntegratedError(tm, mesh, BasisSpec(0), prob.exact, quad_t=1)
     acc = TimeIntegratedError(tm, mesh, BasisSpec(0), prob.exact)
-    u0 = l2_project(prob.u0, mesh, BasisSpec(0))
+    u0 = VolumeGrid.build(mesh, BasisSpec(0)).project(prob.u0)
     acc(0, u0)
     with pytest.raises(InvalidArgumentError, match="level 2 observed after 1"):
         acc(2, u0)
@@ -370,7 +368,7 @@ def test_run_path_builds_no_sparse_matrix(monkeypatch):
         monkeypatch.setattr(f"scipy.sparse.{name}", no_sparse)
     prob = example1(0.4)
     mesh = build_spatial_mesh(4, 3)
-    tm = build_graded_time_mesh(5, 2.0, prob.T)
+    tm = build_graded_time_mesh(5, 2.0, 0.1)
     fields = solve_fields(prob, mesh, tm, BasisSpec(1), FluxWeights(0.9, 0.1))
     assert np.all(np.isfinite(fields[-1].coeffs))
     ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(0.9, 0.1))

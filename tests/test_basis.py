@@ -10,11 +10,10 @@ from fracldg.basis import (
     BasisSpec,
     DgField,
     edge_values,
+    VolumeGrid,
     gauss_rule,
-    l2_project,
     legendre_derivatives,
     legendre_values,
-    quad_l2_norm,
     quad_vandermonde,
 )
 from fracldg.errors import InvalidArgumentError
@@ -66,7 +65,7 @@ def test_vandermonde_work_does_not_grow_with_steps(monkeypatch):
     counts = []
     for M in (4, 4, 16):
         calls.clear()
-        tm = build_graded_time_mesh(M, 2.0, prob.T)
+        tm = build_graded_time_mesh(M, 2.0, 0.1)
         solve(prob, mesh, tm, BasisSpec(1), FluxWeights(1.0, 0.0), lambda n, u: None)
         counts.append(len(calls))
     assert counts[1] == counts[2], counts  # the first run may fill the cache
@@ -108,7 +107,6 @@ def test_edge_values_are_endpoint_traces():
 
 def test_basis_spec_properties():
     basis = BasisSpec(2)
-    assert basis.dofs_per_cell == 9
     assert basis.default_quad_points == 5
     with pytest.raises(InvalidArgumentError):
         BasisSpec(-1)
@@ -120,7 +118,7 @@ def test_projection_reproduces_piecewise_polynomials():
     rng = np.random.default_rng(7)
     f = DgField(rng.standard_normal((3, 4, 3, 3)), basis, mesh)
     # Evaluate the field away from interfaces and project it back.
-    g = l2_project(lambda x, y: field_eval(f, x, y), mesh, basis)
+    g = VolumeGrid.build(mesh, basis).project(lambda x, y: field_eval(f, x, y))
     np.testing.assert_allclose(g.coeffs, f.coeffs, atol=1e-12)
 
 
@@ -134,13 +132,27 @@ def test_projection_error_decays_at_order_k_plus_1():
     for n in (8, 16, 32):
         mesh = build_spatial_mesh(n, n)
         quad = gauss_rule(6)
-        proj = l2_project(u, mesh, basis, quad)
+        grid = VolumeGrid.build(mesh, basis, quad)
+        proj = grid.project(u)
         X = mesh.x_centers()[:, None, None, None] + 0.5 * mesh.hx * quad.nodes[None, None, :, None]
         Y = mesh.y_centers()[None, :, None, None] + 0.5 * mesh.hy * quad.nodes[None, None, None, :]
         diff = u(X, Y) - proj.eval_volume_quad(quad)
-        errs.append(quad_l2_norm(diff, mesh, quad))
+        errs.append(grid.norm(diff))
     rate = math.log(errs[0] / errs[-1]) / math.log(4.0)
     assert rate == pytest.approx(2.0, abs=0.1)
+
+
+def test_volume_grid_points_and_full_grid_broadcast():
+    mesh = build_spatial_mesh(3, 2, domain=(0.0, 1.5, -1.0, 1.0))
+    grid = VolumeGrid.build(mesh, BasisSpec(1), gauss_rule(4))
+    nodes = gauss_rule(4).nodes
+    X = grid.at(lambda x, y: x)
+    Y = grid.at(lambda x, y: y)
+    assert X.shape == Y.shape == (3, 2, 4, 4)
+    np.testing.assert_allclose(X[2, 1, :, 0], 1.25 + 0.25 * nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(Y[0, 1, 0, :], 0.5 + 0.5 * nodes, rtol=0.0, atol=1e-15)
+    # A callable that ignores its arguments still fills every point.
+    np.testing.assert_array_equal(grid.at(lambda x, y: 2.0), np.full((3, 2, 4, 4), 2.0))
 
 
 @pytest.mark.parametrize("nx,ny,k,q", [(3, 3, 0, 2), (4, 2, 1, 3), (2, 5, 2, 4), (3, 4, 3, 6)])
@@ -160,10 +172,9 @@ def test_l2_norm_matches_quadrature_norm():
     basis = BasisSpec(2)
     rng = np.random.default_rng(11)
     f = DgField(rng.standard_normal((5, 3, 3, 3)), basis, mesh)
-    quad = gauss_rule(5)
-    assert f.l2_norm() == pytest.approx(
-        quad_l2_norm(f.eval_volume_quad(quad), mesh, quad), rel=1e-12
-    )
+    grid = VolumeGrid.build(mesh, basis)
+    assert grid.quad.npoints == 5
+    assert f.l2_norm() == pytest.approx(grid.norm(f.eval_volume_quad(grid.quad)), rel=1e-12)
 
 
 def test_field_shape_validation_and_zeros():
@@ -171,8 +182,7 @@ def test_field_shape_validation_and_zeros():
     basis = BasisSpec(1)
     with pytest.raises(InvalidArgumentError):
         DgField(np.zeros((2, 2, 3, 3)), basis, mesh)
-    f = DgField.zeros(mesh, basis)
-    assert f.coeffs.shape == (2, 2, 2, 2)
+    f = DgField(np.zeros((2, 2, 2, 2)), basis, mesh)
     assert f.l2_norm() == 0.0
 
 

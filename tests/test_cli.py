@@ -22,7 +22,8 @@ from fracldg.cli import (
     main,
     presets_dir,
 )
-from fracldg.errors import ConfigError, NumericError
+from fracldg.errors import ConfigError, InvalidArgumentError, NumericError
+from fracldg.svgplot import write_loglog_svg
 
 from oracles import final_time_error, pairwise_time_integrated, solve_fields
 
@@ -217,6 +218,20 @@ def test_run_spatial_reports_rates_and_plot(tmp_path):
     assert svg.startswith("<svg") or "<svg" in svg
 
 
+@pytest.mark.parametrize("ys", [[1e-2, 0.0], [1e-2, -1e-3], [1e-2]],
+                         ids=["zero", "negative", "short"])
+def test_loglog_svg_rejects_what_it_cannot_draw(tmp_path, ys):
+    # A zero or negative error has no logarithm, and a series needs one y
+    # per x; either raises before anything is written.
+    path = tmp_path / "e.svg"
+    with pytest.raises(InvalidArgumentError, match="series 'e'"):
+        write_loglog_svg(str(path), ("e", [0.5, 0.25], ys), "t", "h", "error E")
+    assert not path.exists()
+    write_loglog_svg(str(path), ("e", [0.5, 0.25], [1e-2, 2.5e-3]), "t", "h", "error E")
+    svg = path.read_text()
+    assert svg.count("<polyline") == 1 and svg.count("slope ") == 3
+
+
 def test_run_with_time_integrated_metric(tmp_path):
     d = _base_config(name="tiny-ti", metric="time-integrated", quad_t=4)
     cfg_path = _write_config(tmp_path, d)
@@ -307,8 +322,8 @@ def test_nonfinite_solve_exits_3(tmp_path, capsys, monkeypatch):
     # diagnostic, not write a NaN error to the CSV.
     real_example2 = fracldg.problems.example2
 
-    def nan_source(alpha, delta=None, T=0.1):
-        prob = real_example2(alpha, delta=delta, T=T)
+    def nan_source(alpha, delta=None):
+        prob = real_example2(alpha, delta=delta)
         return dataclasses.replace(prob, f=lambda t, x, y: np.full(np.broadcast(x, y).shape, np.nan))
 
     monkeypatch.setattr(fracldg.problems, "example2", nan_source)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
-from fracldg.basis import BasisSpec, DgField, eval_on_grid, gauss_rule, l2_project
+from fracldg.basis import BasisSpec, DgField, VolumeGrid
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import (
     History,
@@ -224,11 +224,12 @@ def test_mittag_leffler_validation():
 def test_substantial_history_validation():
     mesh = build_spatial_mesh(2, 2)
     basis = BasisSpec(0)
-    quad = gauss_rule(basis.default_quad_points)
+    grid = VolumeGrid.build(mesh, basis)
+    quad = grid.quad
     tm = build_graded_time_mesh(4, 1.0, 0.1)
     A = l1_coefficients(tm, 0.5)
-    kq = eval_on_grid(lambda x, y: 0.0 * x, mesh, quad)
-    u0 = l2_project(lambda x, y: np.ones_like(x * y), mesh, basis, quad)
+    kq = grid.at(lambda x, y: 0.0 * x)
+    u0 = grid.project(lambda x, y: np.ones_like(x * y))
     history = History(A, kq, 0.0)
     history.push(0, u0.eval_volume_quad(quad))  # only w^0
     with pytest.raises(InvalidArgumentError, match="need w"):
@@ -266,13 +267,12 @@ def test_substantial_history_matches_loop_oracle(alpha, gamma, M, k, nx, ny, T, 
     # untempered fields, at every step n of a random run.
     mesh = build_spatial_mesh(nx, ny)
     basis = BasisSpec(k)
-    quad = gauss_rule(basis.default_quad_points)
+    grid = VolumeGrid.build(mesh, basis)
+    quad = grid.quad
     tm = build_graded_time_mesh(M, gamma, T)
     A = l1_coefficients(tm, alpha)
     a, b, c = kappa_coef
-    kq = eval_on_grid(
-        lambda x, y: a * np.cos(2 * math.pi * x) + b * np.sin(2 * math.pi * y) + c, mesh, quad
-    )
+    kq = grid.at(lambda x, y: a * np.cos(2 * math.pi * x) + b * np.sin(2 * math.pi * y) + c)
     assert np.max(np.abs(kq)) <= abs(a) + abs(b) + abs(c) <= 3.0
     rng = np.random.default_rng(seed)
     fields = [DgField(rng.standard_normal((nx, ny, k + 1, k + 1)), basis, mesh)
@@ -314,10 +314,10 @@ def test_panel_row_plus_remainder_matches_full_history(
     # sum over the levels written since the panel start equals the unpanelled
     # full sum whatever the order.
     mesh = build_spatial_mesh(nx, ny)
-    quad = gauss_rule(BasisSpec(k).default_quad_points)
     tm = build_graded_time_mesh(M, gamma, 0.5)
     A = l1_coefficients(tm, alpha)
-    kq = eval_on_grid(lambda x, y: kappa0 * np.cos(2 * math.pi * x) + 0.0 * y, mesh, quad)
+    grid = VolumeGrid.build(mesh, BasisSpec(k))
+    kq = grid.at(lambda x, y: kappa0 * np.cos(2 * math.pi * x) + 0.0 * y)
     history = History(A, kq, abs(kappa0))
     rng = np.random.default_rng(seed)
     tempered = np.empty((M + 1,) + kq.shape)

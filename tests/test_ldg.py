@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from fracldg.basis import (
     BasisSpec,
     DgField,
-    eval_on_grid,
+    VolumeGrid,
     gauss_rule,
-    l2_project,
     legendre_values,
-    quad_l2_norm,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import (
@@ -28,7 +26,6 @@ from fracldg.fractional import (
 )
 from fracldg.ldg import (
     FluxWeights,
-    StepGrid,
     assemble_operators,
     solve,
     step,
@@ -36,7 +33,6 @@ from fracldg.ldg import (
 from fracldg.cli import load_config, presets_dir
 from fracldg.ldg import (
     _directional_operator,
-    _moment_vector,
     footprint_bytes,
     physical_memory_bytes,
 )
@@ -120,7 +116,7 @@ def test_constants_are_steady_states():
     mesh = build_spatial_mesh(5, 4)
     for s1, s2 in FLUXES:
         ops = assemble_operators(mesh, BasisSpec(2), FluxWeights(s1, s2))
-        const = l2_project(lambda x, y: 3.0 + 0.0 * x * y, mesh, BasisSpec(2))
+        const = VolumeGrid.build(mesh, BasisSpec(2)).project(lambda x, y: 3.0 + 0.0 * x * y)
         assert np.max(np.abs(ops.K @ flatten(const))) <= 1e-11
 
 
@@ -262,20 +258,18 @@ def test_solve_rejects_nonfinite_solution():
 
 @pytest.mark.parametrize("nx,ny,k", [(3, 3, 0), (4, 2, 1), (2, 5, 2), (3, 4, 3)])
 def test_moment_vector_matches_einsum(nx, ny, k):
-    mesh = build_spatial_mesh(nx, ny)
-    basis = BasisSpec(k)
-    ops = assemble_operators(mesh, basis, FluxWeights(1.0, 0.0))
-    quad = gauss_rule(basis.default_quad_points)
+    grid = VolumeGrid.build(build_spatial_mesh(nx, ny), BasisSpec(k))
+    quad = grid.quad
     q = len(quad.nodes)
     values = np.random.default_rng(8).standard_normal((nx, ny, q, q))
     WV = quad.weights[:, None] * legendre_values(k, quad.nodes)
-    ref = ops.M * np.einsum("ijqp,qr,ps->ijrs", values, WV, WV)
-    ref = np.ascontiguousarray(ref.transpose(0, 2, 1, 3)).ravel()
-    got = _moment_vector(values, ops, WV)
+    ref = np.einsum("ijqp,qr,ps->ijrs", values, WV, WV)
+    got = grid.moments(values)
+    assert got.shape == (nx, ny, k + 1, k + 1)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
 
 
-def _constant_kappa_problem(k0: float, c_kappa: float, T: float) -> ProblemSpec:
+def _constant_kappa_problem(k0: float, c_kappa: float) -> ProblemSpec:
     return ProblemSpec(
         alpha=0.5,
         kappa=lambda x, y: np.full(np.broadcast(x, y).shape, k0),
@@ -283,7 +277,6 @@ def _constant_kappa_problem(k0: float, c_kappa: float, T: float) -> ProblemSpec:
         u0=lambda x, y: np.sin(2 * math.pi * x) * np.cos(2 * math.pi * y),
         f=None,
         exact=None,
-        T=T,
     )
 
 
@@ -291,11 +284,11 @@ def test_solve_rejects_kappa_above_its_bound():
     mesh = build_spatial_mesh(3, 3)
     tm = build_graded_time_mesh(3, 1.0, 0.5)
     for k0 in (1.5, -1.5, math.nan):
-        prob = _constant_kappa_problem(k0, 1.0, 0.5)
+        prob = _constant_kappa_problem(k0, 1.0)
         with pytest.raises(InvalidArgumentError, match="exceeds c_kappa"):
             solve(prob, mesh, tm, BasisSpec(0), FluxWeights(1.0, 0.0), lambda n, u: None)
     # Rounding in the kappa callable stays within the relative slack.
-    prob = _constant_kappa_problem(1.0 + 1e-14, 1.0, 0.5)
+    prob = _constant_kappa_problem(1.0 + 1e-14, 1.0)
     solve(prob, mesh, tm, BasisSpec(0), FluxWeights(1.0, 0.0), lambda n, u: None)
 
 
@@ -305,7 +298,7 @@ def test_solve_rejects_tempering_exponent_overflow():
     mesh = build_spatial_mesh(3, 3)
     for c_kappa, T in ((800.0, 1.0), (2.0, 101.0)):
         assert c_kappa * T > MAX_TEMPERING_EXPONENT
-        prob = _constant_kappa_problem(c_kappa, c_kappa, T)
+        prob = _constant_kappa_problem(c_kappa, c_kappa)
         tm = build_graded_time_mesh(3, 1.0, T)
         with pytest.raises(InvalidArgumentError, match="c_kappa \\* T"):
             solve(prob, mesh, tm, BasisSpec(0), FluxWeights(1.0, 0.0), lambda n, u: None)
@@ -321,24 +314,24 @@ def test_shipped_and_random_problems_pass_tempering_guard():
     mesh = build_spatial_mesh(6, 6)
     for path in sorted(presets_dir().glob("*.yaml")):
         cfg = load_config(path.stem)
-        quad = gauss_rule(BasisSpec(cfg.degree).default_quad_points)
+        grid = VolumeGrid.build(mesh, BasisSpec(cfg.degree))
         if cfg.problem == "example1":
-            prob = example1(cfg.alpha, T=cfg.T)
+            prob = example1(cfg.alpha)
         else:
-            prob = example2(cfg.alpha, delta=cfg.delta, T=cfg.T)
+            prob = example2(cfg.alpha, delta=cfg.delta)
         tm = build_graded_time_mesh(cfg.M, cfg.gamma, cfg.T)
-        guard(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
+        guard(prob, tm, grid.at(prob.kappa))
     tm = build_graded_time_mesh(8, 4.0, 1.0)
     for k in (0, 1, 2):
-        quad = gauss_rule(BasisSpec(k).default_quad_points)
-        for prob in (example1(0.5, T=1.0), example2(0.5, T=1.0)):
-            guard(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
+        grid = VolumeGrid.build(mesh, BasisSpec(k))
+        for prob in (example1(0.5), example2(0.5)):
+            guard(prob, tm, grid.at(prob.kappa))
         for k0 in (-2.0, -0.7, 0.0, 2.0):
-            prob = _constant_kappa_problem(k0, abs(k0), 1.0)
-            guard(prob, tm, eval_on_grid(prob.kappa, mesh, quad))
+            prob = _constant_kappa_problem(k0, abs(k0))
+            guard(prob, tm, grid.at(prob.kappa))
         for a, b in ((1.5, 0.5), (-1.5, -0.5), (0.3, -0.2)):
-            kq = eval_on_grid(lambda x, y: a * np.cos(2 * math.pi * x) + b + 0.0 * y, mesh, quad)
-            guard(_constant_kappa_problem(0.0, abs(a) + abs(b), 1.0), tm, kq)
+            kq = grid.at(lambda x, y: a * np.cos(2 * math.pi * x) + b + 0.0 * y)
+            guard(_constant_kappa_problem(0.0, abs(a) + abs(b)), tm, kq)
 
 
 def test_flatten_unflatten_roundtrip():
@@ -358,11 +351,10 @@ def test_discrete_substantial_derivative_exact_on_tempered_linears():
     # memory quadrature is exact on linear data.
     mesh = build_spatial_mesh(4, 4)
     basis = BasisSpec(1)
-    quad = gauss_rule(basis.default_quad_points)
     alpha = 0.6
     tm = build_graded_time_mesh(6, 2.0, 0.8)
     A = l1_coefficients(tm, alpha)
-    kq = eval_on_grid(lambda x, y: np.cos(2 * math.pi * x) + 0.0 * y, mesh, quad)
+    kq = VolumeGrid.build(mesh, basis).at(lambda x, y: np.cos(2 * math.pi * x) + 0.0 * y)
 
     for v, dv_exact in (
         (lambda t: np.ones_like(t), lambda t: 0.0),
@@ -405,7 +397,6 @@ def test_stability_bound_homogeneous_runs():
             u0=u0,
             f=None,
             exact=None,
-            T=T,
         )
         tm = build_graded_time_mesh(6, gamma, T)
         fields = solve_fields(prob, mesh, tm, basis, FluxWeights(1.0, 0.0))
@@ -419,13 +410,12 @@ def test_step_rejects_short_history():
     mesh = build_spatial_mesh(3, 3)
     basis = BasisSpec(0)
     prob = example1(0.5)
-    tm = build_graded_time_mesh(4, 2.0, prob.T)
+    tm = build_graded_time_mesh(4, 2.0, 0.1)
     A = l1_coefficients(tm, prob.alpha)
     ops = assemble_operators(mesh, basis, FluxWeights(0.0, 1.0))
-    quad = gauss_rule(basis.default_quad_points)
-    grid = StepGrid.build(prob, mesh, basis, quad)
-    history = History(A, grid.kappa, prob.c_kappa)
-    history.push(0, l2_project(prob.u0, mesh, basis).eval_volume_quad(quad))
+    grid = VolumeGrid.build(mesh, basis)
+    history = History(A, grid.at(prob.kappa), prob.c_kappa)
+    history.push(0, grid.project(prob.u0).eval_volume_quad(grid.quad))
     with pytest.raises(InvalidArgumentError):
         step(ops, A, 2, prob, grid, history)
 
@@ -437,9 +427,10 @@ def _random_history(M: int, seed: int):
     prob = example2(0.4)
     mesh = build_spatial_mesh(3, 2)
     basis = BasisSpec(1)
-    quad = gauss_rule(basis.default_quad_points)
-    A = l1_coefficients(build_graded_time_mesh(M, 3.0, prob.T), prob.alpha)
-    kappa = eval_on_grid(prob.kappa, mesh, quad)
+    grid = VolumeGrid.build(mesh, basis)
+    quad = grid.quad
+    A = l1_coefficients(build_graded_time_mesh(M, 3.0, 0.1), prob.alpha)
+    kappa = grid.at(prob.kappa)
     history = History(A, kappa, prob.c_kappa)
     rng = np.random.default_rng(seed)
     tempered = np.empty((M + 1,) + kappa.shape)
@@ -513,7 +504,7 @@ def test_solve_matches_stepwise_oracle(M, k, example, gamma):
     prob = example(0.4)
     mesh = build_spatial_mesh(3, 2)
     basis = BasisSpec(k)
-    tm = build_graded_time_mesh(M, gamma, prob.T)
+    tm = build_graded_time_mesh(M, gamma, 0.1)
     fw = FluxWeights(1.0, 0.0)
     got = solve_fields(prob, mesh, tm, basis, fw)
     ref = solve_stepwise(prob, mesh, tm, basis, fw)
@@ -543,7 +534,7 @@ def test_solve_reads_fewer_than_a_panel_of_levels_per_step(monkeypatch):
     monkeypatch.setattr(fractional, "_memory_weights", counting_weights)
     M = 100
     prob = example2(0.5)
-    tm = build_graded_time_mesh(M, 2.0, prob.T)
+    tm = build_graded_time_mesh(M, 2.0, 0.1)
     solve(prob, build_spatial_mesh(3, 3), tm, BasisSpec(1), FluxWeights(1.0, 0.0), lambda n, u: None)
     assert len(rows_read) == M
     assert max(rows_read) < HISTORY_PANEL
@@ -562,7 +553,7 @@ def test_solve_memory_holds_no_l1_table():
     import tracemalloc
 
     prob = example2(0.5)
-    tm = build_graded_time_mesh(2000, 2.0, prob.T)
+    tm = build_graded_time_mesh(2000, 2.0, 0.1)
     mesh = build_spatial_mesh(1, 1)
     tracemalloc.start()
     try:
@@ -613,7 +604,7 @@ def test_solve_refuses_a_run_larger_than_physical_memory(monkeypatch):
     monkeypatch.setattr(ldg, "assemble_operators", no_assembly)
     prob = example2(0.5)
     mesh = build_spatial_mesh(16, 16)
-    tm = build_graded_time_mesh(200, 2.0, prob.T)
+    tm = build_graded_time_mesh(200, 2.0, 0.1)
     basis = BasisSpec(1)
     need = footprint_bytes(mesh, tm, basis)
     assert need > FOOTPRINT_PROBE_BYTES
@@ -634,7 +625,7 @@ def test_solve_runs_within_exactly_its_footprint(monkeypatch):
 
     prob = example2(0.5)
     mesh = build_spatial_mesh(4, 4)
-    tm = build_graded_time_mesh(40, 2.0, prob.T)
+    tm = build_graded_time_mesh(40, 2.0, 0.1)
     basis = BasisSpec(1)
     fw = FluxWeights(1.0, 0.0)
     limit = footprint_bytes(mesh, tm, basis)
@@ -663,7 +654,7 @@ def test_streamed_solve_keeps_no_field():
 
     prob = example2(0.5)
     M = 2000
-    tm = build_graded_time_mesh(M, 2.0, prob.T)
+    tm = build_graded_time_mesh(M, 2.0, 0.1)
     mesh = build_spatial_mesh(8, 8)
     basis = BasisSpec(1)
     fw = FluxWeights(1.0, 0.0)
@@ -676,7 +667,7 @@ def test_streamed_solve_keeps_no_field():
             peaks[mode] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    fields_bytes = (M + 1) * mesh.nx * mesh.ny * basis.dofs_per_cell * 8
+    fields_bytes = (M + 1) * mesh.nx * mesh.ny * (basis.k + 1) ** 2 * 8
     bound = footprint_bytes(mesh, tm, basis) + STREAM_OVERHEAD_FRACTION * fields_bytes
     assert peaks["streamed"] <= bound < peaks["collected"], peaks
 
@@ -705,14 +696,12 @@ def test_solver_error_halves_with_mesh_refinement():
     # Settings where the time-discretization error is known to be far below
     # the spatial error, so doubling the mesh must halve the total error.
     prob = example1(0.7)
-    tm = build_graded_time_mesh(20, 2.0, prob.T)
+    tm = build_graded_time_mesh(20, 2.0, 0.1)
     errs = []
     for n in (6, 12):
         mesh = build_spatial_mesh(n, n)
         fields = solve_fields(prob, mesh, tm, BasisSpec(0), FluxWeights(0.0, 1.0))
-        quad = gauss_rule(3)
-        diff = fields[-1].eval_volume_quad(quad) - eval_on_grid(
-            lambda x, y: prob.exact(prob.T, x, y), mesh, quad
-        )
-        errs.append(quad_l2_norm(diff, mesh, quad))
+        grid = VolumeGrid.build(mesh, BasisSpec(0), gauss_rule(3))
+        diff = fields[-1].eval_volume_quad(grid.quad) - grid.at(lambda x, y: prob.exact(tm.T, x, y))
+        errs.append(grid.norm(diff))
     assert errs[1] < 0.7 * errs[0]

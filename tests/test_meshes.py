@@ -12,7 +12,6 @@ def test_spatial_mesh_geometry():
     assert mesh.nx == 4 and mesh.ny == 5
     assert mesh.hx == pytest.approx(0.5)
     assert mesh.hy == pytest.approx(0.4)
-    assert mesh.h == pytest.approx(0.5)
     np.testing.assert_allclose(mesh.x_edges, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert mesh.x_edges[-1] == 2.0 and mesh.y_edges[-1] == 1.0
     np.testing.assert_allclose(mesh.x_centers(), [0.25, 0.75, 1.25, 1.75])

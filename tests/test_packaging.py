@@ -39,14 +39,21 @@ MOVED = (
     "mittag_leffler_series",
 )
 
-#: Names of the stored-trajectory mode of solve, removed with it, and of the
-#: memory-sum functions that fracldg.fractional.History replaced.
+#: Names of the stored-trajectory mode of solve, removed with it, of the
+#: memory-sum functions that fracldg.fractional.History replaced, and of the
+#: volume-quadrature helpers that fracldg.basis.VolumeGrid replaced.
 REMOVED = (
     "Trajectory",
     "error_E",
     "error_time_integrated",
     "substantial_history",
     "history_panel",
+    "StepGrid",
+    "_moment_vector",
+    "eval_on_grid",
+    "l2_project",
+    "quad_l2_norm",
+    "volume_quad_points",
 )
 
 _CHILD = (

@@ -25,22 +25,12 @@ def test_problem_rejects_fractional_order_outside_open_unit_interval(alpha):
     with pytest.raises(InvalidArgumentError):
         ProblemSpec(
             alpha=alpha, kappa=_dummy_kappa, c_kappa=0.0, u0=_dummy_u0,
-            f=None, exact=None, T=0.1,
-        )
-
-
-@pytest.mark.parametrize("T", [0.0, -1.0])
-def test_problem_rejects_nonpositive_final_time(T):
-    with pytest.raises(InvalidArgumentError):
-        ProblemSpec(
-            alpha=0.5, kappa=_dummy_kappa, c_kappa=0.0, u0=_dummy_u0,
-            f=None, exact=None, T=T,
+            f=None, exact=None,
         )
 
 
 def test_homogeneous_case_structure():
     prob = example1(0.7)
-    assert prob.T == 0.1
     assert prob.alpha == 0.7
     assert prob.f is None
     assert prob.c_kappa == 2.0
@@ -51,7 +41,7 @@ def test_homogeneous_case_structure():
     np.testing.assert_allclose(prob.exact(0.0, x, y), prob.u0(x, y), atol=0.0)
     # ... and has decayed substantially by the final time.
     X, Y = np.meshgrid(np.linspace(0, 1, 41), np.linspace(0, 1, 41))
-    assert np.max(np.abs(prob.exact(prob.T, X, Y))) < 0.5 * np.max(np.abs(prob.u0(X, Y)))
+    assert np.max(np.abs(prob.exact(0.1, X, Y))) < 0.5 * np.max(np.abs(prob.u0(X, Y)))
 
 
 def test_homogeneous_case_closed_form_solves_its_equation():
@@ -76,10 +66,13 @@ def test_manufactured_case_rejects_bad_regularity_exponent(delta):
 
 def test_manufactured_case_defaults():
     prob = example2(0.6)
-    assert prob.delta == 0.6
-    assert prob.T == 0.1
     assert prob.c_kappa == 1.0
     x = np.linspace(0.0, 1.0, 9)
+    # Without delta the exact solution has the regularity of alpha: at
+    # x = 0, y = 1/4 it is e^{-t} t^0.6, as with delta = 0.6 given.
+    t = np.array([1e-4, 0.03, 0.1, 0.7])
+    np.testing.assert_allclose(prob.exact(t, 0.0, 0.25), np.exp(-t) * t**0.6, rtol=1e-14)
+    np.testing.assert_array_equal(prob.exact(0.1, x, x), example2(0.6, delta=0.6).exact(0.1, x, x))
     np.testing.assert_allclose(prob.u0(x, x), 0.0, atol=0.0)
     # Variable tempering stays within its certified bound.
     X, Y = np.meshgrid(np.linspace(0, 1, 33), np.linspace(0, 1, 33))
