@@ -6,10 +6,10 @@ basis.VolumeGrid rule that solve uses: FinalTimeError is the final-time L2 error
 scaled by the horizon, the functional of every shipped convergence table;
 TimeIntegratedError weights the whole history through the
 piecewise-linear-in-time interpolants. rates turns a sweep into
-consecutive-pair orders, and condition_number estimates the 2-norm
-conditioning of a step matrix by seeded power iteration, applying the
-inverse through the solver's own fast-diagonalization solve. ErrorReport
-carries one study's numbers to the CLI's CSV and text output.
+consecutive-pair orders, and condition_number gives the exact 2-norm
+conditioning of a step matrix from the extreme eigenvalues of its small
+Fourier blocks on the periodic mesh, solving nothing. ErrorReport carries
+one study's numbers to the CLI's CSV and text output.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import BasisSpec, DgField, VolumeGrid, gauss_rule
-from .errors import InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError
 from .fractional import L1Kernel
-from .ldg import LdgOperators
+from .ldg import LdgOperators, block_symbol
 from .meshes import GradedTimeMesh, SpatialMesh
 
 #: An exact solution u(t, x, y), broadcasting over point arrays.
@@ -177,50 +177,36 @@ def rates(errors: Sequence[float], params: Sequence[float]) -> list[float]:
     return out
 
 
-def _power_lambda_max(matvec: Callable[[np.ndarray], np.ndarray], n: int,
-                      iters: int = 50, tol: float = 1e-6) -> float:
-    """Largest-magnitude eigenvalue of a symmetric operator by power
-    iteration with Rayleigh quotients; stops on relative stagnation."""
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = matvec(v)
-        lam_new = float(v @ w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if lam != 0.0 and abs(lam_new - lam) <= tol * abs(lam_new):
-            return abs(lam_new)
-        lam = lam_new
-    return abs(lam)
-
-
 def condition_number(ops: LdgOperators, A: L1Kernel, M: int) -> float:
-    """2-norm condition number of the final-step system matrix A_0^M * mass + K.
+    """Exact 2-norm condition number of the final-step system matrix
+    S = A_0^M * mass + K.
 
     The solver works internally with orthonormal Legendre modes, which act
     as a diagonal preconditioner on the mass term. The matrix is reported
     in the classical (unnormalized) Legendre modal basis, the conventional
     choice for DG system conditioning: with d the diagonal that rescales
-    each mode, the measured matrix is D S D. Its largest eigenvalue and that
-    of its inverse come from seeded power iteration; the inverse is applied
-    through ops.solve_system, (D S D)^-1 v = D^-1 S^-1 D^-1 v, so no matrix
-    is factorized.
+    each mode, the measured matrix is D S D. S is symmetric positive
+    definite (A_0^M * mass > 0, K is PSD), so the condition number is
+    max(lambda) / min(lambda) of D S D.
+
+    d repeats in every cell and K = Kx (x) I + I (x) Ky with block-circulant
+    Kx, Ky (ldg.block_symbol), so D S D splits into one Hermitian
+    (k+1)^2 x (k+1)^2 block per Fourier pair (mx, my),
+    Dhat (A_0^M m I + Kxhat(mx) (x) I + I (x) Kyhat(my)) Dhat with
+    Dhat = diag(dc) (x) diag(dc), dc the part of d on one cell's modes in one
+    direction. Each x mode takes one batched eigvalsh over all y modes;
+    nothing is solved or factorized.
     """
     a0 = A.a0(M)  # raises InvalidArgumentError unless 1 <= M <= A.tm.M
-    inv_norm = 1.0 / np.sqrt(np.arange(ops.basis.k + 1) + 0.5)
-    # Solver order (i, r, j, s): mode (r, s) is scaled by inv_norm[r] * inv_norm[s].
-    d = np.kron(np.kron(np.ones(ops.mesh.nx), inv_norm), np.kron(np.ones(ops.mesh.ny), inv_norm))
-
-    def forward(v: np.ndarray) -> np.ndarray:
-        dv = d * v
-        return d * ((a0 * ops.M) * dv + ops.apply_K(dv))
-
-    lam_max = _power_lambda_max(forward, ops.ndof)
-    inv_lam_max = _power_lambda_max(lambda v: ops.solve_system(a0, v / d) / d, ops.ndof)
-    if lam_max == 0.0 or inv_lam_max == 0.0:
-        raise NumericError("power iteration collapsed to zero")
-    return lam_max * inv_lam_max
+    kk = ops.basis.k + 1
+    eye = np.eye(kk)
+    dc = 1.0 / np.sqrt(np.arange(kk) + 0.5)
+    # Block order (r, s), as in the solver order (i, r, j, s).
+    dhat = np.kron(dc, dc)
+    scale = dhat[:, None] * dhat[None, :]
+    y_part = (a0 * ops.M) * np.eye(kk * kk) + np.kron(eye, block_symbol(ops.Ky, ops.mesh.ny))
+    lam = [
+        np.linalg.eigvalsh(scale * (np.kron(kx_hat, eye) + y_part))
+        for kx_hat in block_symbol(ops.Kx, ops.mesh.nx)
+    ]
+    return float(np.max(lam) / np.min(lam))

@@ -32,9 +32,9 @@ values per step. The flops stay O(M^2) per run; the coefficient memory drops
 from M (M + 1) / 2 stored values to that transient block.
 
 The Mittag-Leffler function E_alpha gives example1 its closed-form
-solution. Negative arguments, the only ones a shipped run evaluates, take
-a Laplace-inversion contour; arguments in (0, 5] sum the defining series
-in float64, where every term is positive and nothing cancels.
+solution. A shipped run evaluates it at non-positive arguments only:
+negative ones take a Laplace-inversion contour, and E_alpha(0) = 1.
+Positive arguments are rejected unless alpha = 1, where E_1 = exp.
 """
 
 from __future__ import annotations
@@ -154,21 +154,25 @@ def l1_coefficients(tm: GradedTimeMesh, alpha: float) -> L1Kernel:
     return L1Kernel(alpha=float(alpha), tm=tm)
 
 
-def mittag_leffler_contour(alpha: float, z: float, npoints: int = 32) -> float:
+#: Midpoint nodes of the Mittag-Leffler contour rule; with 32 the truncation
+#: floor e^{-8 mu} ~ 1e-14 dominates, uniformly over alpha in (0, 1) and
+#: z in [-1e3, 0).
+ML_CONTOUR_NODES = 32
+
+
+def mittag_leffler_contour(alpha: float, z: float) -> float:
     """Laplace-inversion route: E_alpha(z) = (1/2*pi*i) int e^s s^(a-1)/(s^a - z) ds
     on the parabola s = mu (1 + i u)^2, valid for z < 0.
 
-    Midpoint nodes u_k = (k + 1/2) h with mu = 0.125*npoints, h = 6/npoints;
-    conjugate symmetry folds the sum onto u > 0. With 32 nodes the truncation
-    floor e^{-8 mu} ~ 1e-14 dominates, uniformly over alpha in (0, 1) and
-    z in [-1e3, 0).
+    Midpoint nodes u_k = (k + 1/2) h with mu = 0.125 * ML_CONTOUR_NODES and
+    h = 6 / ML_CONTOUR_NODES; conjugate symmetry folds the sum onto u > 0.
     """
     if not z < 0.0:
         raise InvalidArgumentError(f"contour route requires z < 0, got {z}")
-    mu = 0.125 * npoints
-    h = 6.0 / npoints
+    mu = 0.125 * ML_CONTOUR_NODES
+    h = 6.0 / ML_CONTOUR_NODES
     acc = 0.0 + 0.0j
-    for m in range(npoints // 2):
+    for m in range(ML_CONTOUR_NODES // 2):
         u = (m + 0.5) * h
         s = mu * (1.0 + 1j * u) ** 2
         ds = 2j * mu * (1.0 + 1j * u) * h
@@ -179,50 +183,16 @@ def mittag_leffler_contour(alpha: float, z: float, npoints: int = 32) -> float:
     return val
 
 
-#: Term budget of the positive-argument series; a sum still growing after
-#: this many terms raises NumericError.
-ML_MAX_TERMS = 500_000
-
-
-def _mittag_leffler_positive(alpha: float, z: float) -> float:
-    """Defining series sum_l z^l / Gamma(alpha*l + 1) in float64, for 0 < z <= 5.
-
-    Every term is positive, so nothing cancels; terms are formed as
-    exp(l ln z - lgamma(alpha l + 1)). The log-terms are concave in l, so
-    once terms fall their ratio r only decreases and the tail after a term
-    t is below t r / (1 - r); the sum stops when that bound drops under
-    1e-17 of the total.
-    """
-    lz = math.log(z)
-    total, prev = 1.0, 1.0
-    for l in range(1, ML_MAX_TERMS + 1):
-        try:
-            term = math.exp(l * lz - math.lgamma(alpha * l + 1.0))
-        except OverflowError:
-            term = math.inf
-        total += term
-        if math.isinf(total):
-            raise NumericError(f"Mittag-Leffler E_{alpha}({z}) exceeds the float64 range")
-        r = term / prev
-        if r < 1.0 and term * r <= 1e-17 * total * (1.0 - r):
-            return total
-        prev = term
-    raise NumericError(
-        f"Mittag-Leffler series did not converge for alpha={alpha}, z={z} "
-        f"after {ML_MAX_TERMS} terms"
-    )
-
-
 @lru_cache(maxsize=65536)
 def mittag_leffler(alpha: float, z: float) -> float:
-    """E_alpha(z) for 0 < alpha <= 1 and real z <= 5, to ~1e-12 relative.
+    """E_alpha(z) for 0 < alpha <= 1 and real z <= 0 (z <= 5 at alpha = 1),
+    to ~1e-12 relative.
 
-    Routing: alpha = 1 is exp(z); negative arguments go to the contour route
-    (fast and uniformly accurate); (0, 5] sums the defining series in
-    float64, which has no cancellation there. Raises NumericError where
-    E_alpha(z) exceeds the float64 range (small alpha near z = 5). Larger
-    positive arguments are outside the supported range of this solver and
-    are rejected.
+    Routing: alpha = 1 is exp(z); other orders take the contour route for
+    negative arguments (fast and uniformly accurate), and E_alpha(0) = 1.
+    No shipped run evaluates a positive argument (example1 takes
+    lambda t^alpha with lambda < 0), so one with alpha < 1 is rejected with
+    InvalidArgumentError.
     """
     if not 0.0 < alpha <= 1.0:
         raise InvalidArgumentError(f"alpha must be in (0, 1], got {alpha}")
@@ -230,11 +200,11 @@ def mittag_leffler(alpha: float, z: float) -> float:
         raise InvalidArgumentError(f"argument must be finite and <= 5, got {z}")
     if alpha == 1.0:
         return math.exp(z)
-    if z < 0.0:
-        return mittag_leffler_contour(alpha, z)
+    if z > 0.0:
+        raise InvalidArgumentError(f"argument must be <= 0 unless alpha = 1, got {z}")
     if z == 0.0:
         return 1.0
-    return _mittag_leffler_positive(alpha, z)
+    return mittag_leffler_contour(alpha, z)
 
 
 class History:

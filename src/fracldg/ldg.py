@@ -22,9 +22,13 @@ path. K x is applied as Kx X + X Ky^T with X = x reshaped to (i r, j s).
 Eigendecomposing each block once, Kx = Qx diag(lx) Qx^T, solves every step
 exactly for any A_0^n by fast diagonalization (Lynch, Rice & Thomas, Numer.
 Math. 6, 1964): U = Qx [(Qx^T B Qy) / (A_0^n m + lx_i + ly_j)] Qy^T, with B
-and U the right-hand side and solution reshaped to (i r, j s). The module
-needs numpy only; the sparse 2D K is the one exception, a scipy matrix
-built on first access for residual recomputation outside the run path.
+and U the right-hand side and solution reshaped to (i r, j s). On the
+uniform periodic mesh each block is also block-circulant over the cells;
+block_symbol reduces it to one (k+1) x (k+1) Hermitian block per Fourier
+mode, from which analysis.condition_number takes exact extreme
+eigenvalues. The module needs numpy only; the sparse 2D K is the one
+exception, a scipy matrix built on first access for residual
+recomputation outside the run path.
 
 The earlier levels enter a step only through the memory sum, which one
 fracldg.fractional.History holds and evaluates: solve pushes each level,
@@ -130,6 +134,21 @@ def _directional_operator(n: int, k: int, sigma: float) -> np.ndarray:
     G[cells, :, (cells + 1) % n, :] += upper
     G[cells, :, (cells - 1) % n, :] += lower
     return G.reshape(n * kk, n * kk)
+
+
+def block_symbol(K1: np.ndarray, n: int) -> np.ndarray:
+    """Fourier symbol of a 1D block on n periodic cells, shape (n, k+1, k+1).
+
+    On the uniform periodic mesh the (cell, cell') block of K1 depends only
+    on d = (cell' - cell) mod n, so K1 is block-circulant with block row
+    C_d = K1[:k+1, d (k+1):(d+1) (k+1)] (Davis, Circulant Matrices, 1979,
+    ch. 5). The vectors e^{2 pi i c m / n} w over the cells c reduce it to
+    K1hat(m) = sum_d C_d e^{2 pi i d m / n}, whose eigenvalues over all m are
+    those of K1; K1hat(m) is Hermitian when K1 is symmetric.
+    """
+    kk = K1.shape[0] // n
+    C = K1[:kk].reshape(kk, n, kk).transpose(1, 0, 2)  # C[d] = C_d
+    return n * np.fft.ifft(C, axis=0)
 
 
 @dataclass

@@ -3,11 +3,12 @@
 Two kinds of code live here. The cross-check oracles are deliberately built
 by a different route than the library code: dense loop-based assembly
 instead of Kronecker products, adaptive panel quadrature instead of
-closed-form L1 coefficients, dense SVD instead of power iteration, and
-an adaptive-precision Mittag-Leffler series instead of the float one. Slow
-and simple on purpose. The one exception is l1_table, the stored L1 table
-the package once built: the same formula row by row, against which the
-coefficients the package evaluates on demand must agree bit for bit.
+closed-form L1 coefficients, dense SVD instead of per-mode Fourier
+blocks, and an adaptive-precision Mittag-Leffler series instead of the
+contour rule. Slow and simple on purpose. The one exception is l1_table,
+the stored L1 table the package once built: the same formula row by row,
+against which the coefficients the package evaluates on demand must agree
+bit for bit.
 The error functionals are recomputed by their defining formulas from the
 levels that a collecting observer keeps (solve_fields), against which the
 streaming observers of fracldg.analysis must also agree bit for bit.
@@ -30,11 +31,9 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import svdvals
 
-from fracldg.analysis import _power_lambda_max
 from fracldg.basis import (
     BasisSpec,
     DgField,
@@ -181,30 +180,6 @@ def dense_condition_2norm(S) -> float:
     """Exact 2-norm condition number through dense singular values."""
     sv = svdvals(np.asarray(S.todense() if hasattr(S, "todense") else S))
     return float(sv[0] / sv[-1])
-
-
-def spd_condition_splu(S) -> float:
-    """2-norm condition number of a symmetric positive definite matrix by
-    power iteration on S and on its splu-factorized inverse.
-
-    The package's original route, kept as the reference for
-    fracldg.analysis.condition_number, which runs the same seeded power
-    iteration but applies the inverse by fast diagonalization.
-    """
-    S = sp.csc_matrix(S)
-    n = S.shape[0]
-    try:
-        factor = spla.splu(S)
-    except RuntimeError as exc:
-        raise NumericError(f"matrix factorization failed: {exc}") from exc
-    diag_u = factor.U.diagonal()
-    if np.any(diag_u == 0.0) or not np.all(np.isfinite(diag_u)):
-        raise NumericError("matrix is singular to working precision")
-    lam_max = _power_lambda_max(lambda v: S @ v, n)
-    inv_lam_max = _power_lambda_max(factor.solve, n)
-    if lam_max == 0.0 or inv_lam_max == 0.0:
-        raise NumericError("power iteration collapsed to zero")
-    return lam_max * inv_lam_max
 
 
 def l1_table(tm, alpha: float) -> tuple[np.ndarray, ...]:

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from fracldg.analysis import (
     ErrorReport,
@@ -21,9 +20,9 @@ from fracldg.basis import (
     gauss_rule,
     legendre_values,
 )
-from fracldg.errors import InvalidArgumentError, NumericError
+from fracldg.errors import InvalidArgumentError
 from fracldg.fractional import l1_coefficients
-from fracldg.ldg import FluxWeights, assemble_operators, solve
+from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, solve
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import example1, example2
 
@@ -31,11 +30,11 @@ from oracles import (
     dense_condition_2norm,
     field_eval,
     final_time_error,
+    lifted_stiffness,
     pairwise_time_integrated,
     project_P,
     project_Q,
     solve_fields,
-    spd_condition_splu,
     system_matrix,
 )
 
@@ -268,29 +267,13 @@ def test_rates_recover_exact_powers_and_validate_input():
         rates([1.0, 2.0], [1.0, 1.0])
 
 
-def _random_spd(n: int, cond: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    d = np.logspace(0.0, math.log10(cond), n)
-    return (Q * d) @ Q.T
-
-
-def test_spd_condition_two_norm_matches_dense_oracle():
-    S = _random_spd(50, 1.0e4, seed=99)
-    got = spd_condition_splu(sp.csc_matrix(S))
-    ref = dense_condition_2norm(S)
-    assert ref == pytest.approx(1.0e4, rel=1e-6)
-    assert got == pytest.approx(ref, rel=1e-2)
-
-
 def test_spd_condition_rejects_bad_norm_and_singular_input():
     # condition_number measures the 2-norm only: a norm argument is refused.
+    # It has no singular input to reject: a0 * m > 0 and K is PSD.
     ops = assemble_operators(build_spatial_mesh(3, 3), BasisSpec(0), FluxWeights(1.0, 0.0))
     A = l1_coefficients(build_graded_time_mesh(5, 1.0, 0.1), 0.5)
     with pytest.raises(TypeError):
         condition_number(ops, A, 5, norm="1")
-    with pytest.raises(NumericError):
-        spd_condition_splu(sp.csc_matrix(np.ones((4, 4))))
 
 
 def _classical_scaling(nx: int, ny: int, k: int) -> np.ndarray:
@@ -314,13 +297,12 @@ def test_condition_number_matches_dense_oracle_in_both_bases():
     A = l1_coefficients(tm, 0.7)
     S = system_matrix(ops, A.row(10)[0]).toarray()
 
-    got_internal = spd_condition_splu(S)
-    assert got_internal == pytest.approx(dense_condition_2norm(S), rel=2e-2)
-
     d = _classical_scaling(4, 4, 1)
     ref_classical = dense_condition_2norm(d[:, None] * S * d[None, :])
     got_classical = condition_number(ops, A, 10)
-    assert got_classical == pytest.approx(ref_classical, rel=2e-2)
+    assert got_classical == pytest.approx(ref_classical, rel=1e-10)
+    # The rescaling matters for k >= 1: the orthonormal-basis value differs.
+    assert got_classical != pytest.approx(dense_condition_2norm(S), rel=1e-2)
 
 
 def test_condition_number_basis_choice_is_immaterial_for_constants():
@@ -331,30 +313,35 @@ def test_condition_number_basis_choice_is_immaterial_for_constants():
     tm = build_graded_time_mesh(8, 2.0, 0.1)
     A = l1_coefficients(tm, 0.4)
     a = condition_number(ops, A, 8)
-    b = spd_condition_splu(system_matrix(ops, A.row(8)[0]))
+    b = dense_condition_2norm(system_matrix(ops, A.row(8)[0]))
     assert a == pytest.approx(b, rel=1e-10)
     assert a >= 1.0
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("flux", [(1.0, 0.0), (0.9, 0.1), (0.7, 0.3)])
-def test_condition_number_matches_splu_oracle(k, flux):
-    # Same seeded power iteration on the same classical-basis matrix; only
-    # the inverse differs (fast diagonalization against an LU factorization).
-    for alpha in (0.3, 0.7):
-        A = l1_coefficients(build_graded_time_mesh(10, 2.0, 0.1), alpha)
-        for nx in (4, 5, 6):
-            ops = assemble_operators(build_spatial_mesh(nx, nx), BasisSpec(k), FluxWeights(*flux))
-            D = sp.diags(_classical_scaling(nx, nx, k))
-            ref = spd_condition_splu(D @ system_matrix(ops, A.row(10)[0]) @ D)
-            assert condition_number(ops, A, 10) == pytest.approx(ref, rel=1e-8), (alpha, nx)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("flux", [(1.0, 0.0), (0.3, 0.49), (0.49, 1.0), (0.0, 0.3)])
+def test_condition_number_matches_dense_oracle(k, flux):
+    # The per-mode Fourier blocks against the SVD of the whole classical-basis
+    # matrix D S D, with K from the dense loop-based assembly, on meshes with
+    # one and two cells per direction and with nx != ny.
+    fw = FluxWeights(*flux)
+    for nx, ny in ((1, 2), (2, 3), (3, 1), (4, 4), (7, 5)):
+        ops = assemble_operators(build_spatial_mesh(nx, ny), BasisSpec(k), fw)
+        K = lifted_stiffness(nx, ny, k, *flux, ops.mesh.hx, ops.mesh.hy)
+        d = _classical_scaling(nx, ny, k)
+        for alpha in (0.3, 0.7):
+            A = l1_coefficients(build_graded_time_mesh(10, 2.0, 0.1), alpha)
+            S = (A.a0(10) * ops.M) * np.eye(ops.ndof) + K
+            ref = dense_condition_2norm(d[:, None] * S * d[None, :])
+            assert condition_number(ops, A, 10) == pytest.approx(ref, rel=1e-10), (alpha, nx, ny)
 
 
 def test_condition_number_factorizes_nothing(monkeypatch):
-    def no_splu(*args, **kwargs):
-        raise RuntimeError("splu called")
+    def no_solve(*args, **kwargs):
+        raise RuntimeError("linear system solved or factorized")
 
-    monkeypatch.setattr("scipy.sparse.linalg.splu", no_splu)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", no_solve)
+    monkeypatch.setattr(LdgOperators, "solve_system", no_solve)
     ops = assemble_operators(build_spatial_mesh(5, 5), BasisSpec(1), FluxWeights(0.9, 0.1))
     A = l1_coefficients(build_graded_time_mesh(10, 2.0, 0.1), 0.3)
     assert condition_number(ops, A, 10) > 1.0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import erfcx
 
 from fracldg.basis import BasisSpec, DgField, VolumeGrid
-from fracldg.errors import InvalidArgumentError, NumericError
+from fracldg.errors import InvalidArgumentError
 from fracldg.fractional import (
     History,
     l1_coefficients,
@@ -193,30 +193,13 @@ def test_mittag_leffler_monotone_decay():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("alpha", [0.25, 0.3, 0.4, 0.5, 0.7, 0.9, 0.99])
-def test_mittag_leffler_positive_series_matches_mpmath_oracle(alpha):
-    # On (0, 5] every series term is positive, so the float64 sum cannot
-    # cancel; its error grows like eps * ln E (about 2e-13 at alpha 0.25,
-    # z 5, where E ~ 1.1e272), inside the documented 1e-12.
-    for z in (1e-6, 0.01, 0.3, 1.0, 2.5, 4.0, 5.0):
-        ref = mittag_leffler_series(alpha, z)
-        assert mittag_leffler(alpha, z) == pytest.approx(ref, rel=1e-12), z
-
-
-def test_mittag_leffler_overflow_raises():
-    # E_0.1(5) ~ 10 exp(5^10) is far beyond float64.
-    with pytest.raises(NumericError, match="float64"):
-        mittag_leffler(0.1, 5.0)
-    # At alpha 1e-6 the terms at z = 1 stay near 1 for ~1e7 terms.
-    with pytest.raises(NumericError, match="did not converge"):
-        mittag_leffler(1e-6, 1.0)
-
-
 def test_mittag_leffler_validation():
     with pytest.raises(InvalidArgumentError):
         mittag_leffler(1.2, -1.0)
     with pytest.raises(InvalidArgumentError):
         mittag_leffler(0.5, 6.0)
+    with pytest.raises(InvalidArgumentError):
+        mittag_leffler(0.5, 1.0)  # positive arguments only at alpha = 1
     with pytest.raises(InvalidArgumentError):
         mittag_leffler_contour(0.5, 1.0)
 

@@ -33,6 +33,7 @@ from fracldg.ldg import (
 from fracldg.cli import load_config, presets_dir
 from fracldg.ldg import (
     _directional_operator,
+    block_symbol,
     footprint_bytes,
     physical_memory_bytes,
 )
@@ -88,6 +89,30 @@ def test_flux_duality():
         G = _directional_operator(n, k, sigma)
         H = _directional_operator(n, k, 1.0 - sigma)
         np.testing.assert_allclose(H, -G.T, atol=1e-12)
+
+
+def test_block_symbol_reduces_the_periodic_blocks():
+    # K1 acting on a Fourier vector e^{2 pi i c m / n} w over the cells c is
+    # that vector with K1hat(m) w; every K1hat(m) is Hermitian, and their
+    # eigenvalues together are those of K1.
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 4, 7):
+        for k in (0, 1, 2, 3):
+            for sigma in (0.0, 0.3, 0.49, 1.0):
+                ops = assemble_operators(build_spatial_mesh(n, 2), BasisSpec(k), FluxWeights(sigma, 0.0))
+                K1, kk = ops.Kx, k + 1
+                hat = block_symbol(K1, n)
+                scale = np.max(np.abs(K1))
+                assert hat.shape == (n, kk, kk)
+                np.testing.assert_allclose(hat, hat.conj().transpose(0, 2, 1), rtol=0.0, atol=1e-12 * scale)
+                w = rng.standard_normal(kk) + 1j * rng.standard_normal(kk)
+                for m in range(n):
+                    phase = np.exp(2j * math.pi * np.arange(n) * m / n)
+                    np.testing.assert_allclose(
+                        K1 @ np.kron(phase, w), np.kron(phase, hat[m] @ w), rtol=0.0, atol=1e-12 * scale
+                    )
+                lam = np.sort(np.linalg.eigvalsh(hat).ravel())
+                np.testing.assert_allclose(lam, np.linalg.eigvalsh(K1), rtol=0.0, atol=1e-12 * scale)
 
 
 def test_global_operator_symmetric_positive_semidefinite():

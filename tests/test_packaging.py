@@ -40,8 +40,10 @@ MOVED = (
 )
 
 #: Names of the stored-trajectory mode of solve, removed with it, of the
-#: memory-sum functions that fracldg.fractional.History replaced, and of the
-#: volume-quadrature helpers that fracldg.basis.VolumeGrid replaced.
+#: memory-sum functions that fracldg.fractional.History replaced, of the
+#: volume-quadrature helpers that fracldg.basis.VolumeGrid replaced, of the
+#: power iteration the exact condition number replaced, and of the
+#: positive-argument Mittag-Leffler series no run evaluated.
 REMOVED = (
     "Trajectory",
     "error_E",
@@ -54,6 +56,9 @@ REMOVED = (
     "l2_project",
     "quad_l2_norm",
     "volume_quad_points",
+    "_power_lambda_max",
+    "_mittag_leffler_positive",
+    "ML_MAX_TERMS",
 )
 
 _CHILD = (
