@@ -32,9 +32,10 @@ values per step. The flops stay O(M^2) per run; the coefficient memory drops
 from M (M + 1) / 2 stored values to that transient block.
 
 The Mittag-Leffler function E_alpha gives example1 its closed-form
-solution. A shipped run evaluates it at non-positive arguments only:
-negative ones take a Laplace-inversion contour, and E_alpha(0) = 1.
-Positive arguments are rejected unless alpha = 1, where E_1 = exp.
+solution. It takes the orders 0 < alpha < 1 that the rest of the package
+admits, and the non-positive arguments a shipped run evaluates: negative
+ones take a Laplace-inversion contour, and E_alpha(0) = 1. Positive
+arguments are rejected.
 """
 
 from __future__ import annotations
@@ -49,13 +50,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericError
 from .meshes import GradedTimeMesh
 
-__all__ = [
-    "L1Kernel",
-    "l1_coefficients",
-    "mittag_leffler",
-    "mittag_leffler_contour",
-    "History",
-]
+__all__ = ["L1Kernel", "mittag_leffler", "History"]
 
 #: Steps per memory-sum panel. One panel GEMM covers this many steps, and a
 #: step reads fewer than this many stored levels itself. On a 2-vCPU VM with
@@ -76,8 +71,9 @@ KAPPA_BOUND_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class L1Kernel:
-    """L1 coefficients of fractional order alpha on a time mesh, evaluated on
-    demand from their closed form; no table is stored.
+    """L1 coefficients of fractional order alpha in (0, 1) on a time mesh,
+    evaluated on demand from their closed form (_interval_weights); no table
+    is stored.
 
     Step n weighs the interval (t_j, t_{j+1}) of level j < n with
     a_j^n = A_{n-1-j}^n, and row(n) is (A_0^n, ..., A_{n-1}^n). The chain
@@ -87,6 +83,10 @@ class L1Kernel:
 
     alpha: float
     tm: GradedTimeMesh = field(repr=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise InvalidArgumentError(f"alpha must be in (0, 1), got {self.alpha}")
 
     def row(self, n: int) -> np.ndarray:
         """(A_0^n, ..., A_{n-1}^n); empty for n = 0."""
@@ -139,28 +139,13 @@ def _memory_weights(A: L1Kernel, n, start: int, stop: int) -> np.ndarray:
     return c
 
 
-def l1_coefficients(tm: GradedTimeMesh, alpha: float) -> L1Kernel:
-    """L1 kernel of fractional order alpha in (0, 1) on the mesh tm.
-
-    A_{i-1}^n = ((t_n - t_{n-i})^{1-a} - (t_n - t_{n-i+1})^{1-a})
-                / (Gamma(2-a) * tau_{n-i+1}),   i = 1..n.
-
-    Nothing is tabulated: History.sum evaluates the coefficients it reads,
-    so a run holds at most a HISTORY_PANEL x M block of them at a time
-    instead of all M (M + 1) / 2.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
-    return L1Kernel(alpha=float(alpha), tm=tm)
-
-
 #: Midpoint nodes of the Mittag-Leffler contour rule; with 32 the truncation
 #: floor e^{-8 mu} ~ 1e-14 dominates, uniformly over alpha in (0, 1) and
 #: z in [-1e3, 0).
 ML_CONTOUR_NODES = 32
 
 
-def mittag_leffler_contour(alpha: float, z: float) -> float:
+def _mittag_leffler_contour(alpha: float, z: float) -> float:
     """Laplace-inversion route: E_alpha(z) = (1/2*pi*i) int e^s s^(a-1)/(s^a - z) ds
     on the parabola s = mu (1 + i u)^2, valid for z < 0.
 
@@ -185,26 +170,26 @@ def mittag_leffler_contour(alpha: float, z: float) -> float:
 
 @lru_cache(maxsize=65536)
 def mittag_leffler(alpha: float, z: float) -> float:
-    """E_alpha(z) for 0 < alpha <= 1 and real z <= 0 (z <= 5 at alpha = 1),
-    to ~1e-12 relative.
+    """E_alpha(z) for 0 < alpha < 1 and real z <= 0, to ~1e-12 relative.
 
-    Routing: alpha = 1 is exp(z); other orders take the contour route for
-    negative arguments (fast and uniformly accurate), and E_alpha(0) = 1.
-    No shipped run evaluates a positive argument (example1 takes
-    lambda t^alpha with lambda < 0), so one with alpha < 1 is rejected with
+    Negative arguments take the contour route (fast and uniformly accurate),
+    and E_alpha(0) = 1. No shipped run evaluates a positive argument
+    (example1 takes lambda t^alpha with lambda < 0), so one is rejected with
     InvalidArgumentError.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1], got {alpha}")
-    if not math.isfinite(z) or z > 5.0:
-        raise InvalidArgumentError(f"argument must be finite and <= 5, got {z}")
-    if alpha == 1.0:
-        return math.exp(z)
-    if z > 0.0:
-        raise InvalidArgumentError(f"argument must be <= 0 unless alpha = 1, got {z}")
+    if not 0.0 < alpha < 1.0:
+        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
+    if not (math.isfinite(z) and z <= 0.0):
+        raise InvalidArgumentError(f"argument must be finite and <= 0, got {z}")
     if z == 0.0:
         return 1.0
-    return mittag_leffler_contour(alpha, z)
+    return _mittag_leffler_contour(alpha, z)
+
+
+def _panel_rows(M: int) -> int:
+    """Rows of the panel buffer of a History of M steps: it holds the first
+    panel, the largest; none forms when M < HISTORY_PANEL."""
+    return min(HISTORY_PANEL, max(M + 1 - HISTORY_PANEL, 0))
 
 
 class History:
@@ -259,17 +244,14 @@ class History:
         self.kappa = kappa_at_quad
         self._count = 0  # levels stored
         self._levels = np.empty((M + 1,) + kappa_at_quad.shape)
-        # The panel buffer holds the first panel, the largest; none forms
-        # when M < HISTORY_PANEL.
-        rows = min(HISTORY_PANEL, max(M + 1 - HISTORY_PANEL, 0))
-        self._panel = np.empty((rows, kappa_at_quad.size))
+        self._panel = np.empty((_panel_rows(M), kappa_at_quad.size))
         self._panel_start = 0  # 0: no panel formed
 
     @staticmethod
     def nbytes(M: int, n_q: int) -> int:
         """Bytes a History of M steps holds at n_q points per level: the
         M + 1 tempered levels and the panel buffer."""
-        return 8 * (M + 1 + min(HISTORY_PANEL, max(M + 1 - HISTORY_PANEL, 0))) * n_q
+        return 8 * (M + 1 + _panel_rows(M)) * n_q
 
     def push(self, n: int, values: np.ndarray) -> None:
         """Temper u^n, given at the quadrature points, and store it; n must be

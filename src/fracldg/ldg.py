@@ -60,7 +60,7 @@ from .basis import (
     legendre_values,
 )
 from .errors import InvalidArgumentError, NumericError
-from .fractional import History, L1Kernel, l1_coefficients
+from .fractional import History, L1Kernel
 from .meshes import GradedTimeMesh, SpatialMesh
 from .problems import ProblemSpec
 
@@ -350,7 +350,7 @@ def solve(
             f"more than the {limit} bytes of physical memory"
         )
     ops = assemble_operators(mesh, basis, fw)
-    A = l1_coefficients(tm, prob.alpha)
+    A = L1Kernel(prob.alpha, tm)
     grid = VolumeGrid.build(mesh, basis)
     history = History(A, grid.at(prob.kappa), prob.c_kappa)
     u_n = grid.project(prob.u0)

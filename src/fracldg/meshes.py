@@ -113,6 +113,6 @@ def build_graded_time_mesh(M: int, gamma: float, T: float) -> GradedTimeMesh:
     t[1:] = T * np.exp(gamma * np.log(n / M))
     t[M] = T
     tau = np.diff(t)
-    if not (tau > 0).all():  # pragma: no cover - guarded by construction
+    if not (tau > 0).all():  # t_1 = T (1/M)^gamma underflows to 0, e.g. at M 1000, gamma 200
         raise InvalidArgumentError("nonpositive time step produced; check (M, gamma, T)")
     return GradedTimeMesh(M=M, gamma=float(gamma), T=float(T), t=t, tau=tau)

@@ -46,7 +46,7 @@ from fracldg.basis import (
     quad_vandermonde,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
-from fracldg.fractional import L1Kernel, _memory_weights, l1_coefficients
+from fracldg.fractional import L1Kernel, _memory_weights
 from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, solve
 
 
@@ -290,7 +290,7 @@ def solve_stepwise(prob, mesh, tm, basis, fw) -> list:
     ops = assemble_operators(mesh, basis, fw)
     grid = VolumeGrid.build(mesh, basis)
     quad = grid.quad
-    A = l1_coefficients(tm, prob.alpha)
+    A = L1Kernel(prob.alpha, tm)
     kappa_at_quad = grid.at(lambda x, y: prob.kappa(x, y))
     u0 = grid.project(lambda x, y: prob.u0(x, y))
     fields = [u0]

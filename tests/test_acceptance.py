@@ -32,9 +32,9 @@ from fracldg.basis import (
 from fracldg.cli import _RUNNERS, load_config, main
 from fracldg.fractional import (
     History,
-    l1_coefficients,
+    L1Kernel,
+    _mittag_leffler_contour,
     mittag_leffler,
-    mittag_leffler_contour,
 )
 from fracldg.ldg import FluxWeights, assemble_operators
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
@@ -191,7 +191,7 @@ def test_memory_weight_chain_positive_monotone():
         gamma = float(rng.uniform(1.0, 6.0))
         alpha = float(rng.uniform(0.05, 0.95))
         T = float(rng.uniform(0.05, 2.0))
-        A = l1_coefficients(build_graded_time_mesh(M, gamma, T), alpha)
+        A = L1Kernel(alpha, build_graded_time_mesh(M, gamma, T))
         for n in range(1, M + 1):
             row = A.row(n)
             assert row[-1] > 0.0
@@ -207,7 +207,7 @@ def test_complementary_kernel_identity_and_inversion():
     worst = 0.0
     for alpha, gamma in ((0.35, 4.0), (0.8, 1.0)):
         tm = build_graded_time_mesh(200, gamma, 0.5)
-        A = l1_coefficients(tm, alpha)
+        A = L1Kernel(alpha, tm)
         P = convolution_kernel(A)
         for n in range(1, 201):
             mat = np.zeros((n, n))
@@ -217,7 +217,7 @@ def test_complementary_kernel_identity_and_inversion():
     assert worst <= 1e-11
 
     tm = build_graded_time_mesh(12, 2.5, 0.3)
-    A = l1_coefficients(tm, 0.45)
+    A = L1Kernel(0.45, tm)
     P = convolution_kernel(A)
     P_ref = complementary_kernels_by_inversion(A)
     for n in range(1, 13):
@@ -280,7 +280,7 @@ def test_memory_operator_exact_on_tempered_linears():
     basis = BasisSpec(1)
     alpha = 0.6
     tm = build_graded_time_mesh(6, 2.0, 0.8)
-    A = l1_coefficients(tm, alpha)
+    A = L1Kernel(alpha, tm)
     kq = VolumeGrid.build(mesh, basis).at(lambda x, y: np.cos(2 * math.pi * x) + 0.0 * y)
     worst = 0.0
     for v, dv_exact in (
@@ -309,7 +309,7 @@ def test_relaxation_function_cross_checks():
     for alpha in (0.3, 0.5, 0.7, 0.9):
         for absz in np.linspace(3.0, 5.0, 9):
             s = mittag_leffler_series(alpha, -float(absz))
-            c = mittag_leffler_contour(alpha, -float(absz))
+            c = _mittag_leffler_contour(alpha, -float(absz))
             worst_band = max(worst_band, abs(s - c) / abs(s))
     assert worst_band <= 1e-8
     worst_half = 0.0

@@ -21,7 +21,7 @@ from fracldg.basis import (
     legendre_values,
 )
 from fracldg.errors import InvalidArgumentError
-from fracldg.fractional import l1_coefficients
+from fracldg.fractional import L1Kernel
 from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, solve
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import example1, example2
@@ -271,7 +271,7 @@ def test_spd_condition_rejects_bad_norm_and_singular_input():
     # condition_number measures the 2-norm only: a norm argument is refused.
     # It has no singular input to reject: a0 * m > 0 and K is PSD.
     ops = assemble_operators(build_spatial_mesh(3, 3), BasisSpec(0), FluxWeights(1.0, 0.0))
-    A = l1_coefficients(build_graded_time_mesh(5, 1.0, 0.1), 0.5)
+    A = L1Kernel(0.5, build_graded_time_mesh(5, 1.0, 0.1))
     with pytest.raises(TypeError):
         condition_number(ops, A, 5, norm="1")
 
@@ -294,7 +294,7 @@ def test_condition_number_matches_dense_oracle_in_both_bases():
     mesh = build_spatial_mesh(4, 4)
     ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(1.0, 0.0))
     tm = build_graded_time_mesh(10, 2.0, 0.1)
-    A = l1_coefficients(tm, 0.7)
+    A = L1Kernel(0.7, tm)
     S = system_matrix(ops, A.row(10)[0]).toarray()
 
     d = _classical_scaling(4, 4, 1)
@@ -311,7 +311,7 @@ def test_condition_number_basis_choice_is_immaterial_for_constants():
     mesh = build_spatial_mesh(6, 6)
     ops = assemble_operators(mesh, BasisSpec(0), FluxWeights(0.0, 1.0))
     tm = build_graded_time_mesh(8, 2.0, 0.1)
-    A = l1_coefficients(tm, 0.4)
+    A = L1Kernel(0.4, tm)
     a = condition_number(ops, A, 8)
     b = dense_condition_2norm(system_matrix(ops, A.row(8)[0]))
     assert a == pytest.approx(b, rel=1e-10)
@@ -330,7 +330,7 @@ def test_condition_number_matches_dense_oracle(k, flux):
         K = lifted_stiffness(nx, ny, k, *flux, ops.mesh.hx, ops.mesh.hy)
         d = _classical_scaling(nx, ny, k)
         for alpha in (0.3, 0.7):
-            A = l1_coefficients(build_graded_time_mesh(10, 2.0, 0.1), alpha)
+            A = L1Kernel(alpha, build_graded_time_mesh(10, 2.0, 0.1))
             S = (A.a0(10) * ops.M) * np.eye(ops.ndof) + K
             ref = dense_condition_2norm(d[:, None] * S * d[None, :])
             assert condition_number(ops, A, 10) == pytest.approx(ref, rel=1e-10), (alpha, nx, ny)
@@ -343,7 +343,7 @@ def test_condition_number_factorizes_nothing(monkeypatch):
     monkeypatch.setattr("scipy.sparse.linalg.splu", no_solve)
     monkeypatch.setattr(LdgOperators, "solve_system", no_solve)
     ops = assemble_operators(build_spatial_mesh(5, 5), BasisSpec(1), FluxWeights(0.9, 0.1))
-    A = l1_coefficients(build_graded_time_mesh(10, 2.0, 0.1), 0.3)
+    A = L1Kernel(0.3, build_graded_time_mesh(10, 2.0, 0.1))
     assert condition_number(ops, A, 10) > 1.0
 
 
@@ -359,13 +359,13 @@ def test_run_path_builds_no_sparse_matrix(monkeypatch):
     fields = solve_fields(prob, mesh, tm, BasisSpec(1), FluxWeights(0.9, 0.1))
     assert np.all(np.isfinite(fields[-1].coeffs))
     ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(0.9, 0.1))
-    assert condition_number(ops, l1_coefficients(tm, prob.alpha), 5) > 1.0
+    assert condition_number(ops, L1Kernel(prob.alpha, tm), 5) > 1.0
 
 
 def test_condition_number_rejects_step_index_outside_table():
     mesh = build_spatial_mesh(3, 3)
     ops = assemble_operators(mesh, BasisSpec(0), FluxWeights(1.0, 0.0))
-    A = l1_coefficients(build_graded_time_mesh(5, 1.0, 0.1), 0.5)
+    A = L1Kernel(0.5, build_graded_time_mesh(5, 1.0, 0.1))
     with pytest.raises(InvalidArgumentError):
         condition_number(ops, A, 0)
     with pytest.raises(InvalidArgumentError):

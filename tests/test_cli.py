@@ -78,7 +78,7 @@ def test_unknown_preset_error_lists_available_names():
     ({"time": {"M": 0, "gamma": 2.0, "T": 0.1}}, "time.M must be >= 1"),
     ({"time": {"M": 3, "gamma": 0.5, "T": 0.1}}, "time.gamma must be >= 1"),
     ({"time": {"M": 3, "gamma": 2.0, "T": 0.0}}, "time.T must be positive"),
-    ({"delta": 1.0}, "admissible range"),
+    ({"problem": "example2", "delta": 1.0}, "admissible range"),
     ({"quad_t": 1}, "quad_t must be >= 2"),
     ({"metric": "l-infinity"}, "metric must be"),
     ({"nx": 4.5}, "expected an integer"),
@@ -129,6 +129,7 @@ def test_unknown_preset_error_lists_available_names():
     ({"expect": {"cond_anchor": {"degree": 0, "alpha": 0.7, "flux": [1.0, 0.0],
                                  "value": 14.0, "factor": 0.5}}},
      "config.expect.cond_anchor.factor must be >= 1"),
+    ({"delta": 0.4}, "config.delta applies to example2 only"),
 ])
 def test_config_validation_messages(overrides, needle):
     with pytest.raises(ConfigError) as ei:

@@ -21,8 +21,8 @@ from fracldg.fractional import (
     HISTORY_PANEL,
     MAX_TEMPERING_EXPONENT,
     History,
+    L1Kernel,
     _memory_weights,
-    l1_coefficients,
 )
 from fracldg.ldg import (
     FluxWeights,
@@ -334,7 +334,7 @@ def test_shipped_and_random_problems_pass_tempering_guard():
     # test draws (constant k0 with c_kappa = |k0|; a cos(2 pi x) + b with
     # c_kappa = |a| + |b|), including draws that sit on the bound.
     def guard(prob, tm, kappa_at_quad):
-        History(l1_coefficients(tm, prob.alpha), kappa_at_quad, prob.c_kappa)
+        History(L1Kernel(prob.alpha, tm), kappa_at_quad, prob.c_kappa)
 
     mesh = build_spatial_mesh(6, 6)
     for path in sorted(presets_dir().glob("*.yaml")):
@@ -378,7 +378,7 @@ def test_discrete_substantial_derivative_exact_on_tempered_linears():
     basis = BasisSpec(1)
     alpha = 0.6
     tm = build_graded_time_mesh(6, 2.0, 0.8)
-    A = l1_coefficients(tm, alpha)
+    A = L1Kernel(alpha, tm)
     kq = VolumeGrid.build(mesh, basis).at(lambda x, y: np.cos(2 * math.pi * x) + 0.0 * y)
 
     for v, dv_exact in (
@@ -436,7 +436,7 @@ def test_step_rejects_short_history():
     basis = BasisSpec(0)
     prob = example1(0.5)
     tm = build_graded_time_mesh(4, 2.0, 0.1)
-    A = l1_coefficients(tm, prob.alpha)
+    A = L1Kernel(prob.alpha, tm)
     ops = assemble_operators(mesh, basis, FluxWeights(0.0, 1.0))
     grid = VolumeGrid.build(mesh, basis)
     history = History(A, grid.at(prob.kappa), prob.c_kappa)
@@ -454,7 +454,7 @@ def _random_history(M: int, seed: int):
     basis = BasisSpec(1)
     grid = VolumeGrid.build(mesh, basis)
     quad = grid.quad
-    A = l1_coefficients(build_graded_time_mesh(M, 3.0, 0.1), prob.alpha)
+    A = L1Kernel(prob.alpha, build_graded_time_mesh(M, 3.0, 0.1))
     kappa = grid.at(prob.kappa)
     history = History(A, kappa, prob.c_kappa)
     rng = np.random.default_rng(seed)

@@ -54,3 +54,5 @@ def test_graded_mesh_validation():
         build_graded_time_mesh(5, 0.5, 0.1)
     with pytest.raises(InvalidArgumentError):
         build_graded_time_mesh(5, 2.0, 0.0)
+    with pytest.raises(InvalidArgumentError, match="nonpositive time step"):
+        build_graded_time_mesh(1000, 200.0, 0.1)  # t_1 = T (1/M)^gamma underflows to 0
