@@ -1,15 +1,13 @@
-"""Error functionals, convergence rates, and condition numbers.
+"""The error functional, convergence rates, and condition numbers.
 
-The error functionals are solve observers that compute their value while
-the run goes and keep no field, and take their norms with the same
-basis.VolumeGrid rule that solve uses: FinalTimeError is the final-time L2 error
-scaled by the horizon, the functional of every shipped convergence table;
-TimeIntegratedError weights the whole history through the
-piecewise-linear-in-time interpolants. rates turns a sweep into
-consecutive-pair orders, and condition_number gives the exact 2-norm
-conditioning of a step matrix from the extreme eigenvalues of its small
-Fourier blocks on the periodic mesh, solving nothing. ErrorReport carries
-one study's numbers to the CLI's CSV and text output.
+The error functional FinalTimeError, the final-time L2 error scaled by the
+horizon and the functional of every shipped convergence table, is a solve
+observer that computes its value while the run goes, keeps no field, and
+takes its norm with the same basis.VolumeGrid rule that solve uses. rates
+turns a sweep into consecutive-pair orders, and condition_number gives the
+exact 2-norm conditioning of a step matrix from the extreme eigenvalues of
+its small Fourier blocks on the periodic mesh, solving nothing. ErrorReport
+carries one study's numbers to the CLI's CSV and text output.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import BasisSpec, DgField, VolumeGrid, gauss_rule
+from .basis import BasisSpec, DgField, VolumeGrid
 from .errors import InvalidArgumentError
 from .fractional import L1Kernel
 from .ldg import LdgOperators, block_symbol
@@ -32,7 +30,6 @@ Exact = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 __all__ = [
     "ErrorReport",
     "FinalTimeError",
-    "TimeIntegratedError",
     "rates",
     "condition_number",
 ]
@@ -74,28 +71,15 @@ class ErrorReport:
         return "\n".join(lines) + "\n"
 
 
-class _LevelError:
-    """What the streaming error functionals share: the VolumeGrid whose
-    points the exact solution is evaluated at and whose rule takes the
-    norm, built once."""
-
-    def __init__(self, tm: GradedTimeMesh, mesh: SpatialMesh, basis: BasisSpec, exact: Exact):
-        self.tm, self.exact = tm, exact
-        self.grid = VolumeGrid.build(mesh, basis)
-
-    def _nodal_error(self, n: int, u: DgField) -> np.ndarray:
-        vals = self.exact(self.tm.t[n], self.grid.x, self.grid.y)
-        return vals - u.eval_volume_quad(self.grid.quad)
-
-
-class FinalTimeError(_LevelError):
+class FinalTimeError:
     """Convergence functional of the benchmark tables, as a solve observer:
     the final-time L2 error scaled by the time horizon,
     E(h, M) = T * ||u(T) - u_h^M||.
 
     The scaling gives E the dimensions of a time-integrated error while the
     measurement itself is taken where the full memory history has
-    accumulated. It reads only the final level u^M and keeps no field;
+    accumulated. It reads only the final level u^M, evaluates the exact
+    solution at the points of a VolumeGrid built once, and keeps no field;
     value is nan until u^M has been seen.
 
         acc = FinalTimeError(tm, mesh, basis, prob.exact)
@@ -104,58 +88,14 @@ class FinalTimeError(_LevelError):
     """
 
     def __init__(self, tm: GradedTimeMesh, mesh: SpatialMesh, basis: BasisSpec, exact: Exact):
-        super().__init__(tm, mesh, basis, exact)
+        self.tm, self.exact = tm, exact
+        self.grid = VolumeGrid.build(mesh, basis)
         self.value = math.nan
 
     def __call__(self, n: int, u: DgField) -> None:
         if n == self.tm.M:
-            self.value = self.tm.T * self.grid.norm(self._nodal_error(n, u))
-
-
-class TimeIntegratedError(_LevelError):
-    """Time-integrated L2 distance between the piecewise-linear-in-time
-    interpolants of the exact solution and of the discrete levels, as a
-    solve observer.
-
-    sum_n int_{t_{n-1}}^{t_n} ||I_1 u(t) - I_1 u_h(t)|| dt. Since both
-    interpolants are linear on each interval, the integrand at an interior
-    time is the norm of the matching convex combination of the endpoint
-    error fields, sampled on the spatial quadrature grid. This diagnostic
-    weights the whole history, so early-time errors that have already
-    decayed by t = T still contribute. Each consecutive pair of levels is
-    folded into the running value, and only the error at the points of the
-    latest level is kept. Levels must arrive in order, u^0 first.
-    """
-
-    def __init__(
-        self,
-        tm: GradedTimeMesh,
-        mesh: SpatialMesh,
-        basis: BasisSpec,
-        exact: Exact,
-        quad_t: int = 3,
-    ):
-        if quad_t < 2:
-            raise InvalidArgumentError(f"need at least 2 time quadrature points, got {quad_t}")
-        super().__init__(tm, mesh, basis, exact)
-        self.tquad = gauss_rule(quad_t)
-        self.value = 0.0
-        self._seen = 0
-        self._e_prev: np.ndarray | None = None
-
-    def __call__(self, n: int, u: DgField) -> None:
-        if n != self._seen:
-            raise InvalidArgumentError(f"level {n} observed after {self._seen} levels")
-        e_next = self._nodal_error(n, u)
-        if n > 0:
-            tau = self.tm.tau[n - 1]
-            for theta, w in zip(self.tquad.nodes, self.tquad.weights):
-                z = (theta + 1.0) / 2.0
-                self.value += w * (tau / 2.0) * self.grid.norm(
-                    (1.0 - z) * self._e_prev + z * e_next
-                )
-        self._e_prev = e_next
-        self._seen += 1
+            vals = self.exact(self.tm.t[n], self.grid.x, self.grid.y)
+            self.value = self.tm.T * self.grid.norm(vals - u.eval_volume_quad(self.grid.quad))
 
 
 def rates(errors: Sequence[float], params: Sequence[float]) -> list[float]:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError, FracLdgError, NumericError
+from .errors import ConfigError, FracLdgError, InvalidArgumentError, NumericError
 
 __all__ = ["ExperimentConfig", "Expectations", "load_config", "main"]
 
@@ -91,8 +91,6 @@ class ExperimentConfig:
     M_list: tuple[int, ...] | None = None
     cond_rows: tuple[CondRow, ...] | None = None
     flux_list: tuple[tuple[float, float], ...] | None = None
-    quad_t: int = 3
-    metric: str = "final-time"
     expect: Expectations | None = None
 
 
@@ -264,8 +262,6 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
         M_list=M_list,
         cond_rows=r.items("cond_rows", _cond_row),
         flux_list=r.items("flux_list", _as_flux),
-        quad_t=r.num("quad_t", 3, lambda q: q >= 2, "must be >= 2", integer=True),
-        metric=r.choice("metric", ("final-time", "time-integrated"), "final-time"),
         expect=expect if expect is None else _parse_expect(expect, f"{source}.expect"),
     )
     r.get("reference", None)  # free-form notes: accepted, never read
@@ -280,7 +276,32 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{source}: single-run requires nx")
     if cfg.problem == "example1" and cfg.delta is not None:
         raise ConfigError(f"{source}.delta applies to example2 only; example1 has no delta")
+    _check_time_meshes(cfg, source)
     return cfg
+
+
+def _check_time_meshes(cfg: ExperimentConfig, source: str) -> None:
+    """Build every graded time mesh a run of cfg builds, so a mesh that
+    cannot be built (its first step underflows) fails the config, not the
+    run."""
+    # Imported here: importing the CLI must not load numpy before the
+    # thread count is pinned.
+    from .meshes import build_graded_time_mesh
+
+    if cfg.kind == "temporal-convergence":
+        meshes = [(f"M_list[{i}]", M, cfg.gamma) for i, M in enumerate(cfg.M_list)]
+    elif cfg.kind == "condition-number":
+        meshes = [(f"cond_rows[{i}].gamma", cfg.M, row.gamma)
+                  for i, row in enumerate(cfg.cond_rows)]
+    else:
+        meshes = [("time", cfg.M, cfg.gamma)]
+    for key, M, gamma in meshes:
+        try:
+            build_graded_time_mesh(M, gamma, cfg.T)
+        except InvalidArgumentError as exc:
+            raise ConfigError(
+                f"{source}.{key}: M={M}, gamma={gamma:g}, T={cfg.T:g}: {exc}"
+            ) from None
 
 
 def load_config(ref: str) -> ExperimentConfig:
@@ -295,6 +316,8 @@ def load_config(ref: str) -> ExperimentConfig:
             raise ConfigError(f"no config file or preset named {ref!r} (presets: {names})")
     try:
         raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     return config_from_dict(raw, source=path.name)
@@ -313,9 +336,9 @@ def _set_thread_env(threads: int | None, deterministic: bool) -> None:
 
 def _run_solves(cfg: ExperimentConfig):
     """Every study that solves: one solve per case (label, rate abscissa,
-    nx, M), each measured by the observer of cfg.metric against the exact
+    nx, M), each measured by a FinalTimeError observer against the exact
     solution while the run goes, so no level is kept."""
-    from .analysis import ErrorReport, FinalTimeError, TimeIntegratedError, rates
+    from .analysis import ErrorReport, FinalTimeError, rates
     from .basis import BasisSpec
     from .ldg import FluxWeights, solve
     from .meshes import build_graded_time_mesh, build_spatial_mesh
@@ -340,10 +363,7 @@ def _run_solves(cfg: ExperimentConfig):
     for _, _, nx, M in cases:
         mesh = build_spatial_mesh(nx, nx)
         tm = build_graded_time_mesh(M, cfg.gamma, cfg.T)
-        if cfg.metric == "time-integrated":
-            measure = TimeIntegratedError(tm, mesh, basis, prob.exact, cfg.quad_t)
-        else:
-            measure = FinalTimeError(tm, mesh, basis, prob.exact)
+        measure = FinalTimeError(tm, mesh, basis, prob.exact)
         solve(prob, mesh, tm, basis, fw, measure)
         errors.append(measure.value)
     labels, xs = [c[0] for c in cases], [c[1] for c in cases]
@@ -438,7 +458,6 @@ def check_report(report, expect: Expectations) -> list[tuple[bool, str]]:
 
 
 def _emit(report, cfg: ExperimentConfig, out_dir: Path, plot: bool) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     csv_path = out_dir / f"{cfg.name}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -473,6 +492,11 @@ def _emit(report, cfg: ExperimentConfig, out_dir: Path, plot: bool) -> list[Path
 def _cmd_run(args) -> int:
     _set_thread_env(args.threads, args.deterministic)
     cfg = load_config(args.config)
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: cannot create the output directory: {exc}") from exc
     report = _RUNNERS[cfg.kind](cfg)
     print(cfg.title or cfg.name)
     print(report.to_text(), end="")
@@ -481,7 +505,7 @@ def _cmd_run(args) -> int:
         for ok, line in check_report(report, cfg.expect):
             print(("PASS " if ok else "FAIL ") + line)
             failed = failed or not ok
-    written = _emit(report, cfg, Path(args.out), args.plot)
+    written = _emit(report, cfg, out_dir, args.plot)
     for path in written:
         print(f"wrote {path}")
     if args.check and failed:

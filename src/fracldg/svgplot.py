@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 from .errors import InvalidArgumentError
 
@@ -38,7 +39,8 @@ def write_loglog_svg(
     """Write a log-log plot of one (label, xs, ys) series with slope guides.
 
     Guide lines of orders 1, 2 and 3 are anchored at the first point of the
-    series so measured slopes can be read against them.
+    series so measured slopes can be read against them. The title, the axis
+    labels and the series label are written as escaped XML text.
     """
     label, xs, ys = series
     if len(xs) != len(ys) or not xs:
@@ -74,13 +76,16 @@ def write_loglog_svg(
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black"/>'
     )
-    parts.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle">{title}</text>')
     parts.append(
-        f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle">{escape(title)}</text>'
+    )
+    parts.append(
+        f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle">'
+        f'{escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="16" y="{_HEIGHT / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{escape(ylabel)}</text>'
     )
 
     for d in _decades(10.0**lx0, 10.0**lx1):
@@ -127,7 +132,9 @@ def write_loglog_svg(
     )
     for x, y in zip(xs, ys):
         parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{_COLOR}"/>')
-    parts.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 16}" fill="{_COLOR}">{label}</text>')
+    parts.append(
+        f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 16}" fill="{_COLOR}">{escape(label)}</text>'
+    )
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -324,31 +324,12 @@ def solve_fields(prob, mesh, tm, basis, fw) -> list:
     return fields
 
 
-def _nodal_error(fields, n, tm, grid, exact) -> np.ndarray:
-    vals = exact(tm.t[n], grid.x, grid.y)
-    return vals - fields[n].eval_volume_quad(grid.quad)
-
-
 def final_time_error(fields, tm, mesh, basis, exact) -> float:
     """The convergence functional by its definition, T ||u(T) - u^M||, from
     the stored levels."""
     grid = VolumeGrid.build(mesh, basis)
-    return tm.T * grid.norm(_nodal_error(fields, tm.M, tm, grid, exact))
-
-
-def pairwise_time_integrated(fields, tm, mesh, basis, exact, quad_t: int) -> float:
-    """The time-integrated error by its defining loop over consecutive pairs
-    of stored levels, with the errors at the points recomputed per level."""
-    grid, tquad = VolumeGrid.build(mesh, basis), gauss_rule(quad_t)
-    total = 0.0
-    for n in range(1, tm.M + 1):
-        e_prev = _nodal_error(fields, n - 1, tm, grid, exact)
-        e_next = _nodal_error(fields, n, tm, grid, exact)
-        tau = tm.tau[n - 1]
-        for theta, w in zip(tquad.nodes, tquad.weights):
-            z = (theta + 1.0) / 2.0
-            total += w * (tau / 2.0) * grid.norm((1.0 - z) * e_prev + z * e_next)
-    return total
+    vals = exact(tm.t[tm.M], grid.x, grid.y)
+    return tm.T * grid.norm(vals - fields[tm.M].eval_volume_quad(grid.quad))
 
 
 def mittag_leffler_series(alpha: float, z: float) -> float:

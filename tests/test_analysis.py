@@ -9,13 +9,11 @@ import pytest
 from fracldg.analysis import (
     ErrorReport,
     FinalTimeError,
-    TimeIntegratedError,
     condition_number,
     rates,
 )
 from fracldg.basis import (
     BasisSpec,
-    DgField,
     VolumeGrid,
     gauss_rule,
     legendre_values,
@@ -31,7 +29,6 @@ from oracles import (
     field_eval,
     final_time_error,
     lifted_stiffness,
-    pairwise_time_integrated,
     project_P,
     project_Q,
     solve_fields,
@@ -168,15 +165,15 @@ def test_projection_error_shrinks_at_design_order(make):
     assert abs(got - 2.0) <= 0.1
 
 
-def _constant_levels(decay: float):
-    """Two levels u^0 = P u0 and u^1 = decay * u^0 on [0, 0.4], their
-    meshes and basis, and ||u^0||."""
+def _constant_levels():
+    """Two equal levels u^0 = u^1 = P u0 on [0, 0.4], their meshes and
+    basis, and ||u^0||."""
     prob = example1(0.5)
     mesh = build_spatial_mesh(5, 5)
     basis = BasisSpec(1)
     u0 = VolumeGrid.build(mesh, basis).project(prob.u0)
     tm = build_graded_time_mesh(1, 1.0, 0.4)
-    fields = [u0, DgField(u0.coeffs * decay, basis, mesh)]
+    fields = [u0, u0]
     return fields, tm, mesh, basis, u0.l2_norm()
 
 
@@ -190,32 +187,18 @@ def test_error_functional_is_scaled_final_time_norm():
     # Against the zero function the functional must equal T times the
     # coefficient norm of the last field, which the orthonormal basis gives
     # in closed form.
-    fields, tm, mesh, basis, norm0 = _constant_levels(decay=1.0)
+    fields, tm, mesh, basis, norm0 = _constant_levels()
     zero = lambda t, x, y: np.zeros(np.broadcast(x, y).shape)
     got = _observed(FinalTimeError(tm, mesh, basis, zero), fields)
     assert got == pytest.approx(0.4 * norm0, rel=1e-12)
 
 
-def test_time_integrated_error_on_linear_decay():
-    # With e(t) shrinking linearly from ||u0|| to 0 the integral is
-    # T ||u0|| / 2; with constant history it is T ||u0||.
-    zero = lambda t, x, y: np.zeros(np.broadcast(x, y).shape)
-    fields, tm, mesh, basis, norm0 = _constant_levels(decay=1.0)
-    got = _observed(TimeIntegratedError(tm, mesh, basis, zero), fields)
-    assert got == pytest.approx(0.4 * norm0, rel=1e-12)
-    fields, tm, mesh, basis, norm0 = _constant_levels(decay=0.0)
-    got = _observed(TimeIntegratedError(tm, mesh, basis, zero), fields)
-    assert got == pytest.approx(0.2 * norm0, rel=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        TimeIntegratedError(tm, mesh, basis, zero, quad_t=1)
-
-
 @pytest.mark.parametrize("M", [1, 33, 100])
 @pytest.mark.parametrize("example", [example1, example2])
 def test_streamed_error_functionals_equal_trajectory_forms_bitwise(M, example):
-    # M = 1, 33, 100 crosses 0, 1 and 3 panel boundaries. The observers see
-    # the levels as solve produces them and keep no field; the defining
-    # formulas recompute both functionals from every level, which a third
+    # M = 1, 33, 100 crosses 0, 1 and 3 panel boundaries. The observer sees
+    # the levels as solve produces them and keeps no field; the defining
+    # formula recomputes the functional from every level, which a second
     # observer collects. They agree to the bit.
     prob = example(0.4)
     mesh = build_spatial_mesh(3, 2)
@@ -223,30 +206,21 @@ def test_streamed_error_functionals_equal_trajectory_forms_bitwise(M, example):
     tm = build_graded_time_mesh(M, 6.0, 0.1)
     fw = FluxWeights(1.0, 0.0)
     final = FinalTimeError(tm, mesh, basis, prob.exact)
-    integrated = TimeIntegratedError(tm, mesh, basis, prob.exact, quad_t=4)
     fields = []
 
-    def all_three(n, u):
+    def both(n, u):
         final(n, u)
-        integrated(n, u)
         fields.append(u)
 
-    solve(prob, mesh, tm, basis, fw, all_three)
+    solve(prob, mesh, tm, basis, fw, both)
     assert final.value == final_time_error(fields, tm, mesh, basis, prob.exact)
-    assert integrated.value == pairwise_time_integrated(fields, tm, mesh, basis, prob.exact, 4)
 
 
 def test_streamed_error_functionals_validate_input():
     prob = example1(0.5)
     mesh = build_spatial_mesh(2, 2)
     tm = build_graded_time_mesh(3, 1.0, 0.1)
-    with pytest.raises(InvalidArgumentError, match="time quadrature"):
-        TimeIntegratedError(tm, mesh, BasisSpec(0), prob.exact, quad_t=1)
-    acc = TimeIntegratedError(tm, mesh, BasisSpec(0), prob.exact)
     u0 = VolumeGrid.build(mesh, BasisSpec(0)).project(prob.u0)
-    acc(0, u0)
-    with pytest.raises(InvalidArgumentError, match="level 2 observed after 1"):
-        acc(2, u0)
     final = FinalTimeError(tm, mesh, BasisSpec(0), prob.exact)
     final(0, u0)
     assert math.isnan(final.value)  # u^M not seen yet

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from fracldg.cli import (
 from fracldg.errors import ConfigError, InvalidArgumentError, NumericError
 from fracldg.svgplot import write_loglog_svg
 
-from oracles import final_time_error, pairwise_time_integrated, solve_fields
+from oracles import final_time_error, solve_fields
 
 
 def _base_config(**overrides) -> dict:
@@ -79,8 +80,8 @@ def test_unknown_preset_error_lists_available_names():
     ({"time": {"M": 3, "gamma": 0.5, "T": 0.1}}, "time.gamma must be >= 1"),
     ({"time": {"M": 3, "gamma": 2.0, "T": 0.0}}, "time.T must be positive"),
     ({"problem": "example2", "delta": 1.0}, "admissible range"),
-    ({"quad_t": 1}, "quad_t must be >= 2"),
-    ({"metric": "l-infinity"}, "metric must be"),
+    ({"quad_t": 1}, "unknown keys ['quad_t']"),
+    ({"metric": "l-infinity"}, "unknown keys ['metric']"),
     ({"nx": 4.5}, "expected an integer"),
     ({"degree": 9}, "degree must lie in 0..8"),
     ({"time": 3}, "time: expected a mapping"),
@@ -130,6 +131,17 @@ def test_unknown_preset_error_lists_available_names():
                                  "value": 14.0, "factor": 0.5}}},
      "config.expect.cond_anchor.factor must be >= 1"),
     ({"delta": 0.4}, "config.delta applies to example2 only"),
+    # Time meshes whose first step underflows to 0: the config fails, as the
+    # run would, and the message names the key that asks for the mesh.
+    ({"time": {"M": 1000, "gamma": 200}},
+     "config.time: M=1000, gamma=200, T=0.1: nonpositive time step produced"),
+    ({"kind": "temporal-convergence", "M_list": [2, 1000], "time": {"M": 3, "gamma": 200}},
+     "config.M_list[1]: M=1000, gamma=200, T=0.1: nonpositive time step produced"),
+    ({"kind": "condition-number", "nx": 3, "flux_list": [[1.0, 0.0]],
+      "time": {"M": 1000, "gamma": 1.0},
+      "cond_rows": [{"degree": 0, "alpha": 0.5, "gamma": 1.0},
+                    {"degree": 1, "alpha": 0.5, "gamma": 200}]},
+     "config.cond_rows[1].gamma: M=1000, gamma=200, T=0.1: nonpositive time step produced"),
 ])
 def test_config_validation_messages(overrides, needle):
     with pytest.raises(ConfigError) as ei:
@@ -178,6 +190,32 @@ def test_yaml_loaders_agree_on_shipped_configs(monkeypatch, capsys):
     assert [load_config(str(p)) for p in paths] == default
     assert main(["list-presets"]) == 0
     assert capsys.readouterr().out == default_listing
+
+
+def test_every_config_key_is_set_by_a_shipped_config(monkeypatch):
+    # Every key the reader asks for while the shipped presets and the
+    # benchmark's configs load is set by at least one of them, so no option
+    # exists that no shipped run uses. Keys are compared by their path below
+    # the file, e.g. time.M or expect.cond_anchor.factor.
+    get = fracldg.cli._Mapping.get
+    asked, given = set(), set()
+    source = ""
+
+    def recording_get(self, key, *default):
+        path = (self.ctx.removeprefix(source).lstrip(".") + "." + key).lstrip(".")
+        asked.add(path)
+        if key in self._d:
+            given.add(path)
+        return get(self, key, *default)
+
+    monkeypatch.setattr(fracldg.cli._Mapping, "get", recording_get)
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+    paths = sorted(presets_dir().glob("*.yaml")) + sorted(bench.glob("*.yaml"))
+    for path in paths:
+        source = path.name
+        load_config(str(path))
+    assert "expect.cond_anchor.factor" in asked
+    assert sorted(asked - given) == []
 
 
 def test_validate_config_verb(capsys):
@@ -233,13 +271,14 @@ def test_loglog_svg_rejects_what_it_cannot_draw(tmp_path, ys):
     assert svg.count("<polyline") == 1 and svg.count("slope ") == 3
 
 
-def test_run_with_time_integrated_metric(tmp_path):
-    d = _base_config(name="tiny-ti", metric="time-integrated", quad_t=4)
-    cfg_path = _write_config(tmp_path, d)
-    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    lines = (tmp_path / "out" / "tiny-ti.csv").read_text().strip().splitlines()
-    err = float(lines[1].split(",")[1])
-    assert err > 0.0
+def test_loglog_svg_escapes_its_text(tmp_path):
+    # Title, axis labels and series label may hold XML's special characters;
+    # the file must still parse and read back the same text.
+    path = tmp_path / "e.svg"
+    texts = ("a<b", "Q0 & Q1 <h>", "h > 0", "E & F")
+    write_loglog_svg(str(path), (texts[0], [0.5, 0.25], [1e-2, 2.5e-3]), *texts[1:])
+    found = {el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")}
+    assert set(texts) <= found
 
 
 def test_deterministic_reruns_are_byte_identical(tmp_path):
@@ -274,6 +313,31 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
     assert "not valid YAML" in capsys.readouterr().err
     assert main(["validate-config", "--config", "missing-thing"]) == 2
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"name: tiny\xff\nkind: single-run\n")
+    for verb in ("validate-config", "run"):
+        assert main([verb, "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "not UTF-8 text" in err
+
+
+def test_out_naming_a_file_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    import fracldg.ldg
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called although --out cannot be created")
+
+    monkeypatch.setattr(fracldg.ldg, "solve", no_solve)
+    out = tmp_path / "taken"
+    out.write_text("not a directory", encoding="utf-8")
+    cfg_path = _write_config(tmp_path, _base_config())
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --out" in err and "output directory" in err
+    assert out.read_text(encoding="utf-8") == "not a directory"
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -393,16 +457,11 @@ def test_cli_errors_equal_functional_of_full_trajectory(config, tmp_path, monkey
     monkeypatch.setattr(fracldg.ldg, "solve", recording_solve)
     monkeypatch.setattr(fracldg.cli, "_emit", recording_emit)
     assert main(["run", "--config", config, "--out", str(tmp_path), "--check"]) == 0
-    cfg = load_config(config)
     [report] = reports
     assert len(calls) == len(report.errors) > 0
     for (prob, mesh, tm, basis, fw), err in zip(calls, report.errors):
         fields = solve_fields(prob, mesh, tm, basis, fw)
-        if cfg.metric == "time-integrated":
-            ref = pairwise_time_integrated(fields, tm, mesh, basis, prob.exact, cfg.quad_t)
-        else:
-            ref = final_time_error(fields, tm, mesh, basis, prob.exact)
-        assert err == ref
+        assert err == final_time_error(fields, tm, mesh, basis, prob.exact)
 
 
 def test_condition_study_assembles_each_operator_once(tmp_path, monkeypatch):

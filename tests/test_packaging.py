@@ -51,8 +51,9 @@ MOVED = (
 #: volume-quadrature helpers that fracldg.basis.VolumeGrid replaced, of the
 #: power iteration the exact condition number replaced, of the
 #: positive-argument Mittag-Leffler series no run evaluated, of the second
-#: L1Kernel constructor, of the contour's public alias, and of the package's
-#: lazy re-export table.
+#: L1Kernel constructor, of the contour's public alias, of the package's
+#: lazy re-export table, and of the time-integrated error functional that no
+#: run measured.
 REMOVED = (
     "Trajectory",
     "error_E",
@@ -71,6 +72,8 @@ REMOVED = (
     "l1_coefficients",
     "mittag_leffler_contour",
     "_LAZY",
+    "TimeIntegratedError",
+    "_LevelError",
 )
 
 _CHILD = (
