@@ -280,6 +280,18 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
     return cfg
 
 
+def _time_meshes(cfg: ExperimentConfig) -> list[tuple[str, int, float]]:
+    """(key, M, gamma) of every graded time mesh a run of cfg builds, in run
+    order; key names the config entry that sets it. The one owner of which
+    meshes each kind builds: the runners and the config check both read it."""
+    if cfg.kind == "temporal-convergence":
+        return [(f"M_list[{i}]", M, cfg.gamma) for i, M in enumerate(cfg.M_list)]
+    if cfg.kind == "condition-number":
+        return [(f"cond_rows[{i}].gamma", cfg.M, row.gamma)
+                for i, row in enumerate(cfg.cond_rows)]
+    return [("time", cfg.M, cfg.gamma)]
+
+
 def _check_time_meshes(cfg: ExperimentConfig, source: str) -> None:
     """Build every graded time mesh a run of cfg builds, so a mesh that
     cannot be built (its first step underflows) fails the config, not the
@@ -288,14 +300,7 @@ def _check_time_meshes(cfg: ExperimentConfig, source: str) -> None:
     # thread count is pinned.
     from .meshes import build_graded_time_mesh
 
-    if cfg.kind == "temporal-convergence":
-        meshes = [(f"M_list[{i}]", M, cfg.gamma) for i, M in enumerate(cfg.M_list)]
-    elif cfg.kind == "condition-number":
-        meshes = [(f"cond_rows[{i}].gamma", cfg.M, row.gamma)
-                  for i, row in enumerate(cfg.cond_rows)]
-    else:
-        meshes = [("time", cfg.M, cfg.gamma)]
-    for key, M, gamma in meshes:
+    for key, M, gamma in _time_meshes(cfg):
         try:
             build_graded_time_mesh(M, gamma, cfg.T)
         except InvalidArgumentError as exc:
@@ -336,23 +341,23 @@ def _set_thread_env(threads: int | None, deterministic: bool) -> None:
 
 def _run_solves(cfg: ExperimentConfig):
     """Every study that solves: one solve per case (label, rate abscissa,
-    nx, M), each measured by a FinalTimeError observer against the exact
-    solution while the run goes, so no level is kept."""
+    nx, M, gamma), each measured by a FinalTimeError observer against the
+    exact solution while the run goes, so no level is kept."""
     from .analysis import ErrorReport, FinalTimeError, rates
     from .basis import BasisSpec
     from .ldg import FluxWeights, solve
     from .meshes import build_graded_time_mesh, build_spatial_mesh
     from .problems import example1, example2
 
-    if cfg.kind == "spatial-convergence":
-        cases = [(f"1/{nx}", 1.0 / nx, nx, cfg.M) for nx in cfg.nx_list]
-    elif cfg.kind == "temporal-convergence":
+    if cfg.kind == "temporal-convergence":
         # Coupled spatial resolution h = M^((alpha-2)/(k+1)) keeps the
         # spatial error subordinate while the time error is measured.
-        cases = [(str(M), 1.0 / M, max(1, round(M ** ((2.0 - cfg.alpha) / (cfg.degree + 1)))), M)
-                 for M in cfg.M_list]
+        cases = [(str(M), 1.0 / M, max(1, round(M ** ((2.0 - cfg.alpha) / (cfg.degree + 1)))),
+                  M, gamma) for _, M, gamma in _time_meshes(cfg)]
     else:
-        cases = [(f"1/{cfg.nx}", 1.0 / cfg.nx, cfg.nx, cfg.M)]
+        [(_, M, gamma)] = _time_meshes(cfg)
+        nxs = cfg.nx_list if cfg.kind == "spatial-convergence" else (cfg.nx,)
+        cases = [(f"1/{nx}", 1.0 / nx, nx, M, gamma) for nx in nxs]
     if cfg.problem == "example1":
         prob = example1(cfg.alpha)
     else:
@@ -360,9 +365,9 @@ def _run_solves(cfg: ExperimentConfig):
     basis = BasisSpec(cfg.degree)
     fw = FluxWeights(*cfg.flux)
     errors = []
-    for _, _, nx, M in cases:
+    for _, _, nx, M, gamma in cases:
         mesh = build_spatial_mesh(nx, nx)
-        tm = build_graded_time_mesh(M, cfg.gamma, cfg.T)
+        tm = build_graded_time_mesh(M, gamma, cfg.T)
         measure = FinalTimeError(tm, mesh, basis, prob.exact)
         solve(prob, mesh, tm, basis, fw, measure)
         errors.append(measure.value)
@@ -391,16 +396,16 @@ def _run_condition(cfg: ExperimentConfig):
     # Rows differ in (degree, alpha, gamma); the operators depend only on
     # the degree and the flux pair, so each pair is assembled once.
     operators = {}
-    for row in cfg.cond_rows:
+    for row, (_, M, gamma) in zip(cfg.cond_rows, _time_meshes(cfg), strict=True):
         basis = BasisSpec(row.degree)
-        tm = build_graded_time_mesh(cfg.M, row.gamma, cfg.T)
+        tm = build_graded_time_mesh(M, gamma, cfg.T)
         A = L1Kernel(row.alpha, tm)
         group_vals = []
         for s1, s2 in cfg.flux_list:
             key = (row.degree, s1, s2)
             if key not in operators:
                 operators[key] = assemble_operators(mesh, basis, FluxWeights(s1, s2))
-            c2 = condition_number(operators[key], A, cfg.M)
+            c2 = condition_number(operators[key], A, M)
             labels.append(_cond_label(row.degree, row.alpha, s1, s2))
             values.append(c2)
             group_vals.append(c2)

@@ -218,6 +218,48 @@ def test_every_config_key_is_set_by_a_shipped_config(monkeypatch):
     assert sorted(asked - given) == []
 
 
+@pytest.mark.filterwarnings("ignore:central flux weight")
+def test_runners_build_the_time_meshes_the_config_check_builds(monkeypatch):
+    # validate-config builds the meshes _time_meshes lists; every runner
+    # must build exactly those, in that order, or the two verbs disagree on
+    # which configs are valid. Solving and measuring are stubbed out.
+    import fracldg.ldg
+    import fracldg.meshes
+
+    class NoError:
+        value = 1.0
+
+        def __init__(self, *args):
+            pass
+
+    build = fracldg.meshes.build_graded_time_mesh
+    built = []
+
+    def recording_build(M, gamma, T):
+        built.append((M, gamma))
+        return build(M, gamma, T)
+
+    monkeypatch.setattr(fracldg.ldg, "solve", lambda *args: None)
+    monkeypatch.setattr(fracldg.ldg, "assemble_operators", lambda *args: None)
+    monkeypatch.setattr(fracldg.analysis, "FinalTimeError", NoError)
+    monkeypatch.setattr(fracldg.analysis, "condition_number", lambda *args: 1.0)
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+    paths = sorted(presets_dir().glob("*.yaml")) + sorted(bench.glob("*.yaml"))
+    kinds = set()
+    for path in paths:
+        cfg = load_config(str(path))
+        kinds.add(cfg.kind)
+        built.clear()
+        monkeypatch.setattr(fracldg.meshes, "build_graded_time_mesh", recording_build)
+        fracldg.cli._RUNNERS[cfg.kind](cfg)
+        monkeypatch.setattr(fracldg.meshes, "build_graded_time_mesh", build)
+        expected = [(M, gamma) for _, M, gamma in fracldg.cli._time_meshes(cfg)]
+        if cfg.kind == "spatial-convergence":
+            expected *= len(cfg.nx_list)
+        assert built == expected, path.name
+    assert kinds == set(fracldg.cli._RUNNERS)
+
+
 def test_validate_config_verb(capsys):
     assert main(["validate-config", "--config", "table8-cond"]) == 0
     out = capsys.readouterr().out
