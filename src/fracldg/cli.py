@@ -134,14 +134,15 @@ class _Mapping:
         return value
 
     def items(self, key: str, item) -> tuple | None:
-        """The optional list under `key`, each entry read by item(value, ctx)."""
+        """The optional list under `key`, entry i read by item(value, ctx)
+        with ctx naming it, `key[i]`."""
         value = self.get(key, None)
         if value is None:
             return None
         ctx = f"{self.ctx}.{key}"
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{ctx}: expected a list, got {value!r}")
-        return tuple(item(v, ctx) for v in value)
+        return tuple(item(v, f"{ctx}[{i}]") for i, v in enumerate(value))
 
     def done(self) -> None:
         if self._unread:
@@ -168,7 +169,7 @@ def _number(value, ctx: str, ok=None, want: str = "", integer: bool = False):
 
 
 def _mesh_size(value, ctx: str) -> int:
-    return _number(value, ctx, lambda n: n >= 1, "entries must be >= 1", integer=True)
+    return _number(value, ctx, lambda n: n >= 1, "must be >= 1", integer=True)
 
 
 def _as_flux(value, ctx: str) -> tuple[float, float]:

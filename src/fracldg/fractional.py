@@ -18,18 +18,22 @@ computed; a run costs M exponentials per quadrature point instead of M^2/2.
 The sum stays exact and costs O(M^2 N_q) flops per run (N_q quadrature
 points), but it is not read level by level. Every HISTORY_PANEL steps,
 History forms the contribution of all levels stored so far to the next
-HISTORY_PANEL steps in one matrix-matrix product (BLAS-3); each step then
-adds its panel row to a sum over the fewer than HISTORY_PANEL levels written
-since. The stored levels are read once per panel instead of once per step,
-which cuts the memory traffic of the sum by the panel factor. History owns
-the buffer of stored levels, the panel, this schedule and the check that
+HISTORY_PANEL steps in one matrix-matrix product (BLAS-3), and writes it
+into the rows of its buffer that those steps' levels will fill; each step
+then adds its panel row to a sum over the fewer than HISTORY_PANEL levels
+written since, before its own level overwrites the row. The stored levels
+are read once per panel instead of once per step, which cuts the memory
+traffic of the sum by the panel factor. The M + 1 tempered levels, the
+floor of an exact sum, are thus the only buffer History keeps. History
+owns that buffer, this schedule, the order of its calls and the check that
 the tempering factors stay within the float64 range.
 
 No table of L1 coefficients is kept: L1Kernel holds alpha and the time mesh,
 and each panel and each step evaluates the coefficients it reads from their
-closed form, a HISTORY_PANEL x M block per panel and at most HISTORY_PANEL
-values per step. The flops stay O(M^2) per run; the coefficient memory drops
-from M (M + 1) / 2 stored values to that transient block.
+closed form, in place, a HISTORY_PANEL x M block per panel in two arrays
+and at most HISTORY_PANEL values per step. The flops stay O(M^2) per run;
+the coefficient memory drops from M (M + 1) / 2 stored values to that
+transient block.
 
 The Mittag-Leffler function E_alpha gives example1 its closed-form
 solution. It takes the orders 0 < alpha < 1 that the rest of the package
@@ -113,29 +117,40 @@ def _interval_weights(A: L1Kernel, n, lo: int, stop: int) -> np.ndarray:
     is evaluated as x^(1-a) * (-expm1((1-a) * log1p(-tau_j/x))) with
     x = t_n - t_j: on strongly graded meshes the two powers agree to many
     digits and the naive subtraction loses enough precision to break the
-    monotone ordering of the tail weights.
+    monotone ordering of the tail weights. The block is evaluated in place,
+    so a (rows, stop - lo) block takes two arrays of its size, x and the
+    result. The leading minus goes on the divisor, a row of stop - lo
+    values: a sign change is exact, so the bits are those of negating the
+    block.
     """
     t, tau, alpha = A.tm.t, A.tm.tau, A.alpha
     x = t[n] - t[lo:stop]
     step_tau = tau[lo:stop]
+    a = np.divide(-step_tau, x)
     with np.errstate(divide="ignore"):
-        ratio = np.expm1((1.0 - alpha) * np.log1p(-step_tau / x))
-    return -ratio * x ** (1.0 - alpha) / (math.gamma(2.0 - alpha) * step_tau)
+        np.log1p(a, out=a)
+    a *= 1.0 - alpha
+    np.expm1(a, out=a)
+    x **= 1.0 - alpha
+    a *= x
+    a /= -(math.gamma(2.0 - alpha) * step_tau)
+    return a
 
 
 def _memory_weights(A: L1Kernel, n, start: int, stop: int) -> np.ndarray:
     """Memory weights c_j^n of the levels j = start, ..., stop - 1, shaped as
     _interval_weights: c_0^n = -a_0^n and c_j^n = a_{j-1}^n - a_j^n, the
     weight of the tempered level w_j in History.sum. Only the
-    interval weights from max(start - 1, 0) on are evaluated.
+    interval weights from max(start - 1, 0) on are evaluated; at most two
+    arrays of the block's size are held at once.
     """
     if start > 0:
         a = _interval_weights(A, n, start - 1, stop)
-        return a[..., :-1] - a[..., 1:]
+        return np.subtract(a[..., :-1], a[..., 1:])
     a = _interval_weights(A, n, 0, stop)
     c = np.empty_like(a)
-    c[..., 0] = -a[..., 0]
-    c[..., 1:] = a[..., :-1] - a[..., 1:]
+    np.negative(a[..., :1], out=c[..., :1])
+    np.subtract(a[..., :-1], a[..., 1:], out=c[..., 1:])
     return c
 
 
@@ -186,10 +201,14 @@ def mittag_leffler(alpha: float, z: float) -> float:
     return _mittag_leffler_contour(alpha, z)
 
 
-def _panel_rows(M: int) -> int:
-    """Rows of the panel buffer of a History of M steps: it holds the first
-    panel, the largest; none forms when M < HISTORY_PANEL."""
-    return min(HISTORY_PANEL, max(M + 1 - HISTORY_PANEL, 0))
+def _weight_block_entries(M: int) -> int:
+    """Entries of the largest memory-weight block a History of M steps forms:
+    the panel at start s weighs s levels for min(HISTORY_PANEL, M + 1 - s)
+    steps, so the last full panel or the last panel is the largest; none
+    forms when M < HISTORY_PANEL."""
+    last = M - M % HISTORY_PANEL
+    starts = (last - HISTORY_PANEL, last)
+    return max((min(HISTORY_PANEL, M + 1 - s) * s for s in starts if s > 0), default=0)
 
 
 class History:
@@ -207,19 +226,25 @@ class History:
         sum_{i=1}^{n-1} (A_i^n - A_{i-1}^n) e^{-kappa (t_n - t_{n-i})} u^{n-i},
 
     i.e. everything in D_M u^n but the A_0^n u^n term; the time stepper
-    moves it to the right-hand side with a sign flip. It needs the levels
-    u^0..u^{n-1}. Since e^{-kappa (t_n - t_j)} u^j = e^{-kappa t_n} w_j, the
-    sum is e^{-kappa t_n} sum_j c_j^n w_j with the memory weights
+    moves it to the right-hand side with a sign flip. Since
+    e^{-kappa (t_n - t_j)} u^j = e^{-kappa t_n} w_j, the sum is
+    e^{-kappa t_n} sum_j c_j^n w_j with the memory weights
     c_0^n = -A_{n-1}^n and c_j^n = A_{n-j}^n - A_{n-j-1}^n (j = 1..n-1).
 
-    The sum stays exact, O(M^2 N_q) flops per run, but is blocked. A step
-    n >= HISTORY_PANEL takes the share of the levels before
-    start = n - n % HISTORY_PANEL from one GEMM, which forms it for the steps
-    start..start + HISTORY_PANEL - 1 into a panel buffer allocated once. The
-    step adds the fewer than HISTORY_PANEL levels from start on itself. The
-    stored levels are thus read once per panel instead of once per step. A
-    panel forms when a step of it first asks, so in step order it forms at
-    n = start.
+    One contract orders the calls: sum(n) is taken between push(n - 1) and
+    push(n), when exactly the n levels w_0..w_{n-1} are stored, for
+    1 <= n <= M. That is the order in which the time stepper runs; any other
+    n raises InvalidArgumentError.
+
+    The sum stays exact, O(M^2 N_q) flops per run, but is blocked. Once the
+    levels before a start = 0 mod HISTORY_PANEL are stored, push forms their
+    share in the sums of the steps start..start + HISTORY_PANEL - 1 with one
+    GEMM, and writes it into the rows of the buffer those steps' levels
+    will occupy, none of which is written yet. Step n adds to its panel row,
+    row n, the fewer than HISTORY_PANEL levels stored since start; push(n)
+    then overwrites the row with w_n. The stored levels are thus read once
+    per panel instead of once per step, and the buffer of levels is all the
+    History holds between calls.
 
     Memory: nbytes(M, N_q), N_q the number of quadrature points of one level.
     """
@@ -239,51 +264,64 @@ class History:
                 f"c_kappa * T = {c_kappa * A.tm.T:g} exceeds {MAX_TEMPERING_EXPONENT:g}: "
                 "the tempering factors e^(+-kappa t) would leave the float64 range"
             )
-        M = A.tm.M
         self.A = A
         self.kappa = kappa_at_quad
         self._count = 0  # levels stored
-        self._levels = np.empty((M + 1,) + kappa_at_quad.shape)
-        self._panel = np.empty((_panel_rows(M), kappa_at_quad.size))
-        self._panel_start = 0  # 0: no panel formed
+        self._levels = np.empty((A.tm.M + 1,) + kappa_at_quad.shape)
 
     @staticmethod
     def nbytes(M: int, n_q: int) -> int:
         """Bytes a History of M steps holds at n_q points per level: the
-        M + 1 tempered levels and the panel buffer."""
-        return 8 * (M + 1 + _panel_rows(M)) * n_q
+        M + 1 tempered levels, and the two arrays of the largest
+        memory-weight block (_memory_weights) that a panel holds while it
+        forms."""
+        return 8 * ((M + 1) * n_q + 2 * _weight_block_entries(M))
 
     def push(self, n: int, values: np.ndarray) -> None:
         """Temper u^n, given at the quadrature points, and store it; n must be
-        the number of levels stored."""
-        if n != self._count or n > self.A.tm.M:
+        the number of levels stored. When step n + 1 starts a panel, form it."""
+        M = self.A.tm.M
+        if n != self._count or n > M:
             raise InvalidArgumentError(
-                f"level {n} pushed after {self._count} levels; push u^0..u^{self.A.tm.M} in order"
+                f"level {n} pushed after {self._count} levels; push u^0..u^{M} in order"
             )
         if np.shape(values) != self.kappa.shape:  # would broadcast into the row
             raise InvalidArgumentError(
                 f"level {n} has shape {np.shape(values)}, kappa at the points {self.kappa.shape}"
             )
-        # e^{kappa t_0} = 1
-        self._levels[n] = values if n == 0 else np.exp(self.kappa * self.A.tm.t[n]) * values
+        row = self._levels[n]
+        if n == 0:
+            row[...] = values  # e^{kappa t_0} = 1
+        else:
+            np.multiply(self.kappa, self.A.tm.t[n], out=row)
+            np.exp(row, out=row)
+            row *= values
         self._count += 1
+        start = self._count
+        if start % HISTORY_PANEL == 0 and start <= M:
+            # The share of w_0..w_{start-1} in the sums of the next steps goes
+            # into those steps' rows, which no level has reached yet.
+            rows = min(HISTORY_PANEL, M + 1 - start)
+            C = _memory_weights(self.A, np.arange(start, start + rows)[:, None], 0, start)
+            levels = self._levels.reshape(M + 1, -1)
+            np.matmul(C, levels[:start], out=levels[start : start + rows])
 
     def sum(self, n: int) -> np.ndarray:
-        """Memory sum of step n at the points, shaped like kappa."""
-        A = self.A
-        if not 1 <= n <= min(self._count, A.tm.M):
+        """Memory sum of step n at the points, shaped like kappa; taken
+        between push(n - 1) and push(n)."""
+        M = self.A.tm.M
+        if not (n == self._count and 1 <= n <= M):
             raise InvalidArgumentError(
-                f"memory sum of step {n}: steps run 1..{A.tm.M} and need w^0..w^{n - 1}, "
-                f"{self._count} levels stored"
+                f"memory sum of step {n}: steps run 1..{M}, each between push(n - 1) and "
+                f"push(n), and need w^0..w^{n - 1}, {self._count} levels stored"
             )
         start = n - n % HISTORY_PANEL
-        if start and start != self._panel_start:
-            panel = self._panel[: A.tm.M + 1 - start]
-            C = _memory_weights(A, np.arange(start, start + len(panel))[:, None], 0, start)
-            np.matmul(C, self._levels[:start].reshape(start, -1), out=panel)
-            self._panel_start = start
-        c = _memory_weights(A, n, start, n)
+        c = _memory_weights(self.A, n, start, n)
         total = np.tensordot(c, self._levels[start:n], axes=1)
         if start:
-            total += self._panel[n - start].reshape(total.shape)
-        return np.exp(-self.kappa * A.tm.t[n]) * total
+            total += self._levels[n]  # the panel row of step n
+        factor = np.negative(self.kappa)
+        factor *= self.A.tm.t[n]
+        np.exp(factor, out=factor)
+        total *= factor
+        return total

@@ -304,8 +304,9 @@ def physical_memory_bytes() -> int | None:
 
 def footprint_bytes(mesh: SpatialMesh, tm: GradedTimeMesh, basis: BasisSpec) -> int:
     """Bytes solve holds for a whole run, from the sizes alone: the History
-    (History.nbytes), and the dense 1D blocks Kx, Ky and
-    their eigenvectors. The fields in flight, O(N_dof) each, are left out."""
+    (History.nbytes: the tempered levels and the largest memory-weight block
+    a panel forms), and the dense 1D blocks Kx, Ky and their eigenvectors.
+    What one step holds, O(N_q + N_dof), is left out."""
     kk = basis.k + 1
     q = basis.default_quad_points
     n_q = mesh.nx * mesh.ny * q * q
@@ -333,7 +334,7 @@ def solve(
 
     solve keeps no field: the observer keeps what it needs, such as one
     error functional (analysis.FinalTimeError) or every level. Memory is
-    O(M N_q) for the History plus O(N_dof) for the fields in flight and
+    O(M N_q) for the History plus O(N_q + N_dof) for the fields in flight and
     whatever the observer keeps.
 
     Before it allocates anything, solve works out from (M, nx, ny, k) the

@@ -273,9 +273,21 @@ def memory_sum(A, kappa_at_quad: np.ndarray, tempered_at_quad: np.ndarray, n: in
 
     The unpanelled form of fracldg.fractional.History.sum, which adds the
     same terms, panel by panel, in another order; the exact reference for it.
+    Unlike History.sum it may be read at any step, in any order.
     """
     c = _memory_weights(A, n, 0, n)
     return np.exp(-kappa_at_quad * A.tm.t[n]) * np.tensordot(c, tempered_at_quad[:n], axes=1)
+
+
+def march(history, levels):
+    """Drive a fracldg.fractional.History in the order of the time stepper,
+    the only order in which its sum is defined: push levels[0] = u^0, then
+    for n = 1, ..., len(levels) - 1 yield (n, history.sum(n)) before
+    pushing levels[n]. levels are the untempered values at the points."""
+    history.push(0, levels[0])
+    for n in range(1, len(levels)):
+        yield n, history.sum(n)
+        history.push(n, levels[n])
 
 
 def solve_stepwise(prob, mesh, tm, basis, fw) -> list:

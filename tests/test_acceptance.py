@@ -48,6 +48,7 @@ from oracles import (
     convolution_kernel,
     dense_directional_operator,
     flatten,
+    march,
     mittag_leffler_series,
     project_P,
     project_Q,
@@ -288,11 +289,7 @@ def test_memory_operator_exact_on_tempered_linears():
         (lambda t: t, lambda t: t ** (1.0 - alpha) / math.gamma(2.0 - alpha)),
     ):
         hist_quad = [np.exp(-kq * t) * v(t) for t in tm.t]
-        history = History(A, kq, 1.0)
-        for n, h in enumerate(hist_quad):
-            history.push(n, h)
-        for n in range(1, 7):
-            hist = history.sum(n)
+        for n, hist in march(History(A, kq, 1.0), hist_quad):
             got = A.row(n)[0] * hist_quad[n] + hist
             expected = np.exp(-kq * tm.t[n]) * dv_exact(tm.t[n])
             scale = A.row(n)[0] * np.max(np.abs(hist_quad[n]))

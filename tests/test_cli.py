@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -89,7 +90,7 @@ def test_unknown_preset_error_lists_available_names():
     ({"M_list": 5}, "M_list: expected a list"),
     ({"flux_list": 5}, "flux_list: expected a list"),
     ({"cond_rows": 5}, "cond_rows: expected a list"),
-    ({"cond_rows": [3]}, "cond_rows: expected a mapping"),
+    ({"cond_rows": [3]}, "config.cond_rows[0]: expected a mapping"),
     ({"cond_rows": [{"degree": 12, "alpha": 0.5, "gamma": 1.0}]}, "degree must lie in 0..8"),
     ({"cond_rows": [{"degree": 1, "alpha": 0.5, "gamma": 0.5}]}, "gamma must be >= 1"),
     ({"expect": 5}, "expect: expected a mapping"),
@@ -98,13 +99,13 @@ def test_unknown_preset_error_lists_available_names():
     ({"expect": {"cond_anchor": 5}}, "cond_anchor: expected a mapping"),
     ({"time": {"M": 3, "gama": 6.0}}, "config.time: unknown keys ['gama']"),
     ({"cond_rows": [{"degree": 1, "alpha": 0.5, "gamma": 1.0, "flux": [0.5, 0.5]}]},
-     "config.cond_rows: unknown keys ['flux']"),
+     "config.cond_rows[0]: unknown keys ['flux']"),
     ({"expect": {"errors": [0.1], "error_tol": 0.1}}, "config.expect: unknown keys ['error_tol']"),
     ({"expect": {"cond_anchor": {"degree": 0, "alpha": 0.7, "flux": [1.0, 0.0],
                                  "value": 14.0, "colour": "red"}}},
      "config.expect.cond_anchor: unknown keys ['colour']"),
     ({"cond_rows": [{"degree": 1, "alpha": "x", "gamma": 1.0}]},
-     "config.cond_rows.alpha: expected a number"),
+     "config.cond_rows[0].alpha: expected a number"),
     ({"expect": {"cond_anchor": {"degree": 0, "alpha": 1.5, "flux": [1.0, 0.0], "value": 14.0}}},
      "config.expect.cond_anchor.alpha must lie in the admissible range (0, 1)"),
     ({"nx": float("inf")}, "config.nx: expected a finite number"),
@@ -142,6 +143,11 @@ def test_unknown_preset_error_lists_available_names():
       "cond_rows": [{"degree": 0, "alpha": 0.5, "gamma": 1.0},
                     {"degree": 1, "alpha": 0.5, "gamma": 200}]},
      "config.cond_rows[1].gamma: M=1000, gamma=200, T=0.1: nonpositive time step produced"),
+    # A bad entry past the first is named by its index.
+    ({"cond_rows": [{"degree": 0, "alpha": 0.5, "gamma": 1.0},
+                    {"degree": 1, "alpha": "x", "gamma": 1.0}]},
+     "config.cond_rows[1].alpha: expected a number, got 'x'"),
+    ({"M_list": [2, 0]}, "config.M_list[1] must be >= 1, got 0"),
 ])
 def test_config_validation_messages(overrides, needle):
     with pytest.raises(ConfigError) as ei:
@@ -202,7 +208,9 @@ def test_every_config_key_is_set_by_a_shipped_config(monkeypatch):
     source = ""
 
     def recording_get(self, key, *default):
-        path = (self.ctx.removeprefix(source).lstrip(".") + "." + key).lstrip(".")
+        # cond_rows[3].alpha and cond_rows[0].alpha are one key.
+        ctx = re.sub(r"\[\d+\]", "", self.ctx.removeprefix(source))
+        path = (ctx.lstrip(".") + "." + key).lstrip(".")
         asked.add(path)
         if key in self._d:
             given.add(path)
@@ -214,7 +222,7 @@ def test_every_config_key_is_set_by_a_shipped_config(monkeypatch):
     for path in paths:
         source = path.name
         load_config(str(path))
-    assert "expect.cond_anchor.factor" in asked
+    assert {"expect.cond_anchor.factor", "cond_rows.alpha"} <= asked
     assert sorted(asked - given) == []
 
 

@@ -22,6 +22,7 @@ from oracles import (
     complementary_kernels_by_inversion,
     convolution_kernel,
     l1_table,
+    march,
     memory_sum,
     mittag_leffler_series,
     substantial_history_loop,
@@ -111,13 +112,9 @@ def _check_weights_match_table_bitwise(M: int, gamma: float, alpha: float, T: fl
     probe = np.eye(M + 1)
     for n in range(M + 1):
         assert np.array_equal(A.row(n), table[n]), n
-    history = History(A, np.zeros(M + 1), 0.0)
-    history.push(0, probe[0])
-    for n in range(1, M + 1):
+    for n, full in march(History(A, np.zeros(M + 1), 0.0), probe):
         assert A.a0(n) == table[n][0], n
-        full = history.sum(n)
         assert np.array_equal(full[:n], _table_memory_weights(table, n)) and not full[n:].any(), n
-        history.push(n, probe[n])
 
 
 @pytest.mark.parametrize("M", [1, 31, 32, 33])
@@ -258,14 +255,13 @@ def test_substantial_history_matches_loop_oracle(alpha, gamma, M, k, nx, ny, T, 
     kq = grid.at(lambda x, y: a * np.cos(2 * math.pi * x) + b * np.sin(2 * math.pi * y) + c)
     assert np.max(np.abs(kq)) <= abs(a) + abs(b) + abs(c) <= 3.0
     rng = np.random.default_rng(seed)
+    # u^0..u^M: march pushes u^M after the last sum, which never reads it.
     fields = [DgField(rng.standard_normal((nx, ny, k + 1, k + 1)), basis, mesh)
-              for _ in range(M)]
+              for _ in range(M + 1)]
     history = History(A, kq, abs(a) + abs(b) + abs(c))
-    for n, u in enumerate(fields):
-        history.push(n, u.eval_volume_quad(quad))
-    umax = max(float(np.max(np.abs(u.eval_volume_quad(quad)))) for u in fields)
-    for n in range(1, M + 1):
-        got = history.sum(n)
+    levels = [u.eval_volume_quad(quad) for u in fields]
+    umax = max(float(np.max(np.abs(v))) for v in levels[:M])
+    for n, got in march(history, levels):
         ref = substantial_history_loop(A, kq, fields[:n], n, quad=quad)
         scale = float(np.sum(np.abs(np.diff(A.row(n)[::-1], prepend=0.0)))) * umax
         assert np.max(np.abs(got - ref)) <= HISTORY_DIFF_RTOL * scale
@@ -287,15 +283,10 @@ PANEL_SUM_RTOL = 1e-13
     ny=st.integers(1, 3),
     kappa0=st.floats(-1.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
 )
-def test_panel_row_plus_remainder_matches_full_history(
-    alpha, gamma, M, k, nx, ny, kappa0, seed, data
-):
-    # History.sum over a drawn order of steps: a step of another panel than
-    # the last one asked for forms its panel first, so the panel row plus the
-    # sum over the levels written since the panel start equals the unpanelled
-    # full sum whatever the order.
+def test_panel_row_plus_remainder_matches_full_history(alpha, gamma, M, k, nx, ny, kappa0, seed):
+    # History.sum in step order: the panel row plus the sum over the levels
+    # written since the panel start equals the unpanelled full sum.
     mesh = build_spatial_mesh(nx, ny)
     tm = build_graded_time_mesh(M, gamma, 0.5)
     A = L1Kernel(alpha, tm)
@@ -303,14 +294,10 @@ def test_panel_row_plus_remainder_matches_full_history(
     kq = grid.at(lambda x, y: kappa0 * np.cos(2 * math.pi * x) + 0.0 * y)
     history = History(A, kq, abs(kappa0))
     rng = np.random.default_rng(seed)
-    tempered = np.empty((M + 1,) + kq.shape)
-    for n in range(M + 1):
-        values = rng.standard_normal(kq.shape)
-        history.push(n, values)
-        tempered[n] = np.exp(kq * tm.t[n]) * values
+    levels = [rng.standard_normal(kq.shape) for _ in range(M + 1)]
+    tempered = np.stack([np.exp(kq * tm.t[n]) * values for n, values in enumerate(levels)])
     wmax = float(np.max(np.abs(tempered)))
-    for n in data.draw(st.permutations(range(1, M + 1)), label="order"):
-        got = history.sum(n)
+    for n, got in march(history, levels):
         ref = memory_sum(A, kq, tempered, n)
         scale = A.row(n)[0] * wmax * float(np.max(np.exp(-kq * tm.t[n])))
         assert np.max(np.abs(got - ref)) <= PANEL_SUM_RTOL * scale, n

@@ -45,6 +45,7 @@ from oracles import (
     dense_directional_operator,
     flatten,
     lifted_stiffness,
+    march,
     memory_sum,
     solve_fields,
     solve_stepwise,
@@ -386,11 +387,9 @@ def test_discrete_substantial_derivative_exact_on_tempered_linears():
         (lambda t: t, lambda t: t ** (1.0 - alpha) / math.gamma(2.0 - alpha)),
     ):
         hist_quad = [np.exp(-kq * t) * v(t) for t in tm.t]
-        history = History(A, kq, 1.0)
-        for n, h in enumerate(hist_quad):
-            history.push(n, h)
-        for n in (1, 3, 6):
-            hist = history.sum(n)
+        for n, hist in march(History(A, kq, 1.0), hist_quad):
+            if n not in (1, 3, 6):
+                continue
             got = A.row(n)[0] * hist_quad[n] + hist
             expected = np.exp(-kq * tm.t[n]) * dv_exact(tm.t[n])
             scale = A.row(n)[0] * np.max(np.abs(hist_quad[n]))
@@ -446,9 +445,9 @@ def test_step_rejects_short_history():
 
 
 def _random_history(M: int, seed: int):
-    """A History of M + 1 random Q1 levels on a 3 x 2 mesh, with its kernel
-    and kappa, and the levels' tempered values stacked as the unpanelled
-    oracles.memory_sum reads them."""
+    """An empty History of M steps on a 3 x 2 Q1 mesh, with its kernel and
+    kappa, M + 1 random levels at the points, and the levels' tempered values
+    stacked as the unpanelled oracles.memory_sum reads them."""
     prob = example2(0.4)
     mesh = build_spatial_mesh(3, 2)
     basis = BasisSpec(1)
@@ -458,12 +457,13 @@ def _random_history(M: int, seed: int):
     kappa = grid.at(prob.kappa)
     history = History(A, kappa, prob.c_kappa)
     rng = np.random.default_rng(seed)
+    levels = []
     tempered = np.empty((M + 1,) + kappa.shape)
     for n in range(M + 1):
         values = DgField(rng.standard_normal((3, 2, 2, 2)), basis, mesh).eval_volume_quad(quad)
-        history.push(n, values)
+        levels.append(values)
         tempered[n] = np.exp(kappa * A.tm.t[n]) * values
-    return history, A, kappa, tempered
+    return history, A, kappa, levels, tempered
 
 
 @pytest.mark.parametrize("M", [1, 31, 32, 33, 65, 100])
@@ -473,8 +473,8 @@ def test_history_sum_in_step_order_is_the_panel_form_bitwise(M):
     # levels stored before it; per step the contraction of the levels since,
     # plus the panel row, times the tempering factor. Same numpy calls in the
     # same order, same bits: the shipped presets' outputs rest on this order.
-    history, A, kappa, tempered = _random_history(M, 41)
-    for n in range(1, M + 1):
+    history, A, kappa, levels, tempered = _random_history(M, 41)
+    for n, got in march(history, levels):
         start = n - n % HISTORY_PANEL
         if n == start:
             steps = np.arange(start, min(start + HISTORY_PANEL, M + 1))[:, None]
@@ -483,22 +483,33 @@ def test_history_sum_in_step_order_is_the_panel_form_bitwise(M):
         if start:
             total += panel[n - start].reshape(total.shape)
         ref = np.exp(-kappa * A.tm.t[n]) * total
-        assert np.array_equal(history.sum(n), ref), n
+        assert np.array_equal(got, ref), n
 
 
-def test_history_sum_out_of_order_matches_one_shot_sum():
-    # A step of another panel re-forms that panel, so sum(n) is right in any
-    # order, not only in step order.
+def test_history_sum_outside_step_order_raises():
+    # sum(n) is defined between push(n - 1) and push(n) only: the panel rows
+    # live in the rows later levels overwrite, so the sum of an earlier or a
+    # later step cannot be formed. A step whose sum was skipped, even at a
+    # panel start, leaves the later sums right.
     M = 100
-    history, A, kappa, tempered = _random_history(M, 43)
-    for n in (70, 40, 96, 5, 64, 63, 100, 32, 33, 1):
-        ref = memory_sum(A, kappa, tempered, n)
-        got = history.sum(n)
-        assert np.max(np.abs(got - ref)) <= PANEL_DIFF_RTOL * np.max(np.abs(ref)), n
+    history, A, kappa, levels, tempered = _random_history(M, 43)
+    for n in range(70):
+        history.push(n, levels[n])
+    for n in (40, 96, 5, 64, 69, 71, 100, 32, 1, 0, 101):
+        with pytest.raises(InvalidArgumentError, match=r"between push\(n - 1\) and push\(n\)"):
+            history.sum(n)
+    ref = memory_sum(A, kappa, tempered, 70)
+    got = history.sum(70)
+    assert np.max(np.abs(got - ref)) <= PANEL_DIFF_RTOL * np.max(np.abs(ref))
+    history.push(70, levels[70])
+    with pytest.raises(InvalidArgumentError, match="71 levels stored"):
+        history.sum(70)  # after push(70)
 
 
 def test_history_push_takes_levels_in_order():
-    history, A, kappa, tempered = _random_history(3, 47)
+    history, A, kappa, levels, tempered = _random_history(3, 47)
+    for n, level in enumerate(levels):
+        history.push(n, level)
     values = tempered[0]
     with pytest.raises(InvalidArgumentError, match="in order"):
         history.push(4, values)  # the buffer holds u^0..u^3
@@ -568,7 +579,8 @@ def test_solve_reads_fewer_than_a_panel_of_levels_per_step(monkeypatch):
 
 #: Peak traced allocation allowed for solve() on a 1 x 1 Q0 mesh at M = 2000.
 #: A stored L1 coefficient table alone would take M (M + 1) / 2 * 8 B = 16 MB;
-#: without one the run peaks near 3 MB (tempered buffer, one panel).
+#: without one the run peaks near 1.3 MB (tempered levels, the two arrays of
+#: one memory-weight block).
 SOLVE_PEAK_BYTES_M2000 = 8 * 2**20
 
 
@@ -594,19 +606,86 @@ def test_solve_memory_holds_no_l1_table():
 FOOTPRINT_PROBE_BYTES = 4 * 2**20
 
 
-def test_footprint_counts_history_panel_and_blocks():
-    # 16 x 16 Q1, M = 200: q = 4 points per axis, so N_q = 4096; the panel
-    # has HISTORY_PANEL rows; the 1D blocks are 32 x 32.
+def test_footprint_counts_levels_weight_blocks_and_1d_blocks():
+    # 16 x 16 Q1: q = 4 points per axis, so N_q = 4096; the 1D blocks are
+    # 32 x 32. A panel at start s forms a min(HISTORY_PANEL, M + 1 - s) x s
+    # memory-weight block in two arrays. At M = 200 the largest is the full
+    # panel at s = 160 (the last, at s = 192, covers 9 steps).
     mesh = build_spatial_mesh(16, 16)
+    blocks = 2 * (32**2 + 32**2)
     tm = build_graded_time_mesh(200, 2.0, 0.1)
     assert footprint_bytes(mesh, tm, BasisSpec(1)) == 8 * (
-        201 * 4096 + HISTORY_PANEL * 4096 + 2 * (32**2 + 32**2)
+        201 * 4096 + 2 * HISTORY_PANEL * 160 + blocks
+    )
+    # At M = 95 the last panel, at s = 64, is full and the largest.
+    tm = build_graded_time_mesh(95, 2.0, 0.1)
+    assert footprint_bytes(mesh, tm, BasisSpec(1)) == 8 * (
+        96 * 4096 + 2 * HISTORY_PANEL * 64 + blocks
     )
     # M < HISTORY_PANEL forms no panel.
     short = build_graded_time_mesh(HISTORY_PANEL - 1, 2.0, 0.1)
-    assert footprint_bytes(mesh, short, BasisSpec(1)) == 8 * (
-        HISTORY_PANEL * 4096 + 2 * (32**2 + 32**2)
-    )
+    assert footprint_bytes(mesh, short, BasisSpec(1)) == 8 * (HISTORY_PANEL * 4096 + blocks)
+
+
+def _traced_solve_peak(nx: int, k: int, M: int):
+    """Traced peak bytes of a streamed solve of example2 on an nx x nx Q^k
+    mesh with M steps, with the run's mesh, time mesh and basis."""
+    import tracemalloc
+
+    mesh = build_spatial_mesh(nx, nx)
+    tm = build_graded_time_mesh(M, 2.0, 0.1)
+    basis = BasisSpec(k)
+    tracemalloc.start()
+    try:
+        solve(example2(0.5), mesh, tm, basis, FluxWeights(1.0, 0.0), lambda n, u: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, mesh, tm, basis
+
+
+#: Bytes per quadrature point and per coefficient a solve may hold beyond
+#: footprint_bytes at once: the step's fields in flight, the grid's points
+#: and kappa, the memory sum and the right-hand side. Measured 6.6 x 8 B on
+#: 16 x 16 Q2 at M = 100 (N_q + N_dof = 8 704 values).
+STEP_SLACK_PER_VALUE = 16 * 8
+
+#: numpy iterator buffers (np.getbufsize() elements of 8 B each) a ufunc over
+#: a broadcast weight block may hold; they, the length-M rows of the block
+#: evaluation and Python's own objects make the 0.21 MB a 1 x 1 Q0 run at
+#: M = 2000 holds beyond its footprint, 0.06 MB below this slack.
+UFUNC_BUFFERS = 4
+
+
+def test_solve_peak_is_within_its_footprint():
+    # A count of bytes, not a timing: footprint_bytes, which solve checks
+    # against the physical memory, counts every O(M) array solve holds, so
+    # the traced peak exceeds it only by what a step holds. The 1 x 1 Q0
+    # run is almost all weight block, the 16 x 16 Q2 run almost all levels.
+    for nx, k, M in ((1, 0, 2000), (16, 2, 100), (8, 1, 800)):
+        peak, mesh, tm, basis = _traced_solve_peak(nx, k, M)
+        q = basis.default_quad_points
+        values = mesh.nx * mesh.ny * (q * q + (k + 1) ** 2)
+        slack = STEP_SLACK_PER_VALUE * values + UFUNC_BUFFERS * 8 * np.getbufsize()
+        assert peak <= footprint_bytes(mesh, tm, basis) + slack, (nx, k, M, peak)
+
+
+#: Traced bytes a 16 x 16 Q2 solve at M = 100 may hold beyond its tempered
+#: levels, in units of one level, 8 N_q: measured 11.1 (two weight blocks
+#: and a step's arrays), 12.9 below this bound; a 32-row panel buffer next
+#: to the levels, with the weight blocks formed through four to five
+#: temporaries, measures 43.1, 19.1 above it.
+LEVELS_SLACK = 24
+
+
+def test_solve_holds_its_levels_and_little_more():
+    # A count of bytes, not a timing: the memory sum is exact, so the M + 1
+    # tempered levels are the floor of what a run holds; the panels live in
+    # the rows of the levels not yet written, and the weights are evaluated
+    # in place.
+    peak, mesh, tm, basis = _traced_solve_peak(16, 2, 100)
+    level = 8 * mesh.nx * mesh.ny * basis.default_quad_points**2
+    assert peak < (tm.M + 1 + LEVELS_SLACK) * level, peak / level - (tm.M + 1)
 
 
 def test_physical_memory_probe_reports_bytes():
@@ -616,7 +695,7 @@ def test_physical_memory_probe_reports_bytes():
 
 def test_solve_refuses_a_run_larger_than_physical_memory(monkeypatch):
     # A count of bytes, not a real allocation: the probe reports 4 MiB and the
-    # run would hold ~7.7 MB. solve must raise before it assembles anything,
+    # run would hold ~6.7 MB. solve must raise before it assembles anything,
     # so the traced peak stays far below the 6.6 MB of the tempered levels.
     import tracemalloc
 
@@ -665,9 +744,9 @@ def test_solve_runs_within_exactly_its_footprint(monkeypatch):
 
 #: Traced bytes a streamed solve may hold beyond footprint_bytes, as a share
 #: of the (M + 1) N_dof 8 B that keeping every field would add: the fields in
-#: flight, the step grid and the panel weights take the rest (measured
-#: 2.10 MB, 0.51 of the fields' 4.1 MB).
-STREAM_OVERHEAD_FRACTION = 0.75
+#: flight and the step grid take the rest (measured 0.21 MB, 0.05 of the
+#: fields' 4.1 MB).
+STREAM_OVERHEAD_FRACTION = 0.25
 
 
 def test_streamed_solve_keeps_no_field():
