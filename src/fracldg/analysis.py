@@ -3,7 +3,8 @@
 The error functional FinalTimeError, the final-time L2 error scaled by the
 horizon and the functional of every shipped convergence table, is a solve
 observer that computes its value while the run goes, keeps no field, and
-takes its norm with the same basis.VolumeGrid rule that solve uses. rates
+takes its norm on the basis.VolumeGrid rule that solve projects u0 and
+takes the source moments on (basis.default_quad_points). rates
 turns a sweep into consecutive-pair orders, and condition_number gives the
 exact 2-norm conditioning of a step matrix from the extreme eigenvalues of
 its small Fourier blocks on the periodic mesh, solving nothing. ErrorReport

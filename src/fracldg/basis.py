@@ -6,11 +6,11 @@ matrix is (hx*hy/4) * Identity on a physical cell. That scalar mass is what
 makes the auxiliary-variable elimination in the LDG operator a cheap scaling
 and keeps L2 norms a plain coefficient 2-norm.
 
-Every volume term goes through one tensor Gauss rule per cell, held by a
-VolumeGrid: the L2 projection of the initial condition, the source moments
-of each step, the memory sum at the points and the error norms. The rule
-has basis.default_quad_points points per axis unless a caller passes
-another.
+Every volume term goes through a tensor Gauss rule per cell, held by a
+VolumeGrid. The L2 projection of the initial condition, the source moments
+of each step and the error norms take basis.default_quad_points points per
+axis; the memory history is held, and its moments taken, at
+basis.history_quad_points, the fewest points that hold a level exactly.
 
 Cells are indexed 0-based: cell (i, j) spans [x_edges[i], x_edges[i+1]] x
 [y_edges[j], y_edges[j+1]].
@@ -55,8 +55,20 @@ class BasisSpec:
     @property
     def default_quad_points(self) -> int:
         """Default Gauss points per axis: k+3 over-integrates the variational
-        terms by two orders, enough for the exponential-weight integrands."""
+        terms by two orders, enough for the non-polynomial initial condition,
+        source and exact solution that the projection, the source moments
+        and the error norms integrate."""
         return self.k + 3
+
+    @property
+    def history_quad_points(self) -> int:
+        """Gauss points per axis of the memory history: k+1, so a stored level
+        has exactly as many values as coefficients. The rule is exact through
+        degree 2k+1 per axis, so for a constant kappa the memory term
+        e^{-kappa (t_n - t_j)} u^j v, of degree 2k, is integrated exactly;
+        for a variable kappa its positive weights keep the discrete memory
+        term a positive weighted sum."""
+        return self.k + 1
 
 
 @dataclass(frozen=True)
@@ -154,8 +166,10 @@ class VolumeGrid:
     x and y are the physical quadrature points shaped (nx, 1, q, 1) and
     (1, ny, 1, q), so a callable g(x, y) or f(t, x, y) broadcasts to the
     (nx, ny, q, q) grid; WV[q, r] = w_q Lhat_r(x_q) is the weighted
-    Vandermonde of the moments. The L2 projection, the source moments, the
-    memory sum at the points and the error norms all read this one rule.
+    Vandermonde of the moments. A run builds two: one on
+    basis.default_quad_points for the L2 projection, the source moments and
+    the error norms, and one on basis.history_quad_points for the memory
+    history and the moments of its sum.
     """
 
     mesh: SpatialMesh = field(repr=False)

@@ -246,7 +246,9 @@ class History:
     per panel instead of once per step, and the buffer of levels is all the
     History holds between calls.
 
-    Memory: nbytes(M, N_q), N_q the number of quadrature points of one level.
+    Memory: nbytes(M, N_q), N_q the number of points of one level. solve
+    builds it on the (k+1)-point Gauss rule per axis, where N_q equals the
+    level's N_dof coefficients.
     """
 
     def __init__(self, A: L1Kernel, kappa_at_quad: np.ndarray, c_kappa: float):

@@ -32,9 +32,13 @@ recomputation outside the run path.
 
 The earlier levels enter a step only through the memory sum, which one
 fracldg.fractional.History holds and evaluates: solve pushes each level,
-evaluated at the volume quadrature points, and step reads the sum. The
-points, the projection of u0 and the moments of each right-hand side all
-come from the run's one basis.VolumeGrid. solve hands each level to an
+evaluated at the points of the history rule, and step reads the sum. A run
+has two basis.VolumeGrids. The history grid, basis.history_quad_points
+(k+1) Gauss points per axis, holds the levels and takes the moments of the
+memory sum: a level there has as many values as coefficients, and for a
+constant kappa the rule integrates the memory term exactly. The source
+grid, basis.default_quad_points (k+3), projects u0 and takes the moments of
+the source, which is not a polynomial. solve hands each level to an
 observer and keeps none itself, and refuses, before it allocates, a run
 whose footprint exceeds the physical memory.
 """
@@ -269,21 +273,22 @@ def step(
     n: int,
     prob: ProblemSpec,
     grid: VolumeGrid,
+    history_grid: VolumeGrid,
     history: History,
 ) -> DgField:
     """Advance one time step: solve (A_0^n M I + K) U^n = -(hist, v) + (f(t_n), v).
 
-    history holds u^0..u^{n-1}, tempered at the points of grid, and hist is
-    its sum(n); the moments (g, v) of every basis function come from
-    grid.moments. The step does not store u^n; the caller pushes it.
+    history holds u^0..u^{n-1}, tempered at the points of history_grid, and
+    hist is its sum(n); history_grid takes the moments (hist, v) and grid
+    the moments (f(t_n), v) of the source. The step does not store u^n; the
+    caller pushes it.
     """
-    hist = history.sum(n)
     # The history part of D_M u moves to the right-hand side: this negation is
     # the single place the sign convention is applied.
-    rhs_values = -hist
+    moments = history_grid.moments(-history.sum(n))
     if prob.f is not None:
-        rhs_values = rhs_values + prob.f(A.tm.t[n], grid.x, grid.y)
-    moments = ops.M * grid.moments(rhs_values)
+        moments += grid.moments(prob.f(A.tm.t[n], grid.x, grid.y))
+    moments *= ops.M
     b = np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()  # solver order (i, r, j, s)
     x = ops.solve_system(A.a0(n), b)
     return ops.unflatten(x)
@@ -303,15 +308,32 @@ def physical_memory_bytes() -> int | None:
 
 
 def footprint_bytes(mesh: SpatialMesh, tm: GradedTimeMesh, basis: BasisSpec) -> int:
-    """Bytes solve holds for a whole run, from the sizes alone: the History
-    (History.nbytes: the tempered levels and the largest memory-weight block
-    a panel forms), and the dense 1D blocks Kx, Ky and their eigenvectors.
-    What one step holds, O(N_q + N_dof), is left out."""
+    """Bytes solve holds for a whole run, from the sizes alone. With N_h
+    points per level on the history rule (basis.history_quad_points per
+    axis), N_q on the source's rule (basis.default_quad_points) and N_dof
+    coefficients, it counts:
+
+    - the History (History.nbytes: the M + 1 tempered levels of N_h values
+      and the largest memory-weight block a panel forms) and kappa at its
+      points;
+    - the dense 1D blocks Kx, Ky and their eigenvectors;
+    - the points and the weighted Vandermonde of both VolumeGrids;
+    - the arrays in flight: three of N_q values (the source or u0 at the
+      points, with the temporaries of VolumeGrid.at and moments) and four
+      of N_dof (the memory sum and its tempering factor, the right-hand
+      side and the solution).
+
+    What the problem's callables allocate beyond their result is left out.
+    """
     kk = basis.k + 1
-    q = basis.default_quad_points
-    n_q = mesh.nx * mesh.ny * q * q
+    cells = mesh.nx * mesh.ny
+    n_h = cells * basis.history_quad_points**2
+    n_q = cells * basis.default_quad_points**2
+    n_dof = cells * kk**2
     blocks = 2 * ((mesh.nx * kk) ** 2 + (mesh.ny * kk) ** 2)
-    return History.nbytes(tm.M, n_q) + 8 * blocks
+    grids = (mesh.nx + mesh.ny + kk) * (basis.history_quad_points + basis.default_quad_points)
+    in_flight = 3 * n_q + 4 * n_dof
+    return History.nbytes(tm.M, n_h) + 8 * (n_h + blocks + grids + in_flight)
 
 
 def solve(
@@ -326,16 +348,19 @@ def solve(
     observe(n, u^n) for n = 0..M in order.
 
     u^0 is the L2 projection of the initial condition; each subsequent field
-    solves the step system. One VolumeGrid, built once, holds the quadrature
-    points and the moment Vandermonde of every step; kappa is evaluated at
-    its points once. Every level is evaluated at the quadrature points and
+    solves the step system. Two VolumeGrids, built once, hold the quadrature
+    points and moment Vandermondes of every step: one on
+    basis.default_quad_points for the projection of u0 and the source, one
+    on basis.history_quad_points for the memory history, where kappa is
+    evaluated once. Every level is evaluated at the history points and
     pushed once into a History, which holds it tempered and forms the memory
     sum of each step from it.
 
     solve keeps no field: the observer keeps what it needs, such as one
     error functional (analysis.FinalTimeError) or every level. Memory is
-    O(M N_q) for the History plus O(N_q + N_dof) for the fields in flight and
-    whatever the observer keeps.
+    O(M N_dof) for the History, whose levels have as many values as
+    coefficients, plus O(N_q + N_dof) for the arrays in flight and whatever
+    the observer keeps.
 
     Before it allocates anything, solve works out from (M, nx, ny, k) the
     bytes it will hold (footprint_bytes) and raises NumericError naming them
@@ -353,11 +378,12 @@ def solve(
     ops = assemble_operators(mesh, basis, fw)
     A = L1Kernel(prob.alpha, tm)
     grid = VolumeGrid.build(mesh, basis)
-    history = History(A, grid.at(prob.kappa), prob.c_kappa)
+    history_grid = VolumeGrid.build(mesh, basis, gauss_rule(basis.history_quad_points))
+    history = History(A, history_grid.at(prob.kappa), prob.c_kappa)
     u_n = grid.project(prob.u0)
     observe(0, u_n)
-    history.push(0, u_n.eval_volume_quad(grid.quad))
+    history.push(0, u_n.eval_volume_quad(history_grid.quad))
     for n in range(1, tm.M + 1):
-        u_n = step(ops, A, n, prob, grid, history)
+        u_n = step(ops, A, n, prob, grid, history_grid, history)
         observe(n, u_n)
-        history.push(n, u_n.eval_volume_quad(grid.quad))
+        history.push(n, u_n.eval_volume_quad(history_grid.quad))

@@ -290,36 +290,43 @@ def march(history, levels):
         history.push(n, levels[n])
 
 
-def solve_stepwise(prob, mesh, tm, basis, fw) -> list:
+def solve_stepwise(prob, mesh, tm, basis, fw, history_points: int) -> list:
     """Fields u^0..u^M of the fully discrete scheme, by the package's original
     time loop: every step sums the whole tempered history with the unpanelled
     memory_sum, evaluates f through VolumeGrid.at and rebuilds the weighted
-    Vandermonde of the moments.
+    Vandermonde of the moments of each rule. The history is held, and its
+    moments taken, on the history_points-point Gauss rule per axis; the
+    projection of u0 and the source take basis.default_quad_points.
 
-    Kept as the exact reference for fracldg.ldg.solve, whose panelled memory
-    sum adds the same terms in another order.
+    With history_points = basis.history_quad_points it is the exact
+    reference for fracldg.ldg.solve, whose panelled memory sum adds the same
+    terms in another order; with basis.default_quad_points it is the scheme
+    with the history on the source's rule.
     """
     ops = assemble_operators(mesh, basis, fw)
     grid = VolumeGrid.build(mesh, basis)
-    quad = grid.quad
+    hquad = gauss_rule(history_points)
+    hgrid = VolumeGrid.build(mesh, basis, hquad)
     A = L1Kernel(prob.alpha, tm)
-    kappa_at_quad = grid.at(lambda x, y: prob.kappa(x, y))
+
+    def moments(quad, values):
+        WV = quad.weights[:, None] * quad_vandermonde(basis.k, quad.npoints)
+        return WV.T @ (values @ WV)
+
+    kappa_at_quad = hgrid.at(lambda x, y: prob.kappa(x, y))
     u0 = grid.project(lambda x, y: prob.u0(x, y))
     fields = [u0]
     tempered = np.empty((tm.M + 1,) + kappa_at_quad.shape)
-    tempered[0] = u0.eval_volume_quad(quad)  # e^{kappa t_0} = 1
+    tempered[0] = u0.eval_volume_quad(hquad)  # e^{kappa t_0} = 1
     for n in range(1, tm.M + 1):
-        hist = memory_sum(A, kappa_at_quad, tempered, n)
-        rhs_values = -hist
+        rhs = moments(hquad, -memory_sum(A, kappa_at_quad, tempered, n))
         if prob.f is not None:
             t_n = A.tm.t[n]
-            rhs_values = rhs_values + grid.at(lambda x, y: prob.f(t_n, x, y))
-        WV = quad.weights[:, None] * quad_vandermonde(ops.basis.k, quad.npoints)
-        moments = ops.M * (WV.T @ (rhs_values @ WV))
-        b = np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()
+            rhs = rhs + moments(grid.quad, grid.at(lambda x, y: prob.f(t_n, x, y)))
+        b = np.ascontiguousarray((ops.M * rhs).transpose(0, 2, 1, 3)).ravel()
         u_n = ops.unflatten(ops.solve_system(A.row(n)[0], b))
         fields.append(u_n)
-        tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(quad)
+        tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(hquad)
     return fields
 
 

@@ -451,8 +451,8 @@ def test_nonfinite_solve_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_run_larger_than_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
-    # The probe reports 4 MiB; the streamed run (16 x 16 Q1, M = 200) would
-    # hold ~7.5 MB. The run stops before it assembles or allocates anything.
+    # The probe reports 4 MiB; the streamed run (16 x 16 Q1, M = 800) would
+    # hold ~7.1 MB. The run stops before it assembles or allocates anything.
     import fracldg.ldg
     from fracldg.basis import BasisSpec
     from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
@@ -463,11 +463,11 @@ def test_run_larger_than_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fracldg.ldg, "physical_memory_bytes", lambda: 4 * 2**20)
     monkeypatch.setattr(fracldg.ldg, "assemble_operators", no_assembly)
     d = _base_config(name="too-big", problem="example2", degree=1, nx=16,
-                     time={"M": 200, "gamma": 2.0, "T": 0.1})
+                     time={"M": 800, "gamma": 2.0, "T": 0.1})
     out = tmp_path / "out"
     assert main(["run", "--config", _write_config(tmp_path, d), "--out", str(out)]) == 3
     need = fracldg.ldg.footprint_bytes(
-        build_spatial_mesh(16, 16), build_graded_time_mesh(200, 2.0, 0.1), BasisSpec(1)
+        build_spatial_mesh(16, 16), build_graded_time_mesh(800, 2.0, 0.1), BasisSpec(1)
     )
     err = capsys.readouterr().err
     assert "numeric failure" in err and f"needs {need} bytes" in err
