@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 
 Every mapping of a config (the top level, `time`, each `cond_rows` entry,
 `expect` and `expect.cond_anchor`) is read through one key-consuming
-reader, so an unknown or misspelt key at any level is a configuration
-error; only `reference` is free-form notes and is not looked into.
+reader, and each kind reads only the keys its study runs, so an unknown,
+misspelt or misplaced key at any level is a configuration error; only
+`reference` is free-form notes and is not looked into.
 
 Heavy numerical imports happen inside the run functions, after the thread
 environment variables are set, so --threads/--deterministic take effect on
@@ -73,19 +74,24 @@ class CondRow:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: what to solve, on which meshes, and what to expect."""
+    """One experiment: what to solve, on which meshes, and what to expect.
+
+    A field its kind does not read is None. condition-number sets nx, M,
+    cond_rows and flux_list. The solving kinds set problem, alpha, degree,
+    flux, gamma and delta (if given), and spatial-convergence nx_list and
+    M, temporal-convergence M_list, single-run nx and M."""
 
     name: str
     kind: str
-    problem: str
-    alpha: float
-    degree: int
-    flux: tuple[float, float]
-    M: int
-    gamma: float
     T: float
     title: str = ""
+    problem: str | None = None
+    alpha: float | None = None
+    degree: int | None = None
+    flux: tuple[float, float] | None = None
     delta: float | None = None
+    M: int | None = None
+    gamma: float | None = None
     nx: int | None = None
     nx_list: tuple[int, ...] | None = None
     M_list: tuple[int, ...] | None = None
@@ -100,8 +106,9 @@ _REQUIRED = object()
 class _Mapping:
     """One mapping of a config, read key by key.
 
-    Every read marks its key, and `done` rejects the keys nothing read, so a
-    misspelt or misplaced key fails the config instead of being ignored.
+    Every read marks its key, and `done` rejects the keys nothing read. A
+    reader asks only for the keys its study runs, so a misspelt key, or one
+    that only another kind reads, fails the config instead of being ignored.
     """
 
     def __init__(self, value, ctx: str):
@@ -133,15 +140,18 @@ class _Mapping:
             raise ConfigError(f"{self.ctx}.{key} must be one of {choices}, got {value!r}")
         return value
 
-    def items(self, key: str, item) -> tuple | None:
-        """The optional list under `key`, entry i read by item(value, ctx)
-        with ctx naming it, `key[i]`."""
-        value = self.get(key, None)
-        if value is None:
+    def items(self, key: str, item, default=_REQUIRED) -> tuple | None:
+        """The nonempty list under `key`, entry i read by item(value, ctx)
+        with ctx naming it, `key[i]`; None only when the key is optional
+        (default None) and absent or null."""
+        value = self.get(key, default)
+        if value is None and default is None:
             return None
         ctx = f"{self.ctx}.{key}"
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{ctx}: expected a list, got {value!r}")
+        if not value:
+            raise ConfigError(f"{ctx} must be nonempty")
         return tuple(item(v, f"{ctx}[{i}]") for i, v in enumerate(value))
 
     def done(self) -> None:
@@ -170,6 +180,10 @@ def _number(value, ctx: str, ok=None, want: str = "", integer: bool = False):
 
 def _mesh_size(value, ctx: str) -> int:
     return _number(value, ctx, lambda n: n >= 1, "must be >= 1", integer=True)
+
+
+def _size(r: _Mapping, key: str) -> int:
+    return _mesh_size(r.get(key), f"{r.ctx}.{key}")
 
 
 def _as_flux(value, ctx: str) -> tuple[float, float]:
@@ -213,17 +227,14 @@ def _parse_expect(value, ctx: str) -> Expectations:
                   a.num("factor", 2.0, lambda f: f >= 1.0, "must be >= 1"))
         a.done()
     expect = Expectations(
-        errors=r.items("errors", _number),
+        errors=r.items("errors", _number, None),
         error_rtol=r.num("error_rtol", 0.05, lambda t: t >= 0.0, "must be >= 0"),
-        rates=r.items("rates", _number),
+        rates=r.items("rates", _number, None),
         rate_atol=r.num("rate_atol", 0.1, lambda t: t >= 0.0, "must be >= 0"),
         cond_monotone=monotone,
         cond_anchor=anchor,
     )
     r.done()
-    for key in ("errors", "rates"):
-        if getattr(expect, key) == ():
-            raise ConfigError(f"{ctx}.{key} must be nonempty")
     return expect
 
 
@@ -235,46 +246,40 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{source}.name must be a single file name, got {name!r}")
     kind = r.choice("kind", KINDS)
     time = _Mapping(r.get("time"), f"{source}.time")
-    M = time.num("M", ok=lambda m: m >= 1, want="must be >= 1", integer=True)
-    gamma = _gamma(time, 1.0)
+    # Each kind reads exactly the keys its study runs; done() rejects the rest.
+    if kind == "condition-number":
+        study = dict(nx=_size(r, "nx"), M=_size(time, "M"),
+                     cond_rows=r.items("cond_rows", _cond_row),
+                     flux_list=r.items("flux_list", _as_flux))
+    else:
+        study = dict(
+            problem=r.choice("problem", PROBLEMS, "example1"),
+            alpha=_alpha(r),
+            degree=_degree(r, 0),
+            flux=_as_flux(r.get("flux", [1.0, 0.0]), f"{source}.flux"),
+            delta=r.num("delta", None, lambda d: 0.0 < d < 2.0 and d != 1.0,
+                        "must lie in the admissible range (0,1) or (1,2)"),
+            gamma=_gamma(time, 1.0),
+        )
+        if kind == "temporal-convergence":
+            study.update(M_list=r.items("M_list", _mesh_size))
+        elif kind == "spatial-convergence":
+            study.update(nx_list=r.items("nx_list", _mesh_size), M=_size(time, "M"))
+        else:
+            study.update(nx=_size(r, "nx"), M=_size(time, "M"))
     T = time.num("T", 0.1, lambda t: t > 0.0, "must be positive")
     time.done()
-    nx_list = r.items("nx_list", _mesh_size)
-    M_list = r.items("M_list", _mesh_size)
-    for key, sizes in (("nx_list", nx_list), ("M_list", M_list)):
-        if sizes == ():
-            raise ConfigError(f"{source}.{key} must be nonempty")
     expect = r.get("expect", None)
     cfg = ExperimentConfig(
         name=name,
         title=str(r.get("title", "")),
         kind=kind,
-        problem=r.choice("problem", PROBLEMS, "example1"),
-        alpha=_alpha(r),
-        degree=_degree(r, 0),
-        flux=_as_flux(r.get("flux", [1.0, 0.0]), f"{source}.flux"),
-        M=M,
-        gamma=gamma,
         T=T,
-        delta=r.num("delta", None, lambda d: 0.0 < d < 2.0 and d != 1.0,
-                    "must lie in the admissible range (0,1) or (1,2)"),
-        nx=r.num("nx", None, lambda n: n >= 1, "must be >= 1", integer=True),
-        nx_list=nx_list,
-        M_list=M_list,
-        cond_rows=r.items("cond_rows", _cond_row),
-        flux_list=r.items("flux_list", _as_flux),
         expect=expect if expect is None else _parse_expect(expect, f"{source}.expect"),
+        **study,
     )
     r.get("reference", None)  # free-form notes: accepted, never read
     r.done()
-    if kind == "spatial-convergence" and not nx_list:
-        raise ConfigError(f"{source}: spatial-convergence requires nx_list")
-    if kind == "temporal-convergence" and not M_list:
-        raise ConfigError(f"{source}: temporal-convergence requires M_list")
-    if kind == "condition-number" and (not cfg.cond_rows or not cfg.flux_list or cfg.nx is None):
-        raise ConfigError(f"{source}: condition-number requires nx, cond_rows, flux_list")
-    if kind == "single-run" and cfg.nx is None:
-        raise ConfigError(f"{source}: single-run requires nx")
     if cfg.problem == "example1" and cfg.delta is not None:
         raise ConfigError(f"{source}.delta applies to example2 only; example1 has no delta")
     _check_time_meshes(cfg, source)
@@ -357,8 +362,7 @@ def _run_solves(cfg: ExperimentConfig):
                   M, gamma) for _, M, gamma in _time_meshes(cfg)]
     else:
         [(_, M, gamma)] = _time_meshes(cfg)
-        nxs = cfg.nx_list if cfg.kind == "spatial-convergence" else (cfg.nx,)
-        cases = [(f"1/{nx}", 1.0 / nx, nx, M, gamma) for nx in nxs]
+        cases = [(f"1/{nx}", 1.0 / nx, nx, M, gamma) for nx in cfg.nx_list or (cfg.nx,)]
     if cfg.problem == "example1":
         prob = example1(cfg.alpha)
     else:
@@ -375,8 +379,7 @@ def _run_solves(cfg: ExperimentConfig):
     labels, xs = [c[0] for c in cases], [c[1] for c in cases]
     rr = rates(errors, xs) if len(errors) >= 2 else []
     param_name = "M" if cfg.kind == "temporal-convergence" else "h"
-    meta = {"h": xs} if cfg.kind == "spatial-convergence" else {}
-    return ErrorReport(cfg.kind, param_name, labels, errors, rr, meta)
+    return ErrorReport(cfg.kind, param_name, labels, errors, rr, {"x": xs})
 
 
 def _cond_label(degree: int, alpha: float, s1: float, s2: float) -> str:
@@ -477,18 +480,12 @@ def _emit(report, cfg: ExperimentConfig, out_dir: Path, plot: bool) -> list[Path
     if plot and report.kind in ("spatial-convergence", "temporal-convergence"):
         from .svgplot import write_loglog_svg
 
-        if report.kind == "spatial-convergence":
-            xs = report.meta["h"]
-            xlabel = "h"
-        else:
-            xs = [1.0 / float(p) for p in report.params]
-            xlabel = "1/M"
         svg_path = out_dir / f"{cfg.name}.svg"
         write_loglog_svg(
             str(svg_path),
-            (cfg.name, xs, report.errors),
+            (cfg.name, report.meta["x"], report.errors),
             title=cfg.title or cfg.name,
-            xlabel=xlabel,
+            xlabel="h" if report.kind == "spatial-convergence" else "1/M",
             ylabel="error E",
         )
         written.append(svg_path)

@@ -30,7 +30,7 @@ the tempering factors stay within the float64 range.
 
 No table of L1 coefficients is kept: L1Kernel holds alpha and the time mesh,
 and each panel and each step evaluates the coefficients it reads from their
-closed form, in place, a HISTORY_PANEL x M block per panel in two arrays
+closed form, in place, a HISTORY_PANEL x M block per panel in one array
 and at most HISTORY_PANEL values per step. The flops stay O(M^2) per run;
 the coefficient memory drops from M (M + 1) / 2 stored values to that
 transient block.
@@ -118,39 +118,45 @@ def _interval_weights(A: L1Kernel, n, lo: int, stop: int) -> np.ndarray:
     x = t_n - t_j: on strongly graded meshes the two powers agree to many
     digits and the naive subtraction loses enough precision to break the
     monotone ordering of the tail weights. The block is evaluated in place,
-    so a (rows, stop - lo) block takes two arrays of its size, x and the
-    result. The leading minus goes on the divisor, a row of stop - lo
-    values: a sign change is exact, so the bits are those of negating the
+    a row at a time: besides the result it holds three rows of stop - lo
+    values (x, -tau_j and the divisor), where a ufunc over the broadcast
+    block would hold numpy's iterator buffers. The leading minus goes on the
+    divisor: a sign change is exact, so the bits are those of negating the
     block.
     """
     t, tau, alpha = A.tm.t, A.tm.tau, A.alpha
-    x = t[n] - t[lo:stop]
     step_tau = tau[lo:stop]
-    a = np.divide(-step_tau, x)
-    with np.errstate(divide="ignore"):
-        np.log1p(a, out=a)
-    a *= 1.0 - alpha
-    np.expm1(a, out=a)
-    x **= 1.0 - alpha
-    a *= x
-    a /= -(math.gamma(2.0 - alpha) * step_tau)
-    return a
+    neg_tau = np.negative(step_tau)
+    divisor = -(math.gamma(2.0 - alpha) * step_tau)
+    out = np.empty(np.shape(n)[:-1] + step_tau.shape)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at the newest interval
+        for a, m in zip(np.atleast_2d(out), np.ravel(n)):
+            x = t[m] - t[lo:stop]
+            np.divide(neg_tau, x, out=a)
+            np.log1p(a, out=a)
+            a *= 1.0 - alpha
+            np.expm1(a, out=a)
+            x **= 1.0 - alpha
+            a *= x
+            a /= divisor
+    return out
 
 
 def _memory_weights(A: L1Kernel, n, start: int, stop: int) -> np.ndarray:
     """Memory weights c_j^n of the levels j = start, ..., stop - 1, shaped as
     _interval_weights: c_0^n = -a_0^n and c_j^n = a_{j-1}^n - a_j^n, the
     weight of the tempered level w_j in History.sum. Only the
-    interval weights from max(start - 1, 0) on are evaluated; at most two
-    arrays of the block's size are held at once.
+    interval weights from max(start - 1, 0) on are evaluated. A block from
+    start 0, a panel's, turns into its weights in place, a row at a time, so
+    it takes one array of its size and a few rows.
     """
     if start > 0:
         a = _interval_weights(A, n, start - 1, stop)
         return np.subtract(a[..., :-1], a[..., 1:])
-    a = _interval_weights(A, n, 0, stop)
-    c = np.empty_like(a)
-    np.negative(a[..., :1], out=c[..., :1])
-    np.subtract(a[..., :-1], a[..., 1:], out=c[..., 1:])
+    c = _interval_weights(A, n, 0, stop)
+    for row in np.atleast_2d(c):
+        row[1:] = row[:-1] - row[1:]
+        row[0] = -row[0]
     return c
 
 
@@ -274,9 +280,10 @@ class History:
     @staticmethod
     def nbytes(M: int, n_q: int) -> int:
         """Bytes a History of M steps holds at n_q points per level: the
-        M + 1 tempered levels, and the two arrays of the largest
-        memory-weight block (_memory_weights) that a panel holds while it
-        forms."""
+        M + 1 tempered levels, and twice the largest memory-weight block
+        (_memory_weights) a panel forms. The panel evaluates that block in
+        place, with three rows of scratch beside it, which the second block
+        covers once the panel spans three steps or more."""
         return 8 * ((M + 1) * n_q + 2 * _weight_block_entries(M))
 
     def push(self, n: int, values: np.ndarray) -> None:

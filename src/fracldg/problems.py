@@ -99,12 +99,16 @@ def example2(alpha: float, delta: float | None = None) -> ProblemSpec:
         return np.exp(-t * c) * t**delta * c * np.sin(two_pi * y)
 
     def f(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # memory + (2 - t c) (g + h), built in its result in that order of
+        # operations: the bits are the same, and at most two arrays of the
+        # result's size are held.
         c = np.cos(two_pi * x)
         s = np.sin(two_pi * y)
         damp = np.exp(-t * c)
-        memory = damp * gamma_ratio * t ** (delta - alpha) * c * s
-        g = 4.0 * math.pi**2 * t**delta * damp * c * s
-        h = 4.0 * math.pi**2 * t ** (delta + 1.0) * damp * np.sin(two_pi * x) ** 2 * s
-        return memory + (2.0 - t * c) * (g + h)
+        out = 4.0 * math.pi**2 * t**delta * damp * c * s  # g
+        out += 4.0 * math.pi**2 * t ** (delta + 1.0) * damp * np.sin(two_pi * x) ** 2 * s  # h
+        out *= 2.0 - t * c
+        out += damp * gamma_ratio * t ** (delta - alpha) * c * s  # memory
+        return out
 
     return ProblemSpec(alpha=alpha, kappa=kappa, c_kappa=1.0, u0=u0, f=f, exact=exact)

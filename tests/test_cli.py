@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
 import re
@@ -30,17 +31,24 @@ from fracldg.svgplot import write_loglog_svg
 from oracles import final_time_error, solve_fields
 
 
-def _base_config(**overrides) -> dict:
-    d = {
-        "name": "tiny",
-        "kind": "single-run",
-        "problem": "example1",
-        "alpha": 0.5,
-        "degree": 0,
-        "flux": [1.0, 0.0],
-        "nx": 4,
-        "time": {"M": 3, "gamma": 2.0, "T": 0.1},
-    }
+_SOLVING = {"problem": "example1", "alpha": 0.5, "degree": 0, "flux": [1.0, 0.0]}
+
+#: A small valid config of each kind, with no key that kind does not read.
+_BASES = {
+    "single-run": {**_SOLVING, "nx": 4, "time": {"M": 3, "gamma": 2.0, "T": 0.1}},
+    "spatial-convergence": {**_SOLVING, "nx_list": [3, 4],
+                            "time": {"M": 3, "gamma": 2.0, "T": 0.1}},
+    "temporal-convergence": {**_SOLVING, "M_list": [2, 3], "time": {"gamma": 2.0, "T": 0.1}},
+    "condition-number": {"nx": 3, "time": {"M": 3, "T": 0.1},
+                         "cond_rows": [{"degree": 0, "alpha": 0.5, "gamma": 1.0}],
+                         "flux_list": [[1.0, 0.0]]},
+}
+
+
+def _base_config(kind: str = "single-run", **overrides) -> dict:
+    """The base config of `kind` (single-run for a kind that does not
+    exist) named tiny, with overrides replacing whole top-level keys."""
+    d = {"name": "tiny", "kind": kind, **copy.deepcopy(_BASES.get(kind, _BASES["single-run"]))}
     d.update(overrides)
     return d
 
@@ -86,25 +94,28 @@ def test_unknown_preset_error_lists_available_names():
     ({"nx": 4.5}, "expected an integer"),
     ({"degree": 9}, "degree must lie in 0..8"),
     ({"time": 3}, "time: expected a mapping"),
-    ({"nx_list": 5}, "nx_list: expected a list"),
-    ({"M_list": 5}, "M_list: expected a list"),
-    ({"flux_list": 5}, "flux_list: expected a list"),
-    ({"cond_rows": 5}, "cond_rows: expected a list"),
-    ({"cond_rows": [3]}, "config.cond_rows[0]: expected a mapping"),
-    ({"cond_rows": [{"degree": 12, "alpha": 0.5, "gamma": 1.0}]}, "degree must lie in 0..8"),
-    ({"cond_rows": [{"degree": 1, "alpha": 0.5, "gamma": 0.5}]}, "gamma must be >= 1"),
+    ({"kind": "spatial-convergence", "nx_list": 5}, "nx_list: expected a list"),
+    ({"kind": "temporal-convergence", "M_list": 5}, "M_list: expected a list"),
+    ({"kind": "condition-number", "flux_list": 5}, "flux_list: expected a list"),
+    ({"kind": "condition-number", "cond_rows": 5}, "cond_rows: expected a list"),
+    ({"kind": "condition-number", "cond_rows": [3]}, "config.cond_rows[0]: expected a mapping"),
+    ({"kind": "condition-number", "cond_rows": [{"degree": 12, "alpha": 0.5, "gamma": 1.0}]},
+     "degree must lie in 0..8"),
+    ({"kind": "condition-number", "cond_rows": [{"degree": 1, "alpha": 0.5, "gamma": 0.5}]},
+     "gamma must be >= 1"),
     ({"expect": 5}, "expect: expected a mapping"),
     ({"expect": {"errors": 0.1}}, "errors: expected a list"),
     ({"expect": {"rates": 2.0}}, "rates: expected a list"),
     ({"expect": {"cond_anchor": 5}}, "cond_anchor: expected a mapping"),
     ({"time": {"M": 3, "gama": 6.0}}, "config.time: unknown keys ['gama']"),
-    ({"cond_rows": [{"degree": 1, "alpha": 0.5, "gamma": 1.0, "flux": [0.5, 0.5]}]},
+    ({"kind": "condition-number",
+      "cond_rows": [{"degree": 1, "alpha": 0.5, "gamma": 1.0, "flux": [0.5, 0.5]}]},
      "config.cond_rows[0]: unknown keys ['flux']"),
     ({"expect": {"errors": [0.1], "error_tol": 0.1}}, "config.expect: unknown keys ['error_tol']"),
     ({"expect": {"cond_anchor": {"degree": 0, "alpha": 0.7, "flux": [1.0, 0.0],
                                  "value": 14.0, "colour": "red"}}},
      "config.expect.cond_anchor: unknown keys ['colour']"),
-    ({"cond_rows": [{"degree": 1, "alpha": "x", "gamma": 1.0}]},
+    ({"kind": "condition-number", "cond_rows": [{"degree": 1, "alpha": "x", "gamma": 1.0}]},
      "config.cond_rows[0].alpha: expected a number"),
     ({"expect": {"cond_anchor": {"degree": 0, "alpha": 1.5, "flux": [1.0, 0.0], "value": 14.0}}},
      "config.expect.cond_anchor.alpha must lie in the admissible range (0, 1)"),
@@ -136,18 +147,24 @@ def test_unknown_preset_error_lists_available_names():
     # run would, and the message names the key that asks for the mesh.
     ({"time": {"M": 1000, "gamma": 200}},
      "config.time: M=1000, gamma=200, T=0.1: nonpositive time step produced"),
-    ({"kind": "temporal-convergence", "M_list": [2, 1000], "time": {"M": 3, "gamma": 200}},
+    ({"kind": "temporal-convergence", "M_list": [2, 1000], "time": {"gamma": 200}},
      "config.M_list[1]: M=1000, gamma=200, T=0.1: nonpositive time step produced"),
-    ({"kind": "condition-number", "nx": 3, "flux_list": [[1.0, 0.0]],
-      "time": {"M": 1000, "gamma": 1.0},
+    ({"kind": "condition-number", "time": {"M": 1000},
       "cond_rows": [{"degree": 0, "alpha": 0.5, "gamma": 1.0},
                     {"degree": 1, "alpha": 0.5, "gamma": 200}]},
      "config.cond_rows[1].gamma: M=1000, gamma=200, T=0.1: nonpositive time step produced"),
     # A bad entry past the first is named by its index.
-    ({"cond_rows": [{"degree": 0, "alpha": 0.5, "gamma": 1.0},
+    ({"kind": "condition-number",
+      "cond_rows": [{"degree": 0, "alpha": 0.5, "gamma": 1.0},
                     {"degree": 1, "alpha": "x", "gamma": 1.0}]},
      "config.cond_rows[1].alpha: expected a number, got 'x'"),
-    ({"M_list": [2, 0]}, "config.M_list[1] must be >= 1, got 0"),
+    ({"kind": "temporal-convergence", "M_list": [2, 0]}, "config.M_list[1] must be >= 1, got 0"),
+    # An empty list of a kind's required key, as in expect.
+    ({"kind": "spatial-convergence", "nx_list": []}, "config.nx_list must be nonempty"),
+    ({"kind": "temporal-convergence", "M_list": []}, "config.M_list must be nonempty"),
+    ({"kind": "condition-number", "cond_rows": []}, "config.cond_rows must be nonempty"),
+    ({"kind": "condition-number", "flux_list": []}, "config.flux_list must be nonempty"),
+    ({"kind": "condition-number", "nx": 0}, "config.nx must be >= 1, got 0"),
 ])
 def test_config_validation_messages(overrides, needle):
     with pytest.raises(ConfigError) as ei:
@@ -155,24 +172,59 @@ def test_config_validation_messages(overrides, needle):
     assert needle in str(ei.value)
 
 
-@pytest.mark.parametrize("kind,missing", [
-    ("spatial-convergence", "requires nx_list"),
-    ("temporal-convergence", "requires M_list"),
-    ("condition-number", "requires nx, cond_rows, flux_list"),
-])
-def test_kind_specific_requirements(kind, missing):
-    d = _base_config(kind=kind)
-    del d["nx"]
-    with pytest.raises(ConfigError) as ei:
-        config_from_dict(d)
-    assert missing in str(ei.value)
+@pytest.mark.parametrize("kind,keys", [
+    ("spatial-convergence", ["nx_list"]),
+    ("temporal-convergence", ["M_list"]),
+    ("condition-number", ["nx", "cond_rows", "flux_list"]),
+], ids=lambda v: f"requires {', '.join(v)}" if isinstance(v, list) else None)
+def test_kind_specific_requirements(kind, keys):
+    for key in keys:
+        d = _base_config(kind)
+        del d[key]
+        with pytest.raises(ConfigError, match=f"config: missing required key '{key}'"):
+            config_from_dict(d)
 
 
 def test_single_run_requires_mesh_size():
     d = _base_config()
     del d["nx"]
-    with pytest.raises(ConfigError, match="single-run requires nx"):
+    with pytest.raises(ConfigError, match="config: missing required key 'nx'"):
         config_from_dict(d)
+
+
+#: The keys each kind reads beside name, title, kind, time.T, expect and
+#: reference; time.X is key X of the time mapping.
+_SOLVING_KEYS = ("problem", "alpha", "degree", "flux", "delta", "time.gamma")
+_KIND_KEYS = {
+    "spatial-convergence": _SOLVING_KEYS + ("nx_list", "time.M"),
+    "temporal-convergence": _SOLVING_KEYS + ("M_list",),
+    "condition-number": ("nx", "time.M", "cond_rows", "flux_list"),
+    "single-run": _SOLVING_KEYS + ("nx", "time.M"),
+}
+
+#: A valid value of every key in _KIND_KEYS.
+_KEY_VALUES = {
+    "problem": "example2", "alpha": 0.5, "degree": 1, "flux": [0.5, 0.5], "delta": 0.5,
+    "time.gamma": 2.0, "time.M": 3, "nx": 3, "nx_list": [3], "M_list": [2],
+    "cond_rows": [{"degree": 0, "alpha": 0.5, "gamma": 1.0}], "flux_list": [[1.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("kind", list(_KIND_KEYS))
+def test_keys_of_another_kind_are_unknown(kind, tmp_path, capsys):
+    # A key only another kind reads is misplaced: validate-config names it
+    # as unknown and exits 2 instead of ignoring it.
+    assert main(["validate-config", "--config", _write_config(tmp_path, _base_config(kind))]) == 0
+    capsys.readouterr()
+    foreign = set().union(*_KIND_KEYS.values()) - set(_KIND_KEYS[kind])
+    assert foreign
+    for key in sorted(foreign):
+        d = _base_config(kind)
+        mapping, _, name = key.rpartition(".")
+        (d[mapping] if mapping else d)[name] = _KEY_VALUES[key]
+        assert main(["validate-config", "--config", _write_config(tmp_path, d)]) == 2, key
+        where = "cfg.yaml" + (f".{mapping}" if mapping else "")
+        assert f"config error: {where}: unknown keys ['{name}']" in capsys.readouterr().err, key
 
 
 def test_reference_is_free_form_notes():
@@ -295,9 +347,7 @@ def test_run_writes_csv_and_text_report(tmp_path, capsys):
 
 
 def test_run_spatial_reports_rates_and_plot(tmp_path):
-    d = _base_config(kind="spatial-convergence", name="tiny-spatial", nx_list=[3, 4])
-    del d["nx"]
-    cfg_path = _write_config(tmp_path, d)
+    cfg_path = _write_config(tmp_path, _base_config("spatial-convergence", name="tiny-spatial"))
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out"), "--plot"]) == 0
     lines = (tmp_path / "out" / "tiny-spatial.csv").read_text().strip().splitlines()
     assert len(lines) == 3
@@ -332,9 +382,7 @@ def test_loglog_svg_escapes_its_text(tmp_path):
 
 
 def test_deterministic_reruns_are_byte_identical(tmp_path):
-    d = _base_config(kind="spatial-convergence", name="tiny-det", nx_list=[3, 4])
-    del d["nx"]
-    cfg_path = _write_config(tmp_path, d)
+    cfg_path = _write_config(tmp_path, _base_config("spatial-convergence", name="tiny-det"))
     for sub in ("a", "b"):
         rc = main([
             "run", "--config", cfg_path, "--out", str(tmp_path / sub), "--deterministic",
@@ -420,14 +468,7 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
         raise NumericError("synthetic breakdown")
 
     monkeypatch.setattr(fracldg.analysis, "condition_number", boom)
-    d = _base_config(
-        name="tiny-cond",
-        kind="condition-number",
-        nx=3,
-        cond_rows=[{"degree": 0, "alpha": 0.5, "gamma": 1.0}],
-        flux_list=[[1.0, 0.0]],
-    )
-    cfg_path = _write_config(tmp_path, d)
+    cfg_path = _write_config(tmp_path, _base_config("condition-number", name="tiny-cond"))
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 3
     assert "numeric failure" in capsys.readouterr().err
 

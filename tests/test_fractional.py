@@ -11,8 +11,10 @@ from scipy.special import erfcx
 from fracldg.basis import BasisSpec, DgField, VolumeGrid
 from fracldg.errors import InvalidArgumentError
 from fracldg.fractional import (
+    HISTORY_PANEL,
     History,
     L1Kernel,
+    _memory_weights,
     _mittag_leffler_contour,
     mittag_leffler,
 )
@@ -132,6 +134,28 @@ def test_weights_match_table_bitwise_around_a_panel(M, gamma, alpha, T):
 )
 def test_weights_match_table_bitwise(M, gamma, alpha, T):
     _check_weights_match_table_bitwise(M, gamma, alpha, T)
+
+
+def test_panel_weights_fit_the_history_block_term():
+    # A count of bytes, not a timing: a panel's memory weights are evaluated
+    # in place, a row at a time, so no ufunc runs over a broadcast block and
+    # holds numpy's iterator buffers. At M = 2000 the largest block is the
+    # 32 x 1952 panel at start 1952 (0.50 MB): it peaks at 0.56 MB, within
+    # the 1.00 MB that History.nbytes books for it; whole-block ufuncs
+    # peaked at 1.19 MB.
+    import tracemalloc
+
+    M, start = 2000, 1952
+    A = L1Kernel(0.5, build_graded_time_mesh(M, 2.0, 0.1))
+    steps = np.arange(start, start + HISTORY_PANEL)[:, None]
+    tracemalloc.start()
+    try:
+        C = _memory_weights(A, steps, 0, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C.shape == (HISTORY_PANEL, start)
+    assert peak <= History.nbytes(M, 0), (peak, History.nbytes(M, 0))
 
 
 def test_convolution_kernel_matches_linear_system_inversion():

@@ -30,7 +30,7 @@ from fracldg.ldg import (
     solve,
     step,
 )
-from fracldg.cli import load_config, presets_dir
+from fracldg.cli import _time_meshes, load_config, presets_dir
 from fracldg.ldg import (
     _directional_operator,
     block_symbol,
@@ -331,22 +331,29 @@ def test_solve_rejects_tempering_exponent_overflow():
 
 
 def test_shipped_and_random_problems_pass_tempering_guard():
-    # Every preset's problem, and the kappa families the acceptance stability
-    # test draws (constant k0 with c_kappa = |k0|; a cos(2 pi x) + b with
-    # c_kappa = |a| + |b|), including draws that sit on the bound.
+    # Every solving preset's problem on every time mesh its run builds, and
+    # the kappa families the acceptance stability test draws (constant k0
+    # with c_kappa = |k0|; a cos(2 pi x) + b with c_kappa = |a| + |b|),
+    # including draws that sit on the bound. The condition-number preset
+    # has no problem.
     def guard(prob, tm, kappa_at_quad):
         History(L1Kernel(prob.alpha, tm), kappa_at_quad, prob.c_kappa)
 
     mesh = build_spatial_mesh(6, 6)
+    solving = 0
     for path in sorted(presets_dir().glob("*.yaml")):
         cfg = load_config(path.stem)
+        if cfg.kind == "condition-number":
+            continue
+        solving += 1
         grid = VolumeGrid.build(mesh, BasisSpec(cfg.degree))
         if cfg.problem == "example1":
             prob = example1(cfg.alpha)
         else:
             prob = example2(cfg.alpha, delta=cfg.delta)
-        tm = build_graded_time_mesh(cfg.M, cfg.gamma, cfg.T)
-        guard(prob, tm, grid.at(prob.kappa))
+        for _, M, gamma in _time_meshes(cfg):
+            guard(prob, build_graded_time_mesh(M, gamma, cfg.T), grid.at(prob.kappa))
+    assert solving == 11
     tm = build_graded_time_mesh(8, 4.0, 1.0)
     for k in (0, 1, 2):
         grid = VolumeGrid.build(mesh, BasisSpec(k))
@@ -611,8 +618,8 @@ def test_solve_reads_fewer_than_a_panel_of_levels_per_step(monkeypatch):
 
 #: Peak traced allocation allowed for solve() on a 1 x 1 Q0 mesh at M = 2000.
 #: A stored L1 coefficient table alone would take M (M + 1) / 2 * 8 B = 16 MB;
-#: without one the run peaks near 1.3 MB (tempered levels, the two arrays of
-#: one memory-weight block).
+#: without one the run peaks near 0.6 MB (tempered levels, one memory-weight
+#: block evaluated in place).
 SOLVE_PEAK_BYTES_M2000 = 8 * 2**20
 
 
@@ -644,8 +651,8 @@ def test_footprint_counts_levels_weight_blocks_and_1d_blocks():
     # source's rule has 4, N_q = 4096. The 1D blocks are 32 x 32, the two
     # grids hold (16 + 16 + 2) (2 + 4) points and Vandermonde entries, and
     # the arrays in flight are 3 N_q + 4 N_dof values. A panel at start s
-    # forms a min(HISTORY_PANEL, M + 1 - s) x s memory-weight block in two
-    # arrays. At M = 200 the largest is the full panel at s = 160 (the last,
+    # forms a min(HISTORY_PANEL, M + 1 - s) x s memory-weight block, booked
+    # twice. At M = 200 the largest is the full panel at s = 160 (the last,
     # at s = 192, covers 9 steps).
     mesh = build_spatial_mesh(16, 16)
     fixed = 1024 + 2 * (32**2 + 32**2) + (16 + 16 + 2) * (2 + 4) + 3 * 4096 + 4 * 1024
@@ -682,15 +689,18 @@ def _traced_solve_peak(nx: int, k: int, M: int):
 
 #: Bytes per source point and per coefficient a solve may hold beyond
 #: footprint_bytes at once, which counts the arrays in flight but not the
-#: temporaries the problem's source builds beyond its result. Measured
-#: 1.7 x 8 B on 32 x 32 Q1 at M = 20 and 1.4 x 8 B on 16 x 16 Q2 at M = 100
-#: (N_q + N_dof = 20 480 and 8 704 values).
+#: temporaries the problem's source builds beyond its result. example2's
+#: source is built in its result, and the runs below peak under their
+#: footprint: by 51 KB on 32 x 32 Q1 at M = 20 and by 4 KB on 16 x 16 Q2 at
+#: M = 100 (N_q + N_dof = 20 480 and 8 704 values). A source that builds
+#: its terms as full arrays measured 1.7 x 8 B and 1.4 x 8 B above it.
 STEP_SLACK_PER_VALUE = 2 * 8
 
-#: numpy iterator buffers (np.getbufsize() elements of 8 B each) a ufunc over
-#: a broadcast weight block may hold; they, the length-M rows of the block
-#: evaluation and Python's own objects make the 0.21 MB a 1 x 1 Q0 run at
-#: M = 2000 holds beyond its footprint, 0.06 MB below this slack.
+#: numpy iterator buffers (np.getbufsize() elements of 8 B each) the ufuncs
+#: that broadcast may hold: the source's products of an x and a y array take
+#: two. The memory weights are evaluated a row at a time and take none; the
+#: 1 x 1 Q0 run at M = 2000 peaks 0.42 MB under its footprint (0.20 MB over
+#: it when ufuncs ran over whole broadcast weight blocks).
 UFUNC_BUFFERS = 4
 
 
@@ -711,8 +721,8 @@ def test_solve_peak_is_within_its_footprint():
 
 #: Traced bytes a 16 x 16 Q2 solve at M = 100 may hold beyond its tempered
 #: levels, in units of one level on the history rule, 8 nx ny (k+1)^2:
-#: measured 24.6 (two weight blocks, kappa and a step's arrays, most of
-#: them at the source's (k+3)^2 points), 15.4 below this bound. Levels held
+#: measured 19.0 (a weight block, kappa and a step's arrays, most of them
+#: at the source's (k+3)^2 points), 21.0 below this bound. Levels held
 #: on the source's rule measure 210.7 (5.75 MB); a 32-row panel buffer next
 #: to the levels would add 32.
 LEVELS_SLACK = 40
@@ -784,8 +794,8 @@ def test_solve_runs_within_exactly_its_footprint(monkeypatch):
 
 #: Traced bytes a streamed solve may hold beyond footprint_bytes, as a share
 #: of the (M + 1) N_dof 8 B that keeping every field would add: the fields in
-#: flight and the step grid take the rest (measured 0.21 MB, 0.05 of the
-#: fields' 4.1 MB).
+#: flight and the step grid take the rest (measured: none, the run peaks
+#: 0.46 MB under its footprint).
 STREAM_OVERHEAD_FRACTION = 0.25
 
 

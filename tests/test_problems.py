@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from fracldg.basis import BasisSpec, VolumeGrid
 from fracldg.errors import InvalidArgumentError
 from fracldg.fractional import mittag_leffler
+from fracldg.meshes import build_spatial_mesh
 from fracldg.problems import ProblemSpec, example1, example2
 
 from oracles import caputo_derivative, laplacian_fd
@@ -132,3 +134,30 @@ def test_manufactured_source_satisfies_the_equation_pointwise(alpha, delta):
         fv = float(prob.f(t, np.asarray(x), np.asarray(y)))
         scale = max(1.0, abs(lap), abs(fv))
         assert abs(lhs - lap - fv) <= 1e-6 * scale
+
+
+#: Traced bytes one call of example2's source may hold beyond two arrays of
+#: its result: two numpy iterator buffers (np.getbufsize() values of 8 B)
+#: for the products that broadcast x against y, and 16 KiB for the arrays
+#: of one axis and Python's own objects. On 32 x 32 Q1 (a 128 KiB result)
+#: the call peaks at 399 944 B against a bound of 409 600 B; the expression
+#: memory + (2 - t c) (g + h) over full arrays peaks at 727 184 B.
+SOURCE_SMALL_BYTES = 16 * 2**10
+
+
+def test_manufactured_source_holds_two_arrays_of_its_result():
+    # A count of bytes, not a timing: the source is built in its result, so
+    # one call holds the result and one term beside it.
+    import tracemalloc
+
+    grid = VolumeGrid.build(build_spatial_mesh(32, 32), BasisSpec(1))
+    prob = example2(0.3)
+    prob.f(0.05, grid.x, grid.y)
+    tracemalloc.start()
+    try:
+        out = prob.f(0.05, grid.x, grid.y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (32, 32, 4, 4)
+    assert peak <= 2 * out.nbytes + 2 * 8 * np.getbufsize() + SOURCE_SMALL_BYTES, peak
