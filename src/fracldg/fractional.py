@@ -80,7 +80,8 @@ class L1Kernel:
     is stored.
 
     Step n weighs the interval (t_j, t_{j+1}) of level j < n with
-    a_j^n = A_{n-1-j}^n, and row(n) is (A_0^n, ..., A_{n-1}^n). The chain
+    a_j^n = A_{n-1-j}^n, so (A_0^n, ..., A_{n-1}^n) is
+    _interval_weights(A, n, 0, n) reversed. The chain
     A_0^n >= A_1^n >= ... >= A_{n-1}^n > 0 holds on any admissible mesh and
     is what the stability results lean on.
     """
@@ -91,12 +92,6 @@ class L1Kernel:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise InvalidArgumentError(f"alpha must be in (0, 1), got {self.alpha}")
-
-    def row(self, n: int) -> np.ndarray:
-        """(A_0^n, ..., A_{n-1}^n); empty for n = 0."""
-        if not 0 <= n <= self.tm.M:
-            raise InvalidArgumentError(f"step index {n} outside 0..{self.tm.M}")
-        return _interval_weights(self, n, 0, n)[::-1]
 
     def a0(self, n: int) -> float:
         """A_0^n = tau_n^(1-a) / (Gamma(2-a) tau_n), the weight of the newest

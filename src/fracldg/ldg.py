@@ -307,8 +307,8 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def footprint_bytes(mesh: SpatialMesh, tm: GradedTimeMesh, basis: BasisSpec) -> int:
-    """Bytes solve holds for a whole run, from the sizes alone. With N_h
+def footprint_bytes(mesh: SpatialMesh, M: int, basis: BasisSpec) -> int:
+    """Bytes solve holds for a run of M steps, from the sizes alone. With N_h
     points per level on the history rule (basis.history_quad_points per
     axis), N_q on the source's rule (basis.default_quad_points) and N_dof
     coefficients, it counts:
@@ -333,7 +333,7 @@ def footprint_bytes(mesh: SpatialMesh, tm: GradedTimeMesh, basis: BasisSpec) -> 
     blocks = 2 * ((mesh.nx * kk) ** 2 + (mesh.ny * kk) ** 2)
     grids = (mesh.nx + mesh.ny + kk) * (basis.history_quad_points + basis.default_quad_points)
     in_flight = 3 * n_q + 4 * n_dof
-    return History.nbytes(tm.M, n_h) + 8 * (n_h + blocks + grids + in_flight)
+    return History.nbytes(M, n_h) + 8 * (n_h + blocks + grids + in_flight)
 
 
 def solve(
@@ -368,7 +368,7 @@ def solve(
     InvalidArgumentError, from History, when kappa exceeds c_kappa or the
     tempering factors e^(+-kappa t) would leave the float64 range.
     """
-    need = footprint_bytes(mesh, tm, basis)
+    need = footprint_bytes(mesh, tm.M, basis)
     limit = physical_memory_bytes()
     if limit is not None and need > limit:
         raise NumericError(

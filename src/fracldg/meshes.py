@@ -1,8 +1,8 @@
-"""Periodic rectangular spatial meshes and graded temporal meshes.
+"""Periodic spatial meshes of the unit square and graded temporal meshes.
 
-The spatial mesh is a uniform tensor grid on a rectangle with periodic
-topology in both axes; per-cell extents are stored so quasi-uniform meshes
-stay representable even though only uniform ones are constructed here.
+The spatial mesh is the uniform nx-by-ny tensor grid of the unit square
+with periodic topology in both axes, the one domain on which the problems
+are posed; it is its two cell counts, from which every coordinate follows.
 The temporal mesh concentrates points near t = 0 via the grading
 t_n = (n/M)^gamma * T, which is what resolves weak initial singularities
 of fractional evolution problems.
@@ -21,77 +21,70 @@ __all__ = ["SpatialMesh", "GradedTimeMesh", "build_spatial_mesh", "build_graded_
 
 @dataclass(frozen=True)
 class SpatialMesh:
-    """Uniform periodic tessellation of a rectangle into nx-by-ny cells.
+    """Uniform periodic tessellation of the unit square into nx-by-ny cells.
 
-    Attributes
-    ----------
-    nx, ny : int
-        Cell counts per axis.
-    x_edges, y_edges : ndarray
-        Sorted edge coordinates, lengths nx+1 and ny+1.
-    domain : tuple of float
-        (x_lo, x_hi, y_lo, y_hi).
+    A value: meshes with equal cell counts compare equal and hash alike.
+    Edges, centers and widths are computed from nx and ny on demand.
     """
 
     nx: int
     ny: int
-    x_edges: np.ndarray
-    y_edges: np.ndarray
-    domain: tuple[float, float, float, float]
 
     @property
     def hx(self) -> float:
         """Cell width in x (mesh is uniform)."""
-        return (self.domain[1] - self.domain[0]) / self.nx
+        return 1.0 / self.nx
 
     @property
     def hy(self) -> float:
         """Cell width in y (mesh is uniform)."""
-        return (self.domain[3] - self.domain[2]) / self.ny
+        return 1.0 / self.ny
+
+    @property
+    def x_edges(self) -> np.ndarray:
+        """Edge coordinates i / nx for i = 0..nx."""
+        return np.arange(self.nx + 1) / self.nx
+
+    @property
+    def y_edges(self) -> np.ndarray:
+        """Edge coordinates j / ny for j = 0..ny."""
+        return np.arange(self.ny + 1) / self.ny
 
     def x_centers(self) -> np.ndarray:
-        return 0.5 * (self.x_edges[:-1] + self.x_edges[1:])
+        e = self.x_edges
+        return 0.5 * (e[:-1] + e[1:])
 
     def y_centers(self) -> np.ndarray:
-        return 0.5 * (self.y_edges[:-1] + self.y_edges[1:])
+        e = self.y_edges
+        return 0.5 * (e[:-1] + e[1:])
 
 
 @dataclass(frozen=True)
 class GradedTimeMesh:
-    """Temporal mesh t_n = (n/M)^gamma * T with step sizes tau_n.
+    """Temporal mesh t_n = (n/M)^gamma * T, n = 0..M, with step sizes
+    tau_n = t_{n+1} - t_n. It holds the points, not the exponent gamma
+    that placed them.
 
     gamma = 1 reproduces the uniform mesh (to a few ulps of n*T/M).
     """
 
     M: int
-    gamma: float
     T: float
     t: np.ndarray = field(repr=False)
     tau: np.ndarray = field(repr=False)
 
 
-def build_spatial_mesh(
-    nx: int, ny: int, domain: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0)
-) -> SpatialMesh:
-    """Construct a uniform periodic mesh of the rectangle `domain`.
+def build_spatial_mesh(nx: int, ny: int) -> SpatialMesh:
+    """Construct the uniform periodic nx-by-ny mesh of the unit square.
 
     Parameters
     ----------
     nx, ny : int
         Positive cell counts.
-    domain : tuple
-        (x_lo, x_hi, y_lo, y_hi) with positive extents.
     """
     if nx < 1 or ny < 1:
         raise InvalidArgumentError(f"cell counts must be >= 1, got nx={nx}, ny={ny}")
-    x_lo, x_hi, y_lo, y_hi = map(float, domain)
-    if not (x_hi > x_lo and y_hi > y_lo):
-        raise InvalidArgumentError(f"degenerate domain {domain}")
-    x_edges = x_lo + (x_hi - x_lo) * np.arange(nx + 1) / nx
-    y_edges = y_lo + (y_hi - y_lo) * np.arange(ny + 1) / ny
-    x_edges[-1] = x_hi
-    y_edges[-1] = y_hi
-    return SpatialMesh(nx=nx, ny=ny, x_edges=x_edges, y_edges=y_edges, domain=(x_lo, x_hi, y_lo, y_hi))
+    return SpatialMesh(nx=nx, ny=ny)
 
 
 def build_graded_time_mesh(M: int, gamma: float, T: float) -> GradedTimeMesh:
@@ -115,4 +108,4 @@ def build_graded_time_mesh(M: int, gamma: float, T: float) -> GradedTimeMesh:
     tau = np.diff(t)
     if not (tau > 0).all():  # t_1 = T (1/M)^gamma underflows to 0, e.g. at M 1000, gamma 200
         raise InvalidArgumentError("nonpositive time step produced; check (M, gamma, T)")
-    return GradedTimeMesh(M=M, gamma=float(gamma), T=float(T), t=t, tau=tau)
+    return GradedTimeMesh(M=M, T=float(T), t=t, tau=tau)

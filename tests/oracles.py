@@ -5,10 +5,11 @@ by a different route than the library code: dense loop-based assembly
 instead of Kronecker products, adaptive panel quadrature instead of
 closed-form L1 coefficients, dense SVD instead of per-mode Fourier
 blocks, and an adaptive-precision Mittag-Leffler series instead of the
-contour rule. Slow and simple on purpose. The one exception is l1_table,
+contour rule. Slow and simple on purpose. The exceptions are l1_table,
 the stored L1 table the package once built: the same formula row by row,
 against which the coefficients the package evaluates on demand must agree
-bit for bit.
+bit for bit; and l1_row, which reads one step's row of those coefficients
+off the package itself.
 The error functionals are recomputed by their defining formulas from the
 levels that a collecting observer keeps (solve_fields), against which the
 streaming observers of fracldg.analysis must also agree bit for bit.
@@ -46,7 +47,7 @@ from fracldg.basis import (
     quad_vandermonde,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
-from fracldg.fractional import L1Kernel, _memory_weights
+from fracldg.fractional import L1Kernel, _interval_weights, _memory_weights
 from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, solve
 
 
@@ -182,6 +183,12 @@ def dense_condition_2norm(S) -> float:
     return float(sv[0] / sv[-1])
 
 
+def l1_row(A: L1Kernel, n: int) -> np.ndarray:
+    """(A_0^n, ..., A_{n-1}^n) as the package evaluates them: its interval
+    weights of step n, newest first; empty for n = 0."""
+    return _interval_weights(A, n, 0, n)[::-1]
+
+
 def l1_table(tm, alpha: float) -> tuple[np.ndarray, ...]:
     """Full triangular L1 coefficient table for fractional order alpha in (0,1):
     entry n is the array (A_0^n, ..., A_{n-1}^n) for n = 1..M; entry 0 is empty.
@@ -218,7 +225,7 @@ def complementary_kernels_by_inversion(A) -> list[np.ndarray]:
         mat = np.zeros((n, n))
         for m in range(1, n + 1):
             for j in range(m, n + 1):
-                mat[m - 1, n - j] = A.row(j)[j - m]
+                mat[m - 1, n - j] = l1_row(A, j)[j - m]
         P = np.linalg.solve(mat, np.ones(n))
         out.append(P)
     return out
@@ -260,7 +267,7 @@ def substantial_history_loop(
             raise InvalidArgumentError("either quad or history_at_quad is required")
         history_at_quad = [f.eval_volume_quad(quad) for f in history]
     t = A.tm.t
-    An = A.row(n)
+    An = l1_row(A, n)
     out = -An[n - 1] * np.exp(-kappa_at_quad * t[n]) * history_at_quad[0]
     for i in range(1, n):
         out += (An[i] - An[i - 1]) * np.exp(-kappa_at_quad * (t[n] - t[n - i])) * history_at_quad[n - i]
@@ -324,7 +331,7 @@ def solve_stepwise(prob, mesh, tm, basis, fw, history_points: int) -> list:
             t_n = A.tm.t[n]
             rhs = rhs + moments(grid.quad, grid.at(lambda x, y: prob.f(t_n, x, y)))
         b = np.ascontiguousarray((ops.M * rhs).transpose(0, 2, 1, 3)).ravel()
-        u_n = ops.unflatten(ops.solve_system(A.row(n)[0], b))
+        u_n = ops.unflatten(ops.solve_system(l1_row(A, n)[0], b))
         fields.append(u_n)
         tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(hquad)
     return fields
@@ -431,7 +438,7 @@ def convolution_kernel(A: L1Kernel) -> ConvKernel:
     recursion.
     """
     M = A.tm.M
-    tabs = [A.row(n) for n in range(M + 1)]
+    tabs = [l1_row(A, n) for n in range(M + 1)]
     out: list[np.ndarray] = [np.empty(0)]
     for n in range(1, M + 1):
         P = np.empty(n)
@@ -448,15 +455,16 @@ def convolution_kernel(A: L1Kernel) -> ConvKernel:
 _EDGE_AXES = {"E": ("x", +1), "W": ("x", -1), "N": ("y", +1), "S": ("y", -1)}
 
 
-def _locate(coord: np.ndarray, lo: float, hi: float, n: int, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """Cell indices and reference coordinates for points along one axis.
+def _locate(coord: np.ndarray, n: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cell indices and reference coordinates for points along one axis of
+    the periodic unit square cut into n cells.
 
     `side` picks the cell when a point sits exactly on an interface: '-' takes
     the cell to the left (trace from below), '+' the cell to the right.
     """
     if side not in ("-", "+"):
         raise InvalidArgumentError(f"side must be '-' or '+', got {side!r}")
-    u = (np.asarray(coord, dtype=float) - lo) / (hi - lo) * n
+    u = np.asarray(coord, dtype=float) * n
     u = np.mod(u, n)
     idx = np.floor(u).astype(int)
     idx = np.minimum(idx, n - 1)
@@ -483,10 +491,9 @@ def field_eval(
     Scalar inputs return a scalar.
     """
     mesh, k = f.mesh, f.basis.k
-    x_lo, x_hi, y_lo, y_hi = mesh.domain
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    i, xi = _locate(xb.ravel(), x_lo, x_hi, mesh.nx, side_x)
-    j, eta = _locate(yb.ravel(), y_lo, y_hi, mesh.ny, side_y)
+    i, xi = _locate(xb.ravel(), mesh.nx, side_x)
+    j, eta = _locate(yb.ravel(), mesh.ny, side_y)
     Vx = legendre_values(k, xi)
     Vy = legendre_values(k, eta)
     vals = np.einsum("nrs,nr,ns->n", f.coeffs[i, j], Vx, Vy)

@@ -48,6 +48,7 @@ from oracles import (
     convolution_kernel,
     dense_directional_operator,
     flatten,
+    l1_row,
     march,
     mittag_leffler_series,
     project_P,
@@ -194,7 +195,7 @@ def test_memory_weight_chain_positive_monotone():
         T = float(rng.uniform(0.05, 2.0))
         A = L1Kernel(alpha, build_graded_time_mesh(M, gamma, T))
         for n in range(1, M + 1):
-            row = A.row(n)
+            row = l1_row(A, n)
             assert row[-1] > 0.0
             assert np.all(np.diff(row) <= 0.0)
     print("PASS memory-weight chain: positive and non-increasing on 200 draws")
@@ -213,7 +214,7 @@ def test_complementary_kernel_identity_and_inversion():
         for n in range(1, 201):
             mat = np.zeros((n, n))
             for j in range(1, n + 1):
-                mat[0:j, n - j] = A.row(j)[::-1]
+                mat[0:j, n - j] = l1_row(A, j)[::-1]
             worst = max(worst, float(np.max(np.abs(mat @ P.P[n] - 1.0))))
     assert worst <= 1e-11
 
@@ -290,9 +291,9 @@ def test_memory_operator_exact_on_tempered_linears():
     ):
         hist_quad = [np.exp(-kq * t) * v(t) for t in tm.t]
         for n, hist in march(History(A, kq, 1.0), hist_quad):
-            got = A.row(n)[0] * hist_quad[n] + hist
+            got = l1_row(A, n)[0] * hist_quad[n] + hist
             expected = np.exp(-kq * tm.t[n]) * dv_exact(tm.t[n])
-            scale = A.row(n)[0] * np.max(np.abs(hist_quad[n]))
+            scale = l1_row(A, n)[0] * np.max(np.abs(hist_quad[n]))
             worst = max(worst, float(np.max(np.abs(got - expected)) / scale))
     assert worst <= 1e-8
     print(f"PASS memory-operator exactness: worst relative defect {worst:.2e}")

@@ -143,14 +143,15 @@ def test_projection_error_decays_at_order_k_plus_1():
 
 
 def test_volume_grid_points_and_full_grid_broadcast():
-    mesh = build_spatial_mesh(3, 2, domain=(0.0, 1.5, -1.0, 1.0))
+    mesh = build_spatial_mesh(3, 2)
     grid = VolumeGrid.build(mesh, BasisSpec(1), gauss_rule(4))
     nodes = gauss_rule(4).nodes
     X = grid.at(lambda x, y: x)
     Y = grid.at(lambda x, y: y)
     assert X.shape == Y.shape == (3, 2, 4, 4)
-    np.testing.assert_allclose(X[2, 1, :, 0], 1.25 + 0.25 * nodes, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(Y[0, 1, 0, :], 0.5 + 0.5 * nodes, rtol=0.0, atol=1e-15)
+    # Cell (2, 1) spans [2/3, 1] x [1/2, 1]: centers 5/6 and 3/4, half-widths 1/6 and 1/4.
+    np.testing.assert_allclose(X[2, 1, :, 0], 5.0 / 6.0 + nodes / 6.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(Y[0, 1, 0, :], 0.75 + 0.25 * nodes, rtol=0.0, atol=1e-15)
     # A callable that ignores its arguments still fills every point.
     np.testing.assert_array_equal(grid.at(lambda x, y: 2.0), np.full((3, 2, 4, 4), 2.0))
 

@@ -496,7 +496,7 @@ def test_run_larger_than_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
     # hold ~7.1 MB. The run stops before it assembles or allocates anything.
     import fracldg.ldg
     from fracldg.basis import BasisSpec
-    from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
+    from fracldg.meshes import build_spatial_mesh
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("operators assembled before the footprint check")
@@ -507,9 +507,7 @@ def test_run_larger_than_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
                      time={"M": 800, "gamma": 2.0, "T": 0.1})
     out = tmp_path / "out"
     assert main(["run", "--config", _write_config(tmp_path, d), "--out", str(out)]) == 3
-    need = fracldg.ldg.footprint_bytes(
-        build_spatial_mesh(16, 16), build_graded_time_mesh(800, 2.0, 0.1), BasisSpec(1)
-    )
+    need = fracldg.ldg.footprint_bytes(build_spatial_mesh(16, 16), 800, BasisSpec(1))
     err = capsys.readouterr().err
     assert "numeric failure" in err and f"needs {need} bytes" in err
     assert not list(out.glob("*.csv"))

@@ -23,6 +23,7 @@ from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from oracles import (
     complementary_kernels_by_inversion,
     convolution_kernel,
+    l1_row,
     l1_table,
     march,
     memory_sum,
@@ -45,13 +46,13 @@ def test_l1_first_coefficient_closed_form():
     A = L1Kernel(alpha, tm)
     for n in range(1, 7):
         expected = tm.tau[n - 1] ** (-alpha) / math.gamma(2.0 - alpha)
-        assert A.row(n)[0] == pytest.approx(expected, rel=1e-13)
+        assert l1_row(A, n)[0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_l1_frozen_value_uniform_mesh():
     tm = build_graded_time_mesh(4, 1.0, 1.0)  # tau = 1/4
     A = L1Kernel(0.5, tm)
-    assert A.row(2)[1] == pytest.approx(A12_UNIFORM_HALF, rel=1e-13)
+    assert l1_row(A, 2)[1] == pytest.approx(A12_UNIFORM_HALF, rel=1e-13)
 
 
 def test_l1_reproduces_power_derivative_on_linear_data():
@@ -61,7 +62,7 @@ def test_l1_reproduces_power_derivative_on_linear_data():
         tm = build_graded_time_mesh(9, gamma, 0.7)
         A = L1Kernel(alpha, tm)
         for n in (1, 4, 9):
-            An = A.row(n)
+            An = l1_row(A, n)
             i = np.arange(1, n + 1)
             increments = tm.t[n - i + 1] - tm.t[n - i]
             got = float(np.sum(An[i - 1] * increments))
@@ -78,7 +79,7 @@ def test_l1_monotone_positive_chain():
         tm = build_graded_time_mesh(M, gamma, float(rng.uniform(0.05, 2.0)))
         A = L1Kernel(alpha, tm)
         for n in range(1, M + 1):
-            chain = A.row(n)
+            chain = l1_row(A, n)
             assert chain[-1] > 0.0
             assert (np.diff(chain) <= 1e-14 * chain[0]).all()
 
@@ -113,7 +114,7 @@ def _check_weights_match_table_bitwise(M: int, gamma: float, alpha: float, T: fl
     table = l1_table(tm, alpha)
     probe = np.eye(M + 1)
     for n in range(M + 1):
-        assert np.array_equal(A.row(n), table[n]), n
+        assert np.array_equal(l1_row(A, n), table[n]), n
     for n, full in march(History(A, np.zeros(M + 1), 0.0), probe):
         assert A.a0(n) == table[n][0], n
         assert np.array_equal(full[:n], _table_memory_weights(table, n)) and not full[n:].any(), n
@@ -173,7 +174,7 @@ def test_convolution_kernel_identity():
     P = convolution_kernel(A)
     for n in range(1, 41):
         for m in range(1, n + 1):
-            total = sum(P.P[n][n - j] * A.row(j)[j - m] for j in range(m, n + 1))
+            total = sum(P.P[n][n - j] * l1_row(A, j)[j - m] for j in range(m, n + 1))
             assert abs(total - 1.0) <= 1e-11
 
 
@@ -287,7 +288,7 @@ def test_substantial_history_matches_loop_oracle(alpha, gamma, M, k, nx, ny, T, 
     umax = max(float(np.max(np.abs(v))) for v in levels[:M])
     for n, got in march(history, levels):
         ref = substantial_history_loop(A, kq, fields[:n], n, quad=quad)
-        scale = float(np.sum(np.abs(np.diff(A.row(n)[::-1], prepend=0.0)))) * umax
+        scale = float(np.sum(np.abs(np.diff(l1_row(A, n)[::-1], prepend=0.0)))) * umax
         assert np.max(np.abs(got - ref)) <= HISTORY_DIFF_RTOL * scale
 
 
@@ -323,5 +324,5 @@ def test_panel_row_plus_remainder_matches_full_history(alpha, gamma, M, k, nx, n
     wmax = float(np.max(np.abs(tempered)))
     for n, got in march(history, levels):
         ref = memory_sum(A, kq, tempered, n)
-        scale = A.row(n)[0] * wmax * float(np.max(np.exp(-kq * tm.t[n])))
+        scale = l1_row(A, n)[0] * wmax * float(np.max(np.exp(-kq * tm.t[n])))
         assert np.max(np.abs(got - ref)) <= PANEL_SUM_RTOL * scale, n

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fracldg.errors import InvalidArgumentError
-from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
+from fracldg.meshes import SpatialMesh, build_graded_time_mesh, build_spatial_mesh
 
 
 def test_spatial_mesh_geometry():
-    mesh = build_spatial_mesh(4, 5, domain=(0.0, 2.0, -1.0, 1.0))
+    # The periodic unit square: every coordinate follows from the two counts,
+    # and equality is exact. Centers are midpoints of the rounded edges, so
+    # the one between 0.2 and 0.4 lands an ulp above 0.3.
+    mesh = build_spatial_mesh(4, 5)
     assert mesh.nx == 4 and mesh.ny == 5
-    assert mesh.hx == pytest.approx(0.5)
-    assert mesh.hy == pytest.approx(0.4)
-    np.testing.assert_allclose(mesh.x_edges, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert mesh.x_edges[-1] == 2.0 and mesh.y_edges[-1] == 1.0
-    np.testing.assert_allclose(mesh.x_centers(), [0.25, 0.75, 1.25, 1.75])
+    assert mesh.hx == 0.25 and mesh.hy == 0.2
+    np.testing.assert_array_equal(mesh.x_edges, [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_array_equal(mesh.y_edges, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    np.testing.assert_array_equal(mesh.x_centers(), [0.125, 0.375, 0.625, 0.875])
+    np.testing.assert_array_equal(mesh.y_centers(), [0.1, 0.30000000000000004, 0.5, 0.7, 0.9])
 
 
 def test_spatial_mesh_validation():
@@ -22,8 +27,17 @@ def test_spatial_mesh_validation():
         build_spatial_mesh(0, 4)
     with pytest.raises(InvalidArgumentError):
         build_spatial_mesh(4, -1)
-    with pytest.raises(InvalidArgumentError):
-        build_spatial_mesh(4, 4, domain=(0.0, 0.0, 0.0, 1.0))
+    with pytest.raises(TypeError):
+        build_spatial_mesh(4, 4, domain=(0.0, 1.0, 0.0, 1.0))
+
+
+def test_spatial_mesh_is_a_value_of_its_counts():
+    assert [f.name for f in dataclasses.fields(SpatialMesh)] == ["nx", "ny"]
+    assert build_spatial_mesh(4, 4) == build_spatial_mesh(4, 4)
+    assert hash(build_spatial_mesh(4, 4)) == hash(build_spatial_mesh(4, 4))
+    assert len({build_spatial_mesh(4, 4), build_spatial_mesh(4, 4)}) == 1
+    assert build_spatial_mesh(4, 5) != build_spatial_mesh(5, 4)
+    assert build_spatial_mesh(4, 4) != build_spatial_mesh(4, 5)
 
 
 def test_graded_mesh_formula():

@@ -11,6 +11,7 @@ exception, and checks that every name a module imports is used or exported.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -207,3 +208,20 @@ def test_removed_names_are_gone(name):
         getattr(fracldg, name)
     for module in SUBMODULES:
         assert not hasattr(importlib.import_module(f"fracldg.{module}"), name), module
+
+
+#: Members removed from the package's dataclasses: the row of L1
+#: coefficients, which only the tests read (oracles.l1_row), and the grading
+#: exponent that nothing read off a time mesh. SpatialMesh's fields are
+#: checked in test_meshes.
+REMOVED_MEMBERS = (
+    ("fractional", "L1Kernel", "row"),
+    ("meshes", "GradedTimeMesh", "gamma"),
+)
+
+
+@pytest.mark.parametrize("module,cls,name", REMOVED_MEMBERS)
+def test_removed_members_are_gone(module, cls, name):
+    owner = getattr(importlib.import_module(f"fracldg.{module}"), cls)
+    assert not hasattr(owner, name)
+    assert name not in {f.name for f in dataclasses.fields(owner)}
