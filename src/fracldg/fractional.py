@@ -16,24 +16,19 @@ weighted sum of the stored levels. Each level is tempered once, when it is
 computed; a run costs M exponentials per quadrature point instead of M^2/2.
 
 The sum stays exact and costs O(M^2 N_q) flops per run (N_q quadrature
-points), but it is not read level by level. Every HISTORY_PANEL steps,
-History forms the contribution of all levels stored so far to the next
-HISTORY_PANEL steps in one matrix-matrix product (BLAS-3), and writes it
-into the rows of its buffer that those steps' levels will fill; each step
-then adds its panel row to a sum over the fewer than HISTORY_PANEL levels
-written since, before its own level overwrites the row. The stored levels
-are read once per panel instead of once per step, which cuts the memory
-traffic of the sum by the panel factor. The M + 1 tempered levels, the
-floor of an exact sum, are thus the only buffer History keeps. History
-owns that buffer, this schedule, the order of its calls and the check that
-the tempering factors stay within the float64 range.
+points), but it is blocked in panels of HISTORY_PANEL steps: one
+matrix-matrix product (BLAS-3) per panel forms the share of all levels
+stored before it, so the stored levels are read once per panel instead of
+once per step. History owns the levels, this schedule, the order of its
+calls and the check that the tempering factors stay within the float64
+range.
 
 No table of L1 coefficients is kept: L1Kernel holds alpha and the time mesh,
-and each panel and each step evaluates the coefficients it reads from their
-closed form, in place, a HISTORY_PANEL x M block per panel in one array
-and at most HISTORY_PANEL values per step. The flops stay O(M^2) per run;
-the coefficient memory drops from M (M + 1) / 2 stored values to that
-transient block.
+and each panel evaluates every coefficient its steps read from their closed
+form, in place, in one block of HISTORY_PANEL rows by at most M + 1
+levels; no step evaluates one. The flops stay O(M^2) per run; the
+coefficient memory drops from M (M + 1) / 2 stored values to that
+transient block and the HISTORY_PANEL^2 near weights a panel keeps.
 
 The Mittag-Leffler function E_alpha gives example1 its closed-form
 solution. It takes the orders 0 < alpha < 1 that the rest of the package
@@ -81,7 +76,7 @@ class L1Kernel:
 
     Step n weighs the interval (t_j, t_{j+1}) of level j < n with
     a_j^n = A_{n-1-j}^n, so (A_0^n, ..., A_{n-1}^n) is
-    _interval_weights(A, n, 0, n) reversed. The chain
+    _interval_weights(A, n) reversed. The chain
     A_0^n >= A_1^n >= ... >= A_{n-1}^n > 0 holds on any admissible mesh and
     is what the stability results lean on.
     """
@@ -96,62 +91,47 @@ class L1Kernel:
     def a0(self, n: int) -> float:
         """A_0^n = tau_n^(1-a) / (Gamma(2-a) tau_n), the weight of the newest
         interval and the mass factor of the step-n system: the last entry
-        of _interval_weights at step n (log1p(-1) = -inf, expm1(-inf) = -1
-        reduce its expm1/log1p form to this one exactly)."""
+        of _interval_weights at step n, in O(n) (log1p(-1) = -inf and
+        expm1(-inf) = -1 reduce its expm1/log1p form to this one exactly)."""
         if not 1 <= n <= self.tm.M:
             raise InvalidArgumentError(f"step index {n} outside 1..{self.tm.M}")
-        return float(_interval_weights(self, n, n - 1, n)[0])
+        return float(_interval_weights(self, n)[-1])
 
 
-def _interval_weights(A: L1Kernel, n, lo: int, stop: int) -> np.ndarray:
-    """a_j^n = A_{n-1-j}^n for the levels j = lo, ..., stop - 1 (stop <= n),
-    the weight of the interval (t_j, t_{j+1}) at step n. n is a step index,
-    or a column of them, shape (rows, 1), for a (rows, stop - lo) block.
+def _interval_weights(A: L1Kernel, n: int) -> np.ndarray:
+    """a_j^n = A_{n-1-j}^n for the levels j = 0, ..., n - 1, the weight of
+    the interval (t_j, t_{j+1}) at step n.
 
     A_{n-1-j}^n = ((t_n - t_j)^{1-a} - (t_n - t_{j+1})^{1-a}) / (Gamma(2-a) tau_j)
     is evaluated as x^(1-a) * (-expm1((1-a) * log1p(-tau_j/x))) with
     x = t_n - t_j: on strongly graded meshes the two powers agree to many
     digits and the naive subtraction loses enough precision to break the
-    monotone ordering of the tail weights. The block is evaluated in place,
-    a row at a time: besides the result it holds three rows of stop - lo
-    values (x, -tau_j and the divisor), where a ufunc over the broadcast
-    block would hold numpy's iterator buffers. The leading minus goes on the
+    monotone ordering of the tail weights. The leading minus goes on the
     divisor: a sign change is exact, so the bits are those of negating the
-    block.
+    row.
     """
-    t, tau, alpha = A.tm.t, A.tm.tau, A.alpha
-    step_tau = tau[lo:stop]
-    neg_tau = np.negative(step_tau)
-    divisor = -(math.gamma(2.0 - alpha) * step_tau)
-    out = np.empty(np.shape(n)[:-1] + step_tau.shape)
+    t, tau, alpha = A.tm.t, A.tm.tau[:n], A.alpha
+    x = t[n] - t[:n]
+    a = -tau / x
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf at the newest interval
-        for a, m in zip(np.atleast_2d(out), np.ravel(n)):
-            x = t[m] - t[lo:stop]
-            np.divide(neg_tau, x, out=a)
-            np.log1p(a, out=a)
-            a *= 1.0 - alpha
-            np.expm1(a, out=a)
-            x **= 1.0 - alpha
-            a *= x
-            a /= divisor
-    return out
+        np.log1p(a, out=a)
+    a *= 1.0 - alpha
+    np.expm1(a, out=a)
+    x **= 1.0 - alpha
+    a *= x
+    a /= -(math.gamma(2.0 - alpha) * tau)
+    return a
 
 
-def _memory_weights(A: L1Kernel, n, start: int, stop: int) -> np.ndarray:
-    """Memory weights c_j^n of the levels j = start, ..., stop - 1, shaped as
-    _interval_weights: c_0^n = -a_0^n and c_j^n = a_{j-1}^n - a_j^n, the
-    weight of the tempered level w_j in History.sum. Only the
-    interval weights from max(start - 1, 0) on are evaluated. A block from
-    start 0, a panel's, turns into its weights in place, a row at a time, so
-    it takes one array of its size and a few rows.
-    """
-    if start > 0:
-        a = _interval_weights(A, n, start - 1, stop)
-        return np.subtract(a[..., :-1], a[..., 1:])
-    c = _interval_weights(A, n, 0, stop)
-    for row in np.atleast_2d(c):
-        row[1:] = row[:-1] - row[1:]
-        row[0] = -row[0]
+def _memory_weights(A: L1Kernel, steps, stop: int) -> np.ndarray:
+    """Memory weights of the steps n in steps, a row of stop > n levels each,
+    evaluated in place: c_0^n = -a_0^n and c_j^n = a_{j-1}^n - a_j^n for
+    0 < j < n, the weight of the tempered level w_j in History.sum, then
+    c_n^n = a_{n-1}^n = A_0^n on the diagonal and zeros."""
+    c = np.zeros((len(steps), stop))
+    for row, n in zip(c, steps):
+        row[1 : n + 1] = _interval_weights(A, n)
+        row[:n] -= row[1 : n + 1]
     return c
 
 
@@ -204,17 +184,17 @@ def mittag_leffler(alpha: float, z: float) -> float:
 
 def _weight_block_entries(M: int) -> int:
     """Entries of the largest memory-weight block a History of M steps forms:
-    the panel at start s weighs s levels for min(HISTORY_PANEL, M + 1 - s)
-    steps, so the last full panel or the last panel is the largest; none
-    forms when M < HISTORY_PANEL."""
+    the panel at start s covers rows = min(HISTORY_PANEL, M + 1 - s) steps
+    over s + rows levels, so the last full panel or the last panel is the
+    largest; panel 0, the only one when M < HISTORY_PANEL, is (M + 1)^2 then."""
     last = M - M % HISTORY_PANEL
-    starts = (last - HISTORY_PANEL, last)
-    return max((min(HISTORY_PANEL, M + 1 - s) * s for s in starts if s > 0), default=0)
+    panels = ((last - HISTORY_PANEL, HISTORY_PANEL), (last, M + 1 - last))
+    return max(rows * (s + rows) for s, rows in panels if s >= 0)
 
 
 class History:
-    """The memory of a run at the volume quadrature points, behind two calls,
-    and the only evaluator of the memory sum.
+    """The memory of a run at the volume quadrature points, behind three
+    calls, and the only evaluator of the memory sum and of its weights.
 
     push(n, values) takes u^n evaluated at the points, tempers it to
     w_n = e^{kappa t_n} u^n and stores it as row n of an (M+1, nx, ny, q, q)
@@ -231,21 +211,24 @@ class History:
     e^{-kappa (t_n - t_j)} u^j = e^{-kappa t_n} w_j, the sum is
     e^{-kappa t_n} sum_j c_j^n w_j with the memory weights
     c_0^n = -A_{n-1}^n and c_j^n = A_{n-j}^n - A_{n-j-1}^n (j = 1..n-1).
+    a0(n) returns A_0^n, the mass factor of the step-n system.
 
-    One contract orders the calls: sum(n) is taken between push(n - 1) and
-    push(n), when exactly the n levels w_0..w_{n-1} are stored, for
-    1 <= n <= M. That is the order in which the time stepper runs; any other
-    n raises InvalidArgumentError.
+    One contract orders the calls: sum(n) and a0(n) are taken between
+    push(n - 1) and push(n), when exactly the n levels w_0..w_{n-1} are
+    stored, for 1 <= n <= M. That is the order in which the time stepper
+    runs; any other n raises InvalidArgumentError.
 
-    The sum stays exact, O(M^2 N_q) flops per run, but is blocked. Once the
-    levels before a start = 0 mod HISTORY_PANEL are stored, push forms their
-    share in the sums of the steps start..start + HISTORY_PANEL - 1 with one
-    GEMM, and writes it into the rows of the buffer those steps' levels
-    will occupy, none of which is written yet. Step n adds to its panel row,
-    row n, the fewer than HISTORY_PANEL levels stored since start; push(n)
-    then overwrites the row with w_n. The stored levels are thus read once
-    per panel instead of once per step, and the buffer of levels is all the
-    History holds between calls.
+    The sum stays exact, O(M^2 N_q) flops per run, but is blocked. The panel
+    at start = 0 mod HISTORY_PANEL forms every weight its steps read in one
+    block (_memory_weights): panel 0 when the History is built, each later
+    one once the levels before it are stored, when one GEMM of the block's
+    far columns with those levels writes their share in the panel's sums
+    into the buffer rows the panel's levels will fill, none written yet.
+    The near columns, a square of at most HISTORY_PANEL, are kept: step n
+    contracts its row of them with the levels stored since start, adds its
+    panel row, row n, and reads A_0^n off the diagonal; push(n) then
+    overwrites the row with w_n. No step evaluates a weight, and the stored
+    levels are read once per panel instead of once per step.
 
     Memory: nbytes(M, N_q), N_q the number of points of one level. solve
     builds it on the (k+1)-point Gauss rule per axis, where N_q equals the
@@ -256,7 +239,7 @@ class History:
         """Reject kappa fields the tempered history cannot represent, before
         anything is allocated: kappa must respect its certified bound c_kappa,
         and c_kappa * T must stay within MAX_TEMPERING_EXPONENT so e^{+-kappa t}
-        stays finite on [0, T]."""
+        stays finite on [0, T]. Then form panel 0."""
         kmax = float(np.max(np.abs(kappa_at_quad)))
         if not kmax <= c_kappa * (1.0 + KAPPA_BOUND_RTOL):  # also rejects nan
             raise InvalidArgumentError(
@@ -271,15 +254,27 @@ class History:
         self.kappa = kappa_at_quad
         self._count = 0  # levels stored
         self._levels = np.empty((A.tm.M + 1,) + kappa_at_quad.shape)
+        self._form_panel(0)
 
     @staticmethod
     def nbytes(M: int, n_q: int) -> int:
         """Bytes a History of M steps holds at n_q points per level: the
-        M + 1 tempered levels, and twice the largest memory-weight block
-        (_memory_weights) a panel forms. The panel evaluates that block in
-        place, with three rows of scratch beside it, which the second block
-        covers once the panel spans three steps or more."""
-        return 8 * ((M + 1) * n_q + 2 * _weight_block_entries(M))
+        M + 1 tempered levels, the near square a panel keeps and twice the
+        largest block a panel forms; the second covers the block's scratch
+        rows and the previous near square, held while the next is formed."""
+        near = min(HISTORY_PANEL, M + 1) ** 2
+        return 8 * ((M + 1) * n_q + 2 * _weight_block_entries(M) + near)
+
+    def _form_panel(self, start: int) -> None:
+        """Form the block of the panel at start, keep its near columns and,
+        past panel 0, write the far columns' share into its steps' rows."""
+        M = self.A.tm.M
+        rows = min(HISTORY_PANEL, M + 1 - start)
+        C = _memory_weights(self.A, range(start, start + rows), start + rows)
+        if start:
+            levels = self._levels.reshape(M + 1, -1)
+            np.matmul(C[:, :start], levels[:start], out=levels[start : start + rows])
+        self._near = np.ascontiguousarray(C[:, start:])
 
     def push(self, n: int, values: np.ndarray) -> None:
         """Temper u^n, given at the quadrature points, and store it; n must be
@@ -301,26 +296,24 @@ class History:
             np.exp(row, out=row)
             row *= values
         self._count += 1
-        start = self._count
-        if start % HISTORY_PANEL == 0 and start <= M:
-            # The share of w_0..w_{start-1} in the sums of the next steps goes
-            # into those steps' rows, which no level has reached yet.
-            rows = min(HISTORY_PANEL, M + 1 - start)
-            C = _memory_weights(self.A, np.arange(start, start + rows)[:, None], 0, start)
-            levels = self._levels.reshape(M + 1, -1)
-            np.matmul(C, levels[:start], out=levels[start : start + rows])
+        if self._count % HISTORY_PANEL == 0 and self._count <= M:
+            self._form_panel(self._count)
+
+    def _near_row(self, n: int) -> np.ndarray:
+        """Step n's near weights, under the call contract of sum and a0."""
+        M = self.A.tm.M
+        if not (n == self._count and 1 <= n <= M):
+            raise InvalidArgumentError(
+                f"weights of step {n}: steps run 1..{M}, each between push(n - 1) and "
+                f"push(n), and need w^0..w^{n - 1}, {self._count} levels stored"
+            )
+        return self._near[n % HISTORY_PANEL]
 
     def sum(self, n: int) -> np.ndarray:
         """Memory sum of step n at the points, shaped like kappa; taken
         between push(n - 1) and push(n)."""
-        M = self.A.tm.M
-        if not (n == self._count and 1 <= n <= M):
-            raise InvalidArgumentError(
-                f"memory sum of step {n}: steps run 1..{M}, each between push(n - 1) and "
-                f"push(n), and need w^0..w^{n - 1}, {self._count} levels stored"
-            )
+        c = self._near_row(n)[: n % HISTORY_PANEL]
         start = n - n % HISTORY_PANEL
-        c = _memory_weights(self.A, n, start, n)
         total = np.tensordot(c, self._levels[start:n], axes=1)
         if start:
             total += self._levels[n]  # the panel row of step n
@@ -329,3 +322,8 @@ class History:
         np.exp(factor, out=factor)
         total *= factor
         return total
+
+    def a0(self, n: int) -> float:
+        """A_0^n, the mass factor of the step-n system; taken between
+        push(n - 1) and push(n)."""
+        return float(self._near_row(n)[n % HISTORY_PANEL])

@@ -32,15 +32,15 @@ recomputation outside the run path.
 
 The earlier levels enter a step only through the memory sum, which one
 fracldg.fractional.History holds and evaluates: solve pushes each level,
-evaluated at the points of the history rule, and step reads the sum. A run
-has two basis.VolumeGrids. The history grid, basis.history_quad_points
-(k+1) Gauss points per axis, holds the levels and takes the moments of the
-memory sum: a level there has as many values as coefficients, and for a
-constant kappa the rule integrates the memory term exactly. The source
-grid, basis.default_quad_points (k+3), projects u0 and takes the moments of
-the source, which is not a polynomial. solve hands each level to an
-observer and keeps none itself, and refuses, before it allocates, a run
-whose footprint exceeds the physical memory.
+evaluated at the points of the history rule, and step reads the sum and
+the mass factor A_0^n. A run has two basis.VolumeGrids. The history grid,
+basis.history_quad_points (k+1) Gauss points per axis, holds the levels
+and takes the moments of the memory sum: a level there has as many values
+as coefficients, and for a constant kappa the rule integrates the memory
+term exactly. The source grid, basis.default_quad_points (k+3), projects
+u0 and takes the moments of the source, which is not a polynomial. solve
+hands each level to an observer and keeps none itself, and refuses, before
+it allocates, a run whose footprint exceeds the physical memory.
 """
 
 from __future__ import annotations
@@ -279,9 +279,9 @@ def step(
     """Advance one time step: solve (A_0^n M I + K) U^n = -(hist, v) + (f(t_n), v).
 
     history holds u^0..u^{n-1}, tempered at the points of history_grid, and
-    hist is its sum(n); history_grid takes the moments (hist, v) and grid
-    the moments (f(t_n), v) of the source. The step does not store u^n; the
-    caller pushes it.
+    gives hist = sum(n) and A_0^n = a0(n), so the step evaluates no weight;
+    history_grid takes the moments (hist, v) and grid the moments
+    (f(t_n), v) of the source. The caller pushes u^n.
     """
     # The history part of D_M u moves to the right-hand side: this negation is
     # the single place the sign convention is applied.
@@ -290,7 +290,7 @@ def step(
         moments += grid.moments(prob.f(A.tm.t[n], grid.x, grid.y))
     moments *= ops.M
     b = np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()  # solver order (i, r, j, s)
-    x = ops.solve_system(A.a0(n), b)
+    x = ops.solve_system(history.a0(n), b)
     return ops.unflatten(x)
 
 
@@ -314,8 +314,7 @@ def footprint_bytes(mesh: SpatialMesh, M: int, basis: BasisSpec) -> int:
     coefficients, it counts:
 
     - the History (History.nbytes: the M + 1 tempered levels of N_h values
-      and the largest memory-weight block a panel forms) and kappa at its
-      points;
+      and the memory-weight blocks of its panels) and kappa at its points;
     - the dense 1D blocks Kx, Ky and their eigenvectors;
     - the points and the weighted Vandermonde of both VolumeGrids;
     - the arrays in flight: three of N_q values (the source or u0 at the

@@ -74,17 +74,17 @@ class GradedTimeMesh:
     tau: np.ndarray = field(repr=False)
 
 
-def build_spatial_mesh(nx: int, ny: int) -> SpatialMesh:
-    """Construct the uniform periodic nx-by-ny mesh of the unit square.
+def _count(name: str, value) -> int:
+    """value as an int >= 1; a bool, a float or any other non-integer is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidArgumentError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
-    Parameters
-    ----------
-    nx, ny : int
-        Positive cell counts.
-    """
-    if nx < 1 or ny < 1:
-        raise InvalidArgumentError(f"cell counts must be >= 1, got nx={nx}, ny={ny}")
-    return SpatialMesh(nx=nx, ny=ny)
+
+def build_spatial_mesh(nx: int, ny: int) -> SpatialMesh:
+    """Construct the uniform periodic nx-by-ny mesh of the unit square; the
+    cell counts nx and ny are integers >= 1."""
+    return SpatialMesh(nx=_count("nx", nx), ny=_count("ny", ny))
 
 
 def build_graded_time_mesh(M: int, gamma: float, T: float) -> GradedTimeMesh:
@@ -94,12 +94,11 @@ def build_graded_time_mesh(M: int, gamma: float, T: float) -> GradedTimeMesh:
     computed as T*exp(gamma*log(n/M)) with the n = 0 endpoint pinned to 0,
     avoiding pow() domain quirks at the origin.
     """
-    if M < 1:
-        raise InvalidArgumentError(f"M must be >= 1, got {M}")
-    if not gamma >= 1.0:
-        raise InvalidArgumentError(f"grading exponent must satisfy gamma >= 1, got {gamma}")
-    if not T > 0.0:
-        raise InvalidArgumentError(f"final time must be positive, got {T}")
+    M = _count("M", M)
+    if not 1.0 <= gamma < np.inf:
+        raise InvalidArgumentError(f"grading exponent must be finite and >= 1, got {gamma}")
+    if not 0.0 < T < np.inf:
+        raise InvalidArgumentError(f"final time must be finite and positive, got {T}")
     t = np.empty(M + 1)
     t[0] = 0.0
     n = np.arange(1, M + 1, dtype=float)

@@ -186,7 +186,7 @@ def dense_condition_2norm(S) -> float:
 def l1_row(A: L1Kernel, n: int) -> np.ndarray:
     """(A_0^n, ..., A_{n-1}^n) as the package evaluates them: its interval
     weights of step n, newest first; empty for n = 0."""
-    return _interval_weights(A, n, 0, n)[::-1]
+    return _interval_weights(A, n)[::-1]
 
 
 def l1_table(tm, alpha: float) -> tuple[np.ndarray, ...]:
@@ -282,7 +282,7 @@ def memory_sum(A, kappa_at_quad: np.ndarray, tempered_at_quad: np.ndarray, n: in
     same terms, panel by panel, in another order; the exact reference for it.
     Unlike History.sum it may be read at any step, in any order.
     """
-    c = _memory_weights(A, n, 0, n)
+    c = _memory_weights(A, (n,), n + 1)[0, :n]
     return np.exp(-kappa_at_quad * A.tm.t[n]) * np.tensordot(c, tempered_at_quad[:n], axes=1)
 
 

@@ -17,6 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 from scipy.special import erfcx
 
 from fracldg.analysis import rates
@@ -420,16 +421,27 @@ def test_projection_and_flux_functional_orders():
 # ---------------------------------------------------------------------------
 
 def test_deterministic_rerun_byte_identical(tmp_path):
-    # Two --deterministic executions of the same preset produce
-    # byte-identical CSV and SVG artifacts.
-    for sub in ("first", "second"):
-        rc = main([
-            "run", "--config", "table1-row1", "--out", str(tmp_path / sub),
-            "--deterministic", "--plot",
-        ])
-        assert rc == 0
-    for fname in ("table1-row1.csv", "table1-row1.svg"):
-        a = (tmp_path / "first" / fname).read_bytes()
-        b = (tmp_path / "second" / fname).read_bytes()
-        assert a == b, fname
-    print("PASS determinism: CSV and SVG byte-identical across reruns")
+    # Two --deterministic executions of the same config produce
+    # byte-identical artifacts: a preset's CSV and SVG, and the CSV and
+    # TXT of a single run of M = 100 steps, whose memory sum crosses three
+    # history panels (the preset's M = 20 stays within the first).
+    panels = tmp_path / "det-panels.yaml"
+    panels.write_text(yaml.safe_dump({
+        "name": "det-panels", "kind": "single-run", "problem": "example2",
+        "alpha": 0.5, "degree": 1, "flux": [1.0, 0.0], "nx": 4,
+        "time": {"M": 100, "gamma": 2.0, "T": 0.1},
+    }), encoding="utf-8")
+    runs = (("table1-row1", ("table1-row1.csv", "table1-row1.svg")),
+            (str(panels), ("det-panels.csv", "det-panels.txt")))
+    for config, fnames in runs:
+        for sub in ("first", "second"):
+            rc = main([
+                "run", "--config", config, "--out", str(tmp_path / sub),
+                "--deterministic", "--plot",
+            ])
+            assert rc == 0
+        for fname in fnames:
+            a = (tmp_path / "first" / fname).read_bytes()
+            b = (tmp_path / "second" / fname).read_bytes()
+            assert a == b, fname
+    print("PASS determinism: preset and panel-crossing run byte-identical across reruns")

@@ -141,21 +141,21 @@ def test_panel_weights_fit_the_history_block_term():
     # A count of bytes, not a timing: a panel's memory weights are evaluated
     # in place, a row at a time, so no ufunc runs over a broadcast block and
     # holds numpy's iterator buffers. At M = 2000 the largest block is the
-    # 32 x 1952 panel at start 1952 (0.50 MB): it peaks at 0.56 MB, within
-    # the 1.00 MB that History.nbytes books for it; whole-block ufuncs
-    # peaked at 1.19 MB.
+    # 32 x 1984 panel at start 1952 (0.51 MB: its steps' weights of the
+    # 1952 levels before it and of the 32 of its own): it peaks at 0.57 MB,
+    # within the 1.02 MB that History.nbytes books for it and its near
+    # square; whole-block ufuncs peaked at 1.19 MB on a 32 x 1952 block.
     import tracemalloc
 
     M, start = 2000, 1952
     A = L1Kernel(0.5, build_graded_time_mesh(M, 2.0, 0.1))
-    steps = np.arange(start, start + HISTORY_PANEL)[:, None]
     tracemalloc.start()
     try:
-        C = _memory_weights(A, steps, 0, start)
+        C = _memory_weights(A, range(start, start + HISTORY_PANEL), start + HISTORY_PANEL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert C.shape == (HISTORY_PANEL, start)
+    assert C.shape == (HISTORY_PANEL, 1984)
     assert peak <= History.nbytes(M, 0), (peak, History.nbytes(M, 0))
 
 

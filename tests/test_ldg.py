@@ -477,22 +477,28 @@ def _random_history(M: int, seed: int):
 
 @pytest.mark.parametrize("M", [1, 31, 32, 33, 65, 100])
 def test_history_sum_in_step_order_is_the_panel_form_bitwise(M):
-    # History.sum in step order against the panel form written out: at every
-    # multiple of HISTORY_PANEL one GEMM of the memory weights with the
-    # levels stored before it; per step the contraction of the levels since,
-    # plus the panel row, times the tempering factor. Same numpy calls in the
+    # History.sum in step order against the panel form written out: one
+    # block of memory weights per panel, at every multiple of HISTORY_PANEL
+    # (panel 0 included); one GEMM of its far columns with the levels stored
+    # before the panel; per step the contraction of its row of the near
+    # columns with the levels since, plus the panel row, times the tempering
+    # factor, and A_0^n off the block's diagonal. Same numpy calls in the
     # same order, same bits: the shipped presets' outputs rest on this order.
     history, A, kappa, levels, tempered = _random_history(M, 41)
     for n, got in march(history, levels):
         start = n - n % HISTORY_PANEL
-        if n == start:
-            steps = np.arange(start, min(start + HISTORY_PANEL, M + 1))[:, None]
-            panel = _memory_weights(A, steps, 0, start) @ tempered[:start].reshape(start, -1)
-        total = np.tensordot(_memory_weights(A, n, start, n), tempered[start:n], axes=1)
+        if n in (1, start):
+            rows = min(HISTORY_PANEL, M + 1 - start)
+            block = _memory_weights(A, range(start, start + rows), start + rows)
+            if start:
+                panel = block[:, :start] @ tempered[:start].reshape(start, -1)
+            near = block[:, start:]
+        total = np.tensordot(near[n - start, : n - start], tempered[start:n], axes=1)
         if start:
             total += panel[n - start].reshape(total.shape)
         ref = np.exp(-kappa * A.tm.t[n]) * total
         assert np.array_equal(got, ref), n
+        assert history.a0(n) == near[n - start, n - start] == A.a0(n), n
 
 
 def test_history_sum_outside_step_order_raises():
@@ -591,30 +597,31 @@ def test_history_rule_matches_the_source_rule(k, example, gamma):
 
 
 def test_solve_reads_fewer_than_a_panel_of_levels_per_step(monkeypatch):
-    # A count, not a timing: every step sums at most HISTORY_PANEL - 1 stored
-    # levels itself, and the rest comes from one panel GEMM per
-    # HISTORY_PANEL steps. A return to an O(n) read per step fails here.
-    # The count reads the shapes of the memory-weight blocks History.sum
-    # asks for: a panel asks for a column of steps, a step for one row.
+    # A count, not a timing: every weight a run reads is formed in one block
+    # per panel of HISTORY_PANEL steps, and no step evaluates one. A block
+    # is HISTORY_PANEL steps by the levels before the panel, which one GEMM
+    # reads, and the panel's own, of which each step reads fewer than
+    # HISTORY_PANEL itself. A return to an O(n) read or a weight evaluation
+    # per step fails here.
     import fracldg.fractional as fractional
 
-    rows_read, panels = [], []
+    blocks = []
 
-    def counting_weights(A, n, start, stop):
-        if np.ndim(n):
-            panels.append((stop, len(n)))
-        else:
-            rows_read.append(stop - start)
-        return _memory_weights(A, n, start, stop)
+    def counting_weights(A, steps, stop):
+        C = _memory_weights(A, steps, stop)
+        blocks.append(C.shape)
+        return C
+
+    def a0_not_called(self, n):
+        raise AssertionError(f"L1Kernel.a0({n}) evaluated inside a step")
 
     monkeypatch.setattr(fractional, "_memory_weights", counting_weights)
+    monkeypatch.setattr(fractional.L1Kernel, "a0", a0_not_called)
     M = 100
     prob = example2(0.5)
     tm = build_graded_time_mesh(M, 2.0, 0.1)
     solve(prob, build_spatial_mesh(3, 3), tm, BasisSpec(1), FluxWeights(1.0, 0.0), lambda n, u: None)
-    assert len(rows_read) == M
-    assert max(rows_read) < HISTORY_PANEL
-    assert panels == [(32, 32), (64, 32), (96, 5)]
+    assert blocks == [(32, 32), (32, 64), (32, 96), (5, 101)]
 
 
 #: Peak traced allocation allowed for solve() on a 1 x 1 Q0 mesh at M = 2000.
@@ -652,20 +659,26 @@ def test_footprint_counts_levels_weight_blocks_and_1d_blocks():
     # source's rule has 4, N_q = 4096. The 1D blocks are 32 x 32, the two
     # grids hold (16 + 16 + 2) (2 + 4) points and Vandermonde entries, and
     # the arrays in flight are 3 N_q + 4 N_dof values. A panel at start s
-    # forms a min(HISTORY_PANEL, M + 1 - s) x s memory-weight block, booked
-    # twice. At M = 200 the largest is the full panel at s = 160 (the last,
-    # at s = 192, covers 9 steps).
+    # covers rows = min(HISTORY_PANEL, M + 1 - s) steps with a
+    # rows x (s + rows) memory-weight block, booked twice, and keeps its
+    # rows x rows near square, at most HISTORY_PANEL^2. At M = 200 the
+    # largest block is the full panel at s = 160, 32 x 192 (the last, at
+    # s = 192, is 9 x 201).
     mesh = build_spatial_mesh(16, 16)
     fixed = 1024 + 2 * (32**2 + 32**2) + (16 + 16 + 2) * (2 + 4) + 3 * 4096 + 4 * 1024
+    near = HISTORY_PANEL**2
     assert footprint_bytes(mesh, 200, BasisSpec(1)) == 8 * (
-        201 * 1024 + 2 * HISTORY_PANEL * 160 + fixed
+        201 * 1024 + 2 * HISTORY_PANEL * 192 + near + fixed
     )
-    # At M = 95 the last panel, at s = 64, is full and the largest.
+    # At M = 95 the last panel, at s = 64, is full and the largest, 32 x 96.
     assert footprint_bytes(mesh, 95, BasisSpec(1)) == 8 * (
-        96 * 1024 + 2 * HISTORY_PANEL * 64 + fixed
+        96 * 1024 + 2 * HISTORY_PANEL * 96 + near + fixed
     )
-    # M < HISTORY_PANEL forms no panel.
-    assert footprint_bytes(mesh, HISTORY_PANEL - 1, BasisSpec(1)) == 8 * (HISTORY_PANEL * 1024 + fixed)
+    # M < HISTORY_PANEL forms panel 0 alone, an (M + 1) x (M + 1) block.
+    assert footprint_bytes(mesh, HISTORY_PANEL - 1, BasisSpec(1)) == 8 * (
+        HISTORY_PANEL * 1024 + 3 * HISTORY_PANEL**2 + fixed
+    )
+    assert footprint_bytes(mesh, 9, BasisSpec(1)) == 8 * (10 * 1024 + 3 * 10**2 + fixed)
 
 
 def _traced_solve_peak(nx: int, k: int, M: int):
@@ -689,9 +702,9 @@ def _traced_solve_peak(nx: int, k: int, M: int):
 #: arrays in flight but not the temporaries the problem's source builds beyond
 #: its result, nor numpy's iterator buffers (np.getbufsize() elements of 8 B
 #: each) that a broadcasting ufunc takes. Every run below peaks under its
-#: footprint itself: 1 x 1 Q0 at M = 2000 by 417 565 B, 16 x 16 Q2 at M = 100
-#: by 3 600 B, 8 x 8 Q1 at M = 800 by 188 624 B and 32 x 32 Q1 at M = 20 by
-#: 51 304 B. The margin, one iterator buffer of 8 B values (64 KiB), is a
+#: footprint itself: 1 x 1 Q0 at M = 2000 by 428 829 B, 16 x 16 Q2 at M = 100
+#: by 19 824 B, 8 x 8 Q1 at M = 800 by 196 800 B and 32 x 32 Q1 at M = 20 by
+#: 58 304 B. The margin, one iterator buffer of 8 B values (64 KiB), is a
 #: fixed room for such temporaries, not a share of the run's size.
 PEAK_MARGIN_BYTES = 8 * np.getbufsize()
 
@@ -710,10 +723,10 @@ def test_solve_peak_is_within_its_footprint():
 
 #: Traced bytes a 16 x 16 Q2 solve at M = 100 may hold beyond its tempered
 #: levels, in units of one level on the history rule, 8 nx ny (k+1)^2:
-#: measured 19.0 (a weight block, kappa and a step's arrays, most of them
-#: at the source's (k+3)^2 points), 21.0 below this bound. Levels held
-#: on the source's rule measure 210.7 (5.75 MB); a 32-row panel buffer next
-#: to the levels would add 32.
+#: measured 19.5 (a weight block, the near weights, kappa and a step's
+#: arrays, most of them at the source's (k+3)^2 points), 20.5 below this
+#: bound. Levels held on the source's rule measure 210.7 (5.75 MB); a 32-row
+#: panel buffer next to the levels would add 32.
 LEVELS_SLACK = 40
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def test_spatial_mesh_validation():
         build_spatial_mesh(4, -1)
     with pytest.raises(TypeError):
         build_spatial_mesh(4, 4, domain=(0.0, 1.0, 0.0, 1.0))
+    # A count is an integer: 2.5 cells would put edges past the unit square,
+    # and a bool or a float is not a count even when it equals one.
+    for bad in (2.5, 2.0, True, np.float64(3.0), np.bool_(True), "4", None):
+        with pytest.raises(InvalidArgumentError, match="must be an integer >= 1"):
+            build_spatial_mesh(bad, 2)
+        with pytest.raises(InvalidArgumentError, match="must be an integer >= 1"):
+            build_spatial_mesh(2, bad)
+    mesh = build_spatial_mesh(np.int64(3), np.int32(2))
+    assert mesh == build_spatial_mesh(3, 2) and type(mesh.nx) is type(mesh.ny) is int
 
 
 def test_spatial_mesh_is_a_value_of_its_counts():
@@ -70,3 +80,15 @@ def test_graded_mesh_validation():
         build_graded_time_mesh(5, 2.0, 0.0)
     with pytest.raises(InvalidArgumentError, match="nonpositive time step"):
         build_graded_time_mesh(1000, 200.0, 0.1)  # t_1 = T (1/M)^gamma underflows to 0
+    for bad in (2.5, 5.0, True, np.float64(5.0)):
+        with pytest.raises(InvalidArgumentError, match="M must be an integer >= 1"):
+            build_graded_time_mesh(bad, 1.0, 0.1)
+    # A non-finite gamma or T is refused before any point is computed, with
+    # no floating-point warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma, T in ((np.inf, 0.1), (np.nan, 0.1), (2.0, np.inf), (2.0, np.nan)):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                build_graded_time_mesh(5, gamma, T)
+    tm = build_graded_time_mesh(np.int64(5), 2.0, 0.1)
+    assert type(tm.M) is int and np.array_equal(tm.t, build_graded_time_mesh(5, 2.0, 0.1).t)
