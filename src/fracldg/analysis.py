@@ -135,8 +135,8 @@ def condition_number(ops: LdgOperators, A: L1Kernel, M: int) -> float:
     (k+1)^2 x (k+1)^2 block per Fourier pair (mx, my),
     Dhat (A_0^M m I + Kxhat(mx) (x) I + I (x) Kyhat(my)) Dhat with
     Dhat = diag(dc) (x) diag(dc), dc the part of d on one cell's modes in one
-    direction. Each x mode takes one batched eigvalsh over all y modes;
-    nothing is solved or factorized.
+    direction. One batched eigvalsh takes all nx ny blocks at once; nothing
+    is solved or factorized.
     """
     a0 = A.a0(M)  # raises InvalidArgumentError unless 1 <= M <= A.tm.M
     kk = ops.basis.k + 1
@@ -146,8 +146,11 @@ def condition_number(ops: LdgOperators, A: L1Kernel, M: int) -> float:
     dhat = np.kron(dc, dc)
     scale = dhat[:, None] * dhat[None, :]
     y_part = (a0 * ops.M) * np.eye(kk * kk) + np.kron(eye, block_symbol(ops.Ky, ops.mesh.ny))
-    lam = [
-        np.linalg.eigvalsh(scale * (np.kron(kx_hat, eye) + y_part))
-        for kx_hat in block_symbol(ops.Kx, ops.mesh.nx)
-    ]
+    # kron(Kxhat(mx), I) for every mx at once: entry ((r, s), (r', s')) is
+    # Kxhat(mx)[r, r'] I[s, s'], the same products np.kron forms.
+    kx_hat = block_symbol(ops.Kx, ops.mesh.nx)
+    x_part = (kx_hat[:, :, None, :, None] * eye[:, None, :]).reshape(-1, kk * kk, kk * kk)
+    blocks = x_part[:, None] + y_part[None, :]
+    blocks *= scale
+    lam = np.linalg.eigvalsh(blocks)
     return float(np.max(lam) / np.min(lam))

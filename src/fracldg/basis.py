@@ -154,9 +154,18 @@ class DgField:
         return float(np.sqrt(m * np.sum(self.coeffs**2)))
 
     def eval_volume_quad(self, quad: QuadRule) -> np.ndarray:
-        """Values at the tensor quadrature points of every cell, shape (nx, ny, qx, qy)."""
+        """Values at the tensor quadrature points of every cell, shape (nx, ny, qx, qy).
+
+        Each axis is one (cells (k+1), k+1) @ (k+1, q) product on the
+        reshaped coefficients, y first; per value it is the same sum as the
+        per-cell V @ C @ V^T, in the same order.
+        """
+        nx, ny, kk, _ = self.coeffs.shape
         V = quad_vandermonde(self.basis.k, quad.npoints)
-        return V @ (self.coeffs @ V.T)
+        q = V.shape[0]
+        in_y = (self.coeffs.reshape(-1, kk) @ V.T).reshape(nx, ny, kk, q)
+        in_x = in_y.transpose(0, 1, 3, 2).reshape(-1, kk) @ V.T
+        return in_x.reshape(nx, ny, q, q).transpose(0, 1, 3, 2)
 
 
 @dataclass(frozen=True)
@@ -164,12 +173,15 @@ class VolumeGrid:
     """The tensor Gauss rule of every volume term on a mesh, built once.
 
     x and y are the physical quadrature points shaped (nx, 1, q, 1) and
-    (1, ny, 1, q), so a callable g(x, y) or f(t, x, y) broadcasts to the
-    (nx, ny, q, q) grid; WV[q, r] = w_q Lhat_r(x_q) is the weighted
-    Vandermonde of the moments. A run builds two: one on
-    basis.default_quad_points for the L2 projection, the source moments and
-    the error norms, and one on basis.history_quad_points for the memory
-    history and the moments of its sum.
+    (1, ny, 1, q), so a callable g(x, y) broadcasts to the (nx, ny, q, q)
+    grid; WV[q, r] = w_q Lhat_r(x_q) is the weighted Vandermonde of the
+    moments. A separable f = fx(x) fy(y) never needs that grid:
+    separable_moments takes its moments from fx at x and fy at y. A run
+    builds two grids: one on basis.default_quad_points for the L2
+    projection of u0, the source moments (separable, on the points of one
+    axis at a time) and the error norms, and one on
+    basis.history_quad_points for the memory history and the moments of
+    its sum.
     """
 
     mesh: SpatialMesh = field(repr=False)
@@ -201,8 +213,32 @@ class VolumeGrid:
 
     def moments(self, values: np.ndarray) -> np.ndarray:
         """sum_q w_q g(x_q) Lhat_r Lhat_s per cell, shape (nx, ny, k+1, k+1),
-        from the values g at the points."""
-        return self.WV.T @ (values @ self.WV)
+        from the values g at the points.
+
+        Each axis is one (cells q, q) @ (q, k+1) product on the reshaped
+        values, y first; per moment it is the same sum as the per-cell
+        WV^T @ G @ WV, in the same order. At k = 0 the x sum of a cell is a
+        dot product, which numpy hands to BLAS ddot, and a matrix-vector
+        product adds in another order, so it stays per cell.
+        """
+        nx, ny, q, _ = values.shape
+        kk = self.WV.shape[1]
+        in_y = (values.reshape(-1, q) @ self.WV).reshape(nx, ny, q, kk)
+        if kk == 1:
+            return self.WV.T @ in_y
+        in_x = in_y.transpose(0, 1, 3, 2).reshape(-1, q) @ self.WV
+        return in_x.reshape(nx, ny, kk, kk).transpose(0, 1, 3, 2)
+
+    def separable_moments(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+        """Moments of the product fx(x) fy(y), from fx at the points x
+        (shaped like x, (nx, 1, q, 1)) and fy at the points y (shaped like
+        y, (1, ny, 1, q)): the outer product of the x-moments of fx and the
+        y-moments of fy, shape (nx, ny, k+1, k+1). It costs O((nx + ny) q)
+        values, and the (nx, ny, q, q) grid is never formed."""
+        q = self.quad.npoints
+        mx = np.reshape(fx, (self.mesh.nx, q)) @ self.WV
+        my = np.reshape(fy, (self.mesh.ny, q)) @ self.WV
+        return mx[:, None, :, None] * my[None, :, None, :]
 
     def project(self, g) -> DgField:
         """L2 projection of g(x, y) onto the Q^k space, per cell.

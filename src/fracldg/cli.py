@@ -6,7 +6,9 @@ Verbs:
   validate-config  parse and validate a config without running it
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 expectation mismatch when --check is passed.
+4 expectation mismatch when --check is passed. A config whose run would
+not fit in the machine's physical memory is refused, by both run and
+validate-config, with exit 3 before any of it is built.
 
 Every mapping of a config (the top level, `time`, each `cond_rows` entry,
 `expect` and `expect.cond_anchor`) is read through one key-consuming
@@ -298,14 +300,42 @@ def _time_meshes(cfg: ExperimentConfig) -> list[tuple[str, int, float]]:
     return [("time", cfg.M, cfg.gamma)]
 
 
+def _solve_cases(cfg: ExperimentConfig) -> list[tuple[str, float, int, int, float]]:
+    """(label, rate abscissa, nx, M, gamma) of every solve a run of cfg
+    makes, in run order; cfg is of a kind that solves."""
+    if cfg.kind == "temporal-convergence":
+        # Coupled spatial resolution h = M^((alpha-2)/(k+1)) keeps the
+        # spatial error subordinate while the time error is measured.
+        return [(str(M), 1.0 / M, max(1, round(M ** ((2.0 - cfg.alpha) / (cfg.degree + 1)))),
+                 M, gamma) for _, M, gamma in _time_meshes(cfg)]
+    [(_, M, gamma)] = _time_meshes(cfg)
+    return [(f"1/{nx}", 1.0 / nx, nx, M, gamma) for nx in cfg.nx_list or (cfg.nx,)]
+
+
 def _check_time_meshes(cfg: ExperimentConfig, source: str) -> None:
-    """Build every graded time mesh a run of cfg builds, so a mesh that
-    cannot be built (its first step underflows) fails the config, not the
-    run."""
+    """Refuse a config whose run would not fit in memory, before any time
+    mesh is built, then build every graded time mesh a run of cfg builds, so
+    a mesh that cannot be built (its first step underflows) fails the
+    config, not the run.
+
+    Every case of the run, (nx, M, degree), is sized by ldg.footprint_bytes
+    and refused by ldg.require_memory with solve's NumericError (exit 3),
+    so validate-config refuses what run would, and the answer depends on
+    the physical memory of the machine. A condition-number row is sized as
+    a solve on its mesh, degree and M: more than its study holds, which
+    builds no history."""
     # Imported here: importing the CLI must not load numpy before the
     # thread count is pinned.
-    from .meshes import build_graded_time_mesh
+    from .basis import BasisSpec
+    from .ldg import footprint_bytes, require_memory
+    from .meshes import build_graded_time_mesh, build_spatial_mesh
 
+    if cfg.kind == "condition-number":
+        sizes = [(cfg.nx, cfg.M, row.degree) for row in cfg.cond_rows]
+    else:
+        sizes = [(nx, M, cfg.degree) for _, _, nx, M, _ in _solve_cases(cfg)]
+    for nx, M, degree in sizes:
+        require_memory(footprint_bytes(build_spatial_mesh(nx, nx), M, BasisSpec(degree)))
     for key, M, gamma in _time_meshes(cfg):
         try:
             build_graded_time_mesh(M, gamma, cfg.T)
@@ -355,14 +385,7 @@ def _run_solves(cfg: ExperimentConfig):
     from .meshes import build_graded_time_mesh, build_spatial_mesh
     from .problems import example1, example2
 
-    if cfg.kind == "temporal-convergence":
-        # Coupled spatial resolution h = M^((alpha-2)/(k+1)) keeps the
-        # spatial error subordinate while the time error is measured.
-        cases = [(str(M), 1.0 / M, max(1, round(M ** ((2.0 - cfg.alpha) / (cfg.degree + 1)))),
-                  M, gamma) for _, M, gamma in _time_meshes(cfg)]
-    else:
-        [(_, M, gamma)] = _time_meshes(cfg)
-        cases = [(f"1/{nx}", 1.0 / nx, nx, M, gamma) for nx in cfg.nx_list or (cfg.nx,)]
+    cases = _solve_cases(cfg)
     if cfg.problem == "example1":
         prob = example1(cfg.alpha)
     else:

@@ -38,7 +38,9 @@ basis.history_quad_points (k+1) Gauss points per axis, holds the levels
 and takes the moments of the memory sum: a level there has as many values
 as coefficients, and for a constant kappa the rule integrates the memory
 term exactly. The source grid, basis.default_quad_points (k+3), projects
-u0 and takes the moments of the source, which is not a polynomial. solve
+u0 and takes the moments of the source, which is not a polynomial; the
+source is separable, so a step reads only the points of one axis at a
+time there and never the (k+3)^2 grid. solve
 hands each level to an observer and keeps none itself, and refuses, before
 it allocates, a run whose footprint exceeds the physical memory.
 """
@@ -50,7 +52,7 @@ import os
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -107,12 +109,16 @@ class FluxWeights:
         return self.sigma1 == 0.5 or self.sigma2 == 0.5
 
 
+@lru_cache(maxsize=None)
 def _derivative_matrix(k: int) -> np.ndarray:
-    """D[a, b] = int_{-1}^{1} Lhat_a(x) * Lhat_b'(x) dx, exact."""
+    """D[a, b] = int_{-1}^{1} Lhat_a(x) * Lhat_b'(x) dx, exact; built once
+    per k and read-only, since every caller shares it."""
     quad = gauss_rule(max(k + 1, 1))
     V = legendre_values(k, quad.nodes)
     Vd = legendre_derivatives(k, quad.nodes)
-    return (V * quad.weights[:, None]).T @ Vd
+    D = (V * quad.weights[:, None]).T @ Vd
+    D.setflags(write=False)
+    return D
 
 
 def _directional_operator(n: int, k: int, sigma: float) -> np.ndarray:
@@ -211,19 +217,21 @@ class LdgOperators:
         residual above SOLVER_RTOL gets one step of iterative refinement; one
         still above 100 * SOLVER_RTOL, or a non-finite b or x, raises
         NumericError instead of propagating into the trajectory."""
-        bnorm = float(np.linalg.norm(b))
+        # sqrt(v @ v) is what np.linalg.norm computes for a 1-D float vector.
+        bnorm = math.sqrt(b @ b)
         if not math.isfinite(bnorm):
             raise NumericError(f"linear solve: right-hand side is not finite (|b| = {bnorm})")
         x = self._diagonalized_solve(a0, b)
         r = b - ((a0 * self.M) * x + self.apply_K(x))
-        res = float(np.linalg.norm(r))
+        res = math.sqrt(r @ r)
         if res > SOLVER_RTOL * bnorm:
             # Eigenvalue rounding (~eps * max(lam)) is large against the
             # smallest denominators when a small a0 * M leaves near-null
             # modes of K ill-conditioned; one refinement step with the same
             # eigenpairs removes that error.
             x = x + self._diagonalized_solve(a0, r)
-            res = float(np.linalg.norm((a0 * self.M) * x + self.apply_K(x) - b))
+            r = (a0 * self.M) * x + self.apply_K(x) - b
+            res = math.sqrt(r @ r)
         if not math.isfinite(res):
             raise NumericError(f"linear solve: solution is not finite (residual {res})")
         if bnorm > 0.0 and res > SOLVER_RTOL * bnorm * 100.0:
@@ -280,14 +288,17 @@ def step(
 
     history holds u^0..u^{n-1}, tempered at the points of history_grid, and
     gives hist = sum(n) and A_0^n = a0(n), so the step evaluates no weight;
-    history_grid takes the moments (hist, v) and grid the moments
-    (f(t_n), v) of the source. The caller pushes u^n.
+    history_grid takes the moments (hist, v). The source is separable:
+    grid takes its moments (f(t_n), v) from its two factors at the points
+    of one axis each (VolumeGrid.separable_moments), so the step touches
+    only the history grid and never the (k+3)^2 points of grid. The caller
+    pushes u^n.
     """
     # The history part of D_M u moves to the right-hand side: this negation is
     # the single place the sign convention is applied.
     moments = history_grid.moments(-history.sum(n))
     if prob.f is not None:
-        moments += grid.moments(prob.f(A.tm.t[n], grid.x, grid.y))
+        moments += grid.separable_moments(*prob.f(A.tm.t[n], grid.x, grid.y))
     moments *= ops.M
     b = np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()  # solver order (i, r, j, s)
     x = ops.solve_system(history.a0(n), b)
@@ -317,10 +328,10 @@ def footprint_bytes(mesh: SpatialMesh, M: int, basis: BasisSpec) -> int:
       and the memory-weight blocks of its panels) and kappa at its points;
     - the dense 1D blocks Kx, Ky and their eigenvectors;
     - the points and the weighted Vandermonde of both VolumeGrids;
-    - the arrays in flight: three of N_q values (the source or u0 at the
-      points, with the temporaries of VolumeGrid.at and moments) and four
-      of N_dof (the memory sum and its tempering factor, the right-hand
-      side and the solution).
+    - the arrays in flight: three of N_q values (u0 at the points, with the
+      temporaries of VolumeGrid.at and moments, once per run) and four of
+      N_dof (the memory sum and its tempering factor, the right-hand side
+      and the solution).
 
     What the problem's callables allocate beyond their result is left out.
     """
@@ -333,6 +344,21 @@ def footprint_bytes(mesh: SpatialMesh, M: int, basis: BasisSpec) -> int:
     grids = (mesh.nx + mesh.ny + kk) * (basis.history_quad_points + basis.default_quad_points)
     in_flight = 3 * n_q + 4 * n_dof
     return History.nbytes(M, n_h) + 8 * (n_h + blocks + grids + in_flight)
+
+
+def require_memory(need: int) -> None:
+    """Raise NumericError naming need when a run that holds need bytes
+    (footprint_bytes) would exceed the physical memory
+    (physical_memory_bytes); where the platform reports none, refuse
+    nothing."""
+    limit = physical_memory_bytes()
+    if limit is not None and need > limit:
+        # A config's sizes are any finite floats: need may exceed a float.
+        gib = need / 2**30 if need.bit_length() < 1000 else math.inf
+        raise NumericError(
+            f"the run needs {need} bytes ({gib:.3g} GiB) for its history and operators, "
+            f"more than the {limit} bytes of physical memory"
+        )
 
 
 def solve(
@@ -363,17 +389,11 @@ def solve(
 
     Before it allocates anything, solve works out from (M, nx, ny, k) the
     bytes it will hold (footprint_bytes) and raises NumericError naming them
-    when they exceed the physical memory (physical_memory_bytes). It raises
+    when they exceed the physical memory (require_memory). It raises
     InvalidArgumentError, from History, when kappa exceeds c_kappa or the
     tempering factors e^(+-kappa t) would leave the float64 range.
     """
-    need = footprint_bytes(mesh, tm.M, basis)
-    limit = physical_memory_bytes()
-    if limit is not None and need > limit:
-        raise NumericError(
-            f"the run needs {need} bytes ({need / 2**30:.3g} GiB) for its history and operators, "
-            f"more than the {limit} bytes of physical memory"
-        )
+    require_memory(footprint_bytes(mesh, tm.M, basis))
     ops = assemble_operators(mesh, basis, fw)
     A = L1Kernel(prob.alpha, tm)
     grid = VolumeGrid.build(mesh, basis)

@@ -4,7 +4,9 @@ Each instance bundles the physics of one test case: the fractional order,
 the tempering field kappa with a certified bound, the initial condition,
 the source, and (when available) the closed-form solution used to measure
 errors. All field callables are vectorized over numpy arrays and periodic
-on the unit square.
+on the unit square. The source is separable: it is given as the factor
+pair (fx, fy) of f = fx(x) fy(y), so its moments are the outer product of
+two one-dimensional ones.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = ["ProblemSpec", "example1", "example2"]
 
 SpaceFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 SpaceTimeFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+SeparableFn = Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -32,13 +35,21 @@ class ProblemSpec:
     factor e^{-kappa t} between fixed positive constants on the [0, T] of a
     run; both bounds are what the stability of the scheme rests on. f and
     exact may be None (homogeneous source, or no closed form known).
+
+    f(t, x, y) returns the factor pair (fx, fy) of a separable source
+    f = fx * fy: fx depends on t and x alone and fy on y alone. Given the
+    points x of shape (nx, 1, q, 1) and y of shape (1, ny, 1, q) of a
+    basis.VolumeGrid, fx is shaped like x and fy like y, so a step takes
+    the source moments from nx q + ny q values
+    (VolumeGrid.separable_moments). Their product is the source at the
+    points.
     """
 
     alpha: float
     kappa: SpaceFn
     c_kappa: float
     u0: SpaceFn
-    f: SpaceTimeFn | None
+    f: SeparableFn | None
     exact: SpaceTimeFn | None
 
     def __post_init__(self) -> None:
@@ -75,7 +86,8 @@ def example2(alpha: float, delta: float | None = None) -> ProblemSpec:
     The source is manufactured so that e^{-t cos(2 pi x)} t^delta
     cos(2 pi x) sin(2 pi y) is exact; delta controls the temporal regularity
     near t = 0 (delta defaults to alpha, the hardest case the time mesh
-    grading is designed for).
+    grading is designed for). Every term of it carries sin(2 pi y) times a
+    factor of t and x alone, so f returns the pair (X(t, x), sin(2 pi y)).
     """
     if delta is None:
         delta = alpha
@@ -98,17 +110,14 @@ def example2(alpha: float, delta: float | None = None) -> ProblemSpec:
         c = np.cos(two_pi * x)
         return np.exp(-t * c) * t**delta * c * np.sin(two_pi * y)
 
-    def f(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # memory + (2 - t c) (g + h), built in its result in that order of
-        # operations: the bits are the same, and at most two arrays of the
-        # result's size are held.
+    def f(t: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # X = memory + (2 - t c) (g + h), each term without its sin(2 pi y).
         c = np.cos(two_pi * x)
-        s = np.sin(two_pi * y)
         damp = np.exp(-t * c)
-        out = 4.0 * math.pi**2 * t**delta * damp * c * s  # g
-        out += 4.0 * math.pi**2 * t ** (delta + 1.0) * damp * np.sin(two_pi * x) ** 2 * s  # h
-        out *= 2.0 - t * c
-        out += damp * gamma_ratio * t ** (delta - alpha) * c * s  # memory
-        return out
+        X = 4.0 * math.pi**2 * t**delta * damp * c  # g
+        X += 4.0 * math.pi**2 * t ** (delta + 1.0) * damp * np.sin(two_pi * x) ** 2  # h
+        X *= 2.0 - t * c
+        X += damp * gamma_ratio * t ** (delta - alpha) * c  # memory
+        return X, np.sin(two_pi * y)
 
     return ProblemSpec(alpha=alpha, kappa=kappa, c_kappa=1.0, u0=u0, f=f, exact=exact)

@@ -8,8 +8,13 @@ blocks, and an adaptive-precision Mittag-Leffler series instead of the
 contour rule. Slow and simple on purpose. The exceptions are l1_table,
 the stored L1 table the package once built: the same formula row by row,
 against which the coefficients the package evaluates on demand must agree
-bit for bit; and l1_row, which reads one step's row of those coefficients
-off the package itself.
+bit for bit; l1_row, which reads one step's row of those coefficients
+off the package itself; and the slow forms of the package's fast paths,
+each the code it replaced, against which the fast path must agree bit for
+bit: the row-by-row memory weights (memory_weights_by_rows), the per-cell
+stacked products of the moments and of the values at the points
+(moments_per_cell, values_per_cell) and the condition number one x mode
+at a time (condition_number_by_x_modes).
 The error functionals are recomputed by their defining formulas from the
 levels that a collecting observer keeps (solve_fields), against which the
 streaming observers of fracldg.analysis must also agree bit for bit.
@@ -47,8 +52,8 @@ from fracldg.basis import (
     quad_vandermonde,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
-from fracldg.fractional import L1Kernel, _interval_weights, _memory_weights
-from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, solve
+from fracldg.fractional import L1Kernel, _interval_weights
+from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, block_symbol, solve
 
 
 def orthonormal_legendre_value(r: int, x: float) -> float:
@@ -215,6 +220,50 @@ def l1_table(tm, alpha: float) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
+def memory_weights_by_rows(A: L1Kernel, steps, stop: int) -> np.ndarray:
+    """fracldg.fractional._memory_weights one row at a time: the package's
+    former form, each row one _interval_weights call and one difference in
+    place, kept as the exact reference for the whole-block form."""
+    c = np.zeros((len(steps), stop))
+    for row, n in zip(c, steps):
+        row[1 : n + 1] = _interval_weights(A, n)
+        row[:n] -= row[1 : n + 1]
+    return c
+
+
+def moments_per_cell(grid: VolumeGrid, values: np.ndarray) -> np.ndarray:
+    """VolumeGrid.moments as WV^T @ G @ WV stacked over the cells, one small
+    product per cell and axis: the package's former form, kept as the exact
+    reference for its two reshaped products."""
+    return grid.WV.T @ (values @ grid.WV)
+
+
+def values_per_cell(f: DgField, quad: QuadRule) -> np.ndarray:
+    """DgField.eval_volume_quad as V @ C @ V^T stacked over the cells: the
+    package's former form, kept as the exact reference for its two reshaped
+    products."""
+    V = quad_vandermonde(f.basis.k, quad.npoints)
+    return V @ (f.coeffs @ V.T)
+
+
+def condition_number_by_x_modes(ops: LdgOperators, A: L1Kernel, M: int) -> float:
+    """analysis.condition_number with one eigvalsh per x mode over all y
+    modes and kron(Kxhat, I) formed by np.kron per mode: the package's former
+    form, kept as the exact reference for its single batched eigvalsh."""
+    a0 = A.a0(M)
+    kk = ops.basis.k + 1
+    eye = np.eye(kk)
+    dc = 1.0 / np.sqrt(np.arange(kk) + 0.5)
+    dhat = np.kron(dc, dc)
+    scale = dhat[:, None] * dhat[None, :]
+    y_part = (a0 * ops.M) * np.eye(kk * kk) + np.kron(eye, block_symbol(ops.Ky, ops.mesh.ny))
+    lam = [
+        np.linalg.eigvalsh(scale * (np.kron(kx_hat, eye) + y_part))
+        for kx_hat in block_symbol(ops.Kx, ops.mesh.nx)
+    ]
+    return float(np.max(lam) / np.min(lam))
+
+
 def complementary_kernels_by_inversion(A) -> list[np.ndarray]:
     """Complementary kernels P^n computed by solving the defining linear
     system sum_{j=m}^{n} P_{n-j}^n A_{j-m}^j = 1 (m = 1..n) directly,
@@ -282,7 +331,7 @@ def memory_sum(A, kappa_at_quad: np.ndarray, tempered_at_quad: np.ndarray, n: in
     same terms, panel by panel, in another order; the exact reference for it.
     Unlike History.sum it may be read at any step, in any order.
     """
-    c = _memory_weights(A, (n,), n + 1)[0, :n]
+    c = memory_weights_by_rows(A, (n,), n + 1)[0, :n]
     return np.exp(-kappa_at_quad * A.tm.t[n]) * np.tensordot(c, tempered_at_quad[:n], axes=1)
 
 
@@ -329,7 +378,7 @@ def solve_stepwise(prob, mesh, tm, basis, fw, history_points: int) -> list:
         rhs = moments(hquad, -memory_sum(A, kappa_at_quad, tempered, n))
         if prob.f is not None:
             t_n = A.tm.t[n]
-            rhs = rhs + moments(grid.quad, grid.at(lambda x, y: prob.f(t_n, x, y)))
+            rhs = rhs + moments(grid.quad, grid.at(lambda x, y: np.multiply(*prob.f(t_n, x, y))))
         b = np.ascontiguousarray((ops.M * rhs).transpose(0, 2, 1, 3)).ravel()
         u_n = ops.unflatten(ops.solve_system(l1_row(A, n)[0], b))
         fields.append(u_n)

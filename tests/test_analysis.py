@@ -25,6 +25,7 @@ from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import example1, example2
 
 from oracles import (
+    condition_number_by_x_modes,
     dense_condition_2norm,
     field_eval,
     final_time_error,
@@ -309,6 +310,20 @@ def test_condition_number_matches_dense_oracle(k, flux):
             S = (A.a0(10) * ops.M) * np.eye(ops.ndof) + K
             ref = dense_condition_2norm(d[:, None] * S * d[None, :])
             assert condition_number(ops, A, 10) == pytest.approx(ref, rel=1e-10), (alpha, nx, ny)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("flux", [(1.0, 0.0), (0.9, 0.1), (0.8, 0.2), (0.7, 0.3)])
+def test_condition_number_matches_the_per_mode_form_bitwise(k, flux):
+    # One batched eigvalsh over every (mx, my) block, with kron(Kxhat, I)
+    # formed by broadcasting, gives the same bits as one call per x mode
+    # with np.kron.
+    fw = FluxWeights(*flux)
+    for nx, ny in ((5, 5), (12, 12), (16, 16), (5, 12)):
+        ops = assemble_operators(build_spatial_mesh(nx, ny), BasisSpec(k), fw)
+        for alpha, gamma in ((0.3, 6.0), (0.7, 2.0)):
+            A = L1Kernel(alpha, build_graded_time_mesh(100, gamma, 0.1))
+            assert condition_number(ops, A, 100) == condition_number_by_x_modes(ops, A, 100), (nx, ny, alpha)
 
 
 def test_condition_number_factorizes_nothing(monkeypatch):

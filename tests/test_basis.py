@@ -19,13 +19,15 @@ from fracldg.basis import (
 from fracldg.errors import InvalidArgumentError
 from fracldg.ldg import FluxWeights, solve
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
-from fracldg.problems import example1
+from fracldg.problems import example1, example2
 
 from oracles import (
     edge_trace,
     field_eval,
+    moments_per_cell,
     orthonormal_legendre_derivative,
     orthonormal_legendre_value,
+    values_per_cell,
 )
 
 
@@ -166,6 +168,42 @@ def test_eval_volume_quad_matches_einsum(nx, ny, k, q):
     got = f.eval_volume_quad(quad)
     assert got.shape == (nx, ny, q, q)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (5, 7), (16, 16), (40, 3)])
+def test_reshaped_products_match_the_per_cell_form_bitwise(k, nx, ny):
+    # The moments and the values at the points take one product per axis on
+    # the reshaped arrays; each entry is the same sum, in the same order, as
+    # the per-cell stacked products they replaced.
+    rng = np.random.default_rng(100 * k + nx)
+    mesh = build_spatial_mesh(nx, ny)
+    basis = BasisSpec(k)
+    f = DgField(rng.standard_normal((nx, ny, k + 1, k + 1)), basis, mesh)
+    for q in range(k + 1, k + 4):
+        grid = VolumeGrid.build(mesh, basis, gauss_rule(q))
+        values = rng.standard_normal((nx, ny, q, q))
+        assert np.array_equal(grid.moments(values), moments_per_cell(grid, values)), q
+        assert np.array_equal(f.eval_volume_quad(grid.quad), values_per_cell(f, grid.quad)), q
+
+
+#: Agreement demanded between the separable moments of fx(x) fy(y) and the
+#: moments of the product formed on the full grid, relative to the largest
+#: moment of |fx fy| (a moment itself may cancel to rounding, as that of
+#: sin 2 pi y on one cell does): only the order of the roundings differs.
+SEPARABLE_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (16, 5)])
+def test_separable_moments_match_the_full_grid(k, nx, ny):
+    grid = VolumeGrid.build(build_spatial_mesh(nx, ny), BasisSpec(k))
+    fx, fy = example2(0.3).f(0.05, grid.x, grid.y)
+    ref = grid.moments(grid.at(lambda x, y: fx * fy))
+    got = grid.separable_moments(fx, fy)
+    scale = np.max(np.abs(grid.moments(grid.at(lambda x, y: np.abs(fx * fy)))))
+    assert got.shape == ref.shape == (nx, ny, k + 1, k + 1)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=SEPARABLE_RTOL * scale)
 
 
 def test_l2_norm_matches_quadrature_norm():

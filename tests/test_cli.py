@@ -147,7 +147,9 @@ def test_unknown_preset_error_lists_available_names():
     # run would, and the message names the key that asks for the mesh.
     ({"time": {"M": 1000, "gamma": 200}},
      "config.time: M=1000, gamma=200, T=0.1: nonpositive time step produced"),
-    ({"kind": "temporal-convergence", "M_list": [2, 1000], "time": {"gamma": 200}},
+    # Degree 2 couples M 1000 to nx 32, a run that fits; at degree 0 its nx
+    # of 31 623 would be refused for its size first (exit 3).
+    ({"kind": "temporal-convergence", "M_list": [2, 1000], "degree": 2, "time": {"gamma": 200}},
      "config.M_list[1]: M=1000, gamma=200, T=0.1: nonpositive time step produced"),
     ({"kind": "condition-number", "time": {"M": 1000},
       "cond_rows": [{"degree": 0, "alpha": 0.5, "gamma": 1.0},
@@ -480,7 +482,7 @@ def test_nonfinite_solve_exits_3(tmp_path, capsys, monkeypatch):
 
     def nan_source(alpha, delta=None):
         prob = real_example2(alpha, delta=delta)
-        return dataclasses.replace(prob, f=lambda t, x, y: np.full(np.broadcast(x, y).shape, np.nan))
+        return dataclasses.replace(prob, f=lambda t, x, y: (np.full(np.shape(x), np.nan), np.ones(np.shape(y))))
 
     monkeypatch.setattr(fracldg.problems, "example2", nan_source)
     cfg_path = _write_config(tmp_path, _base_config(problem="example2"))
@@ -511,6 +513,65 @@ def test_run_larger_than_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "numeric failure" in err and f"needs {need} bytes" in err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("single-run", "time", {"M": 100000000000000000000, "gamma": 2.0, "T": 0.1}),
+    ("single-run", "time", {"M": 2000000000, "gamma": 2.0, "T": 0.1}),
+    ("spatial-convergence", "nx_list", [3, 10**12]),
+    ("temporal-convergence", "M_list", [2, 10**15]),
+    ("condition-number", "time", {"M": 10**20, "T": 0.1}),
+    ("single-run", "nx", 1e300),  # more bytes than a float holds
+])
+def test_config_too_large_for_memory_is_refused_before_any_time_mesh(
+    tmp_path, capsys, monkeypatch, kind, key, value
+):
+    # Each run would hold far more than any machine's memory: its time mesh
+    # alone, of M + 1 floats, could not be allocated. Both verbs size every
+    # case with footprint_bytes and refuse it, exit 3 with solve's message,
+    # before anything builds a time mesh; the builder is patched to raise,
+    # so no such mesh is ever attempted here, and a verb allocates little.
+    import tracemalloc
+
+    import fracldg.meshes
+
+    def no_mesh(*args):
+        raise AssertionError("time mesh built before the footprint check")
+
+    monkeypatch.setattr(fracldg.meshes, "build_graded_time_mesh", no_mesh)
+    path = _write_config(tmp_path, _base_config(kind, **{key: value}))
+    for argv in (["validate-config", "--config", path],
+                 ["run", "--config", path, "--out", str(tmp_path / "out")]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3, argv
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (argv, peak)
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: the run needs ") and err.count("\n") == 1, err
+        assert "bytes of physical memory" in err, err
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+def test_refusal_names_the_footprint_of_the_case_over_the_limit(tmp_path, capsys, monkeypatch):
+    # The refusal names the bytes of the first case over the limit, exactly
+    # the number solve would name for it.
+    import fracldg.ldg
+    from fracldg.basis import BasisSpec
+    from fracldg.meshes import build_spatial_mesh
+
+    d = _base_config("spatial-convergence", degree=1, nx_list=[2, 16],
+                     time={"M": 800, "gamma": 2.0, "T": 0.1})
+    small = fracldg.ldg.footprint_bytes(build_spatial_mesh(2, 2), 800, BasisSpec(1))
+    need = fracldg.ldg.footprint_bytes(build_spatial_mesh(16, 16), 800, BasisSpec(1))
+    monkeypatch.setattr(fracldg.ldg, "physical_memory_bytes", lambda: need - 1)
+    assert small < need - 1
+    assert main(["validate-config", "--config", _write_config(tmp_path, d)]) == 3
+    assert f"needs {need} bytes" in capsys.readouterr().err
+    monkeypatch.setattr(fracldg.ldg, "physical_memory_bytes", lambda: need)
+    assert main(["validate-config", "--config", _write_config(tmp_path, d)]) == 0
 
 
 def _solving_studies() -> list[str]:

@@ -27,6 +27,7 @@ from oracles import (
     l1_table,
     march,
     memory_sum,
+    memory_weights_by_rows,
     mittag_leffler_series,
     substantial_history_loop,
 )
@@ -137,14 +138,32 @@ def test_weights_match_table_bitwise(M, gamma, alpha, T):
     _check_weights_match_table_bitwise(M, gamma, alpha, T)
 
 
+@pytest.mark.parametrize("M", [1, 31, 32, 33, 40, 100, 800, 2000])
+@pytest.mark.parametrize("gamma,alpha,T", [(6.0, 0.3, 0.1), (1.0, 0.5, 1.0), (2.5, 0.9, 2.0)])
+def test_block_weights_match_the_row_loop_bitwise(M, gamma, alpha, T):
+    # Every panel block, and the one-row blocks the unpanelled memory sum
+    # reads, equals the row-by-row form entry for entry, the zeros past the
+    # diagonal included.
+    A = L1Kernel(alpha, build_graded_time_mesh(M, gamma, T))
+    bufsize = np.getbufsize()
+    for start in range(0, M + 1, HISTORY_PANEL):
+        steps, stop = range(start, min(start + HISTORY_PANEL, M + 1)), min(start + HISTORY_PANEL, M + 1)
+        assert np.array_equal(_memory_weights(A, steps, stop), memory_weights_by_rows(A, steps, stop)), start
+    for n in sorted({1, M // 2 + 1, M}):
+        assert np.array_equal(_memory_weights(A, (n,), n + 1), memory_weights_by_rows(A, (n,), n + 1)), n
+    assert np.getbufsize() == bufsize  # the weights' iterator buffer is restored
+
+
 def test_panel_weights_fit_the_history_block_term():
     # A count of bytes, not a timing: a panel's memory weights are evaluated
-    # in place, a row at a time, so no ufunc runs over a broadcast block and
-    # holds numpy's iterator buffers. At M = 2000 the largest block is the
-    # 32 x 1984 panel at start 1952 (0.51 MB: its steps' weights of the
-    # 1952 levels before it and of the 32 of its own): it peaks at 0.57 MB,
-    # within the 1.02 MB that History.nbytes books for it and its near
-    # square; whole-block ufuncs peaked at 1.19 MB on a 32 x 1952 block.
+    # in the block and one scratch strip of 32 x WEIGHT_STRIP values, with
+    # the iterator buffers of the ufuncs held small. At M = 2000 the largest
+    # block is the 32 x 1984 panel at start 1952 (0.51 MB: its steps' weights
+    # of the 1952 levels before it and of the 32 of its own): it peaks at
+    # 578 364 B, within the 1 024 000 B that History.nbytes books for it,
+    # room for its scratch and a near square. Whole-block ufuncs with a
+    # scratch block and numpy's default iterator buffers peaked at
+    # 1 224 728 B; the row-by-row form at 573 152 B.
     import tracemalloc
 
     M, start = 2000, 1952

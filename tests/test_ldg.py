@@ -32,6 +32,7 @@ from fracldg.ldg import (
 )
 from fracldg.cli import _time_meshes, load_config, presets_dir
 from fracldg.ldg import (
+    _derivative_matrix,
     _directional_operator,
     block_symbol,
     footprint_bytes,
@@ -622,6 +623,44 @@ def test_solve_reads_fewer_than_a_panel_of_levels_per_step(monkeypatch):
     tm = build_graded_time_mesh(M, 2.0, 0.1)
     solve(prob, build_spatial_mesh(3, 3), tm, BasisSpec(1), FluxWeights(1.0, 0.0), lambda n, u: None)
     assert blocks == [(32, 32), (32, 64), (32, 96), (5, 101)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("example", [example1, example2])
+def test_a_step_touches_only_the_history_grid(monkeypatch, k, example):
+    # A count, not a timing: the (k+3)-point grid evaluates and takes
+    # moments on its (k+3)^2 points only to project u0, once per run; the
+    # separable source reads one axis at a time. Each step takes the moments
+    # of its memory sum on the history grid, where kappa is evaluated once.
+    calls = []
+    real_at, real_moments = VolumeGrid.at, VolumeGrid.moments
+
+    def at(self, g):
+        calls.append(("at", self.quad.npoints))
+        return real_at(self, g)
+
+    def moments(self, values):
+        calls.append(("moments", self.quad.npoints))
+        return real_moments(self, values)
+
+    monkeypatch.setattr(VolumeGrid, "at", at)
+    monkeypatch.setattr(VolumeGrid, "moments", moments)
+    M = 40
+    basis = BasisSpec(k)
+    tm = build_graded_time_mesh(M, 2.0, 0.1)
+    solve(example(0.5), build_spatial_mesh(3, 2), tm, basis, FluxWeights(1.0, 0.0), lambda n, u: None)
+    source_points, history_points = basis.default_quad_points, basis.history_quad_points
+    assert [c for c in calls if c[1] == source_points] == [("at", source_points), ("moments", source_points)]
+    assert [c for c in calls if c[1] == history_points] == (
+        [("at", history_points)] + [("moments", history_points)] * M
+    )
+
+
+def test_derivative_matrix_is_cached_read_only():
+    D = _derivative_matrix(2)
+    assert _derivative_matrix(2) is D and not D.flags.writeable
+    with pytest.raises(ValueError):
+        D[0, 0] = 1.0
 
 
 #: Peak traced allocation allowed for solve() on a 1 x 1 Q0 mesh at M = 2000.

@@ -91,9 +91,10 @@ def test_fields_are_periodic_on_the_unit_square(make):
     for g in (prob.u0, prob.kappa):
         np.testing.assert_allclose(g(x + 1.0, y), g(x, y), atol=1e-12)
         np.testing.assert_allclose(g(x, y + 1.0), g(x, y), atol=1e-12)
-    for g in (prob.exact, prob.f):
-        if g is None:
-            continue
+    fields = [prob.exact]
+    if prob.f is not None:
+        fields.append(lambda t, x, y: np.multiply(*prob.f(t, x, y)))
+    for g in fields:
         np.testing.assert_allclose(g(t, x + 1.0, y), g(t, x, y), atol=1e-12)
         np.testing.assert_allclose(g(t, x, y + 1.0), g(t, x, y), atol=1e-12)
 
@@ -131,23 +132,35 @@ def test_manufactured_source_satisfies_the_equation_pointwise(alpha, delta):
         lap = laplacian_fd(
             lambda xx, yy: float(prob.exact(t, np.asarray(xx), np.asarray(yy))), x, y
         )
-        fv = float(prob.f(t, np.asarray(x), np.asarray(y)))
+        fx, fy = prob.f(t, np.asarray(x), np.asarray(y))
+        fv = float(fx * fy)
         scale = max(1.0, abs(lap), abs(fv))
         assert abs(lhs - lap - fv) <= 1e-6 * scale
 
 
-#: Traced bytes one call of example2's source may hold beyond two arrays of
-#: its result: two numpy iterator buffers (np.getbufsize() values of 8 B)
-#: for the products that broadcast x against y, and 16 KiB for the arrays
-#: of one axis and Python's own objects. On 32 x 32 Q1 (a 128 KiB result)
-#: the call peaks at 399 944 B against a bound of 409 600 B; the expression
-#: memory + (2 - t c) (g + h) over full arrays peaks at 727 184 B.
-SOURCE_SMALL_BYTES = 16 * 2**10
+def test_manufactured_source_is_the_product_of_its_factors():
+    # f = X(t, x) sin(2 pi y): the y factor is sin(2 pi y) itself, and the
+    # pair comes back in the shapes of the grid's x and y points.
+    grid = VolumeGrid.build(build_spatial_mesh(5, 3), BasisSpec(1))
+    fx, fy = example2(0.3).f(0.05, grid.x, grid.y)
+    assert fx.shape == grid.x.shape == (5, 1, 4, 1)
+    assert fy.shape == grid.y.shape == (1, 3, 1, 4)
+    np.testing.assert_array_equal(fy, np.sin(2.0 * math.pi * grid.y))
+
+
+#: Traced bytes one call of example2's separable source may hold. Its two
+#: result arrays live on the points of one axis each: on 32 x 32 Q1, fx and
+#: fy are 128 values (1 KiB) apiece, and the call peaks at 6 720 to 6 848 B
+#: with its temporaries of the same size. One array of the full grid is
+#: 16 384 values (128 KiB); the bound before the source was separable was
+#: 409 600 B (two such arrays, two iterator buffers and 16 KiB).
+SOURCE_PEAK_BYTES = 16 * 2**10
 
 
 def test_manufactured_source_holds_two_arrays_of_its_result():
-    # A count of bytes, not a timing: the source is built in its result, so
-    # one call holds the result and one term beside it.
+    # A count of bytes, not a timing: the source is separable, so one call
+    # holds O((nx + ny) q) values, its two factors and their temporaries,
+    # and never an array of the full grid.
     import tracemalloc
 
     grid = VolumeGrid.build(build_spatial_mesh(32, 32), BasisSpec(1))
@@ -155,9 +168,9 @@ def test_manufactured_source_holds_two_arrays_of_its_result():
     prob.f(0.05, grid.x, grid.y)
     tracemalloc.start()
     try:
-        out = prob.f(0.05, grid.x, grid.y)
+        fx, fy = prob.f(0.05, grid.x, grid.y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.shape == (32, 32, 4, 4)
-    assert peak <= 2 * out.nbytes + 2 * 8 * np.getbufsize() + SOURCE_SMALL_BYTES, peak
+    assert fx.shape == (32, 1, 4, 1) and fy.shape == (1, 32, 1, 4)
+    assert peak <= SOURCE_PEAK_BYTES, peak
