@@ -118,6 +118,12 @@ def rates(errors: Sequence[float], params: Sequence[float]) -> list[float]:
     return out
 
 
+def _fourier_blocks_bytes(mesh: SpatialMesh, basis: BasisSpec) -> int:
+    """Bytes of the Fourier blocks condition_number holds at once on mesh:
+    nx ny complex (k+1)^2 x (k+1)^2 blocks, 16 nx ny (k+1)^4."""
+    return 16 * mesh.nx * mesh.ny * (basis.k + 1) ** 4
+
+
 def condition_number(ops: LdgOperators, A: L1Kernel, M: int) -> float:
     """Exact 2-norm condition number of the final-step system matrix
     S = A_0^M * mass + K.
@@ -135,14 +141,14 @@ def condition_number(ops: LdgOperators, A: L1Kernel, M: int) -> float:
     (k+1)^2 x (k+1)^2 block per Fourier pair (mx, my),
     Dhat (A_0^M m I + Kxhat(mx) (x) I + I (x) Kyhat(my)) Dhat with
     Dhat = diag(dc) (x) diag(dc), dc the part of d on one cell's modes in one
-    direction. One batched eigvalsh takes all nx ny blocks at once; nothing
-    is solved or factorized.
+    direction. One batched eigvalsh takes all nx ny blocks at once
+    (_fourier_blocks_bytes); nothing is solved or factorized.
     """
     a0 = A.a0(M)  # raises InvalidArgumentError unless 1 <= M <= A.tm.M
     kk = ops.basis.k + 1
     eye = np.eye(kk)
     dc = 1.0 / np.sqrt(np.arange(kk) + 0.5)
-    # Block order (r, s), as in the solver order (i, r, j, s).
+    # Block order (r, s): a cell's modes in the package's layout (i, r, j, s).
     dhat = np.kron(dc, dc)
     scale = dhat[:, None] * dhat[None, :]
     y_part = (a0 * ops.M) * np.eye(kk * kk) + np.kron(eye, block_symbol(ops.Ky, ops.mesh.ny))

@@ -14,6 +14,12 @@ basis.history_quad_points, the fewest points that hold a level exactly.
 
 Cells are indexed 0-based: cell (i, j) spans [x_edges[i], x_edges[i+1]] x
 [y_edges[j], y_edges[j+1]].
+
+Every per-cell array has one layout, x before y: a coefficient tensor is
+(nx, k+1, ny, k+1), entry (i, r, j, s), and values at the points of a
+q-point rule are (nx, q, ny, q). That is the Kronecker order of the LDG
+operator K = Kx (x) I + I (x) Ky, so a coefficient tensor flattened is the
+solver's vector and nothing translates between layouts.
 """
 
 from __future__ import annotations
@@ -129,11 +135,31 @@ def edge_values(k: int) -> tuple[np.ndarray, np.ndarray]:
     return e_minus, e_plus
 
 
+def _cell_products(B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """B X_c B^T for every cell c of X, shape (nx, a, ny, a) -> (nx, b, ny, b)
+    with B of shape (b, a), X_c[r, s] = X[i, r, j, s].
+
+    Each axis is one product on X reshaped, y first: (cells a, a) @ (a, b),
+    then B @ (a, ny b) per x cell; per entry it is the same sum as the
+    per-cell B @ (X_c @ B^T), in the same order. For b = 1 the x sum of a
+    cell is a dot product, which numpy hands to BLAS ddot, and a
+    matrix-vector product adds in another order, so it stays per cell.
+    """
+    nx, a, ny, _ = X.shape
+    b = B.shape[0]
+    Y = (X.reshape(-1, a) @ B.T).reshape(nx, a, ny * b)
+    if b == 1:
+        return (B @ np.ascontiguousarray(Y.transpose(0, 2, 1))[..., None]).reshape(nx, 1, ny, 1)
+    return (B @ Y).reshape(nx, b, ny, b)
+
+
 @dataclass
 class DgField:
-    """Piecewise Q^k function as a coefficient tensor of shape (nx, ny, k+1, k+1).
+    """Piecewise Q^k function as a coefficient tensor of shape (nx, k+1, ny, k+1).
 
-    Entry (i, j, r, s) multiplies Lhat_r(xi) * Lhat_s(eta) on cell (i, j).
+    Entry (i, r, j, s) multiplies Lhat_r(xi) * Lhat_s(eta) on cell (i, j).
+    This is the Kronecker order of K = Kx (x) I + I (x) Ky, so coeffs.ravel()
+    is the solver's vector.
     """
 
     coeffs: np.ndarray
@@ -142,7 +168,7 @@ class DgField:
 
     def __post_init__(self) -> None:
         kk = self.basis.k + 1
-        expected = (self.mesh.nx, self.mesh.ny, kk, kk)
+        expected = (self.mesh.nx, kk, self.mesh.ny, kk)
         if self.coeffs.shape != expected:
             raise InvalidArgumentError(
                 f"coefficient tensor shape {self.coeffs.shape} does not match {expected}"
@@ -154,29 +180,22 @@ class DgField:
         return float(np.sqrt(m * np.sum(self.coeffs**2)))
 
     def eval_volume_quad(self, quad: QuadRule) -> np.ndarray:
-        """Values at the tensor quadrature points of every cell, shape (nx, ny, qx, qy).
-
-        Each axis is one (cells (k+1), k+1) @ (k+1, q) product on the
-        reshaped coefficients, y first; per value it is the same sum as the
-        per-cell V @ C @ V^T, in the same order.
-        """
-        nx, ny, kk, _ = self.coeffs.shape
-        V = quad_vandermonde(self.basis.k, quad.npoints)
-        q = V.shape[0]
-        in_y = (self.coeffs.reshape(-1, kk) @ V.T).reshape(nx, ny, kk, q)
-        in_x = in_y.transpose(0, 1, 3, 2).reshape(-1, kk) @ V.T
-        return in_x.reshape(nx, ny, q, q).transpose(0, 1, 3, 2)
+        """Values at the tensor quadrature points of every cell, shape
+        (nx, q, ny, q): V C V^T per cell (_cell_products)."""
+        return _cell_products(quad_vandermonde(self.basis.k, quad.npoints), self.coeffs)
 
 
 @dataclass(frozen=True)
 class VolumeGrid:
     """The tensor Gauss rule of every volume term on a mesh, built once.
 
-    x and y are the physical quadrature points shaped (nx, 1, q, 1) and
-    (1, ny, 1, q), so a callable g(x, y) broadcasts to the (nx, ny, q, q)
-    grid; WV[q, r] = w_q Lhat_r(x_q) is the weighted Vandermonde of the
-    moments. A separable f = fx(x) fy(y) never needs that grid:
-    separable_moments takes its moments from fx at x and fy at y. A run
+    x and y are the physical quadrature points shaped (nx, q, 1, 1) and
+    (1, 1, ny, q), so a callable g(x, y) broadcasts to the (nx, q, ny, q)
+    grid, point (i, a, j, b) at x-node a and y-node b of cell (i, j): the
+    order (i, r, j, s) of the coefficients. WV[q, r] = w_q Lhat_r(x_q) is
+    the weighted Vandermonde of the moments. A separable f = fx(x) fy(y)
+    never needs that grid: separable_moments takes its moments from fx at
+    x and fy at y. A run
     builds two grids: one on basis.default_quad_points for the L2
     projection of u0, the source moments (separable, on the points of one
     axis at a time) and the error norms, and one on
@@ -200,45 +219,32 @@ class VolumeGrid:
             mesh=mesh,
             basis=basis,
             quad=quad,
-            x=(mesh.x_centers()[:, None] + 0.5 * mesh.hx * quad.nodes[None, :])[:, None, :, None],
-            y=(mesh.y_centers()[:, None] + 0.5 * mesh.hy * quad.nodes[None, :])[None, :, None, :],
+            x=(mesh.x_centers()[:, None] + 0.5 * mesh.hx * quad.nodes[None, :])[:, :, None, None],
+            y=(mesh.y_centers()[:, None] + 0.5 * mesh.hy * quad.nodes[None, :])[None, None, :, :],
             WV=quad.weights[:, None] * quad_vandermonde(basis.k, quad.npoints),
         )
 
     def at(self, g) -> np.ndarray:
-        """g(x, y) at every point, shape (nx, ny, q, q), however little g
+        """g(x, y) at every point, shape (nx, q, ny, q), however little g
         depends on; g must accept numpy arrays and broadcast."""
-        q = self.quad.npoints
-        return np.asarray(g(self.x, self.y)) * np.ones((self.mesh.nx, self.mesh.ny, q, q))
+        return np.asarray(g(self.x, self.y)) * np.ones(np.broadcast(self.x, self.y).shape)
 
     def moments(self, values: np.ndarray) -> np.ndarray:
-        """sum_q w_q g(x_q) Lhat_r Lhat_s per cell, shape (nx, ny, k+1, k+1),
-        from the values g at the points.
-
-        Each axis is one (cells q, q) @ (q, k+1) product on the reshaped
-        values, y first; per moment it is the same sum as the per-cell
-        WV^T @ G @ WV, in the same order. At k = 0 the x sum of a cell is a
-        dot product, which numpy hands to BLAS ddot, and a matrix-vector
-        product adds in another order, so it stays per cell.
-        """
-        nx, ny, q, _ = values.shape
-        kk = self.WV.shape[1]
-        in_y = (values.reshape(-1, q) @ self.WV).reshape(nx, ny, q, kk)
-        if kk == 1:
-            return self.WV.T @ in_y
-        in_x = in_y.transpose(0, 1, 3, 2).reshape(-1, q) @ self.WV
-        return in_x.reshape(nx, ny, kk, kk).transpose(0, 1, 3, 2)
+        """sum_q w_q g(x_q) Lhat_r Lhat_s per cell, shape (nx, k+1, ny, k+1),
+        from the values g at the points, shape (nx, q, ny, q): WV^T G WV
+        per cell (_cell_products)."""
+        return _cell_products(self.WV.T, values)
 
     def separable_moments(self, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
         """Moments of the product fx(x) fy(y), from fx at the points x
-        (shaped like x, (nx, 1, q, 1)) and fy at the points y (shaped like
-        y, (1, ny, 1, q)): the outer product of the x-moments of fx and the
-        y-moments of fy, shape (nx, ny, k+1, k+1). It costs O((nx + ny) q)
-        values, and the (nx, ny, q, q) grid is never formed."""
+        (shaped like x, (nx, q, 1, 1)) and fy at the points y (shaped like
+        y, (1, 1, ny, q)): the outer product of the x-moments of fx and the
+        y-moments of fy, shape (nx, k+1, ny, k+1). It costs O((nx + ny) q)
+        values, and the (nx, q, ny, q) grid is never formed."""
         q = self.quad.npoints
         mx = np.reshape(fx, (self.mesh.nx, q)) @ self.WV
         my = np.reshape(fy, (self.mesh.ny, q)) @ self.WV
-        return mx[:, None, :, None] * my[None, :, None, :]
+        return mx[:, :, None, None] * my[None, None, :, :]
 
     def project(self, g) -> DgField:
         """L2 projection of g(x, y) onto the Q^k space, per cell.
@@ -250,7 +256,14 @@ class VolumeGrid:
         return DgField(self.moments(self.at(g)), self.basis, self.mesh)
 
     def norm(self, values: np.ndarray) -> float:
-        """L2 norm of a function given by its values at every point."""
-        w2 = self.quad.weights[:, None] * self.quad.weights[None, :]
+        """L2 norm of a function given by its values at every point.
+
+        The weights of the tensor rule over all cells are the Kronecker
+        product of one weight vector per axis, so the weighted sum of
+        squares is two matrix-vector products on the values reshaped to
+        (i q, j q)."""
+        w = self.quad.weights
+        squares = (values**2).reshape(self.mesh.nx * w.size, -1)
         cell_jac = self.mesh.hx * self.mesh.hy / 4.0
-        return float(np.sqrt(cell_jac * np.einsum("ijqp,qp->", values**2, w2)))
+        weighted = cell_jac * np.tile(w, self.mesh.nx) @ squares
+        return float(np.sqrt(weighted @ np.tile(w, self.mesh.ny)))

@@ -322,10 +322,11 @@ def _check_time_meshes(cfg: ExperimentConfig, source: str) -> None:
     and refused by ldg.require_memory with solve's NumericError (exit 3),
     so validate-config refuses what run would, and the answer depends on
     the physical memory of the machine. A condition-number row is sized as
-    a solve on its mesh, degree and M: more than its study holds, which
-    builds no history."""
+    a solve on its mesh, degree and M, which its study does not make, plus
+    the Fourier blocks condition_number holds at once."""
     # Imported here: importing the CLI must not load numpy before the
     # thread count is pinned.
+    from .analysis import _fourier_blocks_bytes
     from .basis import BasisSpec
     from .ldg import footprint_bytes, require_memory
     from .meshes import build_graded_time_mesh, build_spatial_mesh
@@ -335,7 +336,9 @@ def _check_time_meshes(cfg: ExperimentConfig, source: str) -> None:
     else:
         sizes = [(nx, M, cfg.degree) for _, _, nx, M, _ in _solve_cases(cfg)]
     for nx, M, degree in sizes:
-        require_memory(footprint_bytes(build_spatial_mesh(nx, nx), M, BasisSpec(degree)))
+        mesh, basis = build_spatial_mesh(nx, nx), BasisSpec(degree)
+        blocks = _fourier_blocks_bytes(mesh, basis) if cfg.kind == "condition-number" else 0
+        require_memory(footprint_bytes(mesh, M, basis) + blocks)
     for key, M, gamma in _time_meshes(cfg):
         try:
             build_graded_time_mesh(M, gamma, cfg.T)

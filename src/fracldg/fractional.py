@@ -249,8 +249,9 @@ class History:
     calls, and the only evaluator of the memory sum and of its weights.
 
     push(n, values) takes u^n evaluated at the points, tempers it to
-    w_n = e^{kappa t_n} u^n and stores it as row n of an (M+1, nx, ny, q, q)
-    buffer. Levels are pushed in order, u^0 first.
+    w_n = e^{kappa t_n} u^n and stores it as row n of an (M+1, nx, q, ny, q)
+    buffer, the point layout of basis.VolumeGrid. Levels are pushed in
+    order, u^0 first.
 
     sum(n) returns, shaped like kappa_at_quad, the known part of the discrete
     substantial derivative at step n,

@@ -14,12 +14,14 @@ that map into the u-equation yields one global operator K acting on
 u-coefficients; the step-n system is (A_0^n * m * I + K) U^n = RHS, where m
 is the cell mass scalar and only the scalar A_0^n changes with n.
 
-Internally coefficient tensors (i, j, r, s) are flattened in (i, r, j, s)
-order, so K = Kx (x) I + I (x) Ky is a Kronecker sum of 1D blocks, each
-symmetric PSD by the discrete duality H = -G^T. The blocks are small dense
-arrays, (nx (k+1))^2 and (ny (k+1))^2; the 2D K is never formed on the run
-path. K x is applied as Kx X + X Ky^T with X = x reshaped to (i r, j s).
-Eigendecomposing each block once, Kx = Qx diag(lx) Qx^T, solves every step
+Coefficient tensors are held in the order (i, r, j, s) (basis.DgField)
+and flattened as they are, so K = Kx (x) I + I (x) Ky is a Kronecker sum
+of 1D blocks, each symmetric PSD by the discrete duality H = -G^T, and a
+step's right-hand side and solution are its moments and its field, each
+one reshape away. The blocks are small dense arrays, (nx (k+1))^2 and
+(ny (k+1))^2; the 2D K is never formed on the run path. K x is applied as
+Kx X + X Ky^T with X = x reshaped to (i r, j s). Eigendecomposing each
+block once, Kx = Qx diag(lx) Qx^T, solves every step
 exactly for any A_0^n by fast diagonalization (Lynch, Rice & Thomas, Numer.
 Math. 6, 1964): U = Qx [(Qx^T B Qy) / (A_0^n m + lx_i + ly_j)] Qy^T, with B
 and U the right-hand side and solution reshaped to (i r, j s). On the
@@ -202,11 +204,6 @@ class LdgOperators:
         X = x.reshape(self.Kx.shape[0], self.Ky.shape[0])
         return (self.Kx @ X + X @ self.Ky.T).ravel()
 
-    def unflatten(self, vec: np.ndarray) -> DgField:
-        kk = self.basis.k + 1
-        coeffs = vec.reshape(self.mesh.nx, kk, self.mesh.ny, kk).transpose(0, 2, 1, 3)
-        return DgField(np.ascontiguousarray(coeffs), self.basis, self.mesh)
-
     def _diagonalized_solve(self, a0: float, b: np.ndarray) -> np.ndarray:
         B = b.reshape(len(self.lam_x), len(self.lam_y))
         denom = (a0 * self.M) + self.lam_x[:, None] + self.lam_y[None, :]
@@ -300,9 +297,8 @@ def step(
     if prob.f is not None:
         moments += grid.separable_moments(*prob.f(A.tm.t[n], grid.x, grid.y))
     moments *= ops.M
-    b = np.ascontiguousarray(moments.transpose(0, 2, 1, 3)).ravel()  # solver order (i, r, j, s)
-    x = ops.solve_system(history.a0(n), b)
-    return ops.unflatten(x)
+    x = ops.solve_system(history.a0(n), moments.ravel())
+    return DgField(x.reshape(moments.shape), ops.basis, ops.mesh)
 
 
 def physical_memory_bytes() -> int | None:

@@ -38,7 +38,7 @@ class ProblemSpec:
 
     f(t, x, y) returns the factor pair (fx, fy) of a separable source
     f = fx * fy: fx depends on t and x alone and fy on y alone. Given the
-    points x of shape (nx, 1, q, 1) and y of shape (1, ny, 1, q) of a
+    points x of shape (nx, q, 1, 1) and y of shape (1, 1, ny, q) of a
     basis.VolumeGrid, fx is shaped like x and fy like y, so a step takes
     the source moments from nx q + ny q values
     (VolumeGrid.separable_moments). Their product is the source at the

@@ -19,6 +19,11 @@ The error functionals are recomputed by their defining formulas from the
 levels that a collecting observer keeps (solve_fields), against which the
 streaming observers of fracldg.analysis must also agree bit for bit.
 
+The oracles index per-cell arrays cell first, (nx, ny, ., .), as the
+package once held them; cell_major swaps the package's layout
+(nx, ., ny, .) into that view, and back, where an oracle reads or returns
+one.
+
 The proof devices are objects of the stability and convergence analysis
 that no run needs: the weighted-trace projections P and Q, the bilinear
 form B with its interface traces, one-sided edge traces and point values
@@ -54,6 +59,14 @@ from fracldg.basis import (
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import L1Kernel, _interval_weights
 from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, block_symbol, solve
+
+
+def cell_major(a: np.ndarray) -> np.ndarray:
+    """A per-cell array of the package's layout (nx, a, ny, b), coefficients
+    or values at the points, as the view (nx, ny, a, b) that the oracles
+    index cell by cell, and such a view back: the axis swap is its own
+    inverse."""
+    return a.transpose(0, 2, 1, 3)
 
 
 def orthonormal_legendre_value(r: int, x: float) -> float:
@@ -235,7 +248,7 @@ def moments_per_cell(grid: VolumeGrid, values: np.ndarray) -> np.ndarray:
     """VolumeGrid.moments as WV^T @ G @ WV stacked over the cells, one small
     product per cell and axis: the package's former form, kept as the exact
     reference for its two reshaped products."""
-    return grid.WV.T @ (values @ grid.WV)
+    return cell_major(grid.WV.T @ (cell_major(values) @ grid.WV))
 
 
 def values_per_cell(f: DgField, quad: QuadRule) -> np.ndarray:
@@ -243,7 +256,7 @@ def values_per_cell(f: DgField, quad: QuadRule) -> np.ndarray:
     package's former form, kept as the exact reference for its two reshaped
     products."""
     V = quad_vandermonde(f.basis.k, quad.npoints)
-    return V @ (f.coeffs @ V.T)
+    return cell_major(V @ (cell_major(f.coeffs) @ V.T))
 
 
 def condition_number_by_x_modes(ops: LdgOperators, A: L1Kernel, M: int) -> float:
@@ -367,7 +380,7 @@ def solve_stepwise(prob, mesh, tm, basis, fw, history_points: int) -> list:
 
     def moments(quad, values):
         WV = quad.weights[:, None] * quad_vandermonde(basis.k, quad.npoints)
-        return WV.T @ (values @ WV)
+        return cell_major(WV.T @ (cell_major(values) @ WV))
 
     kappa_at_quad = hgrid.at(lambda x, y: prob.kappa(x, y))
     u0 = grid.project(lambda x, y: prob.u0(x, y))
@@ -379,17 +392,11 @@ def solve_stepwise(prob, mesh, tm, basis, fw, history_points: int) -> list:
         if prob.f is not None:
             t_n = A.tm.t[n]
             rhs = rhs + moments(grid.quad, grid.at(lambda x, y: np.multiply(*prob.f(t_n, x, y))))
-        b = np.ascontiguousarray((ops.M * rhs).transpose(0, 2, 1, 3)).ravel()
-        u_n = ops.unflatten(ops.solve_system(l1_row(A, n)[0], b))
+        b = (ops.M * rhs).ravel()
+        u_n = DgField(ops.solve_system(l1_row(A, n)[0], b).reshape(rhs.shape), basis, mesh)
         fields.append(u_n)
         tempered[n] = np.exp(kappa_at_quad * tm.t[n]) * u_n.eval_volume_quad(hquad)
     return fields
-
-
-def flatten(f: DgField) -> np.ndarray:
-    """Coefficient tensor (i, j, r, s) -> solver vector in (i, r, j, s) order,
-    the inverse of LdgOperators.unflatten."""
-    return np.ascontiguousarray(f.coeffs.transpose(0, 2, 1, 3)).ravel()
 
 
 def solve_fields(prob, mesh, tm, basis, fw) -> list:
@@ -545,7 +552,7 @@ def field_eval(
     j, eta = _locate(yb.ravel(), mesh.ny, side_y)
     Vx = legendre_values(k, xi)
     Vy = legendre_values(k, eta)
-    vals = np.einsum("nrs,nr,ns->n", f.coeffs[i, j], Vx, Vy)
+    vals = np.einsum("nrs,nr,ns->n", cell_major(f.coeffs)[i, j], Vx, Vy)
     if np.isscalar(x) and np.isscalar(y):
         return float(vals[0])
     return vals.reshape(xb.shape)
@@ -583,7 +590,7 @@ def edge_trace(
             ci, normal_vec = iface % f.mesh.nx, e_minus
         cj = j % f.mesh.ny
         Vt = legendre_values(k, np.atleast_1d(t1d))
-        vals = np.einsum("rs,r,qs->q", f.coeffs[ci, cj], normal_vec, Vt)
+        vals = np.einsum("rs,r,qs->q", cell_major(f.coeffs)[ci, cj], normal_vec, Vt)
     else:
         iface = j if orient < 0 else j + 1
         if side == "-":
@@ -592,7 +599,7 @@ def edge_trace(
             cj, normal_vec = iface % f.mesh.ny, e_minus
         ci = i % f.mesh.nx
         Vt = legendre_values(k, np.atleast_1d(t1d))
-        vals = np.einsum("rs,qr,s->q", f.coeffs[ci, cj], Vt, normal_vec)
+        vals = np.einsum("rs,qr,s->q", cell_major(f.coeffs)[ci, cj], Vt, normal_vec)
     if np.isscalar(t1d):
         return float(vals[0])
     return vals
@@ -602,8 +609,9 @@ def _x_interface_traces(f: DgField, t_nodes: np.ndarray) -> tuple[np.ndarray, np
     """Traces at every x-interface i+1/2 (indexed by the left cell i), shape (nx, ny, q)."""
     e_minus, e_plus = edge_values(f.basis.k)
     Vt = legendre_values(f.basis.k, t_nodes)
-    minus = np.einsum("ijrs,r,qs->ijq", f.coeffs, e_plus, Vt)
-    plus = np.einsum("ijrs,r,qs->ijq", np.roll(f.coeffs, -1, axis=0), e_minus, Vt)
+    c = cell_major(f.coeffs)
+    minus = np.einsum("ijrs,r,qs->ijq", c, e_plus, Vt)
+    plus = np.einsum("ijrs,r,qs->ijq", np.roll(c, -1, axis=0), e_minus, Vt)
     return minus, plus
 
 
@@ -611,8 +619,9 @@ def _y_interface_traces(f: DgField, t_nodes: np.ndarray) -> tuple[np.ndarray, np
     """Traces at every y-interface j+1/2 (indexed by the lower cell j), shape (nx, ny, q)."""
     e_minus, e_plus = edge_values(f.basis.k)
     Vt = legendre_values(f.basis.k, t_nodes)
-    minus = np.einsum("ijrs,qr,s->ijq", f.coeffs, Vt, e_plus)
-    plus = np.einsum("ijrs,qr,s->ijq", np.roll(f.coeffs, -1, axis=1), Vt, e_minus)
+    c = cell_major(f.coeffs)
+    minus = np.einsum("ijrs,qr,s->ijq", c, Vt, e_plus)
+    plus = np.einsum("ijrs,qr,s->ijq", np.roll(c, -1, axis=1), Vt, e_minus)
     return minus, plus
 
 
@@ -639,22 +648,22 @@ def bilinear_form_B(
     w2 = quad.weights[:, None] * quad.weights[None, :]
 
     def vol(a: DgField, b_vals: np.ndarray) -> float:
-        return jac * float(np.einsum("ijqp,ijqp,qp->", a.eval_volume_quad(quad), b_vals, w2))
+        return jac * float(np.einsum("ijqp,ijqp,qp->", cell_major(a.eval_volume_quad(quad)), b_vals, w2))
 
-    dwx = (2.0 / mesh.hx) * np.einsum("ijrs,qr,ps->ijqp", wx.coeffs, Vd, V)
-    dwy = (2.0 / mesh.hy) * np.einsum("ijrs,qr,ps->ijqp", wy.coeffs, V, Vd)
-    dvx = (2.0 / mesh.hx) * np.einsum("ijrs,qr,ps->ijqp", v.coeffs, Vd, V)
-    dvy = (2.0 / mesh.hy) * np.einsum("ijrs,qr,ps->ijqp", v.coeffs, V, Vd)
+    dwx = (2.0 / mesh.hx) * np.einsum("ijrs,qr,ps->ijqp", cell_major(wx.coeffs), Vd, V)
+    dwy = (2.0 / mesh.hy) * np.einsum("ijrs,qr,ps->ijqp", cell_major(wy.coeffs), V, Vd)
+    dvx = (2.0 / mesh.hx) * np.einsum("ijrs,qr,ps->ijqp", cell_major(v.coeffs), Vd, V)
+    dvy = (2.0 / mesh.hy) * np.einsum("ijrs,qr,ps->ijqp", cell_major(v.coeffs), V, Vd)
 
     total = vol(u, dwx + dwy)
     total += jac * float(
         np.einsum(
             "ijqp,ijqp,qp->",
-            px.eval_volume_quad(quad),
+            cell_major(px.eval_volume_quad(quad)),
             dvx,
             w2,
         )
-    ) + jac * float(np.einsum("ijqp,ijqp,qp->", py.eval_volume_quad(quad), dvy, w2))
+    ) + jac * float(np.einsum("ijqp,ijqp,qp->", cell_major(py.eval_volume_quad(quad)), dvy, w2))
 
     # Interface sums: summing <., .> over cell boundaries pairs each interior
     # interface twice with opposite normals, leaving flux * (trace- - trace+).
@@ -736,10 +745,10 @@ def project_P(u: SpaceFn, fw: FluxWeights, mesh, basis: BasisSpec) -> DgField:
     k = basis.k
     quad = _edge_moment_quad(k)
     e_minus, e_plus = edge_values(k)
-    full = VolumeGrid.build(mesh, basis, quad).project(u)
-    c = np.zeros_like(full.coeffs)
+    full = cell_major(VolumeGrid.build(mesh, basis, quad).project(u).coeffs)
+    c = np.zeros_like(full)
     if k >= 1:
-        c[:, :, : k, : k] = full.coeffs[:, :, : k, : k]
+        c[:, :, : k, : k] = full[:, :, : k, : k]
 
         # x-interface conditions determine the (k, s) coefficients, s < k.
         U = _edge_values_x(u, mesh, quad, k)[:, :, :k]
@@ -782,7 +791,7 @@ def project_P(u: SpaceFn, fw: FluxWeights, mesh, basis: BasisSpec) -> DgField:
     w = _interface_solve(s1, mesh.nx, rhs, e_plus[k], e_minus[k])
     z = _interface_solve(s2, mesh.ny, w.T, e_plus[k], e_minus[k]).T
     c[:, :, k, k] = z
-    return DgField(c, basis, mesh)
+    return DgField(np.ascontiguousarray(cell_major(c)), basis, mesh)
 
 
 def project_Q(u: SpaceFn, sigma: float, axis: str, mesh, basis: BasisSpec) -> DgField:
@@ -799,10 +808,10 @@ def project_Q(u: SpaceFn, sigma: float, axis: str, mesh, basis: BasisSpec) -> Dg
     k = basis.k
     quad = _edge_moment_quad(k)
     e_minus, e_plus = edge_values(k)
-    full = VolumeGrid.build(mesh, basis, quad).project(u)
-    c = np.zeros_like(full.coeffs)
+    full = cell_major(VolumeGrid.build(mesh, basis, quad).project(u).coeffs)
+    c = np.zeros_like(full)
     if axis == "x":
-        c[:, :, :k, :] = full.coeffs[:, :, :k, :]
+        c[:, :, :k, :] = full[:, :, :k, :]
         U = _edge_values_x(u, mesh, quad, k)
         rhs = (
             U
@@ -813,7 +822,7 @@ def project_Q(u: SpaceFn, sigma: float, axis: str, mesh, basis: BasisSpec) -> Dg
         sol = _interface_solve(sigma, mesh.nx, rhs.reshape(mesh.nx, -1), e_plus[k], e_minus[k])
         c[:, :, k, :] = sol.reshape(rhs.shape)
     else:
-        c[:, :, :, :k] = full.coeffs[:, :, :, :k]
+        c[:, :, :, :k] = full[:, :, :, :k]
         V = _edge_values_y(u, mesh, quad, k)
         rhs = (
             V
@@ -824,4 +833,4 @@ def project_Q(u: SpaceFn, sigma: float, axis: str, mesh, basis: BasisSpec) -> Dg
         rhs_j_first = rhs.transpose(1, 0, 2).reshape(mesh.ny, -1)
         sol = _interface_solve(sigma, mesh.ny, rhs_j_first, e_plus[k], e_minus[k])
         c[:, :, :, k] = sol.reshape(mesh.ny, mesh.nx, k + 1).transpose(1, 0, 2)
-    return DgField(c, basis, mesh)
+    return DgField(np.ascontiguousarray(cell_major(c)), basis, mesh)

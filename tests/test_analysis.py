@@ -75,7 +75,7 @@ def test_full_projection_satisfies_defining_conditions(k, s1, s2):
     # Interior moments agree with the plain projection on modes below k.
     full = VolumeGrid.build(mesh, basis, gauss_rule(k + 4)).project(_smooth)
     np.testing.assert_allclose(
-        P.coeffs[:, :, :k, :k], full.coeffs[:, :, :k, :k], atol=1e-13 * scale
+        P.coeffs[:, :k, :, :k], full.coeffs[:, :k, :, :k], atol=1e-13 * scale
     )
     # Weighted traces across x-interfaces match the function's line moments
     # for transverse modes below k.
@@ -124,7 +124,7 @@ def test_single_axis_projection_matches_all_transverse_modes(sigma):
     scale = np.max(np.abs(Q.coeffs))
     full = VolumeGrid.build(mesh, basis, gauss_rule(k + 4)).project(_smooth)
     np.testing.assert_allclose(
-        Q.coeffs[:, :, :k, :], full.coeffs[:, :, :k, :], atol=1e-13 * scale
+        Q.coeffs[:, :k, :, :], full.coeffs[:, :k, :, :], atol=1e-13 * scale
     )
     got = _weighted_trace_moments(Q, mesh, k, sigma)
     want = _x_interface_moments(_smooth, mesh, k)

@@ -118,7 +118,7 @@ def test_projection_reproduces_piecewise_polynomials():
     mesh = build_spatial_mesh(3, 4)
     basis = BasisSpec(2)
     rng = np.random.default_rng(7)
-    f = DgField(rng.standard_normal((3, 4, 3, 3)), basis, mesh)
+    f = DgField(rng.standard_normal((3, 3, 4, 3)), basis, mesh)
     # Evaluate the field away from interfaces and project it back.
     g = VolumeGrid.build(mesh, basis).project(lambda x, y: field_eval(f, x, y))
     np.testing.assert_allclose(g.coeffs, f.coeffs, atol=1e-12)
@@ -136,8 +136,8 @@ def test_projection_error_decays_at_order_k_plus_1():
         quad = gauss_rule(6)
         grid = VolumeGrid.build(mesh, basis, quad)
         proj = grid.project(u)
-        X = mesh.x_centers()[:, None, None, None] + 0.5 * mesh.hx * quad.nodes[None, None, :, None]
-        Y = mesh.y_centers()[None, :, None, None] + 0.5 * mesh.hy * quad.nodes[None, None, None, :]
+        X = mesh.x_centers()[:, None, None, None] + 0.5 * mesh.hx * quad.nodes[None, :, None, None]
+        Y = mesh.y_centers()[None, None, :, None] + 0.5 * mesh.hy * quad.nodes[None, None, None, :]
         diff = u(X, Y) - proj.eval_volume_quad(quad)
         errs.append(grid.norm(diff))
     rate = math.log(errs[0] / errs[-1]) / math.log(4.0)
@@ -150,28 +150,28 @@ def test_volume_grid_points_and_full_grid_broadcast():
     nodes = gauss_rule(4).nodes
     X = grid.at(lambda x, y: x)
     Y = grid.at(lambda x, y: y)
-    assert X.shape == Y.shape == (3, 2, 4, 4)
+    assert X.shape == Y.shape == (3, 4, 2, 4)
     # Cell (2, 1) spans [2/3, 1] x [1/2, 1]: centers 5/6 and 3/4, half-widths 1/6 and 1/4.
-    np.testing.assert_allclose(X[2, 1, :, 0], 5.0 / 6.0 + nodes / 6.0, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(Y[0, 1, 0, :], 0.75 + 0.25 * nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(X[2, :, 1, 0], 5.0 / 6.0 + nodes / 6.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(Y[0, 0, 1, :], 0.75 + 0.25 * nodes, rtol=0.0, atol=1e-15)
     # A callable that ignores its arguments still fills every point.
-    np.testing.assert_array_equal(grid.at(lambda x, y: 2.0), np.full((3, 2, 4, 4), 2.0))
+    np.testing.assert_array_equal(grid.at(lambda x, y: 2.0), np.full((3, 4, 2, 4), 2.0))
 
 
 @pytest.mark.parametrize("nx,ny,k,q", [(3, 3, 0, 2), (4, 2, 1, 3), (2, 5, 2, 4), (3, 4, 3, 6)])
 def test_eval_volume_quad_matches_einsum(nx, ny, k, q):
     mesh = build_spatial_mesh(nx, ny)
-    f = DgField(np.random.default_rng(12).standard_normal((nx, ny, k + 1, k + 1)), BasisSpec(k), mesh)
+    f = DgField(np.random.default_rng(12).standard_normal((nx, k + 1, ny, k + 1)), BasisSpec(k), mesh)
     quad = gauss_rule(q)
     V = legendre_values(k, quad.nodes)
-    ref = np.einsum("ijrs,qr,ps->ijqp", f.coeffs, V, V)
+    ref = np.einsum("irjs,qr,ps->iqjp", f.coeffs, V, V)
     got = f.eval_volume_quad(quad)
-    assert got.shape == (nx, ny, q, q)
+    assert got.shape == (nx, q, ny, q)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (5, 7), (16, 16), (40, 3)])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 5), (5, 1), (3, 2), (5, 7), (16, 16), (40, 3), (64, 64)])
 def test_reshaped_products_match_the_per_cell_form_bitwise(k, nx, ny):
     # The moments and the values at the points take one product per axis on
     # the reshaped arrays; each entry is the same sum, in the same order, as
@@ -179,12 +179,35 @@ def test_reshaped_products_match_the_per_cell_form_bitwise(k, nx, ny):
     rng = np.random.default_rng(100 * k + nx)
     mesh = build_spatial_mesh(nx, ny)
     basis = BasisSpec(k)
-    f = DgField(rng.standard_normal((nx, ny, k + 1, k + 1)), basis, mesh)
+    f = DgField(rng.standard_normal((nx, k + 1, ny, k + 1)), basis, mesh)
     for q in range(k + 1, k + 4):
         grid = VolumeGrid.build(mesh, basis, gauss_rule(q))
-        values = rng.standard_normal((nx, ny, q, q))
+        values = rng.standard_normal((nx, q, ny, q))
         assert np.array_equal(grid.moments(values), moments_per_cell(grid, values)), q
         assert np.array_equal(f.eval_volume_quad(grid.quad), values_per_cell(f, grid.quad)), q
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_per_cell_arrays_come_out_in_the_one_layout(k):
+    # Values at the points and moments come out C-contiguous in the layout
+    # of the coefficients, (nx, ., ny, .): no transposed view for a later
+    # operand to buffer.
+    nx, ny, kk = 3, 5, k + 1
+    mesh = build_spatial_mesh(nx, ny)
+    basis = BasisSpec(k)
+    grid = VolumeGrid.build(mesh, basis)
+    q = grid.quad.npoints
+    rng = np.random.default_rng(4)
+    f = DgField(rng.standard_normal((nx, kk, ny, kk)), basis, mesh)
+    fx, fy = example2(0.3).f(0.05, grid.x, grid.y)
+    arrays = {
+        "eval_volume_quad": (f.eval_volume_quad(grid.quad), q),
+        "at": (grid.at(lambda x, y: x * y), q),
+        "moments": (grid.moments(rng.standard_normal((nx, q, ny, q))), kk),
+        "separable_moments": (grid.separable_moments(fx, fy), kk),
+    }
+    for name, (a, m) in arrays.items():
+        assert a.shape == (nx, m, ny, m) and a.flags.c_contiguous, name
 
 
 #: Agreement demanded between the separable moments of fx(x) fy(y) and the
@@ -202,7 +225,7 @@ def test_separable_moments_match_the_full_grid(k, nx, ny):
     ref = grid.moments(grid.at(lambda x, y: fx * fy))
     got = grid.separable_moments(fx, fy)
     scale = np.max(np.abs(grid.moments(grid.at(lambda x, y: np.abs(fx * fy)))))
-    assert got.shape == ref.shape == (nx, ny, k + 1, k + 1)
+    assert got.shape == ref.shape == (nx, k + 1, ny, k + 1)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=SEPARABLE_RTOL * scale)
 
 
@@ -229,7 +252,7 @@ def test_field_eval_periodic_wrap():
     mesh = build_spatial_mesh(4, 4)
     basis = BasisSpec(1)
     rng = np.random.default_rng(3)
-    f = DgField(rng.standard_normal((4, 4, 2, 2)), basis, mesh)
+    f = DgField(rng.standard_normal((4, 2, 4, 2)), basis, mesh)
     x = np.array([0.1, 0.37, 0.61])
     y = np.array([0.2, 0.55, 0.9])
     np.testing.assert_allclose(

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
+import io
 import os
 import re
 import subprocess
@@ -12,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracldg.analysis
 import fracldg.cli
@@ -572,6 +576,87 @@ def test_refusal_names_the_footprint_of_the_case_over_the_limit(tmp_path, capsys
     assert f"needs {need} bytes" in capsys.readouterr().err
     monkeypatch.setattr(fracldg.ldg, "physical_memory_bytes", lambda: need)
     assert main(["validate-config", "--config", _write_config(tmp_path, d)]) == 0
+
+
+def test_condition_rows_are_sized_with_their_fourier_blocks(tmp_path, capsys, monkeypatch):
+    # condition_number holds all nx ny Fourier blocks at once, 16 nx ny
+    # (k+1)^4 bytes of complex128: 15 116 544 B at nx 12, degree 8, ten
+    # times the 1 449 984 B footprint of a solve at M 1. With a 4 MiB probe
+    # both verbs refuse the row for its blocks, before any operator is
+    # assembled.
+    import fracldg.ldg
+    from fracldg.basis import BasisSpec
+    from fracldg.meshes import build_spatial_mesh
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("operators assembled before the footprint check")
+
+    mesh, basis = build_spatial_mesh(12, 12), BasisSpec(8)
+    solve_bytes = fracldg.ldg.footprint_bytes(mesh, 1, basis)
+    blocks = fracldg.analysis._fourier_blocks_bytes(mesh, basis)
+    assert (solve_bytes, blocks) == (1_449_984, 15_116_544)
+    monkeypatch.setattr(fracldg.ldg, "physical_memory_bytes", lambda: 4 * 2**20)
+    monkeypatch.setattr(fracldg.ldg, "assemble_operators", no_assembly)
+    d = _base_config("condition-number", nx=12, time={"M": 1, "T": 0.1},
+                     cond_rows=[{"degree": 8, "alpha": 0.5, "gamma": 1.0}])
+    path = _write_config(tmp_path, d)
+    out = tmp_path / "out"
+    for argv in (["validate-config", "--config", path], ["run", "--config", path, "--out", str(out)]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: the run needs ") and err.count("\n") == 1, err
+        assert f"needs {solve_bytes + blocks} bytes" in err, err
+    assert not out.exists() or not list(out.iterdir())
+
+
+#: Values a config key may be changed to: the kinds of YAML scalar, list and
+#: map that a hand-edited config can hold, with the extremes of each number
+#: (1e400 reads as inf, 1e-320 is subnormal, 10**20 and 2**63 exceed any
+#: size a machine holds and are refused for their size).
+_ODD_VALUES = (
+    None, True, False, 0, -1, -2.5, 1e400, float("nan"), 10**20, 2**63, 1e-320,
+    "x", "", [], [1, 2], {}, {"a": 1},
+)
+
+
+def _key_paths(node, path=()) -> list[tuple]:
+    """Every key of a config mapping and every entry of its lists, at any
+    depth, as the path of keys and indices that reaches it."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [p for key, child in items for p in [path + (key,)] + _key_paths(child, path + (key,))]
+
+
+_PRESET_DICTS = [yaml.safe_load(p.read_text(encoding="utf-8"))
+                 for p in sorted(presets_dir().glob("*.yaml"))]
+_PRESET_KEYS = [(i, path) for i, d in enumerate(_PRESET_DICTS) for path in _key_paths(d)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_PRESET_KEYS), value=st.sampled_from(_ODD_VALUES))
+def test_no_single_key_change_of_a_preset_reaches_a_traceback(tmp_path_factory, case, value):
+    # One key of a shipped preset set to any value of the pool: validate-config
+    # accepts it (0), names the bad key (2) or refuses the run for its size
+    # (3), with one line on stderr, and never lets an exception escape.
+    index, path = case
+    d = copy.deepcopy(_PRESET_DICTS[index])
+    owner = d
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    cfg = tmp_path_factory.mktemp("odd") / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(d), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["validate-config", "--config", str(cfg)])
+    err = err.getvalue()
+    assert rc in (0, 2, 3), (path, value, rc, err)
+    assert "Traceback" not in err
+    assert err.count("\n") == (0 if rc == 0 else 1), (path, value, err)
 
 
 def _solving_studies() -> list[str]:

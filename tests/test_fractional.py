@@ -300,7 +300,7 @@ def test_substantial_history_matches_loop_oracle(alpha, gamma, M, k, nx, ny, T, 
     assert np.max(np.abs(kq)) <= abs(a) + abs(b) + abs(c) <= 3.0
     rng = np.random.default_rng(seed)
     # u^0..u^M: march pushes u^M after the last sum, which never reads it.
-    fields = [DgField(rng.standard_normal((nx, ny, k + 1, k + 1)), basis, mesh)
+    fields = [DgField(rng.standard_normal((nx, k + 1, ny, k + 1)), basis, mesh)
               for _ in range(M + 1)]
     history = History(A, kq, abs(a) + abs(b) + abs(c))
     levels = [u.eval_volume_quad(quad) for u in fields]

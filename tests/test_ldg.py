@@ -26,6 +26,7 @@ from fracldg.fractional import (
 )
 from fracldg.ldg import (
     FluxWeights,
+    LdgOperators,
     assemble_operators,
     solve,
     step,
@@ -44,7 +45,6 @@ from fracldg.problems import ProblemSpec, example1, example2
 from oracles import (
     bilinear_form_B,
     dense_directional_operator,
-    flatten,
     l1_row,
     lifted_stiffness,
     march,
@@ -145,7 +145,7 @@ def test_constants_are_steady_states():
     for s1, s2 in FLUXES:
         ops = assemble_operators(mesh, BasisSpec(2), FluxWeights(s1, s2))
         const = VolumeGrid.build(mesh, BasisSpec(2)).project(lambda x, y: 3.0 + 0.0 * x * y)
-        assert np.max(np.abs(ops.K @ flatten(const))) <= 1e-11
+        assert np.max(np.abs(ops.K @ const.coeffs.ravel())) <= 1e-11
 
 
 def test_energy_nullity_of_bilinear_form():
@@ -162,8 +162,8 @@ def test_energy_nullity_of_bilinear_form():
         for _ in range(5):
             u = DgField(rng.standard_normal((4, 3, 3, 3)), basis, mesh)
             u = DgField(u.coeffs * (1.0 / u.l2_norm()), basis, mesh)
-            px = ops.unflatten(Du @ flatten(u))
-            py = ops.unflatten(Lu @ flatten(u))
+            px = DgField((Du @ u.coeffs.ravel()).reshape(u.coeffs.shape), basis, mesh)
+            py = DgField((Lu @ u.coeffs.ravel()).reshape(u.coeffs.shape), basis, mesh)
             val = bilinear_form_B(u, u, (px, py), (px, py), fw)
             assert abs(val) <= 1e-11
 
@@ -289,11 +289,11 @@ def test_moment_vector_matches_einsum(nx, ny, k):
     grid = VolumeGrid.build(build_spatial_mesh(nx, ny), BasisSpec(k))
     quad = grid.quad
     q = len(quad.nodes)
-    values = np.random.default_rng(8).standard_normal((nx, ny, q, q))
+    values = np.random.default_rng(8).standard_normal((nx, q, ny, q))
     WV = quad.weights[:, None] * legendre_values(k, quad.nodes)
-    ref = np.einsum("ijqp,qr,ps->ijrs", values, WV, WV)
+    ref = np.einsum("iqjp,qr,ps->irjs", values, WV, WV)
     got = grid.moments(values)
-    assert got.shape == (nx, ny, k + 1, k + 1)
+    assert got.shape == (nx, k + 1, ny, k + 1)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
 
 
@@ -369,16 +369,6 @@ def test_shipped_and_random_problems_pass_tempering_guard():
             guard(_constant_kappa_problem(0.0, abs(a) + abs(b)), tm, kq)
 
 
-def test_flatten_unflatten_roundtrip():
-    mesh = build_spatial_mesh(3, 5)
-    basis = BasisSpec(2)
-    ops = assemble_operators(mesh, basis, FluxWeights(1.0, 0.0))
-    rng = np.random.default_rng(2)
-    f = DgField(rng.standard_normal((3, 5, 3, 3)), basis, mesh)
-    g = ops.unflatten(flatten(f))
-    np.testing.assert_allclose(g.coeffs, f.coeffs, atol=0.0)
-
-
 def test_discrete_substantial_derivative_exact_on_tempered_linears():
     # For u = e^{-kappa(x) t} * v(t) with v linear, the pointwise identity
     # A_0 u^n + history = e^{-kappa t_n} * (exact power-law derivative of v)
@@ -452,6 +442,33 @@ def test_step_rejects_short_history():
     history.push(0, grid.project(prob.u0).eval_volume_quad(history_grid.quad))
     with pytest.raises(InvalidArgumentError):
         step(ops, A, 2, prob, grid, history_grid, history)
+
+
+def test_step_returns_the_solution_as_its_field(monkeypatch):
+    # A field's coefficients are the solver's vector: step hands
+    # solve_system its moments flattened and returns the solution reshaped,
+    # with no copy between two layouts.
+    mesh = build_spatial_mesh(3, 4)
+    basis = BasisSpec(1)
+    prob = example2(0.4)
+    A = L1Kernel(prob.alpha, build_graded_time_mesh(3, 2.0, 0.1))
+    ops = assemble_operators(mesh, basis, FluxWeights(1.0, 0.0))
+    grid = VolumeGrid.build(mesh, basis)
+    history_grid = VolumeGrid.build(mesh, basis, gauss_rule(basis.history_quad_points))
+    history = History(A, history_grid.at(prob.kappa), prob.c_kappa)
+    history.push(0, grid.project(prob.u0).eval_volume_quad(history_grid.quad))
+    solutions = []
+    real_solve = LdgOperators.solve_system
+
+    def recording_solve(self, a0, b):
+        solutions.append(real_solve(self, a0, b))
+        return solutions[-1]
+
+    monkeypatch.setattr(LdgOperators, "solve_system", recording_solve)
+    u = step(ops, A, 1, prob, grid, history_grid, history)
+    [x] = solutions
+    assert u.coeffs.shape == (3, 2, 4, 2) and u.coeffs.flags.c_contiguous
+    assert np.shares_memory(u.coeffs, x)
 
 
 def _random_history(M: int, seed: int):

@@ -6,6 +6,8 @@ thread count, and that the run loads neither scipy nor mpmath; the AST audit
 checks the latter statically
 for every module, with the sparse K of LdgOperators as the single on-demand
 exception, and checks that every name a module imports is used or exported.
+A third AST audit keeps the package to one array layout: only an allow-list
+of functions transposes an array or copies one into C order.
 """
 
 from __future__ import annotations
@@ -168,6 +170,39 @@ def test_module_imports_are_used(path):
     assert _unused_imports(path) == []
 
 
+#: Functions of the package that may transpose an array or copy one into C
+#: order: the block row of a circulant block (ldg.block_symbol), the k = 0
+#: dot product of the per-cell products, which BLAS ddot sums in its own
+#: order (basis._cell_products), and the copy of a panel's near square
+#: (fractional.History._form_panel). Every per-cell array is held in one
+#: layout, so no other function needs either.
+LAYOUT_CALLS_ALLOWED = {"ldg.block_symbol", "basis._cell_products", "fractional.History._form_panel"}
+
+
+def _layout_calls(path: Path) -> set[str]:
+    """module.function of every function (or class.method) in path that
+    calls .transpose(...) or np.ascontiguousarray(...)."""
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("transpose", "ascontiguousarray")):
+                found.add(".".join((path.stem,) + scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_no_function_translates_between_layouts():
+    found = set().union(*(_layout_calls(path) for path in PACKAGE_DIR.glob("*.py")))
+    assert found == LAYOUT_CALLS_ALLOWED
+
+
 def test_sparse_K_builds_on_demand():
     ops = assemble_operators(build_spatial_mesh(3, 2), BasisSpec(1), FluxWeights(1.0, 0.0))
     assert "K" not in vars(ops)
@@ -211,12 +246,14 @@ def test_removed_names_are_gone(name):
 
 
 #: Members removed from the package's dataclasses: the row of L1
-#: coefficients, which only the tests read (oracles.l1_row), and the grading
-#: exponent that nothing read off a time mesh. SpatialMesh's fields are
+#: coefficients, which only the tests read (oracles.l1_row), the grading
+#: exponent that nothing read off a time mesh, and the translation of a
+#: solver vector into a second coefficient layout. SpatialMesh's fields are
 #: checked in test_meshes.
 REMOVED_MEMBERS = (
     ("fractional", "L1Kernel", "row"),
     ("meshes", "GradedTimeMesh", "gamma"),
+    ("ldg", "LdgOperators", "unflatten"),
 )
 
 

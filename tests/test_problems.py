@@ -143,8 +143,8 @@ def test_manufactured_source_is_the_product_of_its_factors():
     # pair comes back in the shapes of the grid's x and y points.
     grid = VolumeGrid.build(build_spatial_mesh(5, 3), BasisSpec(1))
     fx, fy = example2(0.3).f(0.05, grid.x, grid.y)
-    assert fx.shape == grid.x.shape == (5, 1, 4, 1)
-    assert fy.shape == grid.y.shape == (1, 3, 1, 4)
+    assert fx.shape == grid.x.shape == (5, 4, 1, 1)
+    assert fy.shape == grid.y.shape == (1, 1, 3, 4)
     np.testing.assert_array_equal(fy, np.sin(2.0 * math.pi * grid.y))
 
 
@@ -172,5 +172,5 @@ def test_manufactured_source_holds_two_arrays_of_its_result():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fx.shape == (32, 1, 4, 1) and fy.shape == (1, 32, 1, 4)
+    assert fx.shape == (32, 4, 1, 1) and fy.shape == (1, 1, 32, 4)
     assert peak <= SOURCE_PEAK_BYTES, peak
