@@ -119,9 +119,14 @@ def rates(errors: Sequence[float], params: Sequence[float]) -> list[float]:
 
 
 def _fourier_blocks_bytes(mesh: SpatialMesh, basis: BasisSpec) -> int:
-    """Bytes of the Fourier blocks condition_number holds at once on mesh:
-    nx ny complex (k+1)^2 x (k+1)^2 blocks, 16 nx ny (k+1)^4."""
-    return 16 * mesh.nx * mesh.ny * (basis.k + 1) ** 4
+    """Bytes condition_number holds at once on mesh, with b = (k+1)^2 modes
+    per cell: the nx ny complex b x b Fourier blocks and their nx ny b
+    eigenvalues; the nx x parts and ny y parts the blocks are summed from,
+    with the ny-block Kronecker product and the scaled b x b identity the y
+    parts are summed from; and the iterator buffers of that broadcast sum,
+    np.getbufsize() complex values for each of its three operands."""
+    nx, ny, b = mesh.nx, mesh.ny, (basis.k + 1) ** 2
+    return 16 * (b * b * (nx * ny + nx + 2 * ny + 1) + 3 * np.getbufsize()) + 8 * nx * ny * b
 
 
 def condition_number(ops: LdgOperators, A: L1Kernel, M: int) -> float:

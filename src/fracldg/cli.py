@@ -24,6 +24,7 @@ the linear-algebra backends.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -323,7 +324,7 @@ def _check_time_meshes(cfg: ExperimentConfig, source: str) -> None:
     so validate-config refuses what run would, and the answer depends on
     the physical memory of the machine. A condition-number row is sized as
     a solve on its mesh, degree and M, which its study does not make, plus
-    the Fourier blocks condition_number holds at once."""
+    what condition_number holds at once (analysis._fourier_blocks_bytes)."""
     # Imported here: importing the CLI must not load numpy before the
     # thread count is pinned.
     from .analysis import _fourier_blocks_bytes
@@ -557,7 +558,11 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared, so callers do
+    not change it: each tree is a cycle of objects, so one per call would
+    leave garbage for the collector."""
     parser = argparse.ArgumentParser(
         prog="fracldg",
         description="Convergence and conditioning experiments for the tempered-memory "

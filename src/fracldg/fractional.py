@@ -25,11 +25,12 @@ range.
 
 No table of L1 coefficients is kept: L1Kernel holds alpha and the time mesh,
 and each panel evaluates every coefficient its steps read from their closed
-form in one block of HISTORY_PANEL rows by at most M + 1 levels, with
-ufuncs over strips of WEIGHT_STRIP columns, in place in the block and one
-strip of scratch; no step evaluates one. The flops stay O(M^2) per run;
-the coefficient memory drops from M (M + 1) / 2 stored values to that
-transient block and the HISTORY_PANEL^2 near weights a panel keeps.
+form in one block of HISTORY_PANEL rows by at most M + 1 levels
+(_memory_weights, the form's one evaluator), with ufuncs over strips of
+WEIGHT_STRIP columns, in place in the block and one strip of scratch; no
+step evaluates one. The flops stay O(M^2) per run; the coefficient memory
+drops from M (M + 1) / 2 stored values to that transient block and the
+HISTORY_PANEL^2 near weights a panel keeps.
 
 The Mittag-Leffler function E_alpha gives example1 its closed-form
 solution. It takes the orders 0 < alpha < 1 that the rest of the package
@@ -72,14 +73,11 @@ KAPPA_BOUND_RTOL = 1e-12
 @dataclass(frozen=True)
 class L1Kernel:
     """L1 coefficients of fractional order alpha in (0, 1) on a time mesh,
-    evaluated on demand from their closed form (_interval_weights); no table
-    is stored.
+    evaluated on demand by _memory_weights; no table is stored.
 
     Step n weighs the interval (t_j, t_{j+1}) of level j < n with
-    a_j^n = A_{n-1-j}^n, so (A_0^n, ..., A_{n-1}^n) is
-    _interval_weights(A, n) reversed. The chain
-    A_0^n >= A_1^n >= ... >= A_{n-1}^n > 0 holds on any admissible mesh and
-    is what the stability results lean on.
+    a_j^n = A_{n-1-j}^n. The chain A_0^n >= A_1^n >= ... >= A_{n-1}^n > 0
+    holds on any admissible mesh and is what the stability results lean on.
     """
 
     alpha: float
@@ -90,38 +88,11 @@ class L1Kernel:
             raise InvalidArgumentError(f"alpha must be in (0, 1), got {self.alpha}")
 
     def a0(self, n: int) -> float:
-        """A_0^n = tau_n^(1-a) / (Gamma(2-a) tau_n), the weight of the newest
-        interval and the mass factor of the step-n system: the last entry
-        of _interval_weights at step n, in O(n) (log1p(-1) = -inf and
-        expm1(-inf) = -1 reduce its expm1/log1p form to this one exactly)."""
+        """A_0^n, the newest interval's weight and the step-n mass factor: the
+        diagonal of step n's one-row block, O(n), the bits History.a0 reads."""
         if not 1 <= n <= self.tm.M:
             raise InvalidArgumentError(f"step index {n} outside 1..{self.tm.M}")
-        return float(_interval_weights(self, n)[-1])
-
-
-def _interval_weights(A: L1Kernel, n: int) -> np.ndarray:
-    """a_j^n = A_{n-1-j}^n for the levels j = 0, ..., n - 1, the weight of
-    the interval (t_j, t_{j+1}) at step n.
-
-    A_{n-1-j}^n = ((t_n - t_j)^{1-a} - (t_n - t_{j+1})^{1-a}) / (Gamma(2-a) tau_j)
-    is evaluated as x^(1-a) * (-expm1((1-a) * log1p(-tau_j/x))) with
-    x = t_n - t_j: on strongly graded meshes the two powers agree to many
-    digits and the naive subtraction loses enough precision to break the
-    monotone ordering of the tail weights. The leading minus goes on the
-    divisor: a sign change is exact, so the bits are those of negating the
-    row.
-    """
-    t, tau, alpha = A.tm.t, A.tm.tau[:n], A.alpha
-    x = t[n] - t[:n]
-    a = -tau / x
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at the newest interval
-        np.log1p(a, out=a)
-    a *= 1.0 - alpha
-    np.expm1(a, out=a)
-    x **= 1.0 - alpha
-    a *= x
-    a /= -(math.gamma(2.0 - alpha) * tau)
-    return a
+        return float(_memory_weights(self, (n,), n + 1)[0, n])
 
 
 #: Columns of a memory-weight block evaluated at once. The strip's scratch,
@@ -145,13 +116,16 @@ def _memory_weights(A: L1Kernel, steps, stop: int) -> np.ndarray:
     0 < j < n, the weight of the tempered level w_j in History.sum, then
     c_n^n = a_{n-1}^n = A_0^n on the diagonal and zeros.
 
-    The block is evaluated WEIGHT_STRIP columns at a time, with the ufuncs
-    of _interval_weights over every entry of a strip at once, in the result
-    and one strip of scratch. Each entry takes the same operations as
-    in _interval_weights, up to exact sign changes, so the bits are those of
-    the row-by-row form. The entries past a row's diagonal are evaluated
-    too (a division by zero or a power of a negative number) and then set to
-    zero.
+    The interval weight a_j^n = ((t_n - t_j)^{1-a} - (t_n - t_{j+1})^{1-a})
+    / (Gamma(2-a) tau_j) of level j < n is evaluated as
+    x^(1-a) expm1((1-a) log1p(-tau_j/x)) / -(Gamma(2-a) tau_j), x = t_n - t_j:
+    on strongly graded meshes the two powers agree to many digits, and their
+    naive difference breaks the monotone ordering of the tail weights. The
+    block is evaluated WEIGHT_STRIP columns at a time, with ufuncs over a
+    whole strip, in the result and one strip of scratch; an entry takes the
+    same operations in every block and strip, so its bits do not depend on
+    them. The entries past a row's diagonal are evaluated too (a division by
+    zero or a power of a negative number) and then set to zero.
     """
     first, rows = steps[0], len(steps)
     t, tau, alpha = A.tm.t, A.tm.tau, A.alpha
@@ -165,8 +139,8 @@ def _memory_weights(A: L1Kernel, steps, stop: int) -> np.ndarray:
             a = c[:, 1 + cols.start : 1 + cols.stop]  # a[i, j] = a_j^n of step n = first + i
             x = scratch[:, : cols.stop - cols.start]
             np.subtract(t[first : first + rows, None], t[None, cols], out=x)
-            # log1p(-1) = -inf at the newest interval, as in _interval_weights;
-            # past the diagonal x <= 0 gives infinities and nans, zeroed below.
+            # log1p(-1) = -inf at the newest interval; past the diagonal
+            # x <= 0 gives infinities and nans, zeroed below.
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(tau[cols], x, out=a)
                 np.negative(a, out=a)  # -tau / x

@@ -8,8 +8,8 @@ blocks, and an adaptive-precision Mittag-Leffler series instead of the
 contour rule. Slow and simple on purpose. The exceptions are l1_table,
 the stored L1 table the package once built: the same formula row by row,
 against which the coefficients the package evaluates on demand must agree
-bit for bit; l1_row, which reads one step's row of those coefficients
-off the package itself; and the slow forms of the package's fast paths,
+bit for bit, and l1_row, one step's row of that table; and the slow forms
+of the package's fast paths,
 each the code it replaced, against which the fast path must agree bit for
 bit: the row-by-row memory weights (memory_weights_by_rows), the per-cell
 stacked products of the moments and of the values at the points
@@ -57,8 +57,9 @@ from fracldg.basis import (
     quad_vandermonde,
 )
 from fracldg.errors import InvalidArgumentError, NumericError
-from fracldg.fractional import L1Kernel, _interval_weights
+from fracldg.fractional import L1Kernel
 from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, block_symbol, solve
+from fracldg.meshes import build_graded_time_mesh
 
 
 def cell_major(a: np.ndarray) -> np.ndarray:
@@ -202,44 +203,39 @@ def dense_condition_2norm(S) -> float:
 
 
 def l1_row(A: L1Kernel, n: int) -> np.ndarray:
-    """(A_0^n, ..., A_{n-1}^n) as the package evaluates them: its interval
-    weights of step n, newest first; empty for n = 0."""
-    return _interval_weights(A, n)[::-1]
+    """(A_0^n, ..., A_{n-1}^n) of step n, newest first; empty for n = 0:
+
+    A_{i-1}^n = ((t_n - t_{n-i})^{1-a} - (t_n - t_{n-i+1})^{1-a})
+                / (Gamma(2-a) * tau_{n-i+1}),   i = 1..n,
+
+    in the expm1/log1p form the package evaluates; one row of l1_table."""
+    alpha = A.alpha
+    x = A.tm.t[n] - A.tm.t[:n][::-1]  # t_n - t_{n-i}, i = 1..n
+    step_tau = A.tm.tau[:n][::-1]
+    with np.errstate(divide="ignore"):
+        ratio = np.expm1((1.0 - alpha) * np.log1p(-step_tau / x))
+    return -ratio * x ** (1.0 - alpha) / (math.gamma(2.0 - alpha) * step_tau)
 
 
 def l1_table(tm, alpha: float) -> tuple[np.ndarray, ...]:
     """Full triangular L1 coefficient table for fractional order alpha in (0,1):
     entry n is the array (A_0^n, ..., A_{n-1}^n) for n = 1..M; entry 0 is empty.
 
-    A_{i-1}^n = ((t_n - t_{n-i})^{1-a} - (t_n - t_{n-i+1})^{1-a})
-                / (Gamma(2-a) * tau_{n-i+1}),   i = 1..n.
-
-    The package's original table builder, one row per step, kept as the
-    exact reference for the coefficients fracldg.fractional evaluates on
+    The package's original table builder, one row per step (l1_row), kept as
+    the exact reference for the coefficients fracldg.fractional evaluates on
     demand.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
-    t, tau = tm.t, tm.tau
-    g = math.gamma(2.0 - alpha)
-    tables: list[np.ndarray] = [np.empty(0)]
-    for n in range(1, tm.M + 1):
-        i = np.arange(1, n + 1)
-        x = t[n] - t[n - i]
-        step_tau = tau[n - i]
-        with np.errstate(divide="ignore"):
-            ratio = np.expm1((1.0 - alpha) * np.log1p(-step_tau / x))
-        tables.append(-ratio * x ** (1.0 - alpha) / (g * step_tau))
-    return tuple(tables)
+    A = L1Kernel(alpha, tm)  # rejects alpha outside (0, 1)
+    return tuple(l1_row(A, n) for n in range(tm.M + 1))
 
 
 def memory_weights_by_rows(A: L1Kernel, steps, stop: int) -> np.ndarray:
-    """fracldg.fractional._memory_weights one row at a time: the package's
-    former form, each row one _interval_weights call and one difference in
-    place, kept as the exact reference for the whole-block form."""
+    """fracldg.fractional._memory_weights one row at a time: each row the
+    step's L1 row of l1_table in level order and one difference in place,
+    kept as the exact reference for the whole-block form."""
     c = np.zeros((len(steps), stop))
     for row, n in zip(c, steps):
-        row[1 : n + 1] = _interval_weights(A, n)
+        row[1 : n + 1] = l1_row(A, n)[::-1]
         row[:n] -= row[1 : n + 1]
     return c
 
@@ -412,6 +408,30 @@ def final_time_error(fields, tm, mesh, basis, exact) -> float:
     grid = VolumeGrid.build(mesh, basis)
     vals = exact(tm.t[tm.M], grid.x, grid.y)
     return tm.T * grid.norm(vals - fields[tm.M].eval_volume_quad(grid.quad))
+
+
+def time_self_convergence(prob, mesh, basis, fw, Ms, gamma: float, T: float) -> list[tuple[float, float]]:
+    """Time self-convergence at a fixed spatial mesh, for the graded meshes
+    of Ms steps, each twice the one before: per M in Ms but the last, the
+    pair (max_n ||U_M^n - U_{2M}^{2n}||, ||U_M^M - U_{2M}^{2M}||) of L2
+    distances, the maximum over the shared nodes and the final time.
+
+    The graded meshes nest bitwise (t^{2M}_{2n} = t^M_n), so the levels of
+    two runs compare without interpolation or an exact solution, and the
+    spatial error, the same in both runs, drops out."""
+    grid = VolumeGrid.build(mesh, basis)
+    runs = []
+    for M in Ms:
+        tm = build_graded_time_mesh(M, gamma, T)
+        fields = solve_fields(prob, mesh, tm, basis, fw)
+        runs.append((tm, np.stack([u.eval_volume_quad(grid.quad) for u in fields])))
+    out = []
+    for (coarse_tm, coarse), (fine_tm, fine) in zip(runs, runs[1:]):
+        if not np.array_equal(fine_tm.t[::2], coarse_tm.t):
+            raise InvalidArgumentError(f"M {fine_tm.M} does not refine M {coarse_tm.M} by halving")
+        d = [grid.norm(c - f) for c, f in zip(coarse, fine[::2])]
+        out.append((max(d), d[-1]))
+    return out
 
 
 def mittag_leffler_series(alpha: float, z: float) -> float:

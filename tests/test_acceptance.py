@@ -3,6 +3,7 @@
 Every headline behavior is exercised here at its stated tolerance: the
 benchmark convergence tables (Q0 and Q2 spatial decay, the inhomogeneous Q2
 case, the central-flux order drop), the three temporal-rate rows, the
+grading rate of the time self-convergence at a fixed mesh, the
 conditioning table, the property suite (energy identity, memory-weight
 chain, complementary-kernel identities, stability, memory-operator
 exactness, special-function cross-checks, projection approximation orders),
@@ -39,7 +40,7 @@ from fracldg.fractional import (
 )
 from fracldg.ldg import FluxWeights, assemble_operators
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
-from fracldg.problems import ProblemSpec
+from fracldg.problems import ProblemSpec, example2
 
 from oracles import (
     _x_interface_traces,
@@ -55,6 +56,7 @@ from oracles import (
     project_P,
     project_Q,
     solve_fields,
+    time_self_convergence,
 )
 
 FLUXES = [(1.0, 0.0), (0.0, 1.0), (0.7, 0.2), (0.3, 0.8)]
@@ -139,6 +141,35 @@ def test_temporal_rate_benchmarks():
             assert abs(got - target) <= 0.1, (name, got, target)
         lines.append(f"{name}->{_fmt_rates(rep.rates)} (target {target})")
     print("PASS temporal rates: " + "; ".join(lines))
+
+
+def test_time_self_convergence_shows_the_grading_rate():
+    # The paper's time rate min(2 - alpha, gamma delta) (example2, delta =
+    # alpha) shows in the maximum over the steps, not at the final time.
+    # Q1 8 x 8, T 0.1, M 200, 400, 800: the rate of the last pair of
+    # max_n ||U_M^n - U_{2M}^{2n}||. Measured last-pair rates (bound):
+    # alpha 0.3 at gamma 1, 2, 6: 0.056 (0.3), 0.315 (0.6), 1.574 (1.7);
+    # alpha 0.7 at gamma 1, 2: 0.587 (0.7), 1.179 (1.3). So they are ordered
+    # as their bounds are, each lies 0.11 to 0.29 below its bound (gate:
+    # within 0.3 below, at most 0.1 above), and the final-time rates at
+    # alpha 0.3, gamma 2 and 6, 1.700 and 1.655, agree within 0.1: the
+    # final time does not see the grading.
+    mesh, basis, fw = build_spatial_mesh(8, 8), BasisSpec(1), FluxWeights(1.0, 0.0)
+    cases = ((0.3, 1.0), (0.3, 2.0), (0.3, 6.0), (0.7, 1.0), (0.7, 2.0))
+    got = {}
+    for alpha, gamma in cases:
+        (max_a, final_a), (max_b, final_b) = time_self_convergence(
+            example2(alpha), mesh, basis, fw, (200, 400, 800), gamma, 0.1)
+        bound = min(2.0 - alpha, gamma * alpha)
+        got[alpha, gamma] = (math.log2(max_a / max_b), bound, math.log2(final_a / final_b))
+    by_bound = sorted(got.values(), key=lambda r: r[1])
+    assert [r[0] for r in by_bound] == sorted(r[0] for r in by_bound), got
+    for rate, bound, _ in got.values():
+        assert bound - 0.3 <= rate <= bound + 0.1, got
+    assert abs(got[0.3, 2.0][2] - got[0.3, 6.0][2]) <= 0.1, got
+    print("PASS time self-convergence: " + "; ".join(
+        f"alpha={a} gamma={g}: max {r:.3f} (bound {b:.1f}), final {f:.3f}"
+        for (a, g), (r, b, f) in got.items()))
 
 
 def test_condition_number_monotonicity_and_anchor():

@@ -337,6 +337,32 @@ def test_condition_number_factorizes_nothing(monkeypatch):
     assert condition_number(ops, A, 10) > 1.0
 
 
+@pytest.mark.parametrize("nx,ny,degree", [(1, 1, 8), (4, 4, 8), (12, 12, 8), (16, 16, 3), (32, 32, 2),
+                                           (3, 12, 8), (12, 3, 8)])
+def test_condition_number_peak_is_within_its_count(nx, ny, degree):
+    # The CLI sizes a condition-number row by _fourier_blocks_bytes on top
+    # of a solve's footprint. The count alone bounds the traced peak of one
+    # call, with no margin beyond the iterator buffers it names. The call is
+    # traced after a warm-up call; in a fresh process the first call peaks
+    # up to about 124 KB higher (12 x 12 Q8: 17 956 175 B against a count
+    # of 19 487 184 B).
+    import tracemalloc
+
+    from fracldg.analysis import _fourier_blocks_bytes
+
+    mesh, basis = build_spatial_mesh(nx, ny), BasisSpec(degree)
+    ops = assemble_operators(mesh, basis, FluxWeights(1.0, 0.0))
+    A = L1Kernel(0.5, build_graded_time_mesh(1, 1.0, 0.1))
+    condition_number(ops, A, 1)
+    tracemalloc.start()
+    try:
+        condition_number(ops, A, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _fourier_blocks_bytes(mesh, basis), peak
+
+
 def test_run_path_builds_no_sparse_matrix(monkeypatch):
     def no_sparse(*args, **kwargs):
         raise RuntimeError("sparse matrix built")

@@ -114,8 +114,6 @@ def _check_weights_match_table_bitwise(M: int, gamma: float, alpha: float, T: fl
     A = L1Kernel(alpha, tm)
     table = l1_table(tm, alpha)
     probe = np.eye(M + 1)
-    for n in range(M + 1):
-        assert np.array_equal(l1_row(A, n), table[n]), n
     for n, full in march(History(A, np.zeros(M + 1), 0.0), probe):
         assert A.a0(n) == table[n][0], n
         assert np.array_equal(full[:n], _table_memory_weights(table, n)) and not full[n:].any(), n
@@ -136,6 +134,24 @@ def test_weights_match_table_bitwise_around_a_panel(M, gamma, alpha, T):
 )
 def test_weights_match_table_bitwise(M, gamma, alpha, T):
     _check_weights_match_table_bitwise(M, gamma, alpha, T)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 6.0, 17.5])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_a0_is_one_number_in_kernel_history_and_table(gamma, alpha):
+    # A_0^n has one evaluator, the memory-weight block: L1Kernel.a0 reads
+    # the diagonal of step n's one-row block, History.a0 that of its panel's
+    # block, and both carry the bits of the table's first entry, at every
+    # step and around every panel edge.
+    for M in (1, 2, 31, 32, 33, 100, 2000):
+        tm = build_graded_time_mesh(M, gamma, 1.0)
+        A = L1Kernel(alpha, tm)
+        table = l1_table(tm, alpha)
+        history = History(A, np.zeros(1), 0.0)
+        history.push(0, np.zeros(1))
+        for n in range(1, M + 1):
+            assert A.a0(n) == history.a0(n) == table[n][0], (M, n)
+            history.push(n, np.zeros(1))
 
 
 @pytest.mark.parametrize("M", [1, 31, 32, 33, 40, 100, 800, 2000])

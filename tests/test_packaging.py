@@ -55,8 +55,9 @@ MOVED = (
 #: power iteration the exact condition number replaced, of the
 #: positive-argument Mittag-Leffler series no run evaluated, of the second
 #: L1Kernel constructor, of the contour's public alias, of the package's
-#: lazy re-export table, and of the time-integrated error functional that no
-#: run measured.
+#: lazy re-export table, of the time-integrated error functional that no
+#: run measured, and of the row form of the L1 closed form, which only
+#: L1Kernel.a0 read (it now reads the memory-weight block's diagonal).
 REMOVED = (
     "Trajectory",
     "error_E",
@@ -77,6 +78,7 @@ REMOVED = (
     "_LAZY",
     "TimeIntegratedError",
     "_LevelError",
+    "_interval_weights",
 )
 
 _CHILD = (
