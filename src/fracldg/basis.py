@@ -12,8 +12,8 @@ of each step and the error norms take basis.default_quad_points points per
 axis; the memory history is held, and its moments taken, at
 basis.history_quad_points, the fewest points that hold a level exactly.
 
-Cells are indexed 0-based: cell (i, j) spans [x_edges[i], x_edges[i+1]] x
-[y_edges[j], y_edges[j+1]].
+Cells are indexed 0-based: cell (i, j) spans [i/nx, (i+1)/nx] x
+[j/ny, (j+1)/ny].
 
 Every per-cell array has one layout, x before y: a coefficient tensor is
 (nx, k+1, ny, k+1), entry (i, r, j, s), and values at the points of a
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_degree, check_integer, check_range
 from .meshes import SpatialMesh
 
 __all__ = [
@@ -49,14 +49,14 @@ __all__ = [
 class BasisSpec:
     """Tensor-product polynomial space Q^k on each cell.
 
-    k is the degree per axis, so a cell holds (k+1)^2 coefficients.
+    k is the degree per axis, an integer in 0..8 (errors.check_degree), so
+    a cell holds (k+1)^2 coefficients.
     """
 
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise InvalidArgumentError(f"polynomial degree must be >= 0, got {self.k}")
+        object.__setattr__(self, "k", check_degree(self.k))
 
     @property
     def default_quad_points(self) -> int:
@@ -91,9 +91,8 @@ class QuadRule:
 
 @lru_cache(maxsize=None)
 def gauss_rule(npoints: int) -> QuadRule:
-    """Gauss-Legendre rule with `npoints` nodes, 1 <= npoints <= 64."""
-    if not 1 <= npoints <= 64:
-        raise InvalidArgumentError(f"npoints must be in [1, 64], got {npoints}")
+    """Gauss-Legendre rule with `npoints` nodes, an integer in 1..64."""
+    check_range(npoints, "npoints", lambda n: 1 <= n <= 64, "must lie in 1..64", check_integer)
     nodes, weights = npleg.leggauss(npoints)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -173,11 +172,6 @@ class DgField:
             raise InvalidArgumentError(
                 f"coefficient tensor shape {self.coeffs.shape} does not match {expected}"
             )
-
-    def l2_norm(self) -> float:
-        """Global L2 norm; exact because the basis is orthonormal per cell."""
-        m = self.mesh.hx * self.mesh.hy / 4.0
-        return float(np.sqrt(m * np.sum(self.coeffs**2)))
 
     def eval_volume_quad(self, quad: QuadRule) -> np.ndarray:
         """Values at the tensor quadrature points of every cell, shape

@@ -14,7 +14,10 @@ Every mapping of a config (the top level, `time`, each `cond_rows` entry,
 `expect` and `expect.cond_anchor`) is read through one key-consuming
 reader, and each kind reads only the keys its study runs, so an unknown,
 misspelt or misplaced key at any level is a configuration error; only
-`reference` is free-form notes and is not looked into.
+`reference` is free-form notes and is not looked into. A number whose
+range the library has too (alpha, delta, gamma, T, the counts, the degree
+and the flux weights) is read by that range's one owner in fracldg.errors,
+named by its key path, so a config is refused in the library's words.
 
 Heavy numerical imports happen inside the run functions, after the thread
 environment variables are set, so --threads/--deterministic take effect on
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,7 +35,9 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError, FracLdgError, InvalidArgumentError, NumericError
+from .errors import (ConfigError, FracLdgError, InvalidArgumentError, NumericError, check_alpha,
+                     check_count, check_degree, check_delta, check_gamma, check_range,
+                     check_real, check_sigma, check_T)
 
 __all__ = ["ExperimentConfig", "Expectations", "load_config", "main"]
 
@@ -129,13 +133,13 @@ class _Mapping:
             raise ConfigError(f"{self.ctx}: missing required key {key!r}")
         return default
 
-    def num(self, key: str, default=_REQUIRED, ok=None, want: str = "", integer: bool = False):
-        """A number under `key`; None only when the key is optional (default
-        None) and absent or null. `ok` is the range test, `want` its wording."""
+    def num(self, key: str, check=check_real, default=_REQUIRED):
+        """The number under `key`, read by `check` (_number); None only when
+        the key is optional (default None) and absent or null."""
         value = self.get(key, default)
         if value is None and default is None:
             return None
-        return _number(value, f"{self.ctx}.{key}", ok, want, integer)
+        return _number(value, f"{self.ctx}.{key}", check)
 
     def choice(self, key: str, choices: tuple[str, ...], default=_REQUIRED) -> str:
         value = str(self.get(key, default))
@@ -162,57 +166,47 @@ class _Mapping:
             raise ConfigError(f"{self.ctx}: unknown keys {sorted(self._unread)}")
 
 
-def _number(value, ctx: str, ok=None, want: str = "", integer: bool = False):
-    # float(True) is 1.0: a YAML boolean is not a number.
-    if isinstance(value, bool):
-        raise ConfigError(f"{ctx}: expected a number, got {value!r}")
+def _number(value, ctx: str, check=check_real):
+    """value read by check, a check of fracldg.errors, with the key path ctx
+    as its name: the owner of each admissible range words the refusal, and
+    the reader only makes it a ConfigError."""
     try:
-        f = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{ctx}: expected a number, got {value!r}") from None
-    if not math.isfinite(f):
-        raise ConfigError(f"{ctx}: expected a finite number, got {value!r}")
-    if integer:
-        if f != int(f):
-            raise ConfigError(f"{ctx}: expected an integer, got {value!r}")
-        f = int(f)
-    if ok is not None and not ok(f):
-        raise ConfigError(f"{ctx} {want}, got {f}")
-    return f
+        return check(value, ctx)
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _mesh_size(value, ctx: str) -> int:
-    return _number(value, ctx, lambda n: n >= 1, "must be >= 1", integer=True)
+def _whole(value, ctx: str, check=check_count) -> int:
+    """An integer entry read by check (_number). A hand-written count may
+    carry a decimal point, so an integral float such as nx: 4.0 reads as 4."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _number(value, ctx, check)
 
 
 def _size(r: _Mapping, key: str) -> int:
-    return _mesh_size(r.get(key), f"{r.ctx}.{key}")
+    return _whole(r.get(key), f"{r.ctx}.{key}")
+
+
+def _degree(r: _Mapping, default=_REQUIRED) -> int:
+    return _whole(r.get("degree", default), f"{r.ctx}.degree", check_degree)
 
 
 def _as_flux(value, ctx: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{ctx} must be a pair [sigma1, sigma2], got {value!r}")
-    s1, s2 = (_number(v, ctx, lambda s: 0.0 <= s <= 1.0, "weights must lie in [0, 1]")
-              for v in value)
-    return (s1, s2)
+    return tuple(_number(v, f"{ctx}[{i}]", check_sigma) for i, v in enumerate(value))
 
 
-def _alpha(r: _Mapping) -> float:
-    return r.num("alpha", ok=lambda a: 0.0 < a < 1.0,
-                 want="must lie in the admissible range (0, 1)")
-
-
-def _degree(r: _Mapping, default=_REQUIRED) -> int:
-    return r.num("degree", default, lambda k: 0 <= k <= 8, "must lie in 0..8", integer=True)
-
-
-def _gamma(r: _Mapping, default=_REQUIRED) -> float:
-    return r.num("gamma", default, lambda g: g >= 1.0, "must be >= 1")
+def _range(ok, want: str):
+    """The check of a range that only a config has (an expectation's
+    tolerance or anchor), for _number."""
+    return lambda value, name: check_range(value, name, ok, want)
 
 
 def _cond_row(value, ctx: str) -> CondRow:
     r = _Mapping(value, ctx)
-    row = CondRow(degree=_degree(r), alpha=_alpha(r), gamma=_gamma(r))
+    row = CondRow(_degree(r), r.num("alpha", check_alpha), r.num("gamma", check_gamma))
     r.done()
     return row
 
@@ -225,15 +219,17 @@ def _parse_expect(value, ctx: str) -> Expectations:
     anchor = r.get("cond_anchor", None)
     if anchor is not None:
         a = _Mapping(anchor, f"{ctx}.cond_anchor")
-        anchor = (_degree(a), _alpha(a), *_as_flux(a.get("flux"), f"{a.ctx}.flux"),
-                  a.num("value", ok=lambda v: v > 0.0, want="must be positive"),
-                  a.num("factor", 2.0, lambda f: f >= 1.0, "must be >= 1"))
+        anchor = (_degree(a), a.num("alpha", check_alpha),
+                  *_as_flux(a.get("flux"), f"{a.ctx}.flux"),
+                  a.num("value", _range(lambda v: v > 0.0, "must be positive")),
+                  a.num("factor", _range(lambda f: f >= 1.0, "must be >= 1"), 2.0))
         a.done()
+    tolerance = _range(lambda t: t >= 0.0, "must be >= 0")
     expect = Expectations(
         errors=r.items("errors", _number, None),
-        error_rtol=r.num("error_rtol", 0.05, lambda t: t >= 0.0, "must be >= 0"),
+        error_rtol=r.num("error_rtol", tolerance, 0.05),
         rates=r.items("rates", _number, None),
-        rate_atol=r.num("rate_atol", 0.1, lambda t: t >= 0.0, "must be >= 0"),
+        rate_atol=r.num("rate_atol", tolerance, 0.1),
         cond_monotone=monotone,
         cond_anchor=anchor,
     )
@@ -257,20 +253,19 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
     else:
         study = dict(
             problem=r.choice("problem", PROBLEMS, "example1"),
-            alpha=_alpha(r),
+            alpha=r.num("alpha", check_alpha),
             degree=_degree(r, 0),
             flux=_as_flux(r.get("flux", [1.0, 0.0]), f"{source}.flux"),
-            delta=r.num("delta", None, lambda d: 0.0 < d < 2.0 and d != 1.0,
-                        "must lie in the admissible range (0,1) or (1,2)"),
-            gamma=_gamma(time, 1.0),
+            delta=r.num("delta", check_delta, None),
+            gamma=time.num("gamma", check_gamma, 1.0),
         )
         if kind == "temporal-convergence":
-            study.update(M_list=r.items("M_list", _mesh_size))
+            study.update(M_list=r.items("M_list", _whole))
         elif kind == "spatial-convergence":
-            study.update(nx_list=r.items("nx_list", _mesh_size), M=_size(time, "M"))
+            study.update(nx_list=r.items("nx_list", _whole), M=_size(time, "M"))
         else:
             study.update(nx=_size(r, "nx"), M=_size(time, "M"))
-    T = time.num("T", 0.1, lambda t: t > 0.0, "must be positive")
+    T = time.num("T", check_T, 0.1)
     time.done()
     expect = r.get("expect", None)
     cfg = ExperimentConfig(
@@ -373,8 +368,7 @@ def _set_thread_env(threads: int | None, deterministic: bool) -> None:
         threads = 1
     if threads is None:
         return
-    if threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
+    threads = _number(threads, "--threads", check_count)
     for var in _THREAD_VARS:
         os.environ[var] = str(threads)
 

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError, check_alpha
 from .meshes import GradedTimeMesh
 
 __all__ = ["L1Kernel", "mittag_leffler", "History"]
@@ -84,8 +84,7 @@ class L1Kernel:
     tm: GradedTimeMesh = field(repr=False)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidArgumentError(f"alpha must be in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
 
     def a0(self, n: int) -> float:
         """A_0^n, the newest interval's weight and the step-n mass factor: the
@@ -199,8 +198,7 @@ def mittag_leffler(alpha: float, z: float) -> float:
     (example1 takes lambda t^alpha with lambda < 0), so one is rejected with
     InvalidArgumentError.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if not (math.isfinite(z) and z <= 0.0):
         raise InvalidArgumentError(f"argument must be finite and <= 0, got {z}")
     if z == 0.0:

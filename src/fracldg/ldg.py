@@ -67,7 +67,7 @@ from .basis import (
     legendre_derivatives,
     legendre_values,
 )
-from .errors import InvalidArgumentError, NumericError
+from .errors import NumericError, check_sigma
 from .fractional import History, L1Kernel
 from .meshes import GradedTimeMesh, SpatialMesh
 from .problems import ProblemSpec
@@ -88,7 +88,8 @@ SOLVER_RTOL = 1e-12
 class FluxWeights:
     """Weights of the x- and y-direction weighted averages.
 
-    Each weight must be a finite number in [0, 1]. sigma = 1/2 (central
+    Each weight is a finite real in [0, 1] (errors.check_sigma), stored as
+    a float. sigma = 1/2 (central
     flux) is accepted but degrades the spatial order; construction emits a
     warning so experiment logs show the choice.
     """
@@ -97,9 +98,8 @@ class FluxWeights:
     sigma2: float
 
     def __post_init__(self) -> None:
-        for name, s in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
-            if not 0.0 <= s <= 1.0:  # also rejects nan
-                raise InvalidArgumentError(f"flux weight {name} must lie in [0, 1], got {s}")
+        object.__setattr__(self, "sigma1", check_sigma(self.sigma1, "sigma1"))
+        object.__setattr__(self, "sigma2", check_sigma(self.sigma2, "sigma2"))
         if self.is_central:
             warnings.warn(
                 "central flux weight 1/2 in use: optimal spatial order is not expected",
@@ -185,10 +185,6 @@ class LdgOperators:
     lam_x: np.ndarray
     Qy: np.ndarray
     lam_y: np.ndarray
-
-    @property
-    def ndof(self) -> int:
-        return len(self.lam_x) * len(self.lam_y)
 
     @cached_property
     def K(self):

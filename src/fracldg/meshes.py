@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_count, check_gamma, check_T
 
 __all__ = ["SpatialMesh", "GradedTimeMesh", "build_spatial_mesh", "build_graded_time_mesh"]
 
@@ -24,11 +24,16 @@ class SpatialMesh:
     """Uniform periodic tessellation of the unit square into nx-by-ny cells.
 
     A value: meshes with equal cell counts compare equal and hash alike.
-    Edges, centers and widths are computed from nx and ny on demand.
+    Centers and widths are computed from nx and ny on demand. Each count is
+    an integer >= 1 (errors.check_count), however the mesh is built.
     """
 
     nx: int
     ny: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nx", check_count(self.nx, "nx"))
+        object.__setattr__(self, "ny", check_count(self.ny, "ny"))
 
     @property
     def hx(self) -> float:
@@ -40,23 +45,17 @@ class SpatialMesh:
         """Cell width in y (mesh is uniform)."""
         return 1.0 / self.ny
 
-    @property
-    def x_edges(self) -> np.ndarray:
-        """Edge coordinates i / nx for i = 0..nx."""
-        return np.arange(self.nx + 1) / self.nx
-
-    @property
-    def y_edges(self) -> np.ndarray:
-        """Edge coordinates j / ny for j = 0..ny."""
-        return np.arange(self.ny + 1) / self.ny
-
     def x_centers(self) -> np.ndarray:
-        e = self.x_edges
-        return 0.5 * (e[:-1] + e[1:])
+        return _centers(self.nx)
 
     def y_centers(self) -> np.ndarray:
-        e = self.y_edges
-        return 0.5 * (e[:-1] + e[1:])
+        return _centers(self.ny)
+
+
+def _centers(n: int) -> np.ndarray:
+    """Midpoints of the cells between the edges i / n, i = 0..n."""
+    e = np.arange(n + 1) / n
+    return 0.5 * (e[:-1] + e[1:])
 
 
 @dataclass(frozen=True)
@@ -74,31 +73,21 @@ class GradedTimeMesh:
     tau: np.ndarray = field(repr=False)
 
 
-def _count(name: str, value) -> int:
-    """value as an int >= 1; a bool, a float or any other non-integer is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise InvalidArgumentError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def build_spatial_mesh(nx: int, ny: int) -> SpatialMesh:
     """Construct the uniform periodic nx-by-ny mesh of the unit square; the
-    cell counts nx and ny are integers >= 1."""
-    return SpatialMesh(nx=_count("nx", nx), ny=_count("ny", ny))
+    cell counts nx and ny are integers >= 1 (errors.check_count)."""
+    return SpatialMesh(nx, ny)
 
 
 def build_graded_time_mesh(M: int, gamma: float, T: float) -> GradedTimeMesh:
     """Construct the graded mesh t_n = (n/M)^gamma * T for n = 0..M.
 
-    gamma < 1 is rejected: grading must be at least uniform. Points are
+    M is a count (errors.check_count), gamma >= 1 (check_gamma: grading is
+    at least uniform) and T > 0 (check_T). Points are
     computed as T*exp(gamma*log(n/M)) with the n = 0 endpoint pinned to 0,
     avoiding pow() domain quirks at the origin.
     """
-    M = _count("M", M)
-    if not 1.0 <= gamma < np.inf:
-        raise InvalidArgumentError(f"grading exponent must be finite and >= 1, got {gamma}")
-    if not 0.0 < T < np.inf:
-        raise InvalidArgumentError(f"final time must be finite and positive, got {T}")
+    M, gamma, T = check_count(M, "M"), check_gamma(gamma), check_T(T)
     t = np.empty(M + 1)
     t[0] = 0.0
     n = np.arange(1, M + 1, dtype=float)
@@ -107,4 +96,4 @@ def build_graded_time_mesh(M: int, gamma: float, T: float) -> GradedTimeMesh:
     tau = np.diff(t)
     if not (tau > 0).all():  # t_1 = T (1/M)^gamma underflows to 0, e.g. at M 1000, gamma 200
         raise InvalidArgumentError("nonpositive time step produced; check (M, gamma, T)")
-    return GradedTimeMesh(M=M, T=float(T), t=t, tau=tau)
+    return GradedTimeMesh(M=M, T=T, t=t, tau=tau)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import check_alpha, check_delta, check_range
 from .fractional import mittag_leffler
 
 __all__ = ["ProblemSpec", "example1", "example2"]
@@ -31,10 +31,13 @@ SeparableFn = Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, np.nda
 class ProblemSpec:
     """All physics of one test case.
 
-    kappa is bounded by c_kappa in absolute value, which keeps the tempering
+    alpha lies in (0, 1) (errors.check_alpha). kappa is bounded by c_kappa,
+    a finite real >= 0, in absolute value, which keeps the tempering
     factor e^{-kappa t} between fixed positive constants on the [0, T] of a
-    run; both bounds are what the stability of the scheme rests on. f and
-    exact may be None (homogeneous source, or no closed form known).
+    run; both bounds are what the stability of the scheme rests on. Both
+    numbers are checked and stored as floats however the spec is built,
+    dataclasses.replace included. f and exact may be None (homogeneous
+    source, or no closed form known).
 
     f(t, x, y) returns the factor pair (fx, fy) of a separable source
     f = fx * fy: fx depends on t and x alone and fy on y alone. Given the
@@ -53,8 +56,9 @@ class ProblemSpec:
     exact: SpaceTimeFn | None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidArgumentError(f"alpha must lie in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        object.__setattr__(self, "c_kappa", check_range(self.c_kappa, "c_kappa",
+                                                        lambda c: c >= 0.0, "must be >= 0"))
 
 
 def example1(alpha: float) -> ProblemSpec:
@@ -86,17 +90,16 @@ def example2(alpha: float, delta: float | None = None) -> ProblemSpec:
     The source is manufactured so that e^{-t cos(2 pi x)} t^delta
     cos(2 pi x) sin(2 pi y) is exact; delta controls the temporal regularity
     near t = 0 (delta defaults to alpha, the hardest case the time mesh
-    grading is designed for). Every term of it carries sin(2 pi y) times a
-    factor of t and x alone, so f returns the pair (X(t, x), sin(2 pi y)).
+    grading is designed for). Every term of the source carries sin(2 pi y)
+    times a factor of t and x alone, so f returns the pair
+    (X(t, x), sin(2 pi y)).
+
+    alpha is checked first (errors.check_alpha), then delta (check_delta).
+    With delta > 0 and alpha < 1, delta - alpha exceeds -1, so the memory
+    term of the source is integrable.
     """
-    if delta is None:
-        delta = alpha
-    if not (0.0 < delta < 2.0) or delta == 1.0:
-        raise InvalidArgumentError(f"delta must lie in (0,1) or (1,2), got {delta}")
-    if delta - alpha <= -1.0:
-        raise InvalidArgumentError(
-            f"delta - alpha must exceed -1 for an integrable memory term, got {delta - alpha}"
-        )
+    alpha = check_alpha(alpha)
+    delta = check_delta(alpha if delta is None else delta)
     two_pi = 2.0 * math.pi
     gamma_ratio = math.gamma(delta + 1.0) / math.gamma(delta + 1.0 - alpha)
 

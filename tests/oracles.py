@@ -19,6 +19,10 @@ The error functionals are recomputed by their defining formulas from the
 levels that a collecting observer keeps (solve_fields), against which the
 streaming observers of fracldg.analysis must also agree bit for bit.
 
+Three small helpers stand in for members the package no longer has,
+since only the tests read them: edges (the mesh edges i / n), l2_norm (the
+L2 norm of a field) and ndof (the unknowns of the step system).
+
 The oracles index per-cell arrays cell first, (nx, ny, ., .), as the
 package once held them; cell_major swaps the package's layout
 (nx, ., ny, .) into that view, and back, where an oracle reads or returns
@@ -68,6 +72,24 @@ def cell_major(a: np.ndarray) -> np.ndarray:
     index cell by cell, and such a view back: the axis swap is its own
     inverse."""
     return a.transpose(0, 2, 1, 3)
+
+
+def edges(n: int) -> np.ndarray:
+    """Edge coordinates i / n, i = 0..n, of n uniform cells of [0, 1]: the
+    array the mesh's centers are the midpoints of."""
+    return np.arange(n + 1) / n
+
+
+def l2_norm(u: DgField) -> float:
+    """Global L2 norm of a field; exact because the basis is orthonormal
+    per cell, so it is the coefficient 2-norm times sqrt(hx hy / 4)."""
+    m = u.mesh.hx * u.mesh.hy / 4.0
+    return float(np.sqrt(m * np.sum(u.coeffs**2)))
+
+
+def ndof(ops: LdgOperators) -> int:
+    """Unknowns of the step system: nx ny (k+1)^2."""
+    return len(ops.lam_x) * len(ops.lam_y)
 
 
 def orthonormal_legendre_value(r: int, x: float) -> float:
@@ -489,7 +511,7 @@ def _series_peak_log(alpha: float, absz: float) -> float:
 
 def system_matrix(ops: LdgOperators, a0: float) -> sp.csr_matrix:
     """Sparse step matrix a0 * M * I + K, from the on-demand sparse ops.K."""
-    return (a0 * ops.M) * sp.eye(ops.ndof, format="csr") + ops.K
+    return (a0 * ops.M) * sp.eye(ndof(ops), format="csr") + ops.K
 
 
 @dataclass(frozen=True)
@@ -735,7 +757,7 @@ def _interface_solve(sigma: float, n: int, rhs: np.ndarray, e_plus_k: float, e_m
 def _edge_values_x(u: SpaceFn, mesh, quad: QuadRule, k: int) -> np.ndarray:
     """Moments of u along every x-interface: out[i, j, s] = (2/hy) int_{J_j} u(x_{i+1/2}, y) phi_s(y) dy."""
     V = legendre_values(k, quad.nodes)
-    x_if = mesh.x_edges[1:]
+    x_if = edges(mesh.nx)[1:]
     Y = mesh.y_centers()[:, None] + 0.5 * mesh.hy * quad.nodes[None, :]
     vals = u(x_if[:, None, None], Y[None, :, :])
     return np.einsum("ijq,qs->ijs", vals, quad.weights[:, None] * V)
@@ -744,7 +766,7 @@ def _edge_values_x(u: SpaceFn, mesh, quad: QuadRule, k: int) -> np.ndarray:
 def _edge_values_y(u: SpaceFn, mesh, quad: QuadRule, k: int) -> np.ndarray:
     """Moments of u along every y-interface: out[i, j, r] = (2/hx) int_{I_i} u(x, y_{j+1/2}) phi_r(x) dx."""
     V = legendre_values(k, quad.nodes)
-    y_if = mesh.y_edges[1:]
+    y_if = edges(mesh.ny)[1:]
     X = mesh.x_centers()[:, None] + 0.5 * mesh.hx * quad.nodes[None, :]
     vals = u(X[:, None, :], y_if[None, :, None])
     return np.einsum("ijq,qr->ijr", vals, quad.weights[:, None] * V)
@@ -795,7 +817,7 @@ def project_P(u: SpaceFn, fw: FluxWeights, mesh, basis: BasisSpec) -> DgField:
 
     # Corner conditions determine the (k, k) coefficients through the tensor
     # product of the two interface operators.
-    corners = u(mesh.x_edges[1:, None], mesh.y_edges[None, 1:])
+    corners = u(edges(mesh.nx)[1:, None], edges(mesh.ny)[None, 1:])
     trace_pp = np.einsum("ijab,a,b->ij", c, e_plus, e_plus)
     trace_pm = np.einsum("ijab,a,b->ij", c, e_plus, e_minus)
     trace_mp = np.einsum("ijab,a,b->ij", c, e_minus, e_plus)

@@ -50,7 +50,9 @@ from oracles import (
     complementary_kernels_by_inversion,
     convolution_kernel,
     dense_directional_operator,
+    edges,
     l1_row,
+    l2_norm,
     march,
     mittag_leffler_series,
     project_P,
@@ -208,7 +210,7 @@ def test_energy_identity_nullity_suite():
         Lu = np.kron((2.0 / mesh.hy) * np.eye(4 * 3), dense_directional_operator(3, 2, s2))
         for _ in range(50):
             u = DgField(rng.standard_normal((4, 3, 3, 3)), basis, mesh)
-            u = DgField(u.coeffs * (1.0 / u.l2_norm()), basis, mesh)
+            u = DgField(u.coeffs * (1.0 / l2_norm(u)), basis, mesh)
             px = DgField((Du @ u.coeffs.ravel()).reshape(u.coeffs.shape), basis, mesh)
             py = DgField((Lu @ u.coeffs.ravel()).reshape(u.coeffs.shape), basis, mesh)
             worst = max(worst, abs(bilinear_form_B(u, u, (px, py), (px, py), fw)))
@@ -297,9 +299,9 @@ def test_stability_bound_random_homogeneous_runs():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fields = solve_fields(prob, mesh, tm, BasisSpec(k), FluxWeights(s1, s2))
-        norm0 = fields[0].l2_norm()
+        norm0 = l2_norm(fields[0])
         for n in range(1, M + 1):
-            ratio = fields[n].l2_norm() / (math.exp(ck * tm.t[n]) * norm0)
+            ratio = l2_norm(fields[n]) / (math.exp(ck * tm.t[n]) * norm0)
             worst = max(worst, ratio)
             assert ratio <= 1.0 + 1e-10
     print(f"PASS stability: max ||u^n|| / (e^(C t_n) ||u^0||) = {worst:.6f} "
@@ -366,12 +368,12 @@ def _approximation_norm(mesh, basis, field) -> float:
     tn, wq = quad.nodes, quad.weights
     total = 0.0
     y_pts = mesh.y_centers()[:, None] + 0.5 * mesh.hy * tn[None, :]
-    u_if = _mode(mesh.x_edges[1:, None, None], y_pts[None, :, :])
+    u_if = _mode(edges(mesh.nx)[1:, None, None], y_pts[None, :, :])
     pm, pp = _x_interface_traces(field, tn)
     for tr in (u_if - pm, u_if - pp):
         total += (mesh.hy / 2.0) * np.sum(tr**2 * wq[None, None, :])
     x_pts = mesh.x_centers()[:, None] + 0.5 * mesh.hx * tn[None, :]
-    u_if = _mode(x_pts[:, None, :], mesh.y_edges[None, 1:, None])
+    u_if = _mode(x_pts[:, None, :], edges(mesh.ny)[None, 1:, None])
     pm, pp = _y_interface_traces(field, tn)
     for tr in (u_if - pm, u_if - pp):
         total += (mesh.hx / 2.0) * np.sum(tr**2 * wq[None, None, :])
@@ -399,14 +401,14 @@ def _flux_functional_dual_norm(mesh, basis, fw: FluxWeights) -> float:
     tn, wq = quad.nodes, quad.weights
     Vt = legendre_values(k, tn)
     y_pts = mesh.y_centers()[:, None] + 0.5 * mesh.hy * tn[None, :]
-    u_if = _mode(mesh.x_edges[1:, None, None], y_pts[None, :, :])
+    u_if = _mode(edges(mesh.nx)[1:, None, None], y_pts[None, :, :])
     pm, pp = _x_interface_traces(Pu, tn)
     etahat = fw.sigma1 * (u_if - pm) + (1 - fw.sigma1) * (u_if - pp)
     mom = np.einsum("ijq,q,qs->ijs", etahat, wq, Vt)
     g1 -= (mesh.hy / 2.0) * np.einsum("ijs,r->ijrs", mom, e_plus)
     g1 += (mesh.hy / 2.0) * np.einsum("ijs,r->ijrs", np.roll(mom, 1, axis=0), e_minus)
     x_pts = mesh.x_centers()[:, None] + 0.5 * mesh.hx * tn[None, :]
-    u_if = _mode(x_pts[:, None, :], mesh.y_edges[None, 1:, None])
+    u_if = _mode(x_pts[:, None, :], edges(mesh.ny)[None, 1:, None])
     pm, pp = _y_interface_traces(Pu, tn)
     etahat = fw.sigma2 * (u_if - pm) + (1 - fw.sigma2) * (u_if - pp)
     mom = np.einsum("ijq,q,qr->ijr", etahat, wq, Vt)

@@ -27,10 +27,13 @@ from fracldg.problems import example1, example2
 from oracles import (
     condition_number_by_x_modes,
     dense_condition_2norm,
+    edges,
     field_eval,
     final_time_error,
     l1_row,
+    l2_norm,
     lifted_stiffness,
+    ndof,
     project_P,
     project_Q,
     solve_fields,
@@ -47,7 +50,7 @@ def _x_interface_moments(u, mesh, k):
     quad = gauss_rule(k + 4)
     V = legendre_values(k, quad.nodes)
     y_pts = mesh.y_centers()[:, None] + 0.5 * mesh.hy * quad.nodes[None, :]
-    vals = u(mesh.x_edges[1:, None, None], y_pts[None, :, :])
+    vals = u(edges(mesh.nx)[1:, None, None], y_pts[None, :, :])
     return np.einsum("ijq,qs->ijs", vals, quad.weights[:, None] * V)
 
 
@@ -56,7 +59,7 @@ def _weighted_trace_moments(f, mesh, k, sigma):
     quad = gauss_rule(k + 4)
     V = legendre_values(k, quad.nodes)
     y_pts = mesh.y_centers()[:, None] + 0.5 * mesh.hy * quad.nodes[None, :]
-    X = np.broadcast_to(mesh.x_edges[1:, None, None], (mesh.nx, mesh.ny, quad.npoints))
+    X = np.broadcast_to(edges(mesh.nx)[1:, None, None], (mesh.nx, mesh.ny, quad.npoints))
     Y = np.broadcast_to(y_pts[None, :, :], (mesh.nx, mesh.ny, quad.npoints))
     left = field_eval(f, X, Y, side_x="-")
     right = field_eval(f, X, Y, side_x="+")
@@ -90,7 +93,7 @@ def test_full_projection_corner_condition(k):
     basis = BasisSpec(k)
     s1, s2 = 0.8, 0.3
     P = project_P(_smooth, FluxWeights(s1, s2), mesh, basis)
-    X, Y = np.meshgrid(mesh.x_edges[1:], mesh.y_edges[1:], indexing="ij")
+    X, Y = np.meshgrid(edges(mesh.nx)[1:], edges(mesh.ny)[1:], indexing="ij")
     avg = (
         s1 * s2 * field_eval(P, X, Y, "-", "-")
         + s1 * (1.0 - s2) * field_eval(P, X, Y, "-", "+")
@@ -176,7 +179,7 @@ def _constant_levels():
     u0 = VolumeGrid.build(mesh, basis).project(prob.u0)
     tm = build_graded_time_mesh(1, 1.0, 0.4)
     fields = [u0, u0]
-    return fields, tm, mesh, basis, u0.l2_norm()
+    return fields, tm, mesh, basis, l2_norm(u0)
 
 
 def _observed(observer, fields) -> float:
@@ -307,7 +310,7 @@ def test_condition_number_matches_dense_oracle(k, flux):
         d = _classical_scaling(nx, ny, k)
         for alpha in (0.3, 0.7):
             A = L1Kernel(alpha, build_graded_time_mesh(10, 2.0, 0.1))
-            S = (A.a0(10) * ops.M) * np.eye(ops.ndof) + K
+            S = (A.a0(10) * ops.M) * np.eye(ndof(ops)) + K
             ref = dense_condition_2norm(d[:, None] * S * d[None, :])
             assert condition_number(ops, A, 10) == pytest.approx(ref, rel=1e-10), (alpha, nx, ny)
 

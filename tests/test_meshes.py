@@ -9,6 +9,8 @@ import pytest
 from fracldg.errors import InvalidArgumentError
 from fracldg.meshes import SpatialMesh, build_graded_time_mesh, build_spatial_mesh
 
+from oracles import edges
+
 
 def test_spatial_mesh_geometry():
     # The periodic unit square: every coordinate follows from the two counts,
@@ -17,28 +19,36 @@ def test_spatial_mesh_geometry():
     mesh = build_spatial_mesh(4, 5)
     assert mesh.nx == 4 and mesh.ny == 5
     assert mesh.hx == 0.25 and mesh.hy == 0.2
-    np.testing.assert_array_equal(mesh.x_edges, [0.0, 0.25, 0.5, 0.75, 1.0])
-    np.testing.assert_array_equal(mesh.y_edges, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    np.testing.assert_array_equal(edges(mesh.nx), [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_array_equal(edges(mesh.ny), [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
     np.testing.assert_array_equal(mesh.x_centers(), [0.125, 0.375, 0.625, 0.875])
     np.testing.assert_array_equal(mesh.y_centers(), [0.1, 0.30000000000000004, 0.5, 0.7, 0.9])
 
 
 def test_spatial_mesh_validation():
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match=r"^nx must be >= 1, got 0$"):
         build_spatial_mesh(0, 4)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match=r"^ny must be >= 1, got -1$"):
         build_spatial_mesh(4, -1)
     with pytest.raises(TypeError):
         build_spatial_mesh(4, 4, domain=(0.0, 1.0, 0.0, 1.0))
     # A count is an integer: 2.5 cells would put edges past the unit square,
     # and a bool or a float is not a count even when it equals one.
     for bad in (2.5, 2.0, True, np.float64(3.0), np.bool_(True), "4", None):
-        with pytest.raises(InvalidArgumentError, match="must be an integer >= 1"):
+        with pytest.raises(InvalidArgumentError, match=r"^nx: expected an? (integer|number), got"):
             build_spatial_mesh(bad, 2)
-        with pytest.raises(InvalidArgumentError, match="must be an integer >= 1"):
+        with pytest.raises(InvalidArgumentError, match=r"^ny: expected an? (integer|number), got"):
             build_spatial_mesh(2, bad)
+        # The dataclass checks its own fields, so no route skips the check.
+        with pytest.raises(InvalidArgumentError, match=r"^nx: expected an? (integer|number), got"):
+            SpatialMesh(bad, 2)
+    with pytest.raises(InvalidArgumentError, match=r"^ny: expected a number, got True$"):
+        SpatialMesh(2, True)
+    with pytest.raises(InvalidArgumentError, match=r"^nx: expected an integer, got 2.5$"):
+        SpatialMesh(2.5, True)
     mesh = build_spatial_mesh(np.int64(3), np.int32(2))
     assert mesh == build_spatial_mesh(3, 2) and type(mesh.nx) is type(mesh.ny) is int
+    assert SpatialMesh(np.int64(3), 2) == mesh and type(SpatialMesh(np.int64(3), 2).nx) is int
 
 
 def test_spatial_mesh_is_a_value_of_its_counts():
@@ -72,17 +82,23 @@ def test_graded_mesh_gamma_one_is_uniform():
 
 
 def test_graded_mesh_validation():
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match=r"^M must be >= 1, got 0$"):
         build_graded_time_mesh(0, 2.0, 0.1)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match=r"^gamma must be >= 1, got 0.5$"):
         build_graded_time_mesh(5, 0.5, 0.1)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match=r"^T must be positive, got 0.0$"):
         build_graded_time_mesh(5, 2.0, 0.0)
     with pytest.raises(InvalidArgumentError, match="nonpositive time step"):
         build_graded_time_mesh(1000, 200.0, 0.1)  # t_1 = T (1/M)^gamma underflows to 0
     for bad in (2.5, 5.0, True, np.float64(5.0)):
-        with pytest.raises(InvalidArgumentError, match="M must be an integer >= 1"):
+        with pytest.raises(InvalidArgumentError, match=r"^M: expected an? (integer|number), got"):
             build_graded_time_mesh(bad, 1.0, 0.1)
+    # gamma and T are finite reals: a bool, a string or None is not one.
+    for bad in (True, "2", None):
+        with pytest.raises(InvalidArgumentError, match=r"^gamma: expected a number, got"):
+            build_graded_time_mesh(3, bad, 0.1)
+        with pytest.raises(InvalidArgumentError, match=r"^T: expected a number, got"):
+            build_graded_time_mesh(3, 2.0, bad)
     # A non-finite gamma or T is refused before any point is computed, with
     # no floating-point warning on the way.
     with warnings.catch_warnings():

@@ -28,6 +28,8 @@ from fracldg.basis import BasisSpec
 from fracldg.ldg import FluxWeights, assemble_operators
 from fracldg.meshes import build_spatial_mesh
 
+from oracles import ndof
+
 PACKAGE_DIR = Path(fracldg.__file__).resolve().parent
 REPO = PACKAGE_DIR.parents[1]
 SUBMODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
@@ -209,9 +211,9 @@ def test_sparse_K_builds_on_demand():
     ops = assemble_operators(build_spatial_mesh(3, 2), BasisSpec(1), FluxWeights(1.0, 0.0))
     assert "K" not in vars(ops)
     K = ops.K
-    assert K.format == "csr" and K.shape == (ops.ndof, ops.ndof)
+    assert K.format == "csr" and K.shape == (ndof(ops), ndof(ops))
     assert ops.K is K
-    x = np.random.default_rng(3).standard_normal(ops.ndof)
+    x = np.random.default_rng(3).standard_normal(ndof(ops))
     np.testing.assert_allclose(K @ x, ops.apply_K(x), rtol=0.0, atol=1e-12 * np.max(np.abs(K @ x)))
 
 
@@ -249,13 +251,20 @@ def test_removed_names_are_gone(name):
 
 #: Members removed from the package's dataclasses: the row of L1
 #: coefficients, which only the tests read (oracles.l1_row), the grading
-#: exponent that nothing read off a time mesh, and the translation of a
-#: solver vector into a second coefficient layout. SpatialMesh's fields are
-#: checked in test_meshes.
+#: exponent that nothing read off a time mesh, the translation of a
+#: solver vector into a second coefficient layout, and what only the tests
+#: read: the unknown count of the step system (oracles.ndof), the L2 norm
+#: of a field (oracles.l2_norm) and the mesh edges (oracles.edges; the
+#: centers form them in place). SpatialMesh's fields are checked in
+#: test_meshes.
 REMOVED_MEMBERS = (
     ("fractional", "L1Kernel", "row"),
     ("meshes", "GradedTimeMesh", "gamma"),
     ("ldg", "LdgOperators", "unflatten"),
+    ("ldg", "LdgOperators", "ndof"),
+    ("basis", "DgField", "l2_norm"),
+    ("meshes", "SpatialMesh", "x_edges"),
+    ("meshes", "SpatialMesh", "y_edges"),
 )
 
 
