@@ -37,7 +37,7 @@ import yaml
 
 from .errors import (ConfigError, FracLdgError, InvalidArgumentError, NumericError, check_alpha,
                      check_count, check_degree, check_delta, check_gamma, check_range,
-                     check_real, check_sigma, check_T)
+                     check_real, check_sigma, check_T, require_memory)
 
 __all__ = ["ExperimentConfig", "Expectations", "load_config", "main"]
 
@@ -315,7 +315,7 @@ def _check_time_meshes(cfg: ExperimentConfig, source: str) -> None:
     config, not the run.
 
     Every case of the run, (nx, M, degree), is sized by ldg.footprint_bytes
-    and refused by ldg.require_memory with solve's NumericError (exit 3),
+    and refused by errors.require_memory with solve's NumericError (exit 3),
     so validate-config refuses what run would, and the answer depends on
     the physical memory of the machine. A condition-number row is sized as
     a solve on its mesh, degree and M, which its study does not make, plus
@@ -324,7 +324,7 @@ def _check_time_meshes(cfg: ExperimentConfig, source: str) -> None:
     # thread count is pinned.
     from .analysis import _fourier_blocks_bytes
     from .basis import BasisSpec
-    from .ldg import footprint_bytes, require_memory
+    from .ldg import footprint_bytes
     from .meshes import build_graded_time_mesh, build_spatial_mesh
 
     if cfg.kind == "condition-number":

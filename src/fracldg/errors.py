@@ -12,6 +12,11 @@ check_real and check_integer, through check_range. A check takes the name
 its message opens with: the library passes the parameter's name, the CLI
 the key path of the config entry, so both say the same words.
 
+The memory check has one owner too: require_memory refuses, with
+NumericError, a size that exceeds the physical memory
+(physical_memory_bytes). solve and the CLI call it with ldg.footprint_bytes
+before they allocate, and build_graded_time_mesh with its points.
+
 Nothing here imports numpy: numpy's scalar types register with the
 numbers ABCs themselves, so importing the CLI still loads no numpy.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 
 
 class FracLdgError(Exception):
@@ -107,3 +113,31 @@ def check_degree(value, name: str = "k") -> int:
 def check_sigma(value, name: str = "sigma") -> float:
     """A weight of the weighted-average interface flux, in [0, 1]."""
     return check_range(value, name, lambda s: 0.0 <= s <= 1.0, "must lie in [0, 1]")
+
+
+def physical_memory_bytes() -> int | None:
+    """Physical memory of the machine, SC_PHYS_PAGES * SC_PAGE_SIZE, or None
+    where the platform does not report it.
+
+    Free pages are not used: they leave out the reclaimable page cache, so a
+    limit taken from them would refuse runs that fit.
+    """
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def require_memory(need: int, what: str = "its history and operators") -> None:
+    """Raise NumericError naming need when a run that holds need bytes for
+    what (ldg.footprint_bytes, or a time mesh's points) would exceed the
+    physical memory (physical_memory_bytes); where the platform reports
+    none, refuse nothing."""
+    limit = physical_memory_bytes()
+    if limit is not None and need > limit:
+        # A config's sizes are any finite floats: need may exceed a float.
+        gib = need / 2**30 if need.bit_length() < 1000 else math.inf
+        raise NumericError(
+            f"the run needs {need} bytes ({gib:.3g} GiB) for {what}, "
+            f"more than the {limit} bytes of physical memory"
+        )

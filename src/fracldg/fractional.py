@@ -26,11 +26,11 @@ range.
 No table of L1 coefficients is kept: L1Kernel holds alpha and the time mesh,
 and each panel evaluates every coefficient its steps read from their closed
 form in one block of HISTORY_PANEL rows by at most M + 1 levels
-(_memory_weights, the form's one evaluator), with ufuncs over strips of
-WEIGHT_STRIP columns, in place in the block and one strip of scratch; no
-step evaluates one. The flops stay O(M^2) per run; the coefficient memory
-drops from M (M + 1) / 2 stored values to that transient block and the
-HISTORY_PANEL^2 near weights a panel keeps.
+(_memory_weights, the form's one evaluator), with ufuncs over the whole
+block, in place in it and one scratch block of its size; no step evaluates
+one. The flops stay O(M^2) per run; the coefficient memory drops from
+M (M + 1) / 2 stored values to that transient block and the HISTORY_PANEL^2
+near weights a panel keeps.
 
 The Mittag-Leffler function E_alpha gives example1 its closed-form
 solution. It takes the orders 0 < alpha < 1 that the rest of the package
@@ -94,18 +94,10 @@ class L1Kernel:
         return float(_memory_weights(self, (n,), n + 1)[0, n])
 
 
-#: Columns of a memory-weight block evaluated at once. The strip's scratch,
-#: HISTORY_PANEL x WEIGHT_STRIP values (64 KiB), is all _memory_weights holds
-#: beside the block, whatever M, and stays in cache over the dozen passes of
-#: the closed form. With one BLAS thread on a shared 2-vCPU VM, the 32 x 1 984
-#: block took 0.92 ms in strips, 0.98 ms in whole-block passes with a
-#: scratch block of its size and 1.09 ms row by row.
-WEIGHT_STRIP = 256
-
 #: Iterator buffer, in values, of the ufuncs in _memory_weights. Their
 #: operands are aligned float64 and need none, yet a ufunc that broadcasts or
 #: writes into a strided view would take np.getbufsize() values (64 KiB) per
-#: operand, more than a strip.
+#: operand, more than a panel's block holds at small M.
 _WEIGHT_BUFSIZE = 64
 
 
@@ -120,41 +112,36 @@ def _memory_weights(A: L1Kernel, steps, stop: int) -> np.ndarray:
     x^(1-a) expm1((1-a) log1p(-tau_j/x)) / -(Gamma(2-a) tau_j), x = t_n - t_j:
     on strongly graded meshes the two powers agree to many digits, and their
     naive difference breaks the monotone ordering of the tail weights. The
-    block is evaluated WEIGHT_STRIP columns at a time, with ufuncs over a
-    whole strip, in the result and one strip of scratch; an entry takes the
-    same operations in every block and strip, so its bits do not depend on
-    them. The entries past a row's diagonal are evaluated too (a division by
-    zero or a power of a negative number) and then set to zero.
+    whole block is evaluated at once, with ufuncs over it, in the result and
+    one scratch block of its size; an entry takes the same operations in
+    every block, so its bits do not depend on the block. The entries past a
+    row's diagonal are evaluated too (a division by zero or a power of a
+    negative number) and then set to zero.
     """
     first, rows = steps[0], len(steps)
-    t, tau, alpha = A.tm.t, A.tm.tau, A.alpha
+    t, tau, alpha = A.tm.t[:stop], A.tm.tau[: stop - 1], A.alpha
     c = np.empty((rows, stop))
     c[:, 0] = 0.0
-    strips = [slice(j, min(j + WEIGHT_STRIP, stop - 1)) for j in range(0, stop - 1, WEIGHT_STRIP)]
-    scratch = np.empty((rows, min(WEIGHT_STRIP, stop - 1)))
+    a = c[:, 1:]  # a[i, j] = a_j^n of step n = first + i
+    x = np.empty((rows, stop - 1))
     old_bufsize = np.setbufsize(_WEIGHT_BUFSIZE)
     try:
-        for cols in strips:
-            a = c[:, 1 + cols.start : 1 + cols.stop]  # a[i, j] = a_j^n of step n = first + i
-            x = scratch[:, : cols.stop - cols.start]
-            np.subtract(t[first : first + rows, None], t[None, cols], out=x)
-            # log1p(-1) = -inf at the newest interval; past the diagonal
-            # x <= 0 gives infinities and nans, zeroed below.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(tau[cols], x, out=a)
-                np.negative(a, out=a)  # -tau / x
-                np.log1p(a, out=a)
-                a *= 1.0 - alpha
-                np.expm1(a, out=a)
-                x **= 1.0 - alpha
-                a *= x
-                a /= np.multiply(tau[cols], -math.gamma(2.0 - alpha), out=x[0])  # x is used up
+        np.subtract(t[first : first + rows, None], t[None, :-1], out=x)
+        # log1p(-1) = -inf at the newest interval; past the diagonal
+        # x <= 0 gives infinities and nans, zeroed below.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(tau, x, out=a)
+            np.negative(a, out=a)  # -tau / x
+            np.log1p(a, out=a)
+            a *= 1.0 - alpha
+            np.expm1(a, out=a)
+            x **= 1.0 - alpha
+            a *= x
+            a /= np.multiply(tau, -math.gamma(2.0 - alpha), out=x[0])  # x is used up
         near = c[:, 1 + first :]  # a_j^n with j >= first, zero from j = n on
         np.copyto(near, 0.0, where=np.arange(rows)[:, None] <= np.arange(near.shape[1]))
-        for cols in strips:  # left to right: a strip reads its right neighbour's first column
-            x = scratch[:, : cols.stop - cols.start]
-            np.subtract(c[:, cols], c[:, cols.start + 1 : cols.stop + 1], out=x)
-            c[:, cols] = x
+        np.subtract(c[:, :-1], a, out=x)
+        c[:, :-1] = x
     finally:
         np.setbufsize(old_bufsize)
     return c
@@ -246,15 +233,18 @@ class History:
     The sum stays exact, O(M^2 N_q) flops per run, but is blocked. The panel
     at start = 0 mod HISTORY_PANEL forms every weight its steps read in one
     block (_memory_weights): panel 0 when the History is built, each later
-    one once the levels before it are stored, when one GEMM of the block's
+    one once the levels before it are stored. Then one GEMM of the block's
     far columns with those levels writes their share in the panel's sums
-    into the buffer rows the panel's levels will fill, none written yet.
-    The near columns, a square of at most HISTORY_PANEL, are kept: step n
-    contracts its row of them with the levels stored since start, adds its
-    panel row, row n, and reads A_0^n off the diagonal; push(n) then
-    overwrites the row with w_n. No step evaluates a weight, and the stored
-    levels are read once per panel instead of once per step; a step's
-    contraction with its own panel's levels is one row-vector product.
+    into the buffer rows the panel's levels will fill, none written yet;
+    panel 0 has no far column, and its GEMM writes zeros. The near columns,
+    a square of at most HISTORY_PANEL, are kept: step n contracts its row
+    of them with the levels stored since start, adds its panel row, row n,
+    and reads A_0^n off the diagonal; push(n) then overwrites the row with
+    w_n. Every panel and every level takes the same path: w_0 is tempered
+    by e^{kappa t_0} = 1 like any other level. No step evaluates a weight,
+    and the stored levels are read once per panel instead of once per step;
+    a step's contraction with its own panel's levels is one row-vector
+    product.
 
     Memory: nbytes(M, N_q), N_q the number of points of one level. solve
     builds it on the (k+1)-point Gauss rule per axis, where N_q equals the
@@ -286,22 +276,22 @@ class History:
     def nbytes(M: int, n_q: int) -> int:
         """Bytes a History of M steps holds at n_q points per level: the
         M + 1 tempered levels, the near square a panel keeps and twice the
-        largest block a panel forms: the block, and room for the scratch
-        strip _memory_weights evaluates it with, which is never larger. The
-        previous near square is dropped before the next block is formed."""
+        largest block a panel forms: the block, and the scratch block of its
+        size _memory_weights evaluates it with. The previous near square is
+        dropped before the next block is formed."""
         near = min(HISTORY_PANEL, M + 1) ** 2
         return 8 * ((M + 1) * n_q + 2 * _weight_block_entries(M) + near)
 
     def _form_panel(self, start: int) -> None:
-        """Form the block of the panel at start, keep its near columns and,
-        past panel 0, write the far columns' share into its steps' rows."""
+        """Form the block of the panel at start, keep its near columns and
+        write the far columns' share into its steps' rows (zeros at panel 0,
+        which has none)."""
         M = self.A.tm.M
         rows = min(HISTORY_PANEL, M + 1 - start)
         self._near = None  # the previous panel's, read by no later step
         C = _memory_weights(self.A, range(start, start + rows), start + rows)
-        if start:
-            levels = self._levels.reshape(M + 1, -1)
-            np.matmul(C[:, :start], levels[:start], out=levels[start : start + rows])
+        levels = self._levels.reshape(M + 1, -1)
+        np.matmul(C[:, :start], levels[:start], out=levels[start : start + rows])
         self._near = np.ascontiguousarray(C[:, start:])
 
     def push(self, n: int, values: np.ndarray) -> None:
@@ -317,12 +307,9 @@ class History:
                 f"level {n} has shape {np.shape(values)}, kappa at the points {self.kappa.shape}"
             )
         row = self._levels[n]
-        if n == 0:
-            row[...] = values  # e^{kappa t_0} = 1
-        else:
-            np.multiply(self.kappa, self.A.tm.t[n], out=row)
-            np.exp(row, out=row)
-            row *= values
+        np.multiply(self.kappa, self.A.tm.t[n], out=row)
+        np.exp(row, out=row)
+        row *= values
         self._count += 1
         if self._count % HISTORY_PANEL == 0 and self._count <= M:
             self._form_panel(self._count)
@@ -344,8 +331,7 @@ class History:
         start = n - n % HISTORY_PANEL
         levels = self._levels.reshape(self.A.tm.M + 1, -1)
         total = (c[None, :] @ levels[start:n]).reshape(self.kappa.shape)
-        if start:
-            total += self._levels[n]  # the panel row of step n
+        total += self._levels[n]  # the panel row of step n
         factor = np.negative(self.kappa)
         factor *= self.A.tm.t[n]
         np.exp(factor, out=factor)

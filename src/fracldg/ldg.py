@@ -50,7 +50,6 @@ it allocates, a run whose footprint exceeds the physical memory.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -67,7 +66,7 @@ from .basis import (
     legendre_derivatives,
     legendre_values,
 )
-from .errors import NumericError, check_sigma
+from .errors import NumericError, check_count, check_sigma, require_memory
 from .fractional import History, L1Kernel
 from .meshes import GradedTimeMesh, SpatialMesh
 from .problems import ProblemSpec
@@ -205,18 +204,18 @@ class LdgOperators:
         denom = (a0 * self.M) + self.lam_x[:, None] + self.lam_y[None, :]
         return (self.Qx @ ((self.Qx.T @ B @ self.Qy) / denom) @ self.Qy.T).ravel()
 
+    @np.errstate(over="ignore")  # an overflow ends in the finiteness checks below
     def solve_system(self, a0: float, b: np.ndarray) -> np.ndarray:
         """Solve (a0 * M * I + K) x = b by fast diagonalization. A relative
         residual above SOLVER_RTOL gets one step of iterative refinement; one
         still above 100 * SOLVER_RTOL, or a non-finite b or x, raises
         NumericError instead of propagating into the trajectory."""
-        # sqrt(v @ v) is what np.linalg.norm computes for a 1-D float vector.
-        bnorm = math.sqrt(b @ b)
+        bnorm = _norm(b)
         if not math.isfinite(bnorm):
             raise NumericError(f"linear solve: right-hand side is not finite (|b| = {bnorm})")
         x = self._diagonalized_solve(a0, b)
         r = b - ((a0 * self.M) * x + self.apply_K(x))
-        res = math.sqrt(r @ r)
+        res = _norm(r)
         if res > SOLVER_RTOL * bnorm:
             # Eigenvalue rounding (~eps * max(lam)) is large against the
             # smallest denominators when a small a0 * M leaves near-null
@@ -224,7 +223,7 @@ class LdgOperators:
             # eigenpairs removes that error.
             x = x + self._diagonalized_solve(a0, r)
             r = (a0 * self.M) * x + self.apply_K(x) - b
-            res = math.sqrt(r @ r)
+            res = _norm(r)
         if not math.isfinite(res):
             raise NumericError(f"linear solve: solution is not finite (residual {res})")
         if bnorm > 0.0 and res > SOLVER_RTOL * bnorm * 100.0:
@@ -233,6 +232,17 @@ class LdgOperators:
                 f"{SOLVER_RTOL * bnorm:.3e}"
             )
         return x
+
+
+def _norm(v: np.ndarray) -> float:
+    """|v| as sqrt(v @ v), what np.linalg.norm computes for a 1-D float
+    vector. Where v is finite but v @ v overflows (|v| > 1.3e154), v is
+    scaled by max|v| first; solve_system ignores that overflow."""
+    s = math.sqrt(v @ v)
+    if s == math.inf and np.isfinite(v).all():
+        m = float(np.max(np.abs(v)))
+        s = m * math.sqrt((v / m) @ (v / m))
+    return s
 
 
 def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> LdgOperators:
@@ -270,7 +280,6 @@ def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> 
 
 def step(
     ops: LdgOperators,
-    A: L1Kernel,
     n: int,
     prob: ProblemSpec,
     grid: VolumeGrid,
@@ -280,7 +289,8 @@ def step(
     """Advance one time step: solve (A_0^n M I + K) U^n = -(hist, v) + (f(t_n), v).
 
     history holds u^0..u^{n-1}, tempered at the points of history_grid, and
-    gives hist = sum(n) and A_0^n = a0(n), so the step evaluates no weight;
+    gives hist = sum(n), A_0^n = a0(n) and t_n from the time mesh of its
+    kernel, so the step evaluates no weight and reads no other kernel;
     history_grid takes the moments (hist, v). The source is separable:
     grid takes its moments (f(t_n), v) from its two factors at the points
     of one axis each (VolumeGrid.separable_moments), so the step touches
@@ -291,23 +301,10 @@ def step(
     # the single place the sign convention is applied.
     moments = history_grid.moments(-history.sum(n))
     if prob.f is not None:
-        moments += grid.separable_moments(*prob.f(A.tm.t[n], grid.x, grid.y))
+        moments += grid.separable_moments(*prob.f(history.A.tm.t[n], grid.x, grid.y))
     moments *= ops.M
     x = ops.solve_system(history.a0(n), moments.ravel())
     return DgField(x.reshape(moments.shape), ops.basis, ops.mesh)
-
-
-def physical_memory_bytes() -> int | None:
-    """Physical memory of the machine, SC_PHYS_PAGES * SC_PAGE_SIZE, or None
-    where the platform does not report it.
-
-    Free pages are not used: they leave out the reclaimable page cache, so a
-    limit taken from them would refuse runs that fit.
-    """
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 def footprint_bytes(mesh: SpatialMesh, M: int, basis: BasisSpec) -> int:
@@ -326,7 +323,9 @@ def footprint_bytes(mesh: SpatialMesh, M: int, basis: BasisSpec) -> int:
       and the solution).
 
     What the problem's callables allocate beyond their result is left out.
+    M is a step count (errors.check_count).
     """
+    M = check_count(M, "M")
     kk = basis.k + 1
     cells = mesh.nx * mesh.ny
     n_h = cells * basis.history_quad_points**2
@@ -336,21 +335,6 @@ def footprint_bytes(mesh: SpatialMesh, M: int, basis: BasisSpec) -> int:
     grids = (mesh.nx + mesh.ny + kk) * (basis.history_quad_points + basis.default_quad_points)
     in_flight = 3 * n_q + 4 * n_dof
     return History.nbytes(M, n_h) + 8 * (n_h + blocks + grids + in_flight)
-
-
-def require_memory(need: int) -> None:
-    """Raise NumericError naming need when a run that holds need bytes
-    (footprint_bytes) would exceed the physical memory
-    (physical_memory_bytes); where the platform reports none, refuse
-    nothing."""
-    limit = physical_memory_bytes()
-    if limit is not None and need > limit:
-        # A config's sizes are any finite floats: need may exceed a float.
-        gib = need / 2**30 if need.bit_length() < 1000 else math.inf
-        raise NumericError(
-            f"the run needs {need} bytes ({gib:.3g} GiB) for its history and operators, "
-            f"more than the {limit} bytes of physical memory"
-        )
 
 
 def solve(
@@ -381,20 +365,19 @@ def solve(
 
     Before it allocates anything, solve works out from (M, nx, ny, k) the
     bytes it will hold (footprint_bytes) and raises NumericError naming them
-    when they exceed the physical memory (require_memory). It raises
+    when they exceed the physical memory (errors.require_memory). It raises
     InvalidArgumentError, from History, when kappa exceeds c_kappa or the
     tempering factors e^(+-kappa t) would leave the float64 range.
     """
     require_memory(footprint_bytes(mesh, tm.M, basis))
     ops = assemble_operators(mesh, basis, fw)
-    A = L1Kernel(prob.alpha, tm)
     grid = VolumeGrid.build(mesh, basis)
     history_grid = VolumeGrid.build(mesh, basis, gauss_rule(basis.history_quad_points))
-    history = History(A, history_grid.at(prob.kappa), prob.c_kappa)
+    history = History(L1Kernel(prob.alpha, tm), history_grid.at(prob.kappa), prob.c_kappa)
     u_n = grid.project(prob.u0)
     observe(0, u_n)
     history.push(0, u_n.eval_volume_quad(history_grid.quad))
     for n in range(1, tm.M + 1):
-        u_n = step(ops, A, n, prob, grid, history_grid, history)
+        u_n = step(ops, n, prob, grid, history_grid, history)
         observe(n, u_n)
         history.push(n, u_n.eval_volume_quad(history_grid.quad))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_count, check_gamma, check_T
+from .errors import InvalidArgumentError, check_count, check_gamma, check_T, require_memory
 
 __all__ = ["SpatialMesh", "GradedTimeMesh", "build_spatial_mesh", "build_graded_time_mesh"]
 
@@ -86,8 +86,14 @@ def build_graded_time_mesh(M: int, gamma: float, T: float) -> GradedTimeMesh:
     at least uniform) and T > 0 (check_T). Points are
     computed as T*exp(gamma*log(n/M)) with the n = 0 endpoint pinned to 0,
     avoiding pow() domain quirks at the origin.
+
+    Before it allocates them, the M + 1 points are sized: the build holds
+    four arrays of M + 1 values at once (the points, the steps n / M and two
+    temporaries), and errors.require_memory raises NumericError naming the
+    time mesh when they exceed the physical memory.
     """
     M, gamma, T = check_count(M, "M"), check_gamma(gamma), check_T(T)
+    require_memory(32 * (M + 1), "its time mesh")
     t = np.empty(M + 1)
     t[0] = 0.0
     n = np.arange(1, M + 1, dtype=float)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import fracldg.analysis
 import fracldg.cli
+import fracldg.errors
 import fracldg.problems
 from fracldg.analysis import ErrorReport
 from fracldg.cli import (
@@ -543,7 +544,7 @@ def test_run_larger_than_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("operators assembled before the footprint check")
 
-    monkeypatch.setattr(fracldg.ldg, "physical_memory_bytes", lambda: 4 * 2**20)
+    monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: 4 * 2**20)
     monkeypatch.setattr(fracldg.ldg, "assemble_operators", no_assembly)
     d = _base_config(name="too-big", problem="example2", degree=1, nx=16,
                      time={"M": 800, "gamma": 2.0, "T": 0.1})
@@ -606,11 +607,11 @@ def test_refusal_names_the_footprint_of_the_case_over_the_limit(tmp_path, capsys
                      time={"M": 800, "gamma": 2.0, "T": 0.1})
     small = fracldg.ldg.footprint_bytes(build_spatial_mesh(2, 2), 800, BasisSpec(1))
     need = fracldg.ldg.footprint_bytes(build_spatial_mesh(16, 16), 800, BasisSpec(1))
-    monkeypatch.setattr(fracldg.ldg, "physical_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: need - 1)
     assert small < need - 1
     assert main(["validate-config", "--config", _write_config(tmp_path, d)]) == 3
     assert f"needs {need} bytes" in capsys.readouterr().err
-    monkeypatch.setattr(fracldg.ldg, "physical_memory_bytes", lambda: need)
+    monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: need)
     assert main(["validate-config", "--config", _write_config(tmp_path, d)]) == 0
 
 
@@ -631,7 +632,7 @@ def test_condition_rows_are_sized_with_their_fourier_blocks(tmp_path, capsys, mo
     solve_bytes = fracldg.ldg.footprint_bytes(mesh, 1, basis)
     blocks = fracldg.analysis._fourier_blocks_bytes(mesh, basis)
     assert (solve_bytes, blocks) == (1_449_984, 19_487_184)
-    monkeypatch.setattr(fracldg.ldg, "physical_memory_bytes", lambda: 4 * 2**20)
+    monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: 4 * 2**20)
     monkeypatch.setattr(fracldg.ldg, "assemble_operators", no_assembly)
     d = _base_config("condition-number", nx=12, time={"M": 1, "T": 0.1},
                      cond_rows=[{"degree": 8, "alpha": 0.5, "gamma": 1.0}])
@@ -771,18 +772,6 @@ _LIBRARY_ARGS = {
     "gamma": (1.0, 6.0), "T": (0.1, 1.0),
 }
 
-#: The pool for M. The gate keeps M <= 4, so the pool's two admissible
-#: counts above that, 10**20 and 2**63, are left out: unlike a solve,
-#: build_graded_time_mesh does not size its M + 1 points before it
-#: allocates them, and numpy refuses those two with a ValueError.
-_M_POOL = tuple(v for v in _ODD_VALUES if not (type(v) is int and v > 4))
-
-#: The pool for T, without the subnormal 1e-320: at alpha 0.7 its first
-#: weight A_0^1 ~ 1e224 makes the step's squared residual norm overflow
-#: (test_subnormal_final_time_overflows_the_norm_of_the_step_rhs, a strict
-#: xfail, pins that defect until it is mended).
-_T_POOL = tuple(v for v in _ODD_VALUES if v != 1e-320)
-
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), problem=st.sampled_from((example1, example2)))
@@ -797,8 +786,7 @@ def test_no_library_argument_of_the_pool_reaches_a_traceback(data, problem):
 
     a = {key: data.draw(st.sampled_from(values), label=key) for key, values in _LIBRARY_ARGS.items()}
     for key in data.draw(st.lists(st.sampled_from(sorted(_LIBRARY_ARGS)), max_size=2, unique=True)):
-        pool = {"M": _M_POOL, "T": _T_POOL}.get(key, _ODD_VALUES)
-        a[key] = data.draw(st.sampled_from(pool), label=key)
+        a[key] = data.draw(st.sampled_from(_ODD_VALUES), label=key)
 
     def observe(n, u):
         assert np.isfinite(u.coeffs).all(), n
@@ -815,15 +803,12 @@ def test_no_library_argument_of_the_pool_reaches_a_traceback(data, problem):
         pass
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="solve_system takes |b| as sqrt(b @ b), which overflows for "
-                          "|b| > 1.3e154 although b and the solution are finite")
 def test_subnormal_final_time_overflows_the_norm_of_the_step_rhs():
     # An admissible T = 1e-320 gives A_0^1 = tau^-0.7 / Gamma(1.3) ~ 1e224
     # and a right-hand side of ~2e205, whose square no float holds. The
-    # step should still observe a finite field or raise a FracLdgError;
-    # instead numpy warns of the overflow, and outside the suite the run
-    # stops with "right-hand side is not finite".
+    # step takes the norms rescaled and observes a finite field; sqrt(b @ b)
+    # made numpy warn of the overflow and, outside the suite, stopped the
+    # run with "right-hand side is not finite".
     import fracldg.ldg
     from fracldg.basis import BasisSpec
     from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh

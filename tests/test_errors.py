@@ -22,7 +22,7 @@ import fracldg
 from fracldg.basis import BasisSpec, gauss_rule
 from fracldg.errors import InvalidArgumentError, check_integer, check_real
 from fracldg.fractional import L1Kernel, mittag_leffler
-from fracldg.ldg import FluxWeights
+from fracldg.ldg import FluxWeights, footprint_bytes
 from fracldg.meshes import SpatialMesh, build_graded_time_mesh
 from fracldg.problems import ProblemSpec, example1, example2
 
@@ -118,6 +118,8 @@ PROBES = [
     (lambda: gauss_rule(2.0), "npoints"),
     (lambda: gauss_rule("3"), "npoints"),
     (lambda: gauss_rule(65), "npoints"),
+    (lambda: footprint_bytes(SpatialMesh(2, 2), 2.5, BasisSpec(1)), "M"),
+    (lambda: footprint_bytes(SpatialMesh(2, 2), "3", BasisSpec(1)), "M"),
 ]
 
 

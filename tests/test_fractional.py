@@ -170,19 +170,22 @@ def test_block_weights_match_the_row_loop_bitwise(M, gamma, alpha, T):
     assert np.getbufsize() == bufsize  # the weights' iterator buffer is restored
 
 
-def test_panel_weights_fit_the_history_block_term():
+@pytest.mark.parametrize("M,start", [(255, 224), (2000, 1952), (8000, 7968)])
+def test_panel_weights_fit_the_history_block_term(M, start):
     # A count of bytes, not a timing: a panel's memory weights are evaluated
-    # in the block and one scratch strip of 32 x WEIGHT_STRIP values, with
-    # the iterator buffers of the ufuncs held small. At M = 2000 the largest
-    # block is the 32 x 1984 panel at start 1952 (0.51 MB: its steps' weights
-    # of the 1952 levels before it and of the 32 of its own): it peaks at
-    # 578 364 B, within the 1 024 000 B that History.nbytes books for it,
-    # room for its scratch and a near square. Whole-block ufuncs with a
-    # scratch block and numpy's default iterator buffers peaked at
-    # 1 224 728 B; the row-by-row form at 573 152 B.
+    # in the block and one scratch block of its size, with the iterator
+    # buffers of the ufuncs held small, within twice the largest block that
+    # History.nbytes books. Measured peaks, of the bytes booked: the 32 x 256
+    # panel at 224 of M = 255, 134 700 of 139 264 B; the 32 x 1984 panel at
+    # 1952 of M = 2000, 1 019 532 of 1 024 000 B; the 32 x 8000 panel at 7968
+    # of M = 8000, 4 099 724 of 4 104 192 B. Over every panel of M in {127,
+    # 128, 129, 255, 256, 500, 799, 800, 1000, 2000, 4000, 8000}, the worst
+    # ratio to the booking is M = 8000's (0.999); evaluated in strips of 256
+    # columns with one strip of scratch it was M = 255's (0.967, 134 676 B).
+    # Whole-block ufuncs with numpy's default iterator buffers peaked at
+    # 1 224 728 B at M = 2000.
     import tracemalloc
 
-    M, start = 2000, 1952
     A = L1Kernel(0.5, build_graded_time_mesh(M, 2.0, 0.1))
     tracemalloc.start()
     try:
@@ -190,7 +193,7 @@ def test_panel_weights_fit_the_history_block_term():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert C.shape == (HISTORY_PANEL, 1984)
+    assert C.shape == (HISTORY_PANEL, start + HISTORY_PANEL)
     assert peak <= History.nbytes(M, 0), (peak, History.nbytes(M, 0))
 
 

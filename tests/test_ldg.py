@@ -16,7 +16,7 @@ from fracldg.basis import (
     gauss_rule,
     legendre_values,
 )
-from fracldg.errors import InvalidArgumentError, NumericError
+from fracldg.errors import InvalidArgumentError, NumericError, physical_memory_bytes
 from fracldg.fractional import (
     HISTORY_PANEL,
     MAX_TEMPERING_EXPONENT,
@@ -37,7 +37,6 @@ from fracldg.ldg import (
     _directional_operator,
     block_symbol,
     footprint_bytes,
-    physical_memory_bytes,
 )
 from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
 from fracldg.problems import ProblemSpec, example1, example2
@@ -445,7 +444,7 @@ def test_step_rejects_short_history():
     history = History(A, history_grid.at(prob.kappa), prob.c_kappa)
     history.push(0, grid.project(prob.u0).eval_volume_quad(history_grid.quad))
     with pytest.raises(InvalidArgumentError):
-        step(ops, A, 2, prob, grid, history_grid, history)
+        step(ops, 2, prob, grid, history_grid, history)
 
 
 def test_step_returns_the_solution_as_its_field(monkeypatch):
@@ -469,7 +468,7 @@ def test_step_returns_the_solution_as_its_field(monkeypatch):
         return solutions[-1]
 
     monkeypatch.setattr(LdgOperators, "solve_system", recording_solve)
-    u = step(ops, A, 1, prob, grid, history_grid, history)
+    u = step(ops, 1, prob, grid, history_grid, history)
     [x] = solutions
     assert u.coeffs.shape == (3, 2, 4, 2) and u.coeffs.flags.c_contiguous
     assert np.shares_memory(u.coeffs, x)
@@ -811,12 +810,13 @@ def test_solve_refuses_a_run_larger_than_physical_memory(monkeypatch):
     # so the traced peak stays far below the 6.6 MB of the tempered levels.
     import tracemalloc
 
+    import fracldg.errors
     import fracldg.ldg as ldg
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("operators assembled before the footprint check")
 
-    monkeypatch.setattr(ldg, "physical_memory_bytes", lambda: FOOTPRINT_PROBE_BYTES)
+    monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: FOOTPRINT_PROBE_BYTES)
     monkeypatch.setattr(ldg, "assemble_operators", no_assembly)
     prob = example2(0.5)
     mesh = build_spatial_mesh(16, 16)
@@ -837,7 +837,7 @@ def test_solve_refuses_a_run_larger_than_physical_memory(monkeypatch):
 def test_solve_runs_within_exactly_its_footprint(monkeypatch):
     # The probe admits exactly the footprint: solve runs and hands every level
     # to the observer. One byte less, and the same run is refused.
-    import fracldg.ldg as ldg
+    import fracldg.errors
 
     prob = example2(0.5)
     mesh = build_spatial_mesh(4, 4)
@@ -845,11 +845,11 @@ def test_solve_runs_within_exactly_its_footprint(monkeypatch):
     basis = BasisSpec(1)
     fw = FluxWeights(1.0, 0.0)
     limit = footprint_bytes(mesh, tm.M, basis)
-    monkeypatch.setattr(ldg, "physical_memory_bytes", lambda: limit)
+    monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: limit)
     seen = []
     solve(prob, mesh, tm, basis, fw, lambda n, u: seen.append(n))
     assert seen == list(range(41))
-    monkeypatch.setattr(ldg, "physical_memory_bytes", lambda: limit - 1)
+    monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: limit - 1)
     with pytest.raises(NumericError, match="for its history and operators"):
         solve(prob, mesh, tm, basis, fw, lambda n, u: None)
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracldg.errors import InvalidArgumentError
+from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.meshes import SpatialMesh, build_graded_time_mesh, build_spatial_mesh
 
 from oracles import edges
@@ -108,3 +108,9 @@ def test_graded_mesh_validation():
                 build_graded_time_mesh(5, gamma, T)
     tm = build_graded_time_mesh(np.int64(5), 2.0, 0.1)
     assert type(tm.M) is int and np.array_equal(tm.t, build_graded_time_mesh(5, 2.0, 0.1).t)
+    # An admissible M too large for any machine is sized before its points
+    # are allocated, and refused naming the time mesh, not by numpy.
+    for M in (10**20, 2**63):
+        with pytest.raises(NumericError, match=rf"needs {32 * (M + 1)} bytes .* for its time mesh"):
+            build_graded_time_mesh(M, 2.0, 0.1)
+
