@@ -170,8 +170,7 @@ def test_block_weights_match_the_row_loop_bitwise(M, gamma, alpha, T):
     assert np.getbufsize() == bufsize  # the weights' iterator buffer is restored
 
 
-@pytest.mark.parametrize("M,start", [(255, 224), (2000, 1952), (8000, 7968)])
-def test_panel_weights_fit_the_history_block_term(M, start):
+def test_panel_weights_fit_the_history_block_term():
     # A count of bytes, not a timing: a panel's memory weights are evaluated
     # in the block and one scratch block of its size, with the iterator
     # buffers of the ufuncs held small, within twice the largest block that
@@ -184,6 +183,17 @@ def test_panel_weights_fit_the_history_block_term(M, start):
     # columns with one strip of scratch it was M = 255's (0.967, 134 676 B).
     # Whole-block ufuncs with numpy's default iterator buffers peaked at
     # 1 224 728 B at M = 2000.
+    assert_panel_weights_fit_the_history_block_term(2000, 1952)
+
+
+@pytest.mark.parametrize("M,start", [(255, 224), (8000, 7968)])
+def test_panel_weights_fit_the_history_block_term_at_other_M(M, start):
+    # The last panels of two more of the meshes measured above: M = 255,
+    # whose block is the smallest, and M = 8000, whose block is the widest.
+    assert_panel_weights_fit_the_history_block_term(M, start)
+
+
+def assert_panel_weights_fit_the_history_block_term(M, start):
     import tracemalloc
 
     A = L1Kernel(0.5, build_graded_time_mesh(M, 2.0, 0.1))
