@@ -100,15 +100,17 @@ class FinalTimeError:
 
 
 def rates(errors: Sequence[float], params: Sequence[float]) -> list[float]:
-    """Consecutive-pair convergence rates log(E_i/E_{i+1}) / log(p_i/p_{i+1})."""
+    """Consecutive-pair convergence rates log(E_i/E_{i+1}) / log(p_i/p_{i+1})
+    of errors and params that are positive and finite: a nan or an infinity
+    has no rate, however its logarithm comes out."""
     if len(errors) != len(params):
         raise InvalidArgumentError("errors and params must have equal length")
     if len(errors) < 2:
         raise InvalidArgumentError("need at least two entries to compute a rate")
-    if any(e <= 0.0 for e in errors):
-        raise InvalidArgumentError("errors must be positive")
-    if any(p <= 0.0 for p in params):
-        raise InvalidArgumentError("params must be positive")
+    if not all(0.0 < e < math.inf for e in errors):
+        raise InvalidArgumentError("errors must be positive and finite")
+    if not all(0.0 < p < math.inf for p in params):
+        raise InvalidArgumentError("params must be positive and finite")
     out = []
     for i in range(len(errors) - 1):
         dp = math.log(params[i] / params[i + 1])
@@ -129,9 +131,9 @@ def _fourier_blocks_bytes(mesh: SpatialMesh, basis: BasisSpec) -> int:
     return 16 * (b * b * (nx * ny + nx + 2 * ny + 1) + 3 * np.getbufsize()) + 8 * nx * ny * b
 
 
-def condition_number(ops: LdgOperators, A: L1Kernel, M: int) -> float:
+def condition_number(ops: LdgOperators, A: L1Kernel) -> float:
     """Exact 2-norm condition number of the final-step system matrix
-    S = A_0^M * mass + K.
+    S = A_0^M * mass + K, M the last step of A's time mesh.
 
     The solver works internally with orthonormal Legendre modes, which act
     as a diagonal preconditioner on the mass term. The matrix is reported
@@ -149,7 +151,7 @@ def condition_number(ops: LdgOperators, A: L1Kernel, M: int) -> float:
     direction. One batched eigvalsh takes all nx ny blocks at once
     (_fourier_blocks_bytes); nothing is solved or factorized.
     """
-    a0 = A.a0(M)  # raises InvalidArgumentError unless 1 <= M <= A.tm.M
+    a0 = A.a0(A.tm.M)
     kk = ops.basis.k + 1
     eye = np.eye(kk)
     dc = 1.0 / np.sqrt(np.arange(kk) + 0.5)

@@ -325,19 +325,19 @@ def _check_time_meshes(cfg: ExperimentConfig, source: str) -> None:
     from .analysis import _fourier_blocks_bytes
     from .basis import BasisSpec
     from .ldg import footprint_bytes
-    from .meshes import build_graded_time_mesh, build_spatial_mesh
+    from .meshes import GradedTimeMesh, SpatialMesh
 
     if cfg.kind == "condition-number":
         sizes = [(cfg.nx, cfg.M, row.degree) for row in cfg.cond_rows]
     else:
         sizes = [(nx, M, cfg.degree) for _, _, nx, M, _ in _solve_cases(cfg)]
     for nx, M, degree in sizes:
-        mesh, basis = build_spatial_mesh(nx, nx), BasisSpec(degree)
+        mesh, basis = SpatialMesh(nx, nx), BasisSpec(degree)
         blocks = _fourier_blocks_bytes(mesh, basis) if cfg.kind == "condition-number" else 0
         require_memory(footprint_bytes(mesh, M, basis) + blocks)
     for key, M, gamma in _time_meshes(cfg):
         try:
-            build_graded_time_mesh(M, gamma, cfg.T)
+            GradedTimeMesh(M, gamma, cfg.T)
         except InvalidArgumentError as exc:
             raise ConfigError(
                 f"{source}.{key}: M={M}, gamma={gamma:g}, T={cfg.T:g}: {exc}"
@@ -380,7 +380,7 @@ def _run_solves(cfg: ExperimentConfig):
     from .analysis import ErrorReport, FinalTimeError, rates
     from .basis import BasisSpec
     from .ldg import FluxWeights, solve
-    from .meshes import build_graded_time_mesh, build_spatial_mesh
+    from .meshes import GradedTimeMesh, SpatialMesh
     from .problems import example1, example2
 
     cases = _solve_cases(cfg)
@@ -392,8 +392,8 @@ def _run_solves(cfg: ExperimentConfig):
     fw = FluxWeights(*cfg.flux)
     errors = []
     for _, _, nx, M, gamma in cases:
-        mesh = build_spatial_mesh(nx, nx)
-        tm = build_graded_time_mesh(M, gamma, cfg.T)
+        mesh = SpatialMesh(nx, nx)
+        tm = GradedTimeMesh(M, gamma, cfg.T)
         measure = FinalTimeError(tm, mesh, basis, prob.exact)
         solve(prob, mesh, tm, basis, fw, measure)
         errors.append(measure.value)
@@ -414,23 +414,23 @@ def _run_condition(cfg: ExperimentConfig):
     from .basis import BasisSpec
     from .fractional import L1Kernel
     from .ldg import FluxWeights, assemble_operators
-    from .meshes import build_graded_time_mesh, build_spatial_mesh
+    from .meshes import GradedTimeMesh, SpatialMesh
 
-    mesh = build_spatial_mesh(cfg.nx, cfg.nx)
+    mesh = SpatialMesh(cfg.nx, cfg.nx)
     labels, values, groups = [], [], []
     # Rows differ in (degree, alpha, gamma); the operators depend only on
     # the degree and the flux pair, so each pair is assembled once.
     operators = {}
     for row, (_, M, gamma) in zip(cfg.cond_rows, _time_meshes(cfg), strict=True):
         basis = BasisSpec(row.degree)
-        tm = build_graded_time_mesh(M, gamma, cfg.T)
+        tm = GradedTimeMesh(M, gamma, cfg.T)
         A = L1Kernel(row.alpha, tm)
         group_vals = []
         for s1, s2 in cfg.flux_list:
             key = (row.degree, s1, s2)
             if key not in operators:
                 operators[key] = assemble_operators(mesh, basis, FluxWeights(s1, s2))
-            c2 = condition_number(operators[key], A, M)
+            c2 = condition_number(operators[key], A)
             labels.append(_cond_label(row.degree, row.alpha, s1, s2))
             values.append(c2)
             group_vals.append(c2)

@@ -15,7 +15,7 @@ the key path of the config entry, so both say the same words.
 The memory check has one owner too: require_memory refuses, with
 NumericError, a size that exceeds the physical memory
 (physical_memory_bytes). solve and the CLI call it with ldg.footprint_bytes
-before they allocate, and build_graded_time_mesh with its points.
+before they allocate, and GradedTimeMesh with its points.
 
 Nothing here imports numpy: numpy's scalar types register with the
 numbers ABCs themselves, so importing the CLI still loads no numpy.

@@ -91,7 +91,7 @@ class L1Kernel:
         diagonal of step n's one-row block, O(n), the bits History.a0 reads."""
         if not 1 <= n <= self.tm.M:
             raise InvalidArgumentError(f"step index {n} outside 1..{self.tm.M}")
-        return float(_memory_weights(self, (n,), n + 1)[0, n])
+        return float(_memory_weights(self, (n,))[0, n])
 
 
 #: Iterator buffer, in values, of the ufuncs in _memory_weights. Their
@@ -101,10 +101,10 @@ class L1Kernel:
 _WEIGHT_BUFSIZE = 64
 
 
-def _memory_weights(A: L1Kernel, steps, stop: int) -> np.ndarray:
+def _memory_weights(A: L1Kernel, steps) -> np.ndarray:
     """Memory weights of the consecutive steps n in steps, a row of
-    stop > n levels each: c_0^n = -a_0^n and c_j^n = a_{j-1}^n - a_j^n for
-    0 < j < n, the weight of the tempered level w_j in History.sum, then
+    steps[-1] + 1 levels each: c_0^n = -a_0^n and c_j^n = a_{j-1}^n - a_j^n
+    for 0 < j < n, the weight of the tempered level w_j in History.sum, then
     c_n^n = a_{n-1}^n = A_0^n on the diagonal and zeros.
 
     The interval weight a_j^n = ((t_n - t_j)^{1-a} - (t_n - t_{j+1})^{1-a})
@@ -119,11 +119,11 @@ def _memory_weights(A: L1Kernel, steps, stop: int) -> np.ndarray:
     negative number) and then set to zero.
     """
     first, rows = steps[0], len(steps)
-    t, tau, alpha = A.tm.t[:stop], A.tm.tau[: stop - 1], A.alpha
-    c = np.empty((rows, stop))
+    t, tau, alpha = A.tm.t[: first + rows], A.tm.tau[: first + rows - 1], A.alpha
+    c = np.empty((rows, first + rows))
     c[:, 0] = 0.0
     a = c[:, 1:]  # a[i, j] = a_j^n of step n = first + i
-    x = np.empty((rows, stop - 1))
+    x = np.empty((rows, first + rows - 1))
     old_bufsize = np.setbufsize(_WEIGHT_BUFSIZE)
     try:
         np.subtract(t[first : first + rows, None], t[None, :-1], out=x)
@@ -289,7 +289,7 @@ class History:
         M = self.A.tm.M
         rows = min(HISTORY_PANEL, M + 1 - start)
         self._near = None  # the previous panel's, read by no later step
-        C = _memory_weights(self.A, range(start, start + rows), start + rows)
+        C = _memory_weights(self.A, range(start, start + rows))
         levels = self._levels.reshape(M + 1, -1)
         np.matmul(C[:, :start], levels[:start], out=levels[start : start + rows])
         self._near = np.ascontiguousarray(C[:, start:])

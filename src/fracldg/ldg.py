@@ -99,15 +99,11 @@ class FluxWeights:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma1", check_sigma(self.sigma1, "sigma1"))
         object.__setattr__(self, "sigma2", check_sigma(self.sigma2, "sigma2"))
-        if self.is_central:
+        if self.sigma1 == 0.5 or self.sigma2 == 0.5:
             warnings.warn(
                 "central flux weight 1/2 in use: optimal spatial order is not expected",
                 stacklevel=3,
             )
-
-    @property
-    def is_central(self) -> bool:
-        return self.sigma1 == 0.5 or self.sigma2 == 0.5
 
 
 @lru_cache(maxsize=None)

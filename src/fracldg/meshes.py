@@ -10,13 +10,13 @@ of fractional evolution problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError, check_count, check_gamma, check_T, require_memory
 
-__all__ = ["SpatialMesh", "GradedTimeMesh", "build_spatial_mesh", "build_graded_time_mesh"]
+__all__ = ["SpatialMesh", "GradedTimeMesh"]
 
 
 @dataclass(frozen=True)
@@ -61,45 +61,39 @@ def _centers(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class GradedTimeMesh:
     """Temporal mesh t_n = (n/M)^gamma * T, n = 0..M, with step sizes
-    tau_n = t_{n+1} - t_n. It holds the points, not the exponent gamma
-    that placed them.
-
-    gamma = 1 reproduces the uniform mesh (to a few ulps of n*T/M).
-    """
-
-    M: int
-    T: float
-    t: np.ndarray = field(repr=False)
-    tau: np.ndarray = field(repr=False)
-
-
-def build_spatial_mesh(nx: int, ny: int) -> SpatialMesh:
-    """Construct the uniform periodic nx-by-ny mesh of the unit square; the
-    cell counts nx and ny are integers >= 1 (errors.check_count)."""
-    return SpatialMesh(nx, ny)
-
-
-def build_graded_time_mesh(M: int, gamma: float, T: float) -> GradedTimeMesh:
-    """Construct the graded mesh t_n = (n/M)^gamma * T for n = 0..M.
+    tau_n = t_{n+1} - t_n. M, gamma and T fix every point, so the mesh
+    derives its points and takes none; it holds them, not the exponent
+    gamma that placed them, which is an init-only argument that
+    dataclasses.replace must be given again.
 
     M is a count (errors.check_count), gamma >= 1 (check_gamma: grading is
     at least uniform) and T > 0 (check_T). Points are
     computed as T*exp(gamma*log(n/M)) with the n = 0 endpoint pinned to 0,
-    avoiding pow() domain quirks at the origin.
+    avoiding pow() domain quirks at the origin. gamma = 1 reproduces the
+    uniform mesh (to a few ulps of n*T/M).
 
     Before it allocates them, the M + 1 points are sized: the build holds
     four arrays of M + 1 values at once (the points, the steps n / M and two
     temporaries), and errors.require_memory raises NumericError naming the
     time mesh when they exceed the physical memory.
     """
-    M, gamma, T = check_count(M, "M"), check_gamma(gamma), check_T(T)
-    require_memory(32 * (M + 1), "its time mesh")
-    t = np.empty(M + 1)
-    t[0] = 0.0
-    n = np.arange(1, M + 1, dtype=float)
-    t[1:] = T * np.exp(gamma * np.log(n / M))
-    t[M] = T
-    tau = np.diff(t)
-    if not (tau > 0).all():  # t_1 = T (1/M)^gamma underflows to 0, e.g. at M 1000, gamma 200
-        raise InvalidArgumentError("nonpositive time step produced; check (M, gamma, T)")
-    return GradedTimeMesh(M=M, T=T, t=t, tau=tau)
+
+    M: int
+    gamma: InitVar[float]
+    T: float
+    t: np.ndarray = field(init=False, repr=False)
+    tau: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, gamma: float) -> None:
+        M, gamma, T = check_count(self.M, "M"), check_gamma(gamma), check_T(self.T)
+        require_memory(32 * (M + 1), "its time mesh")
+        t = np.empty(M + 1)
+        t[0] = 0.0
+        n = np.arange(1, M + 1, dtype=float)
+        t[1:] = T * np.exp(gamma * np.log(n / M))
+        t[M] = T
+        tau = np.diff(t)
+        if not (tau > 0).all():  # t_1 = T (1/M)^gamma underflows to 0, e.g. at M 1000, gamma 200
+            raise InvalidArgumentError("nonpositive time step produced; check (M, gamma, T)")
+        for name, value in (("M", M), ("T", T), ("t", t), ("tau", tau)):
+            object.__setattr__(self, name, value)

@@ -45,8 +45,8 @@ def write_loglog_svg(
     label, xs, ys = series
     if len(xs) != len(ys) or not xs:
         raise InvalidArgumentError(f"series {label!r} must be nonempty with equal lengths")
-    if any(v <= 0.0 for v in xs) or any(v <= 0.0 for v in ys):
-        raise InvalidArgumentError(f"series {label!r} must be positive for log scaling")
+    if not all(0.0 < v < math.inf for v in (*xs, *ys)):  # nan fails too
+        raise InvalidArgumentError(f"series {label!r} must be positive and finite for log scaling")
 
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)

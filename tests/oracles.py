@@ -11,10 +11,11 @@ against which the coefficients the package evaluates on demand must agree
 bit for bit, and l1_row, one step's row of that table; and the slow forms
 of the package's fast paths,
 each the code it replaced, against which the fast path must agree bit for
-bit: the row-by-row memory weights (memory_weights_by_rows), the per-cell
-stacked products of the moments and of the values at the points
-(moments_per_cell, values_per_cell) and the condition number one x mode
-at a time (condition_number_by_x_modes).
+bit: the graded time points as the former mesh builder formed them
+(graded_time_points), the row-by-row memory weights
+(memory_weights_by_rows), the per-cell stacked products of the moments and
+of the values at the points (moments_per_cell, values_per_cell) and the
+condition number one x mode at a time (condition_number_by_x_modes).
 The error functionals are recomputed by their defining formulas from the
 levels that a collecting observer keeps (solve_fields), against which the
 streaming observers of fracldg.analysis must also agree bit for bit.
@@ -63,7 +64,7 @@ from fracldg.basis import (
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import L1Kernel
 from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, block_symbol, solve
-from fracldg.meshes import build_graded_time_mesh
+from fracldg.meshes import GradedTimeMesh
 
 
 def cell_major(a: np.ndarray) -> np.ndarray:
@@ -72,6 +73,17 @@ def cell_major(a: np.ndarray) -> np.ndarray:
     index cell by cell, and such a view back: the axis swap is its own
     inverse."""
     return a.transpose(0, 2, 1, 3)
+
+
+def graded_time_points(M: int, gamma: float, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points t_n = T (n/M)^gamma, n = 0..M, and the steps between them,
+    as the package's former mesh builder formed them: T exp(gamma log(n/M))
+    over the whole array, with t_0 = 0 and t_M = T pinned. Kept as the exact
+    reference for the points GradedTimeMesh derives."""
+    n = np.arange(1, M + 1, dtype=float)
+    t = np.concatenate(([0.0], T * np.exp(gamma * np.log(n / M))))
+    t[M] = T
+    return t, np.diff(t)
 
 
 def edges(n: int) -> np.ndarray:
@@ -251,11 +263,11 @@ def l1_table(tm, alpha: float) -> tuple[np.ndarray, ...]:
     return tuple(l1_row(A, n) for n in range(tm.M + 1))
 
 
-def memory_weights_by_rows(A: L1Kernel, steps, stop: int) -> np.ndarray:
+def memory_weights_by_rows(A: L1Kernel, steps) -> np.ndarray:
     """fracldg.fractional._memory_weights one row at a time: each row the
     step's L1 row of l1_table in level order and one difference in place,
     kept as the exact reference for the whole-block form."""
-    c = np.zeros((len(steps), stop))
+    c = np.zeros((len(steps), steps[-1] + 1))
     for row, n in zip(c, steps):
         row[1 : n + 1] = l1_row(A, n)[::-1]
         row[:n] -= row[1 : n + 1]
@@ -277,11 +289,11 @@ def values_per_cell(f: DgField, quad: QuadRule) -> np.ndarray:
     return cell_major(V @ (cell_major(f.coeffs) @ V.T))
 
 
-def condition_number_by_x_modes(ops: LdgOperators, A: L1Kernel, M: int) -> float:
+def condition_number_by_x_modes(ops: LdgOperators, A: L1Kernel) -> float:
     """analysis.condition_number with one eigvalsh per x mode over all y
     modes and kron(Kxhat, I) formed by np.kron per mode: the package's former
     form, kept as the exact reference for its single batched eigvalsh."""
-    a0 = A.a0(M)
+    a0 = A.a0(A.tm.M)
     kk = ops.basis.k + 1
     eye = np.eye(kk)
     dc = 1.0 / np.sqrt(np.arange(kk) + 0.5)
@@ -362,7 +374,7 @@ def memory_sum(A, kappa_at_quad: np.ndarray, tempered_at_quad: np.ndarray, n: in
     same terms, panel by panel, in another order; the exact reference for it.
     Unlike History.sum it may be read at any step, in any order.
     """
-    c = memory_weights_by_rows(A, (n,), n + 1)[0, :n]
+    c = memory_weights_by_rows(A, (n,))[0, :n]
     return np.exp(-kappa_at_quad * A.tm.t[n]) * np.tensordot(c, tempered_at_quad[:n], axes=1)
 
 
@@ -444,7 +456,7 @@ def time_self_convergence(prob, mesh, basis, fw, Ms, gamma: float, T: float) -> 
     grid = VolumeGrid.build(mesh, basis)
     runs = []
     for M in Ms:
-        tm = build_graded_time_mesh(M, gamma, T)
+        tm = GradedTimeMesh(M, gamma, T)
         fields = solve_fields(prob, mesh, tm, basis, fw)
         runs.append((tm, np.stack([u.eval_volume_quad(grid.quad) for u in fields])))
     out = []

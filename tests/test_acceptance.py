@@ -39,7 +39,7 @@ from fracldg.fractional import (
     mittag_leffler,
 )
 from fracldg.ldg import FluxWeights, assemble_operators
-from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
+from fracldg.meshes import GradedTimeMesh, SpatialMesh
 from fracldg.problems import ProblemSpec, example2
 
 from oracles import (
@@ -156,7 +156,7 @@ def test_time_self_convergence_shows_the_grading_rate():
     # within 0.3 below, at most 0.1 above), and the final-time rates at
     # alpha 0.3, gamma 2 and 6, 1.700 and 1.655, agree within 0.1: the
     # final time does not see the grading.
-    mesh, basis, fw = build_spatial_mesh(8, 8), BasisSpec(1), FluxWeights(1.0, 0.0)
+    mesh, basis, fw = SpatialMesh(8, 8), BasisSpec(1), FluxWeights(1.0, 0.0)
     cases = ((0.3, 1.0), (0.3, 2.0), (0.3, 6.0), (0.7, 1.0), (0.7, 2.0))
     got = {}
     for alpha, gamma in cases:
@@ -199,7 +199,7 @@ def test_condition_number_monotonicity_and_anchor():
 def test_energy_identity_nullity_suite():
     # B(u, u; p, p) = 0 whenever p is the discrete gradient of u, for 50
     # random unit fields under each of the four flux settings.
-    mesh = build_spatial_mesh(4, 3)
+    mesh = SpatialMesh(4, 3)
     basis = BasisSpec(2)
     rng = np.random.default_rng(99)
     worst = 0.0
@@ -227,7 +227,7 @@ def test_memory_weight_chain_positive_monotone():
         gamma = float(rng.uniform(1.0, 6.0))
         alpha = float(rng.uniform(0.05, 0.95))
         T = float(rng.uniform(0.05, 2.0))
-        A = L1Kernel(alpha, build_graded_time_mesh(M, gamma, T))
+        A = L1Kernel(alpha, GradedTimeMesh(M, gamma, T))
         for n in range(1, M + 1):
             row = l1_row(A, n)
             assert row[-1] > 0.0
@@ -242,7 +242,7 @@ def test_complementary_kernel_identity_and_inversion():
     # every n <= 12.
     worst = 0.0
     for alpha, gamma in ((0.35, 4.0), (0.8, 1.0)):
-        tm = build_graded_time_mesh(200, gamma, 0.5)
+        tm = GradedTimeMesh(200, gamma, 0.5)
         A = L1Kernel(alpha, tm)
         P = convolution_kernel(A)
         for n in range(1, 201):
@@ -252,7 +252,7 @@ def test_complementary_kernel_identity_and_inversion():
             worst = max(worst, float(np.max(np.abs(mat @ P.P[n] - 1.0))))
     assert worst <= 1e-11
 
-    tm = build_graded_time_mesh(12, 2.5, 0.3)
+    tm = GradedTimeMesh(12, 2.5, 0.3)
     A = L1Kernel(0.45, tm)
     P = convolution_kernel(A)
     P_ref = complementary_kernels_by_inversion(A)
@@ -268,7 +268,7 @@ def test_stability_bound_random_homogeneous_runs():
     # random order, grading, horizon, degree, and flux): the trajectory
     # norm never exceeds e^(C_kappa t_n) times the initial norm.
     rng = np.random.default_rng(2024)
-    mesh = build_spatial_mesh(5, 5)
+    mesh = SpatialMesh(5, 5)
     worst = 0.0
     for run in range(100):
         alpha = float(rng.uniform(0.15, 0.95))
@@ -295,7 +295,7 @@ def test_stability_bound_random_homogeneous_runs():
 
         prob = ProblemSpec(alpha=alpha, kappa=kappa, c_kappa=ck, u0=u0, f=None,
                            exact=None)
-        tm = build_graded_time_mesh(M, gamma, T)
+        tm = GradedTimeMesh(M, gamma, T)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fields = solve_fields(prob, mesh, tm, BasisSpec(k), FluxWeights(s1, s2))
@@ -312,10 +312,10 @@ def test_memory_operator_exact_on_tempered_linears():
     # The discrete substantial derivative reproduces e^{-kappa(x) t} v(t)
     # exactly (to 1e-8 relative) for v = 1 and v = t, pointwise on the
     # quadrature grid.
-    mesh = build_spatial_mesh(4, 4)
+    mesh = SpatialMesh(4, 4)
     basis = BasisSpec(1)
     alpha = 0.6
-    tm = build_graded_time_mesh(6, 2.0, 0.8)
+    tm = GradedTimeMesh(6, 2.0, 0.8)
     A = L1Kernel(alpha, tm)
     kq = VolumeGrid.build(mesh, basis).at(lambda x, y: np.cos(2 * math.pi * x) + 0.0 * y)
     worst = 0.0
@@ -433,14 +433,14 @@ def test_projection_and_flux_functional_orders():
     for k in (0, 1, 2):
         basis = BasisSpec(k)
         for label, make in makers:
-            vals = [_approximation_norm(build_spatial_mesh(n, n), basis,
-                                        make(build_spatial_mesh(n, n), basis))
+            vals = [_approximation_norm(SpatialMesh(n, n), basis,
+                                        make(SpatialMesh(n, n), basis))
                     for n in MESHES]
             rate = rates(vals, hs)[-1]
             assert abs(rate - (k + 1)) <= 0.15, (label, k, rate)
             lines.append(f"{label} k={k}: {rate:.3f}")
         for fwpair in ((0.7, 0.2), (1.0, 0.0)):
-            vals = [_flux_functional_dual_norm(build_spatial_mesh(n, n), basis,
+            vals = [_flux_functional_dual_norm(SpatialMesh(n, n), basis,
                                                FluxWeights(*fwpair))
                     for n in MESHES]
             rate = rates(vals, hs)[-1]

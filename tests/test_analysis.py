@@ -21,7 +21,7 @@ from fracldg.basis import (
 from fracldg.errors import InvalidArgumentError
 from fracldg.fractional import L1Kernel
 from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, solve
-from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
+from fracldg.meshes import GradedTimeMesh, SpatialMesh
 from fracldg.problems import example1, example2
 
 from oracles import (
@@ -70,7 +70,7 @@ def _weighted_trace_moments(f, mesh, k, sigma):
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("s1,s2", [(1.0, 0.0), (0.7, 0.2)])
 def test_full_projection_satisfies_defining_conditions(k, s1, s2):
-    mesh = build_spatial_mesh(6, 5)
+    mesh = SpatialMesh(6, 5)
     basis = BasisSpec(k)
     fw = FluxWeights(s1, s2)
     P = project_P(_smooth, fw, mesh, basis)
@@ -89,7 +89,7 @@ def test_full_projection_satisfies_defining_conditions(k, s1, s2):
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_full_projection_corner_condition(k):
-    mesh = build_spatial_mesh(5, 6)
+    mesh = SpatialMesh(5, 6)
     basis = BasisSpec(k)
     s1, s2 = 0.8, 0.3
     P = project_P(_smooth, FluxWeights(s1, s2), mesh, basis)
@@ -104,7 +104,7 @@ def test_full_projection_corner_condition(k):
 
 
 def test_full_projection_is_linear_and_reproduces_constants():
-    mesh = build_spatial_mesh(4, 4)
+    mesh = SpatialMesh(4, 4)
     basis = BasisSpec(2)
     fw = FluxWeights(0.6, 0.9)
     u = lambda x, y: _smooth(x, y)
@@ -121,7 +121,7 @@ def test_full_projection_is_linear_and_reproduces_constants():
 @pytest.mark.parametrize("sigma", [1.0, 0.3])
 def test_single_axis_projection_matches_all_transverse_modes(sigma):
     k = 2
-    mesh = build_spatial_mesh(5, 4)
+    mesh = SpatialMesh(5, 4)
     basis = BasisSpec(k)
     Q = project_Q(_smooth, sigma, "x", mesh, basis)
     scale = np.max(np.abs(Q.coeffs))
@@ -135,7 +135,7 @@ def test_single_axis_projection_matches_all_transverse_modes(sigma):
 
 
 def test_projections_reject_central_weight_and_bad_axis():
-    mesh = build_spatial_mesh(4, 4)
+    mesh = SpatialMesh(4, 4)
     basis = BasisSpec(1)
     with pytest.raises(InvalidArgumentError):
         project_Q(_smooth, 0.5, "x", mesh, basis)
@@ -162,7 +162,7 @@ def test_projection_error_shrinks_at_design_order(make):
     basis = BasisSpec(1)
     errs = []
     for n in (8, 16, 32):
-        mesh = build_spatial_mesh(n, n)
+        mesh = SpatialMesh(n, n)
         grid = VolumeGrid.build(mesh, basis, gauss_rule(basis.k + 4))
         diff = make(mesh, basis).eval_volume_quad(grid.quad) - grid.at(_mode)
         errs.append(grid.norm(diff))
@@ -174,10 +174,10 @@ def _constant_levels():
     """Two equal levels u^0 = u^1 = P u0 on [0, 0.4], their meshes and
     basis, and ||u^0||."""
     prob = example1(0.5)
-    mesh = build_spatial_mesh(5, 5)
+    mesh = SpatialMesh(5, 5)
     basis = BasisSpec(1)
     u0 = VolumeGrid.build(mesh, basis).project(prob.u0)
-    tm = build_graded_time_mesh(1, 1.0, 0.4)
+    tm = GradedTimeMesh(1, 1.0, 0.4)
     fields = [u0, u0]
     return fields, tm, mesh, basis, l2_norm(u0)
 
@@ -206,9 +206,9 @@ def test_streamed_error_functionals_equal_trajectory_forms_bitwise(M, example):
     # formula recomputes the functional from every level, which a second
     # observer collects. They agree to the bit.
     prob = example(0.4)
-    mesh = build_spatial_mesh(3, 2)
+    mesh = SpatialMesh(3, 2)
     basis = BasisSpec(1)
-    tm = build_graded_time_mesh(M, 6.0, 0.1)
+    tm = GradedTimeMesh(M, 6.0, 0.1)
     fw = FluxWeights(1.0, 0.0)
     final = FinalTimeError(tm, mesh, basis, prob.exact)
     fields = []
@@ -223,8 +223,8 @@ def test_streamed_error_functionals_equal_trajectory_forms_bitwise(M, example):
 
 def test_streamed_error_functionals_validate_input():
     prob = example1(0.5)
-    mesh = build_spatial_mesh(2, 2)
-    tm = build_graded_time_mesh(3, 1.0, 0.1)
+    mesh = SpatialMesh(2, 2)
+    tm = GradedTimeMesh(3, 1.0, 0.1)
     u0 = VolumeGrid.build(mesh, BasisSpec(0)).project(prob.u0)
     final = FinalTimeError(tm, mesh, BasisSpec(0), prob.exact)
     final(0, u0)
@@ -244,15 +244,22 @@ def test_rates_recover_exact_powers_and_validate_input():
         rates([1.0, 2.0], [2.0, -1.0])
     with pytest.raises(InvalidArgumentError):
         rates([1.0, 2.0], [1.0, 1.0])
+    # A nan or an infinity has no rate, in the errors or in the params;
+    # logarithms would give nan, -inf or a plausible 0.0 for them.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match="errors must be positive and finite"):
+            rates([bad, 1.0], [1.0, 2.0])
+        with pytest.raises(InvalidArgumentError, match="params must be positive and finite"):
+            rates([1.0, 0.5], [bad, 2.0])
 
 
 def test_spd_condition_rejects_bad_norm_and_singular_input():
     # condition_number measures the 2-norm only: a norm argument is refused.
     # It has no singular input to reject: a0 * m > 0 and K is PSD.
-    ops = assemble_operators(build_spatial_mesh(3, 3), BasisSpec(0), FluxWeights(1.0, 0.0))
-    A = L1Kernel(0.5, build_graded_time_mesh(5, 1.0, 0.1))
+    ops = assemble_operators(SpatialMesh(3, 3), BasisSpec(0), FluxWeights(1.0, 0.0))
+    A = L1Kernel(0.5, GradedTimeMesh(5, 1.0, 0.1))
     with pytest.raises(TypeError):
-        condition_number(ops, A, 5, norm="1")
+        condition_number(ops, A, norm="1")
 
 
 def _classical_scaling(nx: int, ny: int, k: int) -> np.ndarray:
@@ -270,15 +277,15 @@ def _classical_scaling(nx: int, ny: int, k: int) -> np.ndarray:
 
 
 def test_condition_number_matches_dense_oracle_in_both_bases():
-    mesh = build_spatial_mesh(4, 4)
+    mesh = SpatialMesh(4, 4)
     ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(1.0, 0.0))
-    tm = build_graded_time_mesh(10, 2.0, 0.1)
+    tm = GradedTimeMesh(10, 2.0, 0.1)
     A = L1Kernel(0.7, tm)
     S = system_matrix(ops, l1_row(A, 10)[0]).toarray()
 
     d = _classical_scaling(4, 4, 1)
     ref_classical = dense_condition_2norm(d[:, None] * S * d[None, :])
-    got_classical = condition_number(ops, A, 10)
+    got_classical = condition_number(ops, A)
     assert got_classical == pytest.approx(ref_classical, rel=1e-10)
     # The rescaling matters for k >= 1: the orthonormal-basis value differs.
     assert got_classical != pytest.approx(dense_condition_2norm(S), rel=1e-2)
@@ -287,11 +294,11 @@ def test_condition_number_matches_dense_oracle_in_both_bases():
 def test_condition_number_basis_choice_is_immaterial_for_constants():
     # For piecewise constants the rescaling is a scalar multiple of the
     # identity, so the classical-basis value equals the orthonormal one.
-    mesh = build_spatial_mesh(6, 6)
+    mesh = SpatialMesh(6, 6)
     ops = assemble_operators(mesh, BasisSpec(0), FluxWeights(0.0, 1.0))
-    tm = build_graded_time_mesh(8, 2.0, 0.1)
+    tm = GradedTimeMesh(8, 2.0, 0.1)
     A = L1Kernel(0.4, tm)
-    a = condition_number(ops, A, 8)
+    a = condition_number(ops, A)
     b = dense_condition_2norm(system_matrix(ops, l1_row(A, 8)[0]))
     assert a == pytest.approx(b, rel=1e-10)
     assert a >= 1.0
@@ -305,14 +312,14 @@ def test_condition_number_matches_dense_oracle(k, flux):
     # one and two cells per direction and with nx != ny.
     fw = FluxWeights(*flux)
     for nx, ny in ((1, 2), (2, 3), (3, 1), (4, 4), (7, 5)):
-        ops = assemble_operators(build_spatial_mesh(nx, ny), BasisSpec(k), fw)
+        ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(k), fw)
         K = lifted_stiffness(nx, ny, k, *flux, ops.mesh.hx, ops.mesh.hy)
         d = _classical_scaling(nx, ny, k)
         for alpha in (0.3, 0.7):
-            A = L1Kernel(alpha, build_graded_time_mesh(10, 2.0, 0.1))
+            A = L1Kernel(alpha, GradedTimeMesh(10, 2.0, 0.1))
             S = (A.a0(10) * ops.M) * np.eye(ndof(ops)) + K
             ref = dense_condition_2norm(d[:, None] * S * d[None, :])
-            assert condition_number(ops, A, 10) == pytest.approx(ref, rel=1e-10), (alpha, nx, ny)
+            assert condition_number(ops, A) == pytest.approx(ref, rel=1e-10), (alpha, nx, ny)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -323,10 +330,10 @@ def test_condition_number_matches_the_per_mode_form_bitwise(k, flux):
     # with np.kron.
     fw = FluxWeights(*flux)
     for nx, ny in ((5, 5), (12, 12), (16, 16), (5, 12)):
-        ops = assemble_operators(build_spatial_mesh(nx, ny), BasisSpec(k), fw)
+        ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(k), fw)
         for alpha, gamma in ((0.3, 6.0), (0.7, 2.0)):
-            A = L1Kernel(alpha, build_graded_time_mesh(100, gamma, 0.1))
-            assert condition_number(ops, A, 100) == condition_number_by_x_modes(ops, A, 100), (nx, ny, alpha)
+            A = L1Kernel(alpha, GradedTimeMesh(100, gamma, 0.1))
+            assert condition_number(ops, A) == condition_number_by_x_modes(ops, A), (nx, ny, alpha)
 
 
 def test_condition_number_factorizes_nothing(monkeypatch):
@@ -335,9 +342,9 @@ def test_condition_number_factorizes_nothing(monkeypatch):
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", no_solve)
     monkeypatch.setattr(LdgOperators, "solve_system", no_solve)
-    ops = assemble_operators(build_spatial_mesh(5, 5), BasisSpec(1), FluxWeights(0.9, 0.1))
-    A = L1Kernel(0.3, build_graded_time_mesh(10, 2.0, 0.1))
-    assert condition_number(ops, A, 10) > 1.0
+    ops = assemble_operators(SpatialMesh(5, 5), BasisSpec(1), FluxWeights(0.9, 0.1))
+    A = L1Kernel(0.3, GradedTimeMesh(10, 2.0, 0.1))
+    assert condition_number(ops, A) > 1.0
 
 
 @pytest.mark.parametrize("nx,ny,degree", [(1, 1, 8), (4, 4, 8), (12, 12, 8), (16, 16, 3), (32, 32, 2),
@@ -353,13 +360,13 @@ def test_condition_number_peak_is_within_its_count(nx, ny, degree):
 
     from fracldg.analysis import _fourier_blocks_bytes
 
-    mesh, basis = build_spatial_mesh(nx, ny), BasisSpec(degree)
+    mesh, basis = SpatialMesh(nx, ny), BasisSpec(degree)
     ops = assemble_operators(mesh, basis, FluxWeights(1.0, 0.0))
-    A = L1Kernel(0.5, build_graded_time_mesh(1, 1.0, 0.1))
-    condition_number(ops, A, 1)
+    A = L1Kernel(0.5, GradedTimeMesh(1, 1.0, 0.1))
+    condition_number(ops, A)
     tracemalloc.start()
     try:
-        condition_number(ops, A, 1)
+        condition_number(ops, A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -373,22 +380,12 @@ def test_run_path_builds_no_sparse_matrix(monkeypatch):
     for name in ("kron", "kronsum", "csr_matrix"):
         monkeypatch.setattr(f"scipy.sparse.{name}", no_sparse)
     prob = example1(0.4)
-    mesh = build_spatial_mesh(4, 3)
-    tm = build_graded_time_mesh(5, 2.0, 0.1)
+    mesh = SpatialMesh(4, 3)
+    tm = GradedTimeMesh(5, 2.0, 0.1)
     fields = solve_fields(prob, mesh, tm, BasisSpec(1), FluxWeights(0.9, 0.1))
     assert np.all(np.isfinite(fields[-1].coeffs))
     ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(0.9, 0.1))
-    assert condition_number(ops, L1Kernel(prob.alpha, tm), 5) > 1.0
-
-
-def test_condition_number_rejects_step_index_outside_table():
-    mesh = build_spatial_mesh(3, 3)
-    ops = assemble_operators(mesh, BasisSpec(0), FluxWeights(1.0, 0.0))
-    A = L1Kernel(0.5, build_graded_time_mesh(5, 1.0, 0.1))
-    with pytest.raises(InvalidArgumentError):
-        condition_number(ops, A, 0)
-    with pytest.raises(InvalidArgumentError):
-        condition_number(ops, A, 6)
+    assert condition_number(ops, L1Kernel(prob.alpha, tm)) > 1.0
 
 
 def test_error_report_formats_csv_and_text():

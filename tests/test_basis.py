@@ -18,7 +18,7 @@ from fracldg.basis import (
 )
 from fracldg.errors import InvalidArgumentError
 from fracldg.ldg import FluxWeights, solve
-from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
+from fracldg.meshes import GradedTimeMesh, SpatialMesh
 from fracldg.problems import example1, example2
 
 from oracles import (
@@ -65,11 +65,11 @@ def test_vandermonde_work_does_not_grow_with_steps(monkeypatch):
 
     monkeypatch.setattr(npleg, "legvander", counting_legvander)
     prob = example1(0.5)
-    mesh = build_spatial_mesh(3, 3)
+    mesh = SpatialMesh(3, 3)
     counts = []
     for M in (4, 4, 16):
         calls.clear()
-        tm = build_graded_time_mesh(M, 2.0, 0.1)
+        tm = GradedTimeMesh(M, 2.0, 0.1)
         solve(prob, mesh, tm, BasisSpec(1), FluxWeights(1.0, 0.0), lambda n, u: None)
         counts.append(len(calls))
     assert counts[1] == counts[2], counts  # the first run may fill the cache
@@ -117,7 +117,7 @@ def test_basis_spec_properties():
 
 
 def test_projection_reproduces_piecewise_polynomials():
-    mesh = build_spatial_mesh(3, 4)
+    mesh = SpatialMesh(3, 4)
     basis = BasisSpec(2)
     rng = np.random.default_rng(7)
     f = DgField(rng.standard_normal((3, 3, 4, 3)), basis, mesh)
@@ -134,7 +134,7 @@ def test_projection_error_decays_at_order_k_plus_1():
 
     errs = []
     for n in (8, 16, 32):
-        mesh = build_spatial_mesh(n, n)
+        mesh = SpatialMesh(n, n)
         quad = gauss_rule(6)
         grid = VolumeGrid.build(mesh, basis, quad)
         proj = grid.project(u)
@@ -147,7 +147,7 @@ def test_projection_error_decays_at_order_k_plus_1():
 
 
 def test_volume_grid_points_and_full_grid_broadcast():
-    mesh = build_spatial_mesh(3, 2)
+    mesh = SpatialMesh(3, 2)
     grid = VolumeGrid.build(mesh, BasisSpec(1), gauss_rule(4))
     nodes = gauss_rule(4).nodes
     X = grid.at(lambda x, y: x)
@@ -162,7 +162,7 @@ def test_volume_grid_points_and_full_grid_broadcast():
 
 @pytest.mark.parametrize("nx,ny,k,q", [(3, 3, 0, 2), (4, 2, 1, 3), (2, 5, 2, 4), (3, 4, 3, 6)])
 def test_eval_volume_quad_matches_einsum(nx, ny, k, q):
-    mesh = build_spatial_mesh(nx, ny)
+    mesh = SpatialMesh(nx, ny)
     f = DgField(np.random.default_rng(12).standard_normal((nx, k + 1, ny, k + 1)), BasisSpec(k), mesh)
     quad = gauss_rule(q)
     V = legendre_values(k, quad.nodes)
@@ -179,7 +179,7 @@ def test_reshaped_products_match_the_per_cell_form_bitwise(k, nx, ny):
     # the reshaped arrays; each entry is the same sum, in the same order, as
     # the per-cell stacked products they replaced.
     rng = np.random.default_rng(100 * k + nx)
-    mesh = build_spatial_mesh(nx, ny)
+    mesh = SpatialMesh(nx, ny)
     basis = BasisSpec(k)
     f = DgField(rng.standard_normal((nx, k + 1, ny, k + 1)), basis, mesh)
     for q in range(k + 1, k + 4):
@@ -195,7 +195,7 @@ def test_per_cell_arrays_come_out_in_the_one_layout(k):
     # of the coefficients, (nx, ., ny, .): no transposed view for a later
     # operand to buffer.
     nx, ny, kk = 3, 5, k + 1
-    mesh = build_spatial_mesh(nx, ny)
+    mesh = SpatialMesh(nx, ny)
     basis = BasisSpec(k)
     grid = VolumeGrid.build(mesh, basis)
     q = grid.quad.npoints
@@ -222,7 +222,7 @@ SEPARABLE_RTOL = 1e-13
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (16, 5)])
 def test_separable_moments_match_the_full_grid(k, nx, ny):
-    grid = VolumeGrid.build(build_spatial_mesh(nx, ny), BasisSpec(k))
+    grid = VolumeGrid.build(SpatialMesh(nx, ny), BasisSpec(k))
     fx, fy = example2(0.3).f(0.05, grid.x, grid.y)
     ref = grid.moments(grid.at(lambda x, y: fx * fy))
     got = grid.separable_moments(fx, fy)
@@ -232,7 +232,7 @@ def test_separable_moments_match_the_full_grid(k, nx, ny):
 
 
 def test_l2_norm_matches_quadrature_norm():
-    mesh = build_spatial_mesh(5, 3)
+    mesh = SpatialMesh(5, 3)
     basis = BasisSpec(2)
     rng = np.random.default_rng(11)
     f = DgField(rng.standard_normal((5, 3, 3, 3)), basis, mesh)
@@ -242,7 +242,7 @@ def test_l2_norm_matches_quadrature_norm():
 
 
 def test_field_shape_validation_and_zeros():
-    mesh = build_spatial_mesh(2, 2)
+    mesh = SpatialMesh(2, 2)
     basis = BasisSpec(1)
     with pytest.raises(InvalidArgumentError):
         DgField(np.zeros((2, 2, 3, 3)), basis, mesh)
@@ -251,7 +251,7 @@ def test_field_shape_validation_and_zeros():
 
 
 def test_field_eval_periodic_wrap():
-    mesh = build_spatial_mesh(4, 4)
+    mesh = SpatialMesh(4, 4)
     basis = BasisSpec(1)
     rng = np.random.default_rng(3)
     f = DgField(rng.standard_normal((4, 2, 4, 2)), basis, mesh)
@@ -263,7 +263,7 @@ def test_field_eval_periodic_wrap():
 
 
 def test_edge_trace_consistent_with_field_eval():
-    mesh = build_spatial_mesh(4, 3)
+    mesh = SpatialMesh(4, 3)
     basis = BasisSpec(2)
     rng = np.random.default_rng(5)
     f = DgField(rng.standard_normal((4, 3, 3, 3)), basis, mesh)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import dataclasses
 import io
+import math
 import os
 import re
 import subprocess
@@ -312,7 +313,7 @@ def test_runners_build_the_time_meshes_the_config_check_builds(monkeypatch):
         def __init__(self, *args):
             pass
 
-    build = fracldg.meshes.build_graded_time_mesh
+    build = fracldg.meshes.GradedTimeMesh
     built = []
 
     def recording_build(M, gamma, T):
@@ -330,9 +331,9 @@ def test_runners_build_the_time_meshes_the_config_check_builds(monkeypatch):
         cfg = load_config(str(path))
         kinds.add(cfg.kind)
         built.clear()
-        monkeypatch.setattr(fracldg.meshes, "build_graded_time_mesh", recording_build)
+        monkeypatch.setattr(fracldg.meshes, "GradedTimeMesh", recording_build)
         fracldg.cli._RUNNERS[cfg.kind](cfg)
-        monkeypatch.setattr(fracldg.meshes, "build_graded_time_mesh", build)
+        monkeypatch.setattr(fracldg.meshes, "GradedTimeMesh", build)
         expected = [(M, gamma) for _, M, gamma in fracldg.cli._time_meshes(cfg)]
         if cfg.kind == "spatial-convergence":
             expected *= len(cfg.nx_list)
@@ -400,11 +401,14 @@ def test_run_spatial_reports_rates_and_plot(tmp_path):
     assert svg.startswith("<svg") or "<svg" in svg
 
 
-@pytest.mark.parametrize("ys", [[1e-2, 0.0], [1e-2, -1e-3], [1e-2]],
-                         ids=["zero", "negative", "short"])
+@pytest.mark.parametrize("ys", [[1e-2, 0.0], [1e-2, -1e-3], [1e-2], [1e-2, math.nan],
+                                [1e-2, math.inf]],
+                         ids=["zero", "negative", "short", "nan", "inf"])
 def test_loglog_svg_rejects_what_it_cannot_draw(tmp_path, ys):
-    # A zero or negative error has no logarithm, and a series needs one y
-    # per x; either raises before anything is written.
+    # A zero, negative, nan or infinite error has no place on a log axis,
+    # and a series needs one y per x; each raises before anything is
+    # written, where a nan would write nan coordinates and an infinity
+    # overflow in the decade ticks.
     path = tmp_path / "e.svg"
     with pytest.raises(InvalidArgumentError, match="series 'e'"):
         write_loglog_svg(str(path), ("e", [0.5, 0.25], ys), "t", "h", "error E")
@@ -539,7 +543,7 @@ def test_run_larger_than_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
     # hold ~7.1 MB. The run stops before it assembles or allocates anything.
     import fracldg.ldg
     from fracldg.basis import BasisSpec
-    from fracldg.meshes import build_spatial_mesh
+    from fracldg.meshes import SpatialMesh
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("operators assembled before the footprint check")
@@ -550,7 +554,7 @@ def test_run_larger_than_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
                      time={"M": 800, "gamma": 2.0, "T": 0.1})
     out = tmp_path / "out"
     assert main(["run", "--config", _write_config(tmp_path, d), "--out", str(out)]) == 3
-    need = fracldg.ldg.footprint_bytes(build_spatial_mesh(16, 16), 800, BasisSpec(1))
+    need = fracldg.ldg.footprint_bytes(SpatialMesh(16, 16), 800, BasisSpec(1))
     err = capsys.readouterr().err
     assert "numeric failure" in err and f"needs {need} bytes" in err
     assert not list(out.glob("*.csv"))
@@ -579,7 +583,7 @@ def test_config_too_large_for_memory_is_refused_before_any_time_mesh(
     def no_mesh(*args):
         raise AssertionError("time mesh built before the footprint check")
 
-    monkeypatch.setattr(fracldg.meshes, "build_graded_time_mesh", no_mesh)
+    monkeypatch.setattr(fracldg.meshes, "GradedTimeMesh", no_mesh)
     path = _write_config(tmp_path, _base_config(kind, **{key: value}))
     for argv in (["validate-config", "--config", path],
                  ["run", "--config", path, "--out", str(tmp_path / "out")]):
@@ -601,12 +605,12 @@ def test_refusal_names_the_footprint_of_the_case_over_the_limit(tmp_path, capsys
     # the number solve would name for it.
     import fracldg.ldg
     from fracldg.basis import BasisSpec
-    from fracldg.meshes import build_spatial_mesh
+    from fracldg.meshes import SpatialMesh
 
     d = _base_config("spatial-convergence", degree=1, nx_list=[2, 16],
                      time={"M": 800, "gamma": 2.0, "T": 0.1})
-    small = fracldg.ldg.footprint_bytes(build_spatial_mesh(2, 2), 800, BasisSpec(1))
-    need = fracldg.ldg.footprint_bytes(build_spatial_mesh(16, 16), 800, BasisSpec(1))
+    small = fracldg.ldg.footprint_bytes(SpatialMesh(2, 2), 800, BasisSpec(1))
+    need = fracldg.ldg.footprint_bytes(SpatialMesh(16, 16), 800, BasisSpec(1))
     monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: need - 1)
     assert small < need - 1
     assert main(["validate-config", "--config", _write_config(tmp_path, d)]) == 3
@@ -623,12 +627,12 @@ def test_condition_rows_are_sized_with_their_fourier_blocks(tmp_path, capsys, mo
     # assembled.
     import fracldg.ldg
     from fracldg.basis import BasisSpec
-    from fracldg.meshes import build_spatial_mesh
+    from fracldg.meshes import SpatialMesh
 
     def no_assembly(*args, **kwargs):
         raise AssertionError("operators assembled before the footprint check")
 
-    mesh, basis = build_spatial_mesh(12, 12), BasisSpec(8)
+    mesh, basis = SpatialMesh(12, 12), BasisSpec(8)
     solve_bytes = fracldg.ldg.footprint_bytes(mesh, 1, basis)
     blocks = fracldg.analysis._fourier_blocks_bytes(mesh, basis)
     assert (solve_bytes, blocks) == (1_449_984, 19_487_184)
@@ -782,7 +786,7 @@ def test_no_library_argument_of_the_pool_reaches_a_traceback(data, problem):
     # a FracLdgError, and footprint_bytes of admissible sizes is an int.
     import fracldg.ldg
     from fracldg.basis import BasisSpec
-    from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
+    from fracldg.meshes import GradedTimeMesh, SpatialMesh
 
     a = {key: data.draw(st.sampled_from(values), label=key) for key, values in _LIBRARY_ARGS.items()}
     for key in data.draw(st.lists(st.sampled_from(sorted(_LIBRARY_ARGS)), max_size=2, unique=True)):
@@ -793,10 +797,10 @@ def test_no_library_argument_of_the_pool_reaches_a_traceback(data, problem):
 
     try:
         prob = example1(a["alpha"]) if problem is example1 else example2(a["alpha"], a["delta"])
-        mesh = build_spatial_mesh(a["nx"], a["ny"])
+        mesh = SpatialMesh(a["nx"], a["ny"])
         basis = BasisSpec(a["k"])
         fw = fracldg.ldg.FluxWeights(a["sigma1"], a["sigma2"])
-        tm = build_graded_time_mesh(a["M"], a["gamma"], a["T"])
+        tm = GradedTimeMesh(a["M"], a["gamma"], a["T"])
         assert type(fracldg.ldg.footprint_bytes(mesh, tm.M, basis)) is int
         fracldg.ldg.solve(prob, mesh, tm, basis, fw, observe)
     except FracLdgError:
@@ -811,12 +815,12 @@ def test_subnormal_final_time_overflows_the_norm_of_the_step_rhs():
     # run with "right-hand side is not finite".
     import fracldg.ldg
     from fracldg.basis import BasisSpec
-    from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
+    from fracldg.meshes import GradedTimeMesh, SpatialMesh
 
     def observe(n, u):
         assert np.isfinite(u.coeffs).all(), n
 
-    fracldg.ldg.solve(example1(0.7), build_spatial_mesh(1, 1), build_graded_time_mesh(1, 1.0, 1e-320),
+    fracldg.ldg.solve(example1(0.7), SpatialMesh(1, 1), GradedTimeMesh(1, 1.0, 1e-320),
                       BasisSpec(0), fracldg.ldg.FluxWeights(1.0, 0.0), observe)
 
 

@@ -23,7 +23,7 @@ from fracldg.basis import BasisSpec, gauss_rule
 from fracldg.errors import InvalidArgumentError, check_integer, check_real
 from fracldg.fractional import L1Kernel, mittag_leffler
 from fracldg.ldg import FluxWeights, footprint_bytes
-from fracldg.meshes import SpatialMesh, build_graded_time_mesh
+from fracldg.meshes import GradedTimeMesh, SpatialMesh
 from fracldg.problems import ProblemSpec, example1, example2
 
 PACKAGE_DIR = Path(fracldg.__file__).resolve().parent
@@ -80,7 +80,7 @@ def _c_kappa_spec(c_kappa):
                        u0=lambda x, y: 0.0 * x * y, f=None, exact=None)
 
 
-_TM = build_graded_time_mesh(3, 1.0, 0.1)
+_TM = GradedTimeMesh(3, 1.0, 0.1)
 
 #: (call, the name its refusal opens with). Each escaped at an earlier
 #: version as a bare TypeError or ValueError, a numpy traceback, or was
@@ -102,12 +102,12 @@ PROBES = [
     (lambda: example2(0.5, True), "delta"),
     (lambda: example2(2.5, 0.3), "alpha"),
     (lambda: example2(1.3, 0.3), "alpha"),
-    (lambda: build_graded_time_mesh(3, "x", 0.1), "gamma"),
-    (lambda: build_graded_time_mesh(3, None, 0.1), "gamma"),
-    (lambda: build_graded_time_mesh(3, True, 0.1), "gamma"),
-    (lambda: build_graded_time_mesh(3, 2.0, "x"), "T"),
-    (lambda: build_graded_time_mesh(3, 2.0, None), "T"),
-    (lambda: build_graded_time_mesh(3, 2.0, True), "T"),
+    (lambda: GradedTimeMesh(3, "x", 0.1), "gamma"),
+    (lambda: GradedTimeMesh(3, None, 0.1), "gamma"),
+    (lambda: GradedTimeMesh(3, True, 0.1), "gamma"),
+    (lambda: GradedTimeMesh(3, 2.0, "x"), "T"),
+    (lambda: GradedTimeMesh(3, 2.0, None), "T"),
+    (lambda: GradedTimeMesh(3, 2.0, True), "T"),
     (lambda: L1Kernel("x", _TM), "alpha"),
     (lambda: L1Kernel(None, _TM), "alpha"),
     (lambda: mittag_leffler("x", -1.0), "alpha"),

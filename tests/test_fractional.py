@@ -18,7 +18,7 @@ from fracldg.fractional import (
     _mittag_leffler_contour,
     mittag_leffler,
 )
-from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
+from fracldg.meshes import GradedTimeMesh, SpatialMesh
 
 from oracles import (
     complementary_kernels_by_inversion,
@@ -42,7 +42,7 @@ ML_07_NEG8 = 0.04606999238536238
 
 def test_l1_first_coefficient_closed_form():
     # On any mesh A_0^n = tau_n^(-alpha) / Gamma(2 - alpha).
-    tm = build_graded_time_mesh(6, 2.0, 0.5)
+    tm = GradedTimeMesh(6, 2.0, 0.5)
     alpha = 0.4
     A = L1Kernel(alpha, tm)
     for n in range(1, 7):
@@ -51,7 +51,7 @@ def test_l1_first_coefficient_closed_form():
 
 
 def test_l1_frozen_value_uniform_mesh():
-    tm = build_graded_time_mesh(4, 1.0, 1.0)  # tau = 1/4
+    tm = GradedTimeMesh(4, 1.0, 1.0)  # tau = 1/4
     A = L1Kernel(0.5, tm)
     assert l1_row(A, 2)[1] == pytest.approx(A12_UNIFORM_HALF, rel=1e-13)
 
@@ -60,7 +60,7 @@ def test_l1_reproduces_power_derivative_on_linear_data():
     # The piecewise-linear quadrature is exact on u(t) = t: the discrete sum
     # equals t_n^(1-alpha) / Gamma(2-alpha) on any admissible mesh.
     for alpha, gamma in ((0.3, 1.0), (0.5, 2.0), (0.7, 3.5)):
-        tm = build_graded_time_mesh(9, gamma, 0.7)
+        tm = GradedTimeMesh(9, gamma, 0.7)
         A = L1Kernel(alpha, tm)
         for n in (1, 4, 9):
             An = l1_row(A, n)
@@ -77,7 +77,7 @@ def test_l1_monotone_positive_chain():
         M = int(rng.integers(1, 30))
         gamma = float(rng.uniform(1.0, 5.0))
         alpha = float(rng.uniform(0.05, 0.95))
-        tm = build_graded_time_mesh(M, gamma, float(rng.uniform(0.05, 2.0)))
+        tm = GradedTimeMesh(M, gamma, float(rng.uniform(0.05, 2.0)))
         A = L1Kernel(alpha, tm)
         for n in range(1, M + 1):
             chain = l1_row(A, n)
@@ -86,11 +86,20 @@ def test_l1_monotone_positive_chain():
 
 
 def test_l1_validation():
-    tm = build_graded_time_mesh(3, 1.0, 1.0)
+    tm = GradedTimeMesh(3, 1.0, 1.0)
     with pytest.raises(InvalidArgumentError):
         L1Kernel(0.0, tm)
     with pytest.raises(InvalidArgumentError):
         L1Kernel(1.0, tm)
+
+
+def test_a0_rejects_step_index_outside_the_mesh():
+    # A_0^n exists for the steps 1..M of the kernel's mesh only.
+    A = L1Kernel(0.5, GradedTimeMesh(5, 1.0, 0.1))
+    with pytest.raises(InvalidArgumentError, match=r"^step index 0 outside 1\.\.5$"):
+        A.a0(0)
+    with pytest.raises(InvalidArgumentError, match=r"^step index 6 outside 1\.\.5$"):
+        A.a0(6)
 
 
 def _table_memory_weights(table, n: int) -> np.ndarray:
@@ -110,7 +119,7 @@ def _check_weights_match_table_bitwise(M: int, gamma: float, alpha: float, T: fl
     # exactly: with kappa = 0 and the unit vectors w_j = e_j as levels, the
     # entry j of a memory sum is its weight of level j, whether the panel
     # GEMM (j < n - n % HISTORY_PANEL) or the step itself (the rest) formed it.
-    tm = build_graded_time_mesh(M, gamma, T)
+    tm = GradedTimeMesh(M, gamma, T)
     A = L1Kernel(alpha, tm)
     table = l1_table(tm, alpha)
     probe = np.eye(M + 1)
@@ -144,7 +153,7 @@ def test_a0_is_one_number_in_kernel_history_and_table(gamma, alpha):
     # block, and both carry the bits of the table's first entry, at every
     # step and around every panel edge.
     for M in (1, 2, 31, 32, 33, 100, 2000):
-        tm = build_graded_time_mesh(M, gamma, 1.0)
+        tm = GradedTimeMesh(M, gamma, 1.0)
         A = L1Kernel(alpha, tm)
         table = l1_table(tm, alpha)
         history = History(A, np.zeros(1), 0.0)
@@ -160,13 +169,13 @@ def test_block_weights_match_the_row_loop_bitwise(M, gamma, alpha, T):
     # Every panel block, and the one-row blocks the unpanelled memory sum
     # reads, equals the row-by-row form entry for entry, the zeros past the
     # diagonal included.
-    A = L1Kernel(alpha, build_graded_time_mesh(M, gamma, T))
+    A = L1Kernel(alpha, GradedTimeMesh(M, gamma, T))
     bufsize = np.getbufsize()
     for start in range(0, M + 1, HISTORY_PANEL):
-        steps, stop = range(start, min(start + HISTORY_PANEL, M + 1)), min(start + HISTORY_PANEL, M + 1)
-        assert np.array_equal(_memory_weights(A, steps, stop), memory_weights_by_rows(A, steps, stop)), start
+        steps = range(start, min(start + HISTORY_PANEL, M + 1))
+        assert np.array_equal(_memory_weights(A, steps), memory_weights_by_rows(A, steps)), start
     for n in sorted({1, M // 2 + 1, M}):
-        assert np.array_equal(_memory_weights(A, (n,), n + 1), memory_weights_by_rows(A, (n,), n + 1)), n
+        assert np.array_equal(_memory_weights(A, (n,)), memory_weights_by_rows(A, (n,))), n
     assert np.getbufsize() == bufsize  # the weights' iterator buffer is restored
 
 
@@ -196,10 +205,10 @@ def test_panel_weights_fit_the_history_block_term_at_other_M(M, start):
 def assert_panel_weights_fit_the_history_block_term(M, start):
     import tracemalloc
 
-    A = L1Kernel(0.5, build_graded_time_mesh(M, 2.0, 0.1))
+    A = L1Kernel(0.5, GradedTimeMesh(M, 2.0, 0.1))
     tracemalloc.start()
     try:
-        C = _memory_weights(A, range(start, start + HISTORY_PANEL), start + HISTORY_PANEL)
+        C = _memory_weights(A, range(start, start + HISTORY_PANEL))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,7 +217,7 @@ def assert_panel_weights_fit_the_history_block_term(M, start):
 
 
 def test_convolution_kernel_matches_linear_system_inversion():
-    tm = build_graded_time_mesh(12, 2.0, 0.3)
+    tm = GradedTimeMesh(12, 2.0, 0.3)
     A = L1Kernel(0.4, tm)
     P = convolution_kernel(A)
     P_ref = complementary_kernels_by_inversion(A)
@@ -217,7 +226,7 @@ def test_convolution_kernel_matches_linear_system_inversion():
 
 
 def test_convolution_kernel_identity():
-    tm = build_graded_time_mesh(40, 3.0, 0.1)
+    tm = GradedTimeMesh(40, 3.0, 0.1)
     A = L1Kernel(0.6, tm)
     P = convolution_kernel(A)
     for n in range(1, 41):
@@ -275,11 +284,11 @@ def test_mittag_leffler_validation():
 
 
 def test_substantial_history_validation():
-    mesh = build_spatial_mesh(2, 2)
+    mesh = SpatialMesh(2, 2)
     basis = BasisSpec(0)
     grid = VolumeGrid.build(mesh, basis)
     quad = grid.quad
-    tm = build_graded_time_mesh(4, 1.0, 0.1)
+    tm = GradedTimeMesh(4, 1.0, 0.1)
     A = L1Kernel(0.5, tm)
     kq = grid.at(lambda x, y: 0.0 * x)
     u0 = grid.project(lambda x, y: np.ones_like(x * y))
@@ -318,11 +327,11 @@ def test_substantial_history_matches_loop_oracle(alpha, gamma, M, k, nx, ny, T, 
     # History.sum over its tempered buffer w_j = e^{kappa t_j} u^j, pushed
     # exactly as solve() pushes it, against the per-level loop on the
     # untempered fields, at every step n of a random run.
-    mesh = build_spatial_mesh(nx, ny)
+    mesh = SpatialMesh(nx, ny)
     basis = BasisSpec(k)
     grid = VolumeGrid.build(mesh, basis)
     quad = grid.quad
-    tm = build_graded_time_mesh(M, gamma, T)
+    tm = GradedTimeMesh(M, gamma, T)
     A = L1Kernel(alpha, tm)
     a, b, c = kappa_coef
     kq = grid.at(lambda x, y: a * np.cos(2 * math.pi * x) + b * np.sin(2 * math.pi * y) + c)
@@ -360,8 +369,8 @@ PANEL_SUM_RTOL = 1e-13
 def test_panel_row_plus_remainder_matches_full_history(alpha, gamma, M, k, nx, ny, kappa0, seed):
     # History.sum in step order: the panel row plus the sum over the levels
     # written since the panel start equals the unpanelled full sum.
-    mesh = build_spatial_mesh(nx, ny)
-    tm = build_graded_time_mesh(M, gamma, 0.5)
+    mesh = SpatialMesh(nx, ny)
+    tm = GradedTimeMesh(M, gamma, 0.5)
     A = L1Kernel(alpha, tm)
     grid = VolumeGrid.build(mesh, BasisSpec(k))
     kq = grid.at(lambda x, y: kappa0 * np.cos(2 * math.pi * x) + 0.0 * y)

@@ -38,7 +38,7 @@ from fracldg.ldg import (
     block_symbol,
     footprint_bytes,
 )
-from fracldg.meshes import build_graded_time_mesh, build_spatial_mesh
+from fracldg.meshes import GradedTimeMesh, SpatialMesh
 from fracldg.problems import ProblemSpec, example1, example2
 
 from oracles import (
@@ -105,7 +105,7 @@ def test_block_symbol_reduces_the_periodic_blocks():
     for n in (1, 2, 3, 4, 7):
         for k in (0, 1, 2, 3):
             for sigma in (0.0, 0.3, 0.49, 1.0):
-                ops = assemble_operators(build_spatial_mesh(n, 2), BasisSpec(k), FluxWeights(sigma, 0.0))
+                ops = assemble_operators(SpatialMesh(n, 2), BasisSpec(k), FluxWeights(sigma, 0.0))
                 K1, kk = ops.Kx, k + 1
                 hat = block_symbol(K1, n)
                 scale = np.max(np.abs(K1))
@@ -126,7 +126,7 @@ def test_global_operator_symmetric_positive_semidefinite():
     # puts the periodic neighbors of a cell on one block.
     rng = np.random.default_rng(29)
     for nx, ny in ((6, 5), (1, 4), (3, 1), (2, 5), (4, 2), (1, 2), (2, 2)):
-        mesh = build_spatial_mesh(nx, ny)
+        mesh = SpatialMesh(nx, ny)
         for s1, s2 in FLUXES:
             for k in (0, 1, 2, 3):
                 ops = assemble_operators(mesh, BasisSpec(k), FluxWeights(s1, s2))
@@ -144,7 +144,7 @@ def test_global_operator_symmetric_positive_semidefinite():
 
 
 def test_constants_are_steady_states():
-    mesh = build_spatial_mesh(5, 4)
+    mesh = SpatialMesh(5, 4)
     for s1, s2 in FLUXES:
         ops = assemble_operators(mesh, BasisSpec(2), FluxWeights(s1, s2))
         const = VolumeGrid.build(mesh, BasisSpec(2)).project(lambda x, y: 3.0 + 0.0 * x * y)
@@ -154,7 +154,7 @@ def test_constants_are_steady_states():
 def test_energy_nullity_of_bilinear_form():
     # B(u, u; p, p) = 0 when p is the discrete gradient of u: the interface
     # and volume contributions cancel exactly under periodic boundaries.
-    mesh = build_spatial_mesh(4, 3)
+    mesh = SpatialMesh(4, 3)
     basis = BasisSpec(2)
     rng = np.random.default_rng(17)
     for s1, s2 in FLUXES:
@@ -172,7 +172,7 @@ def test_energy_nullity_of_bilinear_form():
 
 
 def test_system_solve_matches_dense_reference():
-    mesh = build_spatial_mesh(4, 4)
+    mesh = SpatialMesh(4, 4)
     ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(1.0, 0.0))
     rng = np.random.default_rng(23)
     b = rng.standard_normal(ndof(ops))
@@ -204,7 +204,7 @@ def test_system_solve_matches_splu_reference(nx, ny, k, flux, a0, scale_atol):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the central pair warns by design
         fw = FluxWeights(*flux)
-    ops = assemble_operators(build_spatial_mesh(nx, ny), BasisSpec(k), fw)
+    ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(k), fw)
     rng = np.random.default_rng(23)
     b = rng.standard_normal(ndof(ops))
     x = ops.solve_system(a0, b)
@@ -229,7 +229,7 @@ _WEIGHT = st.floats(0.0, 1.0).filter(lambda s: s != 0.5)
 def test_system_solve_matches_splu_on_random_draws(nx, ny, k, sigma1, sigma2, log_a0, seed):
     # a0 is log-uniform over [1e-2, 1e8]: from nearly singular (the constant
     # mode's eigenvalue a0 * M against the spread of K) to mass dominated.
-    ops = assemble_operators(build_spatial_mesh(nx, ny), BasisSpec(k), FluxWeights(sigma1, sigma2))
+    ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(k), FluxWeights(sigma1, sigma2))
     a0 = 10.0**log_a0
     b = np.random.default_rng(seed).standard_normal(ndof(ops))
     x_ref = _splu_reference(ops, a0, b)
@@ -245,7 +245,7 @@ def test_system_solve_refines_ill_conditioned_steps(nx, ny, flux):
     # solver bound. Near the central flux, K has near-null modes besides the
     # constants; their eigenvalue rounding leaves a residual of ~1e-11 but a
     # forward error ~3x the tolerance below. Refinement fixes both.
-    ops = assemble_operators(build_spatial_mesh(nx, ny), BasisSpec(3), FluxWeights(*flux))
+    ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(3), FluxWeights(*flux))
     S = system_matrix(ops, 1e-2)
     for seed in range(10):
         b = np.random.default_rng(seed).standard_normal(ndof(ops))
@@ -256,7 +256,7 @@ def test_system_solve_refines_ill_conditioned_steps(nx, ny, flux):
 
 
 def test_solve_residual_guard_rejects_wrong_spectrum():
-    mesh = build_spatial_mesh(5, 3)
+    mesh = SpatialMesh(5, 3)
     ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(0.6, 0.3))
     b = np.random.default_rng(5).standard_normal(ndof(ops))
     ops.solve_system(7.3, b)
@@ -269,7 +269,7 @@ def test_solve_residual_guard_rejects_wrong_spectrum():
 def test_solve_rejects_nonfinite_rhs(bad):
     # A NaN norm compares False against the residual bound, so without an
     # explicit check a NaN right-hand side came back as a NaN solution.
-    ops = assemble_operators(build_spatial_mesh(3, 3), BasisSpec(1), FluxWeights(1.0, 0.0))
+    ops = assemble_operators(SpatialMesh(3, 3), BasisSpec(1), FluxWeights(1.0, 0.0))
     b = np.random.default_rng(6).standard_normal(ndof(ops))
     b[4] = bad
     with pytest.raises(NumericError, match="right-hand side is not finite"):
@@ -277,7 +277,7 @@ def test_solve_rejects_nonfinite_rhs(bad):
 
 
 def test_solve_rejects_nonfinite_solution():
-    ops = assemble_operators(build_spatial_mesh(3, 3), BasisSpec(1), FluxWeights(1.0, 0.0))
+    ops = assemble_operators(SpatialMesh(3, 3), BasisSpec(1), FluxWeights(1.0, 0.0))
     b = np.random.default_rng(7).standard_normal(ndof(ops))
     a0 = 7.3
     ops.lam_x = np.full_like(ops.lam_x, -a0 * ops.M)  # zero denominators
@@ -289,7 +289,7 @@ def test_solve_rejects_nonfinite_solution():
 
 @pytest.mark.parametrize("nx,ny,k", [(3, 3, 0), (4, 2, 1), (2, 5, 2), (3, 4, 3)])
 def test_moment_vector_matches_einsum(nx, ny, k):
-    grid = VolumeGrid.build(build_spatial_mesh(nx, ny), BasisSpec(k))
+    grid = VolumeGrid.build(SpatialMesh(nx, ny), BasisSpec(k))
     quad = grid.quad
     q = len(quad.nodes)
     values = np.random.default_rng(8).standard_normal((nx, q, ny, q))
@@ -312,8 +312,8 @@ def _constant_kappa_problem(k0: float, c_kappa: float) -> ProblemSpec:
 
 
 def test_solve_rejects_kappa_above_its_bound():
-    mesh = build_spatial_mesh(3, 3)
-    tm = build_graded_time_mesh(3, 1.0, 0.5)
+    mesh = SpatialMesh(3, 3)
+    tm = GradedTimeMesh(3, 1.0, 0.5)
     for k0 in (1.5, -1.5, math.nan):
         prob = _constant_kappa_problem(k0, 1.0)
         with pytest.raises(InvalidArgumentError, match="exceeds c_kappa"):
@@ -326,11 +326,11 @@ def test_solve_rejects_kappa_above_its_bound():
 def test_solve_rejects_tempering_exponent_overflow():
     # e^{800} overflows float64; the guard stops the run before any level is
     # tempered instead of letting inf reach the memory sum.
-    mesh = build_spatial_mesh(3, 3)
+    mesh = SpatialMesh(3, 3)
     for c_kappa, T in ((800.0, 1.0), (2.0, 101.0)):
         assert c_kappa * T > MAX_TEMPERING_EXPONENT
         prob = _constant_kappa_problem(c_kappa, c_kappa)
-        tm = build_graded_time_mesh(3, 1.0, T)
+        tm = GradedTimeMesh(3, 1.0, T)
         with pytest.raises(InvalidArgumentError, match="c_kappa \\* T"):
             solve(prob, mesh, tm, BasisSpec(0), FluxWeights(1.0, 0.0), lambda n, u: None)
 
@@ -344,7 +344,7 @@ def test_shipped_and_random_problems_pass_tempering_guard():
     def guard(prob, tm, kappa_at_quad):
         History(L1Kernel(prob.alpha, tm), kappa_at_quad, prob.c_kappa)
 
-    mesh = build_spatial_mesh(6, 6)
+    mesh = SpatialMesh(6, 6)
     solving = 0
     for path in sorted(presets_dir().glob("*.yaml")):
         cfg = load_config(path.stem)
@@ -357,9 +357,9 @@ def test_shipped_and_random_problems_pass_tempering_guard():
         else:
             prob = example2(cfg.alpha, delta=cfg.delta)
         for _, M, gamma in _time_meshes(cfg):
-            guard(prob, build_graded_time_mesh(M, gamma, cfg.T), grid.at(prob.kappa))
+            guard(prob, GradedTimeMesh(M, gamma, cfg.T), grid.at(prob.kappa))
     assert solving == 11
-    tm = build_graded_time_mesh(8, 4.0, 1.0)
+    tm = GradedTimeMesh(8, 4.0, 1.0)
     for k in (0, 1, 2):
         grid = VolumeGrid.build(mesh, BasisSpec(k))
         for prob in (example1(0.5), example2(0.5)):
@@ -377,10 +377,10 @@ def test_discrete_substantial_derivative_exact_on_tempered_linears():
     # A_0 u^n + history = e^{-kappa t_n} * (exact power-law derivative of v)
     # holds because the tempering factors are applied exactly and the
     # memory quadrature is exact on linear data.
-    mesh = build_spatial_mesh(4, 4)
+    mesh = SpatialMesh(4, 4)
     basis = BasisSpec(1)
     alpha = 0.6
-    tm = build_graded_time_mesh(6, 2.0, 0.8)
+    tm = GradedTimeMesh(6, 2.0, 0.8)
     A = L1Kernel(alpha, tm)
     kq = VolumeGrid.build(mesh, basis).at(lambda x, y: np.cos(2 * math.pi * x) + 0.0 * y)
 
@@ -403,7 +403,7 @@ def test_stability_bound_homogeneous_runs():
     # e^(|kappa| t_n) times the initial norm (the transformed problem is
     # dissipative and the tempering enters as an exact exponential factor).
     rng = np.random.default_rng(31)
-    mesh = build_spatial_mesh(5, 5)
+    mesh = SpatialMesh(5, 5)
     basis = BasisSpec(0)
     for _ in range(10):
         kappa0 = float(rng.uniform(-2.0, 2.0))
@@ -424,7 +424,7 @@ def test_stability_bound_homogeneous_runs():
             f=None,
             exact=None,
         )
-        tm = build_graded_time_mesh(6, gamma, T)
+        tm = GradedTimeMesh(6, gamma, T)
         fields = solve_fields(prob, mesh, tm, basis, FluxWeights(1.0, 0.0))
         norm0 = l2_norm(fields[0])
         for n in range(1, 7):
@@ -433,10 +433,10 @@ def test_stability_bound_homogeneous_runs():
 
 
 def test_step_rejects_short_history():
-    mesh = build_spatial_mesh(3, 3)
+    mesh = SpatialMesh(3, 3)
     basis = BasisSpec(0)
     prob = example1(0.5)
-    tm = build_graded_time_mesh(4, 2.0, 0.1)
+    tm = GradedTimeMesh(4, 2.0, 0.1)
     A = L1Kernel(prob.alpha, tm)
     ops = assemble_operators(mesh, basis, FluxWeights(0.0, 1.0))
     grid = VolumeGrid.build(mesh, basis)
@@ -451,10 +451,10 @@ def test_step_returns_the_solution_as_its_field(monkeypatch):
     # A field's coefficients are the solver's vector: step hands
     # solve_system its moments flattened and returns the solution reshaped,
     # with no copy between two layouts.
-    mesh = build_spatial_mesh(3, 4)
+    mesh = SpatialMesh(3, 4)
     basis = BasisSpec(1)
     prob = example2(0.4)
-    A = L1Kernel(prob.alpha, build_graded_time_mesh(3, 2.0, 0.1))
+    A = L1Kernel(prob.alpha, GradedTimeMesh(3, 2.0, 0.1))
     ops = assemble_operators(mesh, basis, FluxWeights(1.0, 0.0))
     grid = VolumeGrid.build(mesh, basis)
     history_grid = VolumeGrid.build(mesh, basis, gauss_rule(basis.history_quad_points))
@@ -479,11 +479,11 @@ def _random_history(M: int, seed: int):
     kappa, M + 1 random levels at the points, and the levels' tempered values
     stacked as the unpanelled oracles.memory_sum reads them."""
     prob = example2(0.4)
-    mesh = build_spatial_mesh(3, 2)
+    mesh = SpatialMesh(3, 2)
     basis = BasisSpec(1)
     grid = VolumeGrid.build(mesh, basis)
     quad = grid.quad
-    A = L1Kernel(prob.alpha, build_graded_time_mesh(M, 3.0, 0.1))
+    A = L1Kernel(prob.alpha, GradedTimeMesh(M, 3.0, 0.1))
     kappa = grid.at(prob.kappa)
     history = History(A, kappa, prob.c_kappa)
     rng = np.random.default_rng(seed)
@@ -510,7 +510,7 @@ def test_history_sum_in_step_order_is_the_panel_form_bitwise(M):
         start = n - n % HISTORY_PANEL
         if n in (1, start):
             rows = min(HISTORY_PANEL, M + 1 - start)
-            block = _memory_weights(A, range(start, start + rows), start + rows)
+            block = _memory_weights(A, range(start, start + rows))
             if start:
                 panel = block[:, :start] @ tempered[:start].reshape(start, -1)
             near = block[:, start:]
@@ -574,9 +574,9 @@ def test_solve_matches_stepwise_oracle(M, k, example, gamma):
     # M = 1..100 crosses 0 to 3 panel boundaries; the oracle sums the whole
     # history at every step.
     prob = example(0.4)
-    mesh = build_spatial_mesh(3, 2)
+    mesh = SpatialMesh(3, 2)
     basis = BasisSpec(k)
-    tm = build_graded_time_mesh(M, gamma, 0.1)
+    tm = GradedTimeMesh(M, gamma, 0.1)
     fw = FluxWeights(1.0, 0.0)
     got = solve_fields(prob, mesh, tm, basis, fw)
     ref = solve_stepwise(prob, mesh, tm, basis, fw, basis.history_quad_points)
@@ -605,9 +605,9 @@ def test_history_rule_matches_the_source_rule(k, example, gamma):
     # and the two rules agree to rounding. With a variable kappa (example2)
     # they differ by a quadrature error, bounded per step.
     prob = example(0.4)
-    mesh = build_spatial_mesh(3, 2)
+    mesh = SpatialMesh(3, 2)
     basis = BasisSpec(k)
-    tm = build_graded_time_mesh(33, gamma, 0.1)
+    tm = GradedTimeMesh(33, gamma, 0.1)
     fw = FluxWeights(1.0, 0.0)
     got = solve_fields(prob, mesh, tm, basis, fw)
     ref = solve_stepwise(prob, mesh, tm, basis, fw, basis.default_quad_points)
@@ -628,8 +628,8 @@ def test_solve_reads_fewer_than_a_panel_of_levels_per_step(monkeypatch):
 
     blocks = []
 
-    def counting_weights(A, steps, stop):
-        C = _memory_weights(A, steps, stop)
+    def counting_weights(A, steps):
+        C = _memory_weights(A, steps)
         blocks.append(C.shape)
         return C
 
@@ -640,8 +640,8 @@ def test_solve_reads_fewer_than_a_panel_of_levels_per_step(monkeypatch):
     monkeypatch.setattr(fractional.L1Kernel, "a0", a0_not_called)
     M = 100
     prob = example2(0.5)
-    tm = build_graded_time_mesh(M, 2.0, 0.1)
-    solve(prob, build_spatial_mesh(3, 3), tm, BasisSpec(1), FluxWeights(1.0, 0.0), lambda n, u: None)
+    tm = GradedTimeMesh(M, 2.0, 0.1)
+    solve(prob, SpatialMesh(3, 3), tm, BasisSpec(1), FluxWeights(1.0, 0.0), lambda n, u: None)
     assert blocks == [(32, 32), (32, 64), (32, 96), (5, 101)]
 
 
@@ -667,8 +667,8 @@ def test_a_step_touches_only_the_history_grid(monkeypatch, k, example):
     monkeypatch.setattr(VolumeGrid, "moments", moments)
     M = 40
     basis = BasisSpec(k)
-    tm = build_graded_time_mesh(M, 2.0, 0.1)
-    solve(example(0.5), build_spatial_mesh(3, 2), tm, basis, FluxWeights(1.0, 0.0), lambda n, u: None)
+    tm = GradedTimeMesh(M, 2.0, 0.1)
+    solve(example(0.5), SpatialMesh(3, 2), tm, basis, FluxWeights(1.0, 0.0), lambda n, u: None)
     source_points, history_points = basis.default_quad_points, basis.history_quad_points
     assert [c for c in calls if c[1] == source_points] == [("at", source_points), ("moments", source_points)]
     assert [c for c in calls if c[1] == history_points] == (
@@ -696,8 +696,8 @@ def test_solve_memory_holds_no_l1_table():
     import tracemalloc
 
     prob = example2(0.5)
-    tm = build_graded_time_mesh(2000, 2.0, 0.1)
-    mesh = build_spatial_mesh(1, 1)
+    tm = GradedTimeMesh(2000, 2.0, 0.1)
+    mesh = SpatialMesh(1, 1)
     tracemalloc.start()
     try:
         solve(prob, mesh, tm, BasisSpec(0), FluxWeights(1.0, 0.0), lambda n, u: None)
@@ -723,7 +723,7 @@ def test_footprint_counts_levels_weight_blocks_and_1d_blocks():
     # rows x rows near square, at most HISTORY_PANEL^2. At M = 200 the
     # largest block is the full panel at s = 160, 32 x 192 (the last, at
     # s = 192, is 9 x 201).
-    mesh = build_spatial_mesh(16, 16)
+    mesh = SpatialMesh(16, 16)
     fixed = 1024 + 2 * (32**2 + 32**2) + (16 + 16 + 2) * (2 + 4) + 3 * 4096 + 4 * 1024
     near = HISTORY_PANEL**2
     assert footprint_bytes(mesh, 200, BasisSpec(1)) == 8 * (
@@ -745,8 +745,8 @@ def _traced_solve_peak(nx: int, k: int, M: int):
     mesh with M steps, with the run's mesh, time mesh and basis."""
     import tracemalloc
 
-    mesh = build_spatial_mesh(nx, nx)
-    tm = build_graded_time_mesh(M, 2.0, 0.1)
+    mesh = SpatialMesh(nx, nx)
+    tm = GradedTimeMesh(M, 2.0, 0.1)
     basis = BasisSpec(k)
     tracemalloc.start()
     try:
@@ -819,8 +819,8 @@ def test_solve_refuses_a_run_larger_than_physical_memory(monkeypatch):
     monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: FOOTPRINT_PROBE_BYTES)
     monkeypatch.setattr(ldg, "assemble_operators", no_assembly)
     prob = example2(0.5)
-    mesh = build_spatial_mesh(16, 16)
-    tm = build_graded_time_mesh(800, 2.0, 0.1)
+    mesh = SpatialMesh(16, 16)
+    tm = GradedTimeMesh(800, 2.0, 0.1)
     basis = BasisSpec(1)
     need = footprint_bytes(mesh, tm.M, basis)
     assert need > FOOTPRINT_PROBE_BYTES
@@ -840,8 +840,8 @@ def test_solve_runs_within_exactly_its_footprint(monkeypatch):
     import fracldg.errors
 
     prob = example2(0.5)
-    mesh = build_spatial_mesh(4, 4)
-    tm = build_graded_time_mesh(40, 2.0, 0.1)
+    mesh = SpatialMesh(4, 4)
+    tm = GradedTimeMesh(40, 2.0, 0.1)
     basis = BasisSpec(1)
     fw = FluxWeights(1.0, 0.0)
     limit = footprint_bytes(mesh, tm.M, basis)
@@ -870,8 +870,8 @@ def test_streamed_solve_keeps_no_field():
 
     prob = example2(0.5)
     M = 2000
-    tm = build_graded_time_mesh(M, 2.0, 0.1)
-    mesh = build_spatial_mesh(8, 8)
+    tm = GradedTimeMesh(M, 2.0, 0.1)
+    mesh = SpatialMesh(8, 8)
     basis = BasisSpec(1)
     fw = FluxWeights(1.0, 0.0)
     peaks, kept = {}, []
@@ -900,7 +900,7 @@ def test_system_solve_matches_dense_reference_near_central_flux():
     # extended-precision refinement. Kept as a strict xfail until the
     # trigger accounts for the conditioning of the step matrix.
     nx, ny, k, a0 = 6, 5, 3, 0.1
-    ops = assemble_operators(build_spatial_mesh(nx, ny), BasisSpec(k), FluxWeights(0.49, 0.51))
+    ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(k), FluxWeights(0.49, 0.51))
     b = np.random.default_rng(0).standard_normal(ndof(ops))
     x_ref = np.linalg.solve(ops.K.toarray() + a0 * ops.M * np.eye(ndof(ops)), b)
     np.testing.assert_allclose(
@@ -912,10 +912,10 @@ def test_solver_error_halves_with_mesh_refinement():
     # Settings where the time-discretization error is known to be far below
     # the spatial error, so doubling the mesh must halve the total error.
     prob = example1(0.7)
-    tm = build_graded_time_mesh(20, 2.0, 0.1)
+    tm = GradedTimeMesh(20, 2.0, 0.1)
     errs = []
     for n in (6, 12):
-        mesh = build_spatial_mesh(n, n)
+        mesh = SpatialMesh(n, n)
         fields = solve_fields(prob, mesh, tm, BasisSpec(0), FluxWeights(0.0, 1.0))
         grid = VolumeGrid.build(mesh, BasisSpec(0), gauss_rule(3))
         diff = fields[-1].eval_volume_quad(grid.quad) - grid.at(lambda x, y: prob.exact(tm.T, x, y))

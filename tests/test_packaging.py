@@ -7,7 +7,8 @@ checks the latter statically
 for every module, with the sparse K of LdgOperators as the single on-demand
 exception, and checks that every name a module imports is used or exported.
 A third AST audit keeps the package to one array layout: only an allow-list
-of functions transposes an array or copies one into C order.
+of functions transposes an array or copies one into C order. The README's
+library sketch is run as written, so it names only what the package has.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import ast
 import dataclasses
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +28,7 @@ import pytest
 import fracldg
 from fracldg.basis import BasisSpec
 from fracldg.ldg import FluxWeights, assemble_operators
-from fracldg.meshes import build_spatial_mesh
+from fracldg.meshes import SpatialMesh
 
 from oracles import ndof
 
@@ -58,8 +60,9 @@ MOVED = (
 #: positive-argument Mittag-Leffler series no run evaluated, of the second
 #: L1Kernel constructor, of the contour's public alias, of the package's
 #: lazy re-export table, of the time-integrated error functional that no
-#: run measured, and of the row form of the L1 closed form, which only
-#: L1Kernel.a0 read (it now reads the memory-weight block's diagonal).
+#: run measured, of the row form of the L1 closed form, which only
+#: L1Kernel.a0 read (it now reads the memory-weight block's diagonal), and
+#: of the two mesh builders: SpatialMesh and GradedTimeMesh build themselves.
 REMOVED = (
     "Trajectory",
     "error_E",
@@ -81,6 +84,8 @@ REMOVED = (
     "TimeIntegratedError",
     "_LevelError",
     "_interval_weights",
+    "build_spatial_mesh",
+    "build_graded_time_mesh",
 )
 
 _CHILD = (
@@ -208,7 +213,7 @@ def test_no_function_translates_between_layouts():
 
 
 def test_sparse_K_builds_on_demand():
-    ops = assemble_operators(build_spatial_mesh(3, 2), BasisSpec(1), FluxWeights(1.0, 0.0))
+    ops = assemble_operators(SpatialMesh(3, 2), BasisSpec(1), FluxWeights(1.0, 0.0))
     assert "K" not in vars(ops)
     K = ops.K
     assert K.format == "csr" and K.shape == (ndof(ops), ndof(ops))
@@ -255,7 +260,8 @@ def test_removed_names_are_gone(name):
 #: solver vector into a second coefficient layout, and what only the tests
 #: read: the unknown count of the step system (oracles.ndof), the L2 norm
 #: of a field (oracles.l2_norm) and the mesh edges (oracles.edges; the
-#: centers form them in place). SpatialMesh's fields are checked in
+#: centers form them in place), and the central-flux test that only
+#: FluxWeights' own check read. The meshes' fields are checked in
 #: test_meshes.
 REMOVED_MEMBERS = (
     ("fractional", "L1Kernel", "row"),
@@ -265,6 +271,7 @@ REMOVED_MEMBERS = (
     ("basis", "DgField", "l2_norm"),
     ("meshes", "SpatialMesh", "x_edges"),
     ("meshes", "SpatialMesh", "y_edges"),
+    ("ldg", "FluxWeights", "is_central"),
 )
 
 
@@ -273,3 +280,15 @@ def test_removed_members_are_gone(module, cls, name):
     owner = getattr(importlib.import_module(f"fracldg.{module}"), cls)
     assert not hasattr(owner, name)
     assert name not in {f.name for f in dataclasses.fields(owner)}
+
+
+def test_readme_library_sketch_runs(capsys):
+    # The README's one Python block, run as written: a name it imports or a
+    # call it makes that the package no longer has fails here.
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert len(blocks) == 1
+    ns = {}
+    exec(compile(blocks[0], "README.md", "exec"), ns)
+    assert ns["levels"][-1].coeffs.shape == (16, 1, 16, 1)
+    assert float(capsys.readouterr().out) == ns["measure"].value > 0.0

@@ -8,7 +8,7 @@ import pytest
 from fracldg.basis import BasisSpec, VolumeGrid
 from fracldg.errors import InvalidArgumentError
 from fracldg.fractional import mittag_leffler
-from fracldg.meshes import build_spatial_mesh
+from fracldg.meshes import SpatialMesh
 from fracldg.problems import ProblemSpec, example1, example2
 
 from oracles import caputo_derivative, laplacian_fd
@@ -141,7 +141,7 @@ def test_manufactured_source_satisfies_the_equation_pointwise(alpha, delta):
 def test_manufactured_source_is_the_product_of_its_factors():
     # f = X(t, x) sin(2 pi y): the y factor is sin(2 pi y) itself, and the
     # pair comes back in the shapes of the grid's x and y points.
-    grid = VolumeGrid.build(build_spatial_mesh(5, 3), BasisSpec(1))
+    grid = VolumeGrid.build(SpatialMesh(5, 3), BasisSpec(1))
     fx, fy = example2(0.3).f(0.05, grid.x, grid.y)
     assert fx.shape == grid.x.shape == (5, 4, 1, 1)
     assert fy.shape == grid.y.shape == (1, 1, 3, 4)
@@ -163,7 +163,7 @@ def test_manufactured_source_holds_two_arrays_of_its_result():
     # and never an array of the full grid.
     import tracemalloc
 
-    grid = VolumeGrid.build(build_spatial_mesh(32, 32), BasisSpec(1))
+    grid = VolumeGrid.build(SpatialMesh(32, 32), BasisSpec(1))
     prob = example2(0.3)
     prob.f(0.05, grid.x, grid.y)
     tracemalloc.start()
