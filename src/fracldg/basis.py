@@ -89,10 +89,17 @@ class QuadRule:
         return self.nodes.size
 
 
-@lru_cache(maxsize=None)
 def gauss_rule(npoints: int) -> QuadRule:
-    """Gauss-Legendre rule with `npoints` nodes, an integer in 1..64."""
-    check_range(npoints, "npoints", lambda n: 1 <= n <= 64, "must lie in 1..64", check_integer)
+    """Gauss-Legendre rule with `npoints` nodes, an integer in 1..64. The
+    argument is checked before the cache sees it, which would answer an
+    unhashable one with a bare TypeError."""
+    return _gauss_rule(
+        check_range(npoints, "npoints", lambda n: 1 <= n <= 64, "must lie in 1..64", check_integer)
+    )
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule(npoints: int) -> QuadRule:
     nodes, weights = npleg.leggauss(npoints)
     nodes.setflags(write=False)
     weights.setflags(write=False)

@@ -413,24 +413,22 @@ def _run_condition(cfg: ExperimentConfig):
     from .analysis import ErrorReport, condition_number
     from .basis import BasisSpec
     from .fractional import L1Kernel
-    from .ldg import FluxWeights, assemble_operators
+    from .ldg import FluxWeights, LdgOperators
     from .meshes import GradedTimeMesh, SpatialMesh
 
     mesh = SpatialMesh(cfg.nx, cfg.nx)
     labels, values, groups = [], [], []
     # Rows differ in (degree, alpha, gamma); the operators depend only on
-    # the degree and the flux pair, so each pair is assembled once.
-    operators = {}
+    # the degree and the flux pair, and compare by their inputs, so each
+    # pair is assembled once.
+    operators = functools.cache(LdgOperators)
     for row, (_, M, gamma) in zip(cfg.cond_rows, _time_meshes(cfg), strict=True):
         basis = BasisSpec(row.degree)
         tm = GradedTimeMesh(M, gamma, cfg.T)
         A = L1Kernel(row.alpha, tm)
         group_vals = []
         for s1, s2 in cfg.flux_list:
-            key = (row.degree, s1, s2)
-            if key not in operators:
-                operators[key] = assemble_operators(mesh, basis, FluxWeights(s1, s2))
-            c2 = condition_number(operators[key], A)
+            c2 = condition_number(operators(mesh, basis, FluxWeights(s1, s2)), A)
             labels.append(_cond_label(row.degree, row.alpha, s1, s2))
             values.append(c2)
             group_vals.append(c2)

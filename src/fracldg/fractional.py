@@ -78,6 +78,8 @@ class L1Kernel:
     Step n weighs the interval (t_j, t_{j+1}) of level j < n with
     a_j^n = A_{n-1-j}^n. The chain A_0^n >= A_1^n >= ... >= A_{n-1}^n > 0
     holds on any admissible mesh and is what the stability results lean on.
+    A value: kernels of equal alpha and time mesh compare equal and hash
+    alike.
     """
 
     alpha: float

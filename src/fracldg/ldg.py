@@ -28,7 +28,10 @@ and U the right-hand side and solution reshaped to (i r, j s). On the
 uniform periodic mesh each block is also block-circulant over the cells;
 block_symbol reduces it to one (k+1) x (k+1) Hermitian block per Fourier
 mode, from which analysis.condition_number takes exact extreme
-eigenvalues. The module needs numpy only; the sparse 2D K is the one
+eigenvalues. LdgOperators(mesh, basis, fw) derives the blocks, their
+eigenpairs and the mass scalar from those three inputs, the one way to
+build them; it is a value, frozen, that compares and hashes by its
+inputs. The module needs numpy only; the sparse 2D K is the one
 exception, a scipy matrix built on first access for residual
 recomputation outside the run path.
 
@@ -52,7 +55,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -74,7 +77,6 @@ from .problems import ProblemSpec
 __all__ = [
     "FluxWeights",
     "LdgOperators",
-    "assemble_operators",
     "step",
     "solve",
 ]
@@ -158,9 +160,9 @@ def block_symbol(K1: np.ndarray, n: int) -> np.ndarray:
     return n * np.fft.ifft(C, axis=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LdgOperators:
-    """Assembled operators on flattened u-coefficients.
+    """The LDG operators of one (mesh, basis, fw), on flattened u-coefficients.
 
     K = Kx (x) I + I (x) Ky is the spatial operator after auxiliary
     elimination, held as its dense 1D blocks Kx and Ky and applied by
@@ -169,17 +171,47 @@ class LdgOperators:
     (Qy, lam_y) are the eigenpairs of Kx and Ky that solve it. The sparse
     K is built on first access, for residual recomputation outside the run
     path; no solve reads it.
+
+    The mesh, the degree and the flux weights fix every operator, so the
+    class derives them and takes none: LdgOperators(mesh, basis, fw) is the
+    one way to build them, and dataclasses.replace with a new input derives
+    them again. A value: operators of equal inputs compare equal and hash
+    alike, and no field can be set.
+
+    The u-flux operators G and the p-flux operators H are assembled
+    independently from their definitions (H is the directional operator with
+    the complementary weight); the discrete duality H = -G^T, which makes the
+    1D blocks symmetric, is a consequence checked by tests, not an assumption
+    of the assembly.
     """
 
-    Kx: np.ndarray
-    Ky: np.ndarray
-    M: float
     mesh: SpatialMesh
     basis: BasisSpec
-    Qx: np.ndarray
-    lam_x: np.ndarray
-    Qy: np.ndarray
-    lam_y: np.ndarray
+    fw: FluxWeights
+    Kx: np.ndarray = field(init=False, repr=False, compare=False)
+    Ky: np.ndarray = field(init=False, repr=False, compare=False)
+    M: float = field(init=False, repr=False, compare=False)
+    Qx: np.ndarray = field(init=False, repr=False, compare=False)
+    lam_x: np.ndarray = field(init=False, repr=False, compare=False)
+    Qy: np.ndarray = field(init=False, repr=False, compare=False)
+    lam_y: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mesh, basis, fw = self.mesh, self.basis, self.fw
+        hx, hy = mesh.hx, mesh.hy
+        Gx1 = _directional_operator(mesh.nx, basis.k, fw.sigma1)
+        Gy1 = _directional_operator(mesh.ny, basis.k, fw.sigma2)
+        Hx1 = _directional_operator(mesh.nx, basis.k, 1.0 - fw.sigma1)
+        Hy1 = _directional_operator(mesh.ny, basis.k, 1.0 - fw.sigma2)
+        # Cell mass m = hx*hy/4 cancels against the transverse mass h/2 of each
+        # lift, leaving the aspect-ratio factors.
+        Kx = -(hy / hx) * (Hx1 @ Gx1)
+        Ky = -(hx / hy) * (Hy1 @ Gy1)
+        lam_x, Qx = np.linalg.eigh(Kx)
+        lam_y, Qy = np.linalg.eigh(Ky)
+        for name, value in (("Kx", Kx), ("Ky", Ky), ("M", hx * hy / 4.0), ("Qx", Qx),
+                            ("lam_x", lam_x), ("Qy", Qy), ("lam_y", lam_y)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def K(self):
@@ -239,39 +271,6 @@ def _norm(v: np.ndarray) -> float:
         m = float(np.max(np.abs(v)))
         s = m * math.sqrt((v / m) @ (v / m))
     return s
-
-
-def assemble_operators(mesh: SpatialMesh, basis: BasisSpec, fw: FluxWeights) -> LdgOperators:
-    """Assemble the 1D blocks of K, their eigendecompositions, and the mass scalar.
-
-    The u-flux operators G and the p-flux operators H are assembled
-    independently from their definitions (H is the directional operator with
-    the complementary weight); the discrete duality H = -G^T, which makes the
-    1D blocks symmetric, is a consequence checked by tests, not an assumption
-    of the assembly.
-    """
-    hx, hy = mesh.hx, mesh.hy
-    Gx1 = _directional_operator(mesh.nx, basis.k, fw.sigma1)
-    Gy1 = _directional_operator(mesh.ny, basis.k, fw.sigma2)
-    Hx1 = _directional_operator(mesh.nx, basis.k, 1.0 - fw.sigma1)
-    Hy1 = _directional_operator(mesh.ny, basis.k, 1.0 - fw.sigma2)
-    # Cell mass m = hx*hy/4 cancels against the transverse mass h/2 of each
-    # lift, leaving the aspect-ratio factors.
-    Kx = -(hy / hx) * (Hx1 @ Gx1)
-    Ky = -(hx / hy) * (Hy1 @ Gy1)
-    lam_x, Qx = np.linalg.eigh(Kx)
-    lam_y, Qy = np.linalg.eigh(Ky)
-    return LdgOperators(
-        Kx=Kx,
-        Ky=Ky,
-        M=hx * hy / 4.0,
-        mesh=mesh,
-        basis=basis,
-        Qx=Qx,
-        lam_x=lam_x,
-        Qy=Qy,
-        lam_y=lam_y,
-    )
 
 
 def step(
@@ -345,7 +344,8 @@ def solve(
     observe(n, u^n) for n = 0..M in order.
 
     u^0 is the L2 projection of the initial condition; each subsequent field
-    solves the step system. Two VolumeGrids, built once, hold the quadrature
+    solves the step system with one LdgOperators(mesh, basis, fw). Two
+    VolumeGrids, built once, hold the quadrature
     points and moment Vandermondes of every step: one on
     basis.default_quad_points for the projection of u0 and the source, one
     on basis.history_quad_points for the memory history, where kappa is
@@ -366,7 +366,7 @@ def solve(
     tempering factors e^(+-kappa t) would leave the float64 range.
     """
     require_memory(footprint_bytes(mesh, tm.M, basis))
-    ops = assemble_operators(mesh, basis, fw)
+    ops = LdgOperators(mesh, basis, fw)
     grid = VolumeGrid.build(mesh, basis)
     history_grid = VolumeGrid.build(mesh, basis, gauss_rule(basis.history_quad_points))
     history = History(L1Kernel(prob.alpha, tm), history_grid.at(prob.kappa), prob.c_kappa)

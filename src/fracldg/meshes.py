@@ -62,9 +62,10 @@ def _centers(n: int) -> np.ndarray:
 class GradedTimeMesh:
     """Temporal mesh t_n = (n/M)^gamma * T, n = 0..M, with step sizes
     tau_n = t_{n+1} - t_n. M, gamma and T fix every point, so the mesh
-    derives its points and takes none; it holds them, not the exponent
-    gamma that placed them, which is an init-only argument that
-    dataclasses.replace must be given again.
+    derives its points and takes none. gamma is an init-only argument that
+    dataclasses.replace must be given again; the mesh keeps it only in a
+    private field, so that it is a value: meshes of equal (M, T, gamma)
+    compare equal and hash alike, and the points are never compared.
 
     M is a count (errors.check_count), gamma >= 1 (check_gamma: grading is
     at least uniform) and T > 0 (check_T). Points are
@@ -81,8 +82,9 @@ class GradedTimeMesh:
     M: int
     gamma: InitVar[float]
     T: float
-    t: np.ndarray = field(init=False, repr=False)
-    tau: np.ndarray = field(init=False, repr=False)
+    _gamma: float = field(init=False, repr=False)
+    t: np.ndarray = field(init=False, repr=False, compare=False)
+    tau: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, gamma: float) -> None:
         M, gamma, T = check_count(self.M, "M"), check_gamma(gamma), check_T(self.T)
@@ -95,5 +97,5 @@ class GradedTimeMesh:
         tau = np.diff(t)
         if not (tau > 0).all():  # t_1 = T (1/M)^gamma underflows to 0, e.g. at M 1000, gamma 200
             raise InvalidArgumentError("nonpositive time step produced; check (M, gamma, T)")
-        for name, value in (("M", M), ("T", T), ("t", t), ("tau", tau)):
+        for name, value in (("M", M), ("T", T), ("_gamma", gamma), ("t", t), ("tau", tau)):
             object.__setattr__(self, name, value)

@@ -63,7 +63,7 @@ from fracldg.basis import (
 )
 from fracldg.errors import InvalidArgumentError, NumericError
 from fracldg.fractional import L1Kernel
-from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, block_symbol, solve
+from fracldg.ldg import FluxWeights, LdgOperators, block_symbol, solve
 from fracldg.meshes import GradedTimeMesh
 
 
@@ -402,7 +402,7 @@ def solve_stepwise(prob, mesh, tm, basis, fw, history_points: int) -> list:
     terms in another order; with basis.default_quad_points it is the scheme
     with the history on the source's rule.
     """
-    ops = assemble_operators(mesh, basis, fw)
+    ops = LdgOperators(mesh, basis, fw)
     grid = VolumeGrid.build(mesh, basis)
     hquad = gauss_rule(history_points)
     hgrid = VolumeGrid.build(mesh, basis, hquad)

@@ -38,7 +38,7 @@ from fracldg.fractional import (
     _mittag_leffler_contour,
     mittag_leffler,
 )
-from fracldg.ldg import FluxWeights, assemble_operators
+from fracldg.ldg import FluxWeights, LdgOperators
 from fracldg.meshes import GradedTimeMesh, SpatialMesh
 from fracldg.problems import ProblemSpec, example2
 
@@ -205,7 +205,7 @@ def test_energy_identity_nullity_suite():
     worst = 0.0
     for s1, s2 in FLUXES:
         fw = FluxWeights(s1, s2)
-        ops = assemble_operators(mesh, basis, fw)
+        ops = LdgOperators(mesh, basis, fw)
         Du = np.kron(dense_directional_operator(4, 2, s1), (2.0 / mesh.hx) * np.eye(3 * 3))
         Lu = np.kron((2.0 / mesh.hy) * np.eye(4 * 3), dense_directional_operator(3, 2, s2))
         for _ in range(50):

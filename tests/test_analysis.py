@@ -20,7 +20,7 @@ from fracldg.basis import (
 )
 from fracldg.errors import InvalidArgumentError
 from fracldg.fractional import L1Kernel
-from fracldg.ldg import FluxWeights, LdgOperators, assemble_operators, solve
+from fracldg.ldg import FluxWeights, LdgOperators, solve
 from fracldg.meshes import GradedTimeMesh, SpatialMesh
 from fracldg.problems import example1, example2
 
@@ -256,7 +256,7 @@ def test_rates_recover_exact_powers_and_validate_input():
 def test_spd_condition_rejects_bad_norm_and_singular_input():
     # condition_number measures the 2-norm only: a norm argument is refused.
     # It has no singular input to reject: a0 * m > 0 and K is PSD.
-    ops = assemble_operators(SpatialMesh(3, 3), BasisSpec(0), FluxWeights(1.0, 0.0))
+    ops = LdgOperators(SpatialMesh(3, 3), BasisSpec(0), FluxWeights(1.0, 0.0))
     A = L1Kernel(0.5, GradedTimeMesh(5, 1.0, 0.1))
     with pytest.raises(TypeError):
         condition_number(ops, A, norm="1")
@@ -278,7 +278,7 @@ def _classical_scaling(nx: int, ny: int, k: int) -> np.ndarray:
 
 def test_condition_number_matches_dense_oracle_in_both_bases():
     mesh = SpatialMesh(4, 4)
-    ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(1.0, 0.0))
+    ops = LdgOperators(mesh, BasisSpec(1), FluxWeights(1.0, 0.0))
     tm = GradedTimeMesh(10, 2.0, 0.1)
     A = L1Kernel(0.7, tm)
     S = system_matrix(ops, l1_row(A, 10)[0]).toarray()
@@ -295,7 +295,7 @@ def test_condition_number_basis_choice_is_immaterial_for_constants():
     # For piecewise constants the rescaling is a scalar multiple of the
     # identity, so the classical-basis value equals the orthonormal one.
     mesh = SpatialMesh(6, 6)
-    ops = assemble_operators(mesh, BasisSpec(0), FluxWeights(0.0, 1.0))
+    ops = LdgOperators(mesh, BasisSpec(0), FluxWeights(0.0, 1.0))
     tm = GradedTimeMesh(8, 2.0, 0.1)
     A = L1Kernel(0.4, tm)
     a = condition_number(ops, A)
@@ -312,7 +312,7 @@ def test_condition_number_matches_dense_oracle(k, flux):
     # one and two cells per direction and with nx != ny.
     fw = FluxWeights(*flux)
     for nx, ny in ((1, 2), (2, 3), (3, 1), (4, 4), (7, 5)):
-        ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(k), fw)
+        ops = LdgOperators(SpatialMesh(nx, ny), BasisSpec(k), fw)
         K = lifted_stiffness(nx, ny, k, *flux, ops.mesh.hx, ops.mesh.hy)
         d = _classical_scaling(nx, ny, k)
         for alpha in (0.3, 0.7):
@@ -330,7 +330,7 @@ def test_condition_number_matches_the_per_mode_form_bitwise(k, flux):
     # with np.kron.
     fw = FluxWeights(*flux)
     for nx, ny in ((5, 5), (12, 12), (16, 16), (5, 12)):
-        ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(k), fw)
+        ops = LdgOperators(SpatialMesh(nx, ny), BasisSpec(k), fw)
         for alpha, gamma in ((0.3, 6.0), (0.7, 2.0)):
             A = L1Kernel(alpha, GradedTimeMesh(100, gamma, 0.1))
             assert condition_number(ops, A) == condition_number_by_x_modes(ops, A), (nx, ny, alpha)
@@ -342,7 +342,7 @@ def test_condition_number_factorizes_nothing(monkeypatch):
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", no_solve)
     monkeypatch.setattr(LdgOperators, "solve_system", no_solve)
-    ops = assemble_operators(SpatialMesh(5, 5), BasisSpec(1), FluxWeights(0.9, 0.1))
+    ops = LdgOperators(SpatialMesh(5, 5), BasisSpec(1), FluxWeights(0.9, 0.1))
     A = L1Kernel(0.3, GradedTimeMesh(10, 2.0, 0.1))
     assert condition_number(ops, A) > 1.0
 
@@ -361,7 +361,7 @@ def test_condition_number_peak_is_within_its_count(nx, ny, degree):
     from fracldg.analysis import _fourier_blocks_bytes
 
     mesh, basis = SpatialMesh(nx, ny), BasisSpec(degree)
-    ops = assemble_operators(mesh, basis, FluxWeights(1.0, 0.0))
+    ops = LdgOperators(mesh, basis, FluxWeights(1.0, 0.0))
     A = L1Kernel(0.5, GradedTimeMesh(1, 1.0, 0.1))
     condition_number(ops, A)
     tracemalloc.start()
@@ -384,7 +384,7 @@ def test_run_path_builds_no_sparse_matrix(monkeypatch):
     tm = GradedTimeMesh(5, 2.0, 0.1)
     fields = solve_fields(prob, mesh, tm, BasisSpec(1), FluxWeights(0.9, 0.1))
     assert np.all(np.isfinite(fields[-1].coeffs))
-    ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(0.9, 0.1))
+    ops = LdgOperators(mesh, BasisSpec(1), FluxWeights(0.9, 0.1))
     assert condition_number(ops, L1Kernel(prob.alpha, tm)) > 1.0
 
 

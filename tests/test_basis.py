@@ -80,6 +80,12 @@ def test_gauss_rule_validation():
         gauss_rule(0)
     with pytest.raises(InvalidArgumentError):
         gauss_rule(65)
+    # Checked before the cache, which would answer the list with TypeError;
+    # 3.0 and True are refused though the rules for 3 and 1 are cached.
+    gauss_rule(3), gauss_rule(1)
+    for bad in ([3], 3.0, True):
+        with pytest.raises(InvalidArgumentError, match="npoints: expected an? (integer|number)"):
+            gauss_rule(bad)
 
 
 def test_legendre_values_match_pointwise_oracle():

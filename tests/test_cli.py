@@ -321,7 +321,7 @@ def test_runners_build_the_time_meshes_the_config_check_builds(monkeypatch):
         return build(M, gamma, T)
 
     monkeypatch.setattr(fracldg.ldg, "solve", lambda *args: None)
-    monkeypatch.setattr(fracldg.ldg, "assemble_operators", lambda *args: None)
+    monkeypatch.setattr(fracldg.ldg, "LdgOperators", lambda *args: None)
     monkeypatch.setattr(fracldg.analysis, "FinalTimeError", NoError)
     monkeypatch.setattr(fracldg.analysis, "condition_number", lambda *args: 1.0)
     bench = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -549,7 +549,7 @@ def test_run_larger_than_physical_memory_exits_3(tmp_path, capsys, monkeypatch):
         raise AssertionError("operators assembled before the footprint check")
 
     monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: 4 * 2**20)
-    monkeypatch.setattr(fracldg.ldg, "assemble_operators", no_assembly)
+    monkeypatch.setattr(fracldg.ldg, "LdgOperators", no_assembly)
     d = _base_config(name="too-big", problem="example2", degree=1, nx=16,
                      time={"M": 800, "gamma": 2.0, "T": 0.1})
     out = tmp_path / "out"
@@ -637,7 +637,7 @@ def test_condition_rows_are_sized_with_their_fourier_blocks(tmp_path, capsys, mo
     blocks = fracldg.analysis._fourier_blocks_bytes(mesh, basis)
     assert (solve_bytes, blocks) == (1_449_984, 19_487_184)
     monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: 4 * 2**20)
-    monkeypatch.setattr(fracldg.ldg, "assemble_operators", no_assembly)
+    monkeypatch.setattr(fracldg.ldg, "LdgOperators", no_assembly)
     d = _base_config("condition-number", nx=12, time={"M": 1, "T": 0.1},
                      cond_rows=[{"degree": 8, "alpha": 0.5, "gamma": 1.0}])
     path = _write_config(tmp_path, d)
@@ -867,20 +867,20 @@ def test_cli_errors_equal_functional_of_full_trajectory(config, tmp_path, monkey
 def test_condition_study_assembles_each_operator_once(tmp_path, monkeypatch):
     # table8-cond has 6 (degree, alpha, gamma) rows over 3 degrees and 4 flux
     # pairs: 12 distinct operators, assembled 24 times when each row built
-    # its own.
+    # its own. Operators are values, so distinct inputs give distinct ones.
     import fracldg.ldg
 
-    assemble = fracldg.ldg.assemble_operators
-    calls = []
+    build = fracldg.ldg.LdgOperators
+    built = []
 
     def counting(mesh, basis, fw):
-        calls.append((basis.k, fw.sigma1, fw.sigma2))
-        return assemble(mesh, basis, fw)
+        built.append(build(mesh, basis, fw))
+        return built[-1]
 
-    monkeypatch.setattr(fracldg.ldg, "assemble_operators", counting)
+    monkeypatch.setattr(fracldg.ldg, "LdgOperators", counting)
     assert main(["run", "--config", "table8-cond", "--out", str(tmp_path), "--check"]) == 0
-    assert len(calls) == 12
-    assert len(set(calls)) == 12
+    assert len(built) == 12
+    assert len(set(built)) == 12
 
 
 def test_q2_graded_run_peak_rss_is_bounded(tmp_path):

@@ -102,6 +102,16 @@ def test_a0_rejects_step_index_outside_the_mesh():
         A.a0(6)
 
 
+@pytest.mark.parametrize("alpha,gamma", [(0.6, 2.0), (0.5, 3.0)], ids=["alpha", "gamma"])
+def test_kernel_is_a_value_of_alpha_and_its_mesh(alpha, gamma):
+    # The kernel compares and hashes by alpha and its time mesh, which
+    # compares by (M, T, gamma): equal inputs give equal kernels with equal
+    # hashes, and a different alpha or gamma an unequal one.
+    A, same = (L1Kernel(0.5, GradedTimeMesh(5, 2.0, 0.1)) for _ in range(2))
+    assert A == same and hash(A) == hash(same) and len({A, same}) == 1
+    assert A != L1Kernel(alpha, GradedTimeMesh(5, gamma, 0.1))
+
+
 def _table_memory_weights(table, n: int) -> np.ndarray:
     """Memory-weight row of step n read off the stored table: c_0 = -A_{n-1}^n,
     c_j = A_{n-j}^n - A_{n-j-1}^n."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracldg.analysis import condition_number
 from fracldg.basis import (
     BasisSpec,
     DgField,
@@ -27,7 +29,6 @@ from fracldg.fractional import (
 from fracldg.ldg import (
     FluxWeights,
     LdgOperators,
-    assemble_operators,
     solve,
     step,
 )
@@ -77,6 +78,58 @@ def test_flux_weights_outside_unit_interval_rejected(sigmas):
         FluxWeights(*sigmas)
 
 
+#: The arrays LdgOperators derives from its three inputs.
+DERIVED = ("Kx", "Ky", "M", "Qx", "lam_x", "Qy", "lam_y")
+
+
+def _ops(nx=4, k=1, flux=(1.0, 0.0)) -> LdgOperators:
+    return LdgOperators(SpatialMesh(nx, nx), BasisSpec(k), FluxWeights(*flux))
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(LdgOperators)])
+def test_operator_fields_cannot_be_assigned(name):
+    # A set field would leave the derived arrays out of step with the
+    # inputs: ops.M = 1.0 would change the condition number silently.
+    ops = _ops()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ops, name, 1.0)
+    if name in DERIVED:  # derived, so never given
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            dataclasses.replace(ops, **{name: getattr(ops, name)})
+        with pytest.raises(TypeError):
+            LdgOperators(ops.mesh, ops.basis, ops.fw, **{name: getattr(ops, name)})
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"mesh": SpatialMesh(8, 8)}, {"basis": BasisSpec(2)}, {"fw": FluxWeights(0.7, 0.2)}],
+    ids=["mesh", "basis", "fw"],
+)
+def test_replace_derives_the_operators_of_a_fresh_build(change):
+    # replace with a new input derives every array again: the same bits and
+    # the same condition number as a fresh build.
+    ops = _ops()
+    new = dataclasses.replace(ops, **change)
+    fresh = LdgOperators(**{"mesh": ops.mesh, "basis": ops.basis, "fw": ops.fw, **change})
+    assert new == fresh and new != ops
+    for name in DERIVED:
+        assert np.array_equal(getattr(new, name), getattr(fresh, name)), name
+    A = L1Kernel(0.5, GradedTimeMesh(10, 2.0, 0.1))
+    assert condition_number(new, A) == condition_number(fresh, A)
+
+
+@pytest.mark.parametrize(
+    "other", [{"nx": 5}, {"k": 2}, {"flux": (0.7, 0.3)}], ids=["mesh", "degree", "flux"]
+)
+def test_operators_are_a_value_of_their_inputs(other):
+    # Equal inputs give equal operators with equal hashes, compared by the
+    # inputs and never by the arrays; a different mesh, degree or flux gives
+    # unequal ones.
+    ops, same = _ops(), _ops()
+    assert ops == same and hash(ops) == hash(same) and len({ops, same}) == 1
+    assert ops != _ops(**other)
+
+
 def test_directional_operator_matches_dense_oracle():
     # n = 1, 2: the periodic neighbors coincide with each other or with the
     # cell itself, so every block term must add into the same entries.
@@ -105,7 +158,7 @@ def test_block_symbol_reduces_the_periodic_blocks():
     for n in (1, 2, 3, 4, 7):
         for k in (0, 1, 2, 3):
             for sigma in (0.0, 0.3, 0.49, 1.0):
-                ops = assemble_operators(SpatialMesh(n, 2), BasisSpec(k), FluxWeights(sigma, 0.0))
+                ops = LdgOperators(SpatialMesh(n, 2), BasisSpec(k), FluxWeights(sigma, 0.0))
                 K1, kk = ops.Kx, k + 1
                 hat = block_symbol(K1, n)
                 scale = np.max(np.abs(K1))
@@ -129,7 +182,7 @@ def test_global_operator_symmetric_positive_semidefinite():
         mesh = SpatialMesh(nx, ny)
         for s1, s2 in FLUXES:
             for k in (0, 1, 2, 3):
-                ops = assemble_operators(mesh, BasisSpec(k), FluxWeights(s1, s2))
+                ops = LdgOperators(mesh, BasisSpec(k), FluxWeights(s1, s2))
                 K = ops.K.toarray()
                 K_ref = lifted_stiffness(nx, ny, k, s1, s2, mesh.hx, mesh.hy)
                 np.testing.assert_allclose(K, K_ref, rtol=0.0, atol=1e-12 * np.max(np.abs(K_ref)))
@@ -146,7 +199,7 @@ def test_global_operator_symmetric_positive_semidefinite():
 def test_constants_are_steady_states():
     mesh = SpatialMesh(5, 4)
     for s1, s2 in FLUXES:
-        ops = assemble_operators(mesh, BasisSpec(2), FluxWeights(s1, s2))
+        ops = LdgOperators(mesh, BasisSpec(2), FluxWeights(s1, s2))
         const = VolumeGrid.build(mesh, BasisSpec(2)).project(lambda x, y: 3.0 + 0.0 * x * y)
         assert np.max(np.abs(ops.K @ const.coeffs.ravel())) <= 1e-11
 
@@ -159,7 +212,7 @@ def test_energy_nullity_of_bilinear_form():
     rng = np.random.default_rng(17)
     for s1, s2 in FLUXES:
         fw = FluxWeights(s1, s2)
-        ops = assemble_operators(mesh, basis, fw)
+        ops = LdgOperators(mesh, basis, fw)
         Du = np.kron(dense_directional_operator(4, 2, s1), (2.0 / mesh.hx) * np.eye(3 * 3))
         Lu = np.kron((2.0 / mesh.hy) * np.eye(4 * 3), dense_directional_operator(3, 2, s2))
         for _ in range(5):
@@ -173,7 +226,7 @@ def test_energy_nullity_of_bilinear_form():
 
 def test_system_solve_matches_dense_reference():
     mesh = SpatialMesh(4, 4)
-    ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(1.0, 0.0))
+    ops = LdgOperators(mesh, BasisSpec(1), FluxWeights(1.0, 0.0))
     rng = np.random.default_rng(23)
     b = rng.standard_normal(ndof(ops))
     a0 = 7.3
@@ -204,7 +257,7 @@ def test_system_solve_matches_splu_reference(nx, ny, k, flux, a0, scale_atol):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the central pair warns by design
         fw = FluxWeights(*flux)
-    ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(k), fw)
+    ops = LdgOperators(SpatialMesh(nx, ny), BasisSpec(k), fw)
     rng = np.random.default_rng(23)
     b = rng.standard_normal(ndof(ops))
     x = ops.solve_system(a0, b)
@@ -229,7 +282,7 @@ _WEIGHT = st.floats(0.0, 1.0).filter(lambda s: s != 0.5)
 def test_system_solve_matches_splu_on_random_draws(nx, ny, k, sigma1, sigma2, log_a0, seed):
     # a0 is log-uniform over [1e-2, 1e8]: from nearly singular (the constant
     # mode's eigenvalue a0 * M against the spread of K) to mass dominated.
-    ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(k), FluxWeights(sigma1, sigma2))
+    ops = LdgOperators(SpatialMesh(nx, ny), BasisSpec(k), FluxWeights(sigma1, sigma2))
     a0 = 10.0**log_a0
     b = np.random.default_rng(seed).standard_normal(ndof(ops))
     x_ref = _splu_reference(ops, a0, b)
@@ -245,7 +298,7 @@ def test_system_solve_refines_ill_conditioned_steps(nx, ny, flux):
     # solver bound. Near the central flux, K has near-null modes besides the
     # constants; their eigenvalue rounding leaves a residual of ~1e-11 but a
     # forward error ~3x the tolerance below. Refinement fixes both.
-    ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(3), FluxWeights(*flux))
+    ops = LdgOperators(SpatialMesh(nx, ny), BasisSpec(3), FluxWeights(*flux))
     S = system_matrix(ops, 1e-2)
     for seed in range(10):
         b = np.random.default_rng(seed).standard_normal(ndof(ops))
@@ -257,10 +310,10 @@ def test_system_solve_refines_ill_conditioned_steps(nx, ny, flux):
 
 def test_solve_residual_guard_rejects_wrong_spectrum():
     mesh = SpatialMesh(5, 3)
-    ops = assemble_operators(mesh, BasisSpec(1), FluxWeights(0.6, 0.3))
+    ops = LdgOperators(mesh, BasisSpec(1), FluxWeights(0.6, 0.3))
     b = np.random.default_rng(5).standard_normal(ndof(ops))
     ops.solve_system(7.3, b)
-    ops.lam_x = 2.0 * ops.lam_x
+    object.__setattr__(ops, "lam_x", 2.0 * ops.lam_x)  # a frozen field, planted wrong
     with pytest.raises(NumericError, match="residual"):
         ops.solve_system(7.3, b)
 
@@ -269,7 +322,7 @@ def test_solve_residual_guard_rejects_wrong_spectrum():
 def test_solve_rejects_nonfinite_rhs(bad):
     # A NaN norm compares False against the residual bound, so without an
     # explicit check a NaN right-hand side came back as a NaN solution.
-    ops = assemble_operators(SpatialMesh(3, 3), BasisSpec(1), FluxWeights(1.0, 0.0))
+    ops = LdgOperators(SpatialMesh(3, 3), BasisSpec(1), FluxWeights(1.0, 0.0))
     b = np.random.default_rng(6).standard_normal(ndof(ops))
     b[4] = bad
     with pytest.raises(NumericError, match="right-hand side is not finite"):
@@ -277,11 +330,12 @@ def test_solve_rejects_nonfinite_rhs(bad):
 
 
 def test_solve_rejects_nonfinite_solution():
-    ops = assemble_operators(SpatialMesh(3, 3), BasisSpec(1), FluxWeights(1.0, 0.0))
+    ops = LdgOperators(SpatialMesh(3, 3), BasisSpec(1), FluxWeights(1.0, 0.0))
     b = np.random.default_rng(7).standard_normal(ndof(ops))
     a0 = 7.3
-    ops.lam_x = np.full_like(ops.lam_x, -a0 * ops.M)  # zero denominators
-    ops.lam_y = np.zeros_like(ops.lam_y)
+    # Frozen fields, planted to give zero denominators.
+    object.__setattr__(ops, "lam_x", np.full_like(ops.lam_x, -a0 * ops.M))
+    object.__setattr__(ops, "lam_y", np.zeros_like(ops.lam_y))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="solution is not finite"):
             ops.solve_system(a0, b)
@@ -438,7 +492,7 @@ def test_step_rejects_short_history():
     prob = example1(0.5)
     tm = GradedTimeMesh(4, 2.0, 0.1)
     A = L1Kernel(prob.alpha, tm)
-    ops = assemble_operators(mesh, basis, FluxWeights(0.0, 1.0))
+    ops = LdgOperators(mesh, basis, FluxWeights(0.0, 1.0))
     grid = VolumeGrid.build(mesh, basis)
     history_grid = VolumeGrid.build(mesh, basis, gauss_rule(basis.history_quad_points))
     history = History(A, history_grid.at(prob.kappa), prob.c_kappa)
@@ -455,7 +509,7 @@ def test_step_returns_the_solution_as_its_field(monkeypatch):
     basis = BasisSpec(1)
     prob = example2(0.4)
     A = L1Kernel(prob.alpha, GradedTimeMesh(3, 2.0, 0.1))
-    ops = assemble_operators(mesh, basis, FluxWeights(1.0, 0.0))
+    ops = LdgOperators(mesh, basis, FluxWeights(1.0, 0.0))
     grid = VolumeGrid.build(mesh, basis)
     history_grid = VolumeGrid.build(mesh, basis, gauss_rule(basis.history_quad_points))
     history = History(A, history_grid.at(prob.kappa), prob.c_kappa)
@@ -817,7 +871,7 @@ def test_solve_refuses_a_run_larger_than_physical_memory(monkeypatch):
         raise AssertionError("operators assembled before the footprint check")
 
     monkeypatch.setattr(fracldg.errors, "physical_memory_bytes", lambda: FOOTPRINT_PROBE_BYTES)
-    monkeypatch.setattr(ldg, "assemble_operators", no_assembly)
+    monkeypatch.setattr(ldg, "LdgOperators", no_assembly)
     prob = example2(0.5)
     mesh = SpatialMesh(16, 16)
     tm = GradedTimeMesh(800, 2.0, 0.1)
@@ -900,7 +954,7 @@ def test_system_solve_matches_dense_reference_near_central_flux():
     # extended-precision refinement. Kept as a strict xfail until the
     # trigger accounts for the conditioning of the step matrix.
     nx, ny, k, a0 = 6, 5, 3, 0.1
-    ops = assemble_operators(SpatialMesh(nx, ny), BasisSpec(k), FluxWeights(0.49, 0.51))
+    ops = LdgOperators(SpatialMesh(nx, ny), BasisSpec(k), FluxWeights(0.49, 0.51))
     b = np.random.default_rng(0).standard_normal(ndof(ops))
     x_ref = np.linalg.solve(ops.K.toarray() + a0 * ops.M * np.eye(ndof(ops)), b)
     np.testing.assert_allclose(

@@ -129,15 +129,15 @@ def test_graded_mesh_points_are_the_grading_formula_bitwise(gamma):
 
 def test_graded_mesh_points_are_derived_never_given():
     # M, gamma and T fix every point, so the points are no argument and a
-    # copy with another M or T must be told gamma again, which the mesh does
-    # not keep; given it, replace derives the new points.
+    # copy with another M or T must be told gamma again, which the mesh keeps
+    # only privately; given it, replace derives the new points.
     tm = GradedTimeMesh(20, 2.0, 0.1)
-    assert [f.name for f in dataclasses.fields(GradedTimeMesh)] == ["M", "T", "t", "tau"]
+    assert [f.name for f in dataclasses.fields(GradedTimeMesh)] == ["M", "T", "_gamma", "t", "tau"]
     assert repr(tm) == "GradedTimeMesh(M=20, T=0.1)"
     for change in ({"T": 1.0}, {"M": 5}, {}):
         with pytest.raises(ValueError, match="InitVar 'gamma' must be specified"):
             dataclasses.replace(tm, **change)
-    for name in ("t", "tau"):
+    for name in ("_gamma", "t", "tau"):
         with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
             dataclasses.replace(tm, gamma=2.0, **{name: tm.t})
         with pytest.raises(TypeError):
@@ -155,3 +155,21 @@ def test_graded_mesh_points_are_derived_never_given():
         dataclasses.replace(tm, gamma=0.5)
     with pytest.raises(InvalidArgumentError, match=r"^M must be >= 1, got 0$"):
         dataclasses.replace(tm, M=0, gamma=2.0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GradedTimeMesh)])
+def test_graded_mesh_fields_cannot_be_assigned(name):
+    tm = GradedTimeMesh(5, 2.0, 0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(tm, name, 1.0)
+
+
+@pytest.mark.parametrize("other", [(5, 3.0, 0.1), (6, 2.0, 0.1), (5, 2.0, 0.2)],
+                         ids=["gamma", "M", "T"])
+def test_graded_mesh_is_a_value_of_M_T_and_gamma(other):
+    # Equal inputs give equal meshes with equal hashes, compared by their
+    # inputs and never by their arrays (which numpy cannot compare in a
+    # tuple); a different gamma, M or T gives an unequal mesh.
+    tm, same = GradedTimeMesh(5, 2.0, 0.1), GradedTimeMesh(5, 2.0, 0.1)
+    assert tm == same and hash(tm) == hash(same) and len({tm, same}) == 1
+    assert tm != GradedTimeMesh(*other)
